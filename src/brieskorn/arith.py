@@ -9,6 +9,8 @@ canonical residue modulo the p-th cyclotomic polynomial
 Phi_p = 1 + x + ... + x^(p-1): a coefficient vector over the basis
 1, zeta, ..., zeta^(p-2).  Two elements are equal iff their coefficient
 vectors are equal, so equality, hashing and the Galois action are exact.
+Products scale both operands to integer vectors over their least common
+denominators, convolve the integers and build Fractions once at the end.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 def is_prime(n: int) -> bool:
@@ -145,6 +149,20 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def from_numerators(cls, p: int, nums: Sequence[int], den: int) -> "Cyclotomic":
+        """The element sum_i (nums[i]/den) zeta^i, for len(nums) <= p.
+
+        The fast path for integer-scaled kernels: the reduction mod Phi_p
+        is done on the integers, and Fractions are built once at the end.
+        """
+        if len(nums) > p:
+            raise ValueError("coefficient vector longer than the field degree")
+        top = nums[p - 1] if len(nums) == p else 0
+        nums = list(nums[: p - 1]) + [0] * (p - 1 - len(nums))
+        return cls._raw(p, tuple(
+            Fraction(n - top, den) if n != top else _ZERO for n in nums))
+
+    @classmethod
     def zero(cls, p: int) -> "Cyclotomic":
         return cls(p, [])
 
@@ -191,16 +209,12 @@ class Cyclotomic:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Cyclotomic":
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic._raw(self.p, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
-        p = self.p
-        full = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    full[(i + j) % p] += a * b
-        return Cyclotomic._raw(p, self._reduce(p, full))
+        dx, dy = self.denominator(), other.denominator()
+        product = convolve(self.p, self.numerators(dx), other.numerators(dy))
+        return Cyclotomic.from_numerators(self.p, product, dx * dy)
 
     __rmul__ = __mul__
 
@@ -255,11 +269,19 @@ class Cyclotomic:
         p = self.p
         if gcd(k, p) != 1:
             raise ValueError(f"{k} is not invertible mod {p}")
-        full = [Fraction(0)] * p
+        full = [_ZERO] * p
         for i, a in enumerate(self.coeffs):
-            if a:
-                full[(i * k) % p] += a
+            full[(i * k) % p] = a  # i -> i*k is a bijection mod p
         return Cyclotomic._raw(p, self._reduce(p, full))
+
+    def denominator(self) -> int:
+        """Least common denominator of the coefficients."""
+        return lcm(*(c.denominator for c in self.coeffs))
+
+    def numerators(self, den: int) -> List[int]:
+        """The integers n_i with coeffs[i] == n_i/den, for den a multiple of
+        denominator()."""
+        return [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -314,6 +336,18 @@ class Cyclotomic:
                 parts.append(f"{c}*z^{k}")
         body = " + ".join(parts) if parts else "0"
         return f"Cyclotomic(p={self.p}, {body})"
+
+
+def convolve(p: int, x: Sequence[int], y: Sequence[int]) -> List[int]:
+    """Cyclic product of two integer vectors modulo x^p - 1 (length p)."""
+    full = [0] * max(len(x) + len(y) - 1, p)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                full[k] += a * b
+    for k in range(len(full) - 1, p - 1, -1):
+        full[k - p] += full[k]
+    return full[:p]
 
 
 def rational_value(x: Cyclotomic) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -133,7 +134,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
         eta = eta_from_fixed_data(fd, p)
         rho = rho_from_eta(eta)
-        candidates = ll_extension_search(triple, p)
+        candidates = ll_extension_search(triple, p, rho)
         report["locally_linear"] = {
             "rho_quotient": [_frac(x) for x in rho.values],
             "candidates": [
@@ -239,16 +240,27 @@ def _cache_path(a: int, b: int, c: int, p: Optional[int]) -> str:
 def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
                     use_cache: bool = True) -> Dict:
     """build_analysis with a transparent file cache keyed by input and
-    version."""
+    version.  An entry that does not parse as a report is a miss and is
+    rewritten."""
     path = _cache_path(a, b, c, p)
-    if use_cache and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+    if use_cache:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                report = json.load(handle)
+            if isinstance(report, dict):
+                return report
+        except (FileNotFoundError, ValueError):  # ValueError: corrupt entry
+            pass
     report = build_analysis(a, b, c, p)
     if use_cache:
         os.makedirs(cache_dir(), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(render_json(report))
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir(), prefix=".analyze_",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(render_json(report))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return report

@@ -23,6 +23,20 @@ Rho invariants of the quotient are the finite Fourier transform
 always rational; the lens-space table rho_lens_exact matches this
 transform applied to the sphere profile nu(r, s) (the cotangent-sum
 normalization is chosen for exactly that consistency).
+
+The kernels work on integer vectors and rely on three identities:
+
+    1/(zeta^m - 1) = (1/p) sum_{k=0}^{p-1} k zeta^{mk}      (m != 0 mod p),
+
+checked by multiplying out: (zeta^m - 1) sum_k k zeta^{mk} = p;
+
+    nu(a, b; t) = (1 + 2/(t^a - 1)) (1 + 2/(t^b - 1)),
+
+so p^2 nu is a single convolution of two integer vectors; and the
+denominators of eta divide p^2, because each nu term is an integer vector
+over p^2, each sphere term -4w t^c (1/(t^c - 1))^2 is one too, and the
+signature is an integer.  Sums of eta values and the rho transforms are
+accumulated as integer vectors over one common denominator.
 """
 
 from __future__ import annotations
@@ -30,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Dict, List, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Tuple
 
-from .arith import Cyclotomic, NonRationalError, is_prime
+from .arith import Cyclotomic, NonRationalError, convolve, is_prime
 from .plumbing import (EquivariantMarkup, PlumbingGraph,
                        canonical_resolution, graph_signature,
                        propagate_rotations)
@@ -45,25 +59,43 @@ def _check_order(p: int) -> None:
         raise ValueError(f"group order must be an odd prime >= 3, got {p}")
 
 
+def _inv_numerators(p: int, m: int) -> List[int]:
+    """p/(zeta^m - 1) = sum_k k zeta^{mk} as a length-p integer vector."""
+    out = [0] * p
+    for k in range(1, p):
+        out[(m * k) % p] = k
+    return out
+
+
+def _coth_numerators(p: int, m: int) -> List[int]:
+    """p(1 + 2/(zeta^m - 1)) = p + 2 sum_k k zeta^{mk} as a length-p
+    integer vector."""
+    out = [2 * k for k in _inv_numerators(p, m)]
+    out[0] = p
+    return out
+
+
 @lru_cache(maxsize=None)
 def _inv_zeta_minus_one(p: int, m: int) -> Cyclotomic:
-    """Cached 1/(zeta^m - 1) for m != 0 mod p."""
-    return (Cyclotomic.zeta(p, m) - 1).inverse()
+    """Cached 1/(zeta^m - 1) for m != 0 mod p, in closed form."""
+    return Cyclotomic.from_numerators(p, _inv_numerators(p, m), p)
 
 
 @lru_cache(maxsize=None)
 def nu_defect(a: int, b: int, p: int, j: int = 1) -> Cyclotomic:
-    """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta^j."""
+    """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta^j.
+
+    One integer convolution of p(1 + 2/(t^a-1)) and p(1 + 2/(t^b-1)),
+    over the denominator p^2.
+    """
     _check_order(p)
     a, b, j = a % p, b % p, j % p
     if a == 0 or b == 0:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
     if j == 0:
         raise ValueError("nu is only defined at nontrivial t")
-    za = Cyclotomic.zeta(p, j * a)
-    zb = Cyclotomic.zeta(p, j * b)
-    return ((za + 1) * (zb + 1)
-            * _inv_zeta_minus_one(p, j * a) * _inv_zeta_minus_one(p, j * b))
+    product = convolve(p, _coth_numerators(p, j * a), _coth_numerators(p, j * b))
+    return Cyclotomic.from_numerators(p, product, p * p)
 
 
 def sphere_defect(self_intersection: int, c: int, p: int, j: int = 1) -> Cyclotomic:
@@ -73,8 +105,8 @@ def sphere_defect(self_intersection: int, c: int, p: int, j: int = 1) -> Cycloto
         raise ValueError(f"normal rotation {c} must be nonzero mod {p}")
     if j % p == 0:
         raise ValueError("sphere defect is only defined at nontrivial t")
-    zc = Cyclotomic.zeta(p, j * c)
-    return self_intersection * (-4) * zc / ((zc - 1) * (zc - 1))
+    inv = _inv_zeta_minus_one(p, j * c)
+    return (inv * inv).mul_zeta_power(j * c) * (-4 * self_intersection)
 
 
 @dataclass(frozen=True)
@@ -115,17 +147,25 @@ class EtaProfile:
                 raise ValueError(f"profile is not Galois-equivariant at j={j}")
 
 
+def _sum_scaled(p: int, terms: List[Cyclotomic], constant: int = 0) -> Cyclotomic:
+    """constant + sum(terms), added as integer vectors over one common
+    denominator."""
+    den = lcm(*(x.denominator() for x in terms))
+    acc = [0] * (p - 1)
+    acc[0] = constant * den
+    for x in terms:
+        acc = [s + n for s, n in zip(acc, x.numerators(den))]
+    return Cyclotomic.from_numerators(p, acc, den)
+
+
 def eta_from_fixed_data(fd: FixedPointData, p: int) -> EtaProfile:
     """Boundary eta profile of the fixed-point data, exactly."""
     _check_order(p)
     values = {}
     for j in range(1, p):
-        total = Cyclotomic.from_rational(p, -fd.signature)
-        for a, b in fd.isolated:
-            total = total + nu_defect(a, b, p, j)
-        for w, c in fd.spheres:
-            total = total + sphere_defect(w, c, p, j)
-        values[j] = total
+        terms = [nu_defect(a, b, p, j) for a, b in fd.isolated]
+        terms += [sphere_defect(w, c, p, j) for w, c in fd.spheres]
+        values[j] = _sum_scaled(p, terms, -fd.signature)
     return EtaProfile(p, values)
 
 
@@ -154,11 +194,16 @@ class RhoTable:
             raise ValueError("rho at the trivial character must vanish")
 
 
-def _add_shifted(acc: List[Fraction], coeffs, shift: int, p: int) -> None:
-    """acc += zeta^shift * (reduced coefficient vector), in place."""
-    for i, c in enumerate(coeffs):
-        if c:
-            acc[(i + shift) % p] += c
+def _rotated(row: List[int], shift: int) -> List[int]:
+    """A length-p vector multiplied by zeta^shift (a cyclic rotation)."""
+    shift %= len(row)
+    return row[-shift:] + row[:-shift] if shift else row
+
+
+def _numerator_rows(values: List[Cyclotomic]) -> Tuple[List[List[int]], int]:
+    """Length-p integer vectors of the values over their common denominator."""
+    den = lcm(*(x.denominator() for x in values))
+    return [x.numerators(den) + [0] for x in values], den
 
 
 def rho_from_eta(profile: EtaProfile) -> RhoTable:
@@ -169,16 +214,14 @@ def rho_from_eta(profile: EtaProfile) -> RhoTable:
     raises rather than being projected.
     """
     p = profile.p
+    rows, den = _numerator_rows([profile.values[j] for j in range(1, p)])
+    base = [-sum(col) for col in zip(*rows)]
     values: List[Fraction] = []
     for ell in range(p):
-        acc = [Fraction(0)] * p
-        for j in range(1, p):
-            coeffs = profile.values[j].coeffs
-            _add_shifted(acc, coeffs, (j * ell) % p, p)
-            for i, c in enumerate(coeffs):
-                if c:
-                    acc[i] -= c
-        total = Cyclotomic(p, acc)
+        acc = base
+        for j, row in enumerate(rows, 1):
+            acc = [a + b for a, b in zip(acc, _rotated(row, j * ell))]
+        total = Cyclotomic.from_numerators(p, acc, den)
         try:
             values.append(total.rational_value() / p)
         except NonRationalError as exc:
@@ -216,17 +259,15 @@ def rho_lens_exact(p: int, r: int, s: int, ell: int) -> Fraction:
     _check_order(p)
     if gcd(r, p) != 1 or gcd(s, p) != 1:
         raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
-    acc = [Fraction(0)] * p
-    for k in range(1, p):
-        coeffs = nu_defect(r, s, p, k).coeffs
-        # cot*cot * sin^2 = (-nu_k) * (2 - zeta^{kl} - zeta^{-kl})/4, expanded
-        # into monomial shifts of nu_k (each O(p)).
-        _add_shifted(acc, coeffs, (k * ell) % p, p)
-        _add_shifted(acc, coeffs, (-k * ell) % p, p)
-        for i, c in enumerate(coeffs):
-            if c:
-                acc[i] -= 2 * c
-    return Cyclotomic(p, acc).rational_value() * Fraction(1, 2 * p)
+    rows, den = _numerator_rows([nu_defect(r, s, p, k) for k in range(1, p)])
+    # cot*cot * sin^2 = (-nu_k) * (2 - zeta^{kl} - zeta^{-kl})/4, expanded
+    # into rotations of nu_k (each O(p)).
+    acc = [0] * p
+    for k, row in enumerate(rows, 1):
+        acc = [a + x + y - 2 * z for a, x, y, z in
+               zip(acc, _rotated(row, k * ell), _rotated(row, -k * ell), row)]
+    return (Cyclotomic.from_numerators(p, acc, den).rational_value()
+            * Fraction(1, 2 * p))
 
 
 def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
@@ -280,21 +321,28 @@ def canonical_lens_pair(r: int, s: int, p: int) -> Tuple[int, int]:
     return min(variants)
 
 
-def ll_extension_search(triple: BrieskornTriple, p: int) -> Tuple[LensCandidate, ...]:
+def ll_extension_search(triple: BrieskornTriple, p: int,
+                        sigma_rho: Optional[RhoTable] = None
+                        ) -> Tuple[LensCandidate, ...]:
     """All lens parameters (r, s) mod p compatible with a one-fixed-point
     locally linear extension, with rho diagnostics.
 
     A candidate must satisfy a1*a2*a3 == r*s (mod p) and have
     {a1, a2, a3} == {r, s, 1} (mod p) as multisets up to sign; each is
     annotated with whether the full rho table of the quotient (from the
-    canonical-resolution eta profile) equals the lens-space table.
+    canonical-resolution eta profile) equals the lens-space table.  A
+    caller that already holds that table passes it as sigma_rho;
+    otherwise it is computed here.
     """
     _check_order(p)
     if not standard_action_valid(triple, p):
         raise ValueError(f"p={p} is not coprime to {triple}")
+    if sigma_rho is None:
+        sigma_rho = rho_from_eta(eta_brieskorn(triple, p))
+    elif sigma_rho.p != p:
+        raise ValueError(f"rho table is for p={sigma_rho.p}, not p={p}")
     product_residue = triple.product % p
     target = tuple(sorted(_residue_class(a, p) for a in triple.entries))
-    sigma_rho = rho_from_eta(eta_brieskorn(triple, p))
     candidates = []
     seen = set()
     for r in range(1, p):

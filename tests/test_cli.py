@@ -2,7 +2,10 @@
 
 import json
 
-from brieskorn import build_analysis, render_json, render_text
+import pytest
+
+from brieskorn import (BrieskornTriple, build_analysis, ll_extension_search,
+                       render_json, render_text)
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
 from brieskorn.report import cached_analysis
@@ -41,6 +44,25 @@ class TestReport:
         assert render_json(a) == render_json(b)
         assert render_text(a) == render_text(b)
 
+    @pytest.mark.parametrize("a, b, c, p", [
+        (3, 16, 113, 5), (3, 16, 113, 7), (3, 16, 113, 13),
+        (3, 19, 134, 5), (3, 28, 197, 5), (2, 3, 7, 11),
+        # odd-r stern members with p | s
+        (3, 31, 218, 5), (3, 22, 155, 7), (5, 36, 397, 7),
+        (3, 32, 223, 11),
+    ])
+    def test_candidates_match_standalone_search(self, a, b, c, p):
+        # The report hands its own rho table to the lens search; the
+        # standalone search recomputes it from the triple.
+        report = build_analysis(a, b, c, p)
+        standalone = ll_extension_search(BrieskornTriple.of(a, b, c), p)
+        assert report["locally_linear"]["candidates"] == [
+            {"r": cand.r, "s": cand.s, "product_mod_p": cand.product_residue,
+             "rs_mod_p": cand.rs_residue,
+             "multiset_classes": list(cand.multiset_residues),
+             "rho_match": cand.rho_match}
+            for cand in standalone]
+
     def test_no_floats_anywhere(self):
         def walk(x):
             if isinstance(x, float):
@@ -65,6 +87,39 @@ class TestCache:
     def test_cache_disabled_writes_nothing(self, tmp_cache):
         cached_analysis(2, 3, 7, use_cache=False)
         assert not tmp_cache.exists()
+
+    def test_corrupt_entry_is_a_miss_and_is_rewritten(self, tmp_cache, capsys):
+        report = build_analysis(2, 3, 7, 5)
+        cached_analysis(2, 3, 7, 5)
+        [entry] = tmp_cache.iterdir()
+        good = render_json(report)
+        for bad in (b"", good[: len(good) // 2].encode(), b"\xff\xfe{",
+                    b"null\n"):
+            entry.write_bytes(bad)
+            assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
+            assert capsys.readouterr().out == render_text(report)
+            assert entry.read_text(encoding="utf-8") == good
+        assert [p.name for p in tmp_cache.iterdir()] == [entry.name]
+
+    def test_interleaved_writers_use_separate_temp_files(self, tmp_cache,
+                                                         monkeypatch):
+        import brieskorn.report as report_module
+        real_render = report_module.render_json
+        second = []
+
+        def render_with_second_writer(report):
+            # A second writer of the same entry runs while the first one
+            # holds its temp file open.
+            monkeypatch.setattr(report_module, "render_json", real_render)
+            second.append(report_module.cached_analysis(2, 3, 7, 5))
+            return real_render(report)
+
+        monkeypatch.setattr(report_module, "render_json",
+                            render_with_second_writer)
+        first = report_module.cached_analysis(2, 3, 7, 5)
+        assert first == second[0] == build_analysis(2, 3, 7, 5)
+        [entry] = tmp_cache.iterdir()
+        assert entry.read_text(encoding="utf-8") == real_render(first)
 
 
 class TestCLI:
