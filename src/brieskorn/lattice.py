@@ -3,10 +3,21 @@
 A form Q of rank n is integrally equivalent to -I iff it has n +- pairs of
 vectors of square -1; for a negative definite form those vectors are
 automatically pairwise orthogonal (Cauchy-Schwarz is strict on
-non-proportional vectors), so finding them is the entire problem.  The
-search enumerates every v with v^t Q v = -1 by exact backtracking with
-bounds from a rational LDL^t factorization of -Q; no floating point
-enters the decision path.
+non-proportional vectors), so finding them is the entire problem.
+
+The search enumerates every v with v^t Q v = -1 by exact backtracking
+(Fincke & Pohst, Math. Comp. 44, 1985) on -Q = L D L^t.  The factor comes
+from one sparse elimination in leaf-first order: minimum degree, ties
+broken by node index.  On a plumbing tree that always removes a leaf, so
+there is no fill-in and the centre of each coordinate depends on its
+parent's coordinate alone; other symmetric matrices work too, with some
+fill-in.  All pivots are positive exactly when the form is negative
+definite, so the same elimination is the definiteness check and gives
+det Q = (-1)^n prod d_j.  The search itself is integer: column j has an
+integer centre numerator over g_j and every budget is scaled by one
+common S.  With the n representatives as the columns of C, C^t Q C = -I
+gives C^-1 = -C^t Q without an inversion.  No floating point enters the
+decision path.
 """
 
 from __future__ import annotations
@@ -14,10 +25,51 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from functools import cached_property
+from typing import List, Optional, Tuple, Union
 
 from . import matrices
-from .matrices import IntMatrix, det, freeze, identity, inverse_unimodular, mat_mul, transpose
+from .matrices import IntMatrix, det, freeze, identity, mat_mul, transpose
+from .plumbing import InternalInvariantError
+
+# (order, pivots, columns) of -Q = L D L^t; see _leaf_first_ldl.
+Elimination = Tuple[Tuple[int, ...], Tuple[Fraction, ...],
+                    Tuple[Tuple[Tuple[int, Fraction], ...], ...]]
+
+
+def _leaf_first_ldl(q) -> Optional[Elimination]:
+    """-Q = L D L^t by sparse elimination in minimum-degree order.
+
+    order[j] is the j-th eliminated node (least remaining degree, ties by
+    node index), pivots[j] = d_j and columns[j] lists (i, L[i][order[j]])
+    for the nodes i eliminated later that are coupled to order[j].
+    Returns None at the first pivot <= 0, i.e. when Q is not negative
+    definite.
+    """
+    n = len(q)
+    diag = [Fraction(-q[i][i]) for i in range(n)]
+    off = [{j: Fraction(-x) for j, x in enumerate(row) if x and j != i}
+           for i, row in enumerate(q)]
+    remaining = set(range(n))
+    order, pivots, columns = [], [], []
+    while remaining:
+        k = min(remaining, key=lambda i: (len(off[i]), i))
+        d = diag[k]
+        if d <= 0:
+            return None
+        remaining.discard(k)
+        col = off[k]
+        for i, a_ik in col.items():
+            row = off[i]
+            del row[k]
+            diag[i] -= a_ik * a_ik / d
+            for j, a_jk in col.items():
+                if j != i:
+                    row[j] = row.get(j, 0) - a_ik * a_jk / d
+        order.append(k)
+        pivots.append(d)
+        columns.append(tuple((i, a / d) for i, a in sorted(col.items())))
+    return tuple(order), tuple(pivots), tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -34,9 +86,19 @@ class UnimodularForm:
         q = freeze(rows)
         return cls(len(q), q)
 
-    @property
+    @cached_property
+    def _elimination(self) -> Optional[Elimination]:
+        """Leaf-first LDL^t of -Q, or None if Q is not negative definite."""
+        return _leaf_first_ldl(self.q)
+
+    @cached_property
     def determinant(self) -> int:
-        return det(self.q)
+        """det Q, read from the pivots as (-1)^n prod d_j when Q is
+        negative definite (the product is an integer because Q is), and
+        by Bareiss otherwise."""
+        if self._elimination is None:
+            return det(self.q)
+        return (-1) ** self.n * int(math.prod(self._elimination[1]))
 
     @property
     def is_unimodular(self) -> bool:
@@ -44,7 +106,7 @@ class UnimodularForm:
 
     @property
     def is_negative_definite(self) -> bool:
-        return matrices.is_negative_definite(self.q)
+        return self._elimination is not None
 
     def evaluate(self, v, w=None) -> int:
         """v^t Q w (defaults to the square v^t Q v)."""
@@ -54,63 +116,49 @@ class UnimodularForm:
                    for i in range(self.n) for j in range(self.n))
 
 
-def _ldl(a: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[Fraction]]:
-    """A = L D L^t for positive definite A; L unit lower triangular."""
-    n = len(a)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        d[j] = a[j][j] - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
-        if d[j] <= 0:
-            raise ValueError("matrix is not positive definite")
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            L[i][j] = (a[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))) / d[j]
-    return L, d
-
-
 def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     """All integer vectors v with v^t Q v = -1, for negative definite Q.
 
-    Complete by construction: writing -Q = L D L^t, the quadratic form is
-    sum_j d_j (v_j + c_j)^2 with c_j depending only on later coordinates,
-    so coordinates are enumerated from the last with the exact interval
-    d_j (v_j + c_j)^2 <= remaining budget.  The output is closed under
-    negation, duplicate-free, and sorted lexicographically.
+    Complete by construction: -v^t Q v = sum_j d_j (v_j + c_j)^2 with c_j
+    a combination of coordinates eliminated after j (on a tree, its
+    parent's alone), so coordinates are chosen in reverse elimination
+    order with the exact interval d_j (v_j + c_j)^2 <= remaining budget.
+    In integers: with g_j the common denominator of column j of L,
+    t = g_j (v_j + c_j) is an integer, W_j = S d_j / g_j^2 is an integer
+    for one common S, and the condition reads W_j t^2 <= budget, starting
+    from S.  The output is closed under negation, duplicate-free, and
+    sorted lexicographically.
     """
-    if not form.is_negative_definite:
+    if form._elimination is None:
         raise ValueError("root enumeration requires a negative definite form")
+    order, pivots, columns = form._elimination
+    steps = []
+    for node, d, col in zip(order, pivots, columns):
+        g = math.lcm(*(l.denominator for _, l in col))
+        steps.append((node, g, d / (g * g),
+                      tuple((i, int(l * g)) for i, l in col)))
+    scale = math.lcm(*(w.denominator for _, _, w, _ in steps))
+    steps = [(node, g, int(w * scale), coupling)
+             for node, g, w, coupling in reversed(steps)]
     n = form.n
-    a = [[Fraction(-x) for x in row] for row in form.q]
-    L, d = _ldl(a)
-    target = Fraction(1)
     roots: List[Tuple[int, ...]] = []
     v = [0] * n
 
-    def descend(j: int, budget: Fraction):
-        if j < 0:
-            if budget == 0 and any(v):
+    def descend(level: int, budget: int):
+        if level == n:
+            if budget == 0:          # then v^t Q v = -1, so v != 0
                 roots.append(tuple(v))
             return
-        c = sum(L[i][j] * v[i] for i in range(j + 1, n))
+        node, g, w, coupling = steps[level]
+        centre = sum(l * v[i] for i, l in coupling)     # g_j c_j
+        t_max = math.isqrt(budget // w)
+        for m in range(-((t_max + centre) // g), (t_max - centre) // g + 1):
+            t = g * m + centre
+            v[node] = m
+            descend(level + 1, budget - w * t * t)
+        v[node] = 0
 
-        def fits(m: int) -> bool:
-            return d[j] * (m + c) * (m + c) <= budget
-
-        base = math.floor(-c)
-        m = base
-        while fits(m):
-            v[j] = m
-            descend(j - 1, budget - d[j] * (m + c) * (m + c))
-            m -= 1
-        m = base + 1
-        while fits(m):
-            v[j] = m
-            descend(j - 1, budget - d[j] * (m + c) * (m + c))
-            m += 1
-        v[j] = 0
-
-    descend(n - 1, target)
+    descend(0, scale)
     return tuple(sorted(roots))
 
 
@@ -120,7 +168,8 @@ class Diagonalization:
 
     Columns of c are the diagonal basis vectors in the node basis; columns
     of c_inv express each node class in the diagonal basis.  Both
-    identities are re-verified on construction.
+    identities are re-verified on construction; a failure is an internal
+    invariant violation, not bad input.
     """
 
     form: UnimodularForm
@@ -131,9 +180,9 @@ class Diagonalization:
         n = self.form.n
         minus_i = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
         if mat_mul(mat_mul(transpose(self.c), self.form.q), self.c) != minus_i:
-            raise ValueError("C^t Q C != -I")
+            raise InternalInvariantError("C^t Q C != -I")
         if mat_mul(self.c, self.c_inv) != identity(n):
-            raise ValueError("C * C_inv != I")
+            raise InternalInvariantError("C * C_inv != I")
 
     @property
     def found(self) -> bool:
@@ -175,14 +224,11 @@ def diagonalize(form: UnimodularForm) -> Union[Diagonalization, DiagonalizationF
     reps = [v for v in roots if next(x for x in v if x) > 0]
     if len(reps) != form.n:
         return DiagonalizationFailure(form, len(reps))
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if form.evaluate(reps[i], reps[j]) != 0:
-                raise ArithmeticError(
-                    "root pairs are not pairwise orthogonal; the form "
-                    "violates the geometry of square -1 vectors")
-    c = tuple(tuple(reps[j][i] for j in range(form.n)) for i in range(form.n))
-    return Diagonalization(form, c, inverse_unimodular(c))
+    # Square -1 vectors of a negative definite form from different +-
+    # pairs are orthogonal (|v^t Q w| < 1), so C^t Q C = -I (checked on construction) and therefore
+    # C^-1 = -C^t Q; the rows of C^t are the representatives.
+    c_inv = tuple(tuple(-x for x in row) for row in mat_mul(reps, form.q))
+    return Diagonalization(form, transpose(reps), c_inv)
 
 
 def signed_permutation_equal(a, b, axis: str = "col") -> bool:

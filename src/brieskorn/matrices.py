@@ -24,9 +24,19 @@ def transpose(m) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    """Exact product A B, row by row; zero entries of either factor are
+    skipped, so sparse factors (tree forms, basis changes) are cheap."""
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def is_symmetric(m) -> bool:

@@ -25,7 +25,8 @@ class PropagationError(ValueError):
 
 
 class InternalInvariantError(RuntimeError):
-    """A Lefschetz-type internal consistency check failed."""
+    """An internal consistency check failed (a Lefschetz-type count, or a
+    diagonalization identity); the CLI exits with code 2."""
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,53 @@ class TestCLI:
         path.write_text("1 2\n3\n")
         assert main(["diagonalize", "--matrix", str(path)]) == 1
 
+    def test_diagonalize_indefinite_unimodular_is_input_error(self, tmp_path,
+                                                              capsys):
+        path = tmp_path / "indefinite.txt"
+        path.write_text("1 0\n0 -1\n")
+        assert main(["diagonalize", "--matrix", str(path)]) == 1
+        assert "negative definite" in capsys.readouterr().err
+
+    def test_diagonalize_non_tree_form(self, tmp_path, capsys):
+        from brieskorn.matrices import identity, mat_mul, transpose
+        # Q = -U^t U with U unimodular: dense, not a tree, equivalent to -I.
+        u = mat_mul(((1, 2, -1), (0, 1, 3), (0, 0, 1)),
+                    ((1, 0, 0), (1, 1, 0), (-2, 1, 1)))
+        q = tuple(tuple(-x for x in row) for row in mat_mul(transpose(u), u))
+        assert all(x for row in q for x in row)
+        path = tmp_path / "dense.txt"
+        path.write_text(render_matrix_text(q) + "\n")
+        assert main(["diagonalize", "--matrix", str(path), "--json", "-"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["found"] is True
+        c = tuple(map(tuple, data["C"]))
+        minus_i = tuple(tuple(-x for x in row) for row in identity(3))
+        assert mat_mul(mat_mul(transpose(c), q), c) == minus_i
+        assert mat_mul(c, data["C_inv"]) == identity(3)
+
+    def test_forged_diagonal_basis_is_internal_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        import brieskorn.lattice as lattice
+        # A sign-closed set of two root pairs whose representatives (0,1)
+        # and (1,1) are not orthogonal under -I: C^t Q C != -I.
+        monkeypatch.setattr(lattice, "enumerate_roots", lambda form: (
+            (-1, -1), (0, -1), (0, 1), (1, 1)))
+        path = tmp_path / "minus_i.txt"
+        path.write_text("-1 0\n0 -1\n")
+        assert main(["diagonalize", "--matrix", str(path)]) == 2
+        assert "internal invariant violation: C^t Q C != -I" in \
+            capsys.readouterr().err
+
+    def test_forged_diagonalization_in_analyze_is_internal_error(
+            self, tmp_cache, monkeypatch, capsys):
+        import brieskorn.report as report_module
+        from brieskorn.lattice import Diagonalization
+        from brieskorn.matrices import identity
+        monkeypatch.setattr(report_module, "diagonalize", lambda form: (
+            Diagonalization(form, identity(form.n), identity(form.n))))
+        assert main(["analyze", "2", "3", "7", "--p", "5", "--no-cache"]) == 2
+        assert "internal invariant violation" in capsys.readouterr().err
+
     def test_rho_command(self, capsys):
         assert main(["rho", "--lens", "5", "3", "8"]) == 0
         out = capsys.readouterr().out

@@ -1,0 +1,31 @@
+"""Reports are byte-identical to the recorded golden digests.
+
+perfbench/golden.json holds the sha256 of render_json for every request
+the benchmark can send.  The keys with p in {None, 5, 7} cover every
+lattice-n triple (stern members with up to 60 nodes), the
+non-diagonalizable triples and the cheap repeat-cache inputs.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from brieskorn import build_analysis, render_json
+
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                     / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+KEYS = sorted(key for key in GOLDEN if key.rsplit(",", 1)[1] in ("None", "5", "7"))
+
+
+def test_golden_grid_size():
+    assert len(KEYS) == 152
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_report_matches_golden_digest(key):
+    a, b, c, p = key.split(",")
+    report = build_analysis(int(a), int(b), int(c), None if p == "None" else int(p))
+    digest = hashlib.sha256(render_json(report).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[key]

@@ -114,6 +114,23 @@ class TestDiagonalize:
         with pytest.raises(ValueError):
             diagonalize(UnimodularForm.from_matrix(((-2, 0), (0, -1))))
 
+    def test_failed_identities_are_internal_errors(self):
+        from brieskorn import InternalInvariantError
+        from brieskorn.lattice import Diagonalization
+        form = form_of(3, 16, 113)
+        d = diagonalize(form)
+        with pytest.raises(InternalInvariantError, match=r"C\^t Q C != -I"):
+            Diagonalization(form, identity(form.n), d.c_inv)
+        with pytest.raises(InternalInvariantError, match="C_inv != I"):
+            Diagonalization(form, d.c, transpose(d.c))
+
+    def test_inverse_is_minus_c_transpose_q(self):
+        form = form_of(3, 16, 113)
+        d = diagonalize(form)
+        assert d.c_inv == tuple(tuple(-x for x in row)
+                                for row in mat_mul(transpose(d.c), form.q))
+        assert d.c_inv == inverse_unimodular(d.c)
+
     def test_deterministic(self):
         form = form_of(3, 16, 113)
         assert diagonalize(form).c == diagonalize(form).c
