@@ -11,46 +11,42 @@ and cyclotomic arithmetic.
 __version__ = "1.0.0"
 
 from .arith import (Cyclotomic, HJExpansion, NonRationalError, hj_evaluate,
-                    hj_expand, is_prime, rational_value)
+                    hj_expand, is_prime)
 from .seifert import (BrieskornTriple, SeifertData, family, r_invariant,
                       seifert_invariants, standard_action_valid)
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        PlumbingGraph, PropagationError, canonical_pair,
                        canonical_resolution, fickle_graph, gamma_k_graph,
-                       graph_signature, graphs_equivalent,
-                       intersection_matrix, propagate_rotations, star,
-                       to_dot, to_tgf)
+                       graph_signature, intersection_matrix,
+                       propagate_rotations, star, to_dot, to_tgf)
 from .lattice import (Diagonalization, DiagonalizationFailure,
-                      UnimodularForm, diagonalize, enumerate_roots,
-                      signed_permutation_equal)
+                      UnimodularForm, diagonalize, enumerate_roots)
 from .obstruction import (Certificate, ConstraintError, ConstraintSystem,
-                          ObstructionVerdict, brute_force_decide,
-                          build_constraints, decide)
-from .spectral import (EtaProfile, FixedPointData, LensCandidate, RhoTable,
+                          ObstructionVerdict, build_constraints, decide)
+from .spectral import (FixedPointData, LensCandidate, RhoTable,
                        canonical_lens_pair, eta_brieskorn, eta_from_fixed_data,
-                       eta_from_rho, fixed_point_data, ll_extension_search,
-                       nu_defect, rho_from_eta, rho_lens_exact,
-                       rho_lens_table, sphere_defect, torsion_lens)
+                       fixed_point_data, ll_extension_search, nu_defect,
+                       rho_from_eta, rho_lens_table, sphere_defect,
+                       torsion_lens)
 from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
     "__version__",
     "Cyclotomic", "HJExpansion", "NonRationalError", "hj_evaluate",
-    "hj_expand", "is_prime", "rational_value",
+    "hj_expand", "is_prime",
     "BrieskornTriple", "SeifertData", "family", "r_invariant",
     "seifert_invariants", "standard_action_valid",
     "EquivariantMarkup", "InternalInvariantError", "PlumbingGraph",
     "PropagationError", "canonical_pair", "canonical_resolution",
-    "fickle_graph", "gamma_k_graph", "graph_signature", "graphs_equivalent",
-    "intersection_matrix", "propagate_rotations", "star", "to_dot", "to_tgf",
+    "fickle_graph", "gamma_k_graph", "graph_signature", "intersection_matrix",
+    "propagate_rotations", "star", "to_dot", "to_tgf",
     "Diagonalization", "DiagonalizationFailure", "UnimodularForm",
-    "diagonalize", "enumerate_roots", "signed_permutation_equal",
+    "diagonalize", "enumerate_roots",
     "Certificate", "ConstraintError", "ConstraintSystem",
-    "ObstructionVerdict", "brute_force_decide", "build_constraints", "decide",
-    "EtaProfile", "FixedPointData", "LensCandidate", "RhoTable",
-    "canonical_lens_pair", "eta_brieskorn", "eta_from_fixed_data",
-    "eta_from_rho", "fixed_point_data", "ll_extension_search", "nu_defect",
-    "rho_from_eta", "rho_lens_exact", "rho_lens_table", "sphere_defect",
-    "torsion_lens",
+    "ObstructionVerdict", "build_constraints", "decide",
+    "FixedPointData", "LensCandidate", "RhoTable", "canonical_lens_pair",
+    "eta_brieskorn", "eta_from_fixed_data", "fixed_point_data",
+    "ll_extension_search", "nu_defect", "rho_from_eta", "rho_lens_table",
+    "sphere_defect", "torsion_lens",
     "build_analysis", "cached_analysis", "render_json", "render_text",
 ]

@@ -350,11 +350,6 @@ def convolve(p: int, x: Sequence[int], y: Sequence[int]) -> List[int]:
     return full[:p]
 
 
-def rational_value(x: Cyclotomic) -> Fraction:
-    """Exact rational value of a Galois-invariant cyclotomic number."""
-    return x.rational_value()
-
-
 # -- dense polynomial helpers over Fraction (for the inverse only) ----------
 
 def _poly_degree(f) -> int:

@@ -8,7 +8,6 @@ deterministic and exact (no floats).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -19,7 +18,7 @@ from .lattice import UnimodularForm, diagonalize
 from .matrices import parse_matrix_text, render_matrix_text
 from .plumbing import (InternalInvariantError, canonical_resolution,
                        intersection_matrix, to_dot, to_tgf)
-from .report import SCHEMA_VERSION, cached_analysis, render_text
+from .report import SCHEMA_VERSION, cached_analysis, render_json, render_text
 from .seifert import BrieskornTriple, family, seifert_invariants, standard_action_valid
 from .spectral import eta_brieskorn, rho_lens_table
 
@@ -60,7 +59,7 @@ def _parse_range(text: str):
 
 
 def _write_json(path: str, payload) -> None:
-    data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    data = render_json(payload)
     if path == "-":
         sys.stdout.write(data)
     else:
@@ -182,9 +181,9 @@ def cmd_rho(args) -> int:
 def cmd_eta(args) -> int:
     triple = _validated_triple(args.a, args.b, args.c)
     p = _validated_p(triple, args.p)
-    profile = eta_brieskorn(triple, p)
+    eta = eta_brieskorn(triple, p)
     for j in range(1, p):
-        coeffs = ", ".join(str(c) for c in profile.values[j].coeffs)
+        coeffs = ", ".join(str(c) for c in eta.galois(j).coeffs)
         sys.stdout.write(f"eta(zeta^{j}) = [{coeffs}]\n")
     return 0
 
@@ -197,7 +196,7 @@ def cmd_graph(args) -> int:
                    "edges": [list(e) for e in sorted(graph.edges)],
                    "center": graph.center,
                    "matrix": [list(r) for r in intersection_matrix(graph)]}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(render_json(payload))
     elif args.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("P", "R", "S"))
     p_rho.set_defaults(func=cmd_rho)
 
-    p_eta = sub.add_parser("eta", help="exact eta profile of a triple")
+    p_eta = sub.add_parser("eta", help="exact eta(zeta^j), j = 1..p-1, of a triple")
     p_eta.add_argument("a", type=int)
     p_eta.add_argument("b", type=int)
     p_eta.add_argument("c", type=int)

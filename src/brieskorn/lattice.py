@@ -178,6 +178,9 @@ class Diagonalization:
 
     def __post_init__(self):
         n = self.form.n
+        if any(len(m) != n or any(len(row) != n for row in m)
+               for m in (self.c, self.c_inv)):
+            raise InternalInvariantError(f"C and C_inv must be {n} x {n}")
         minus_i = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
         if mat_mul(mat_mul(transpose(self.c), self.form.q), self.c) != minus_i:
             raise InternalInvariantError("C^t Q C != -I")
@@ -229,28 +232,3 @@ def diagonalize(form: UnimodularForm) -> Union[Diagonalization, DiagonalizationF
     # C^-1 = -C^t Q; the rows of C^t are the representatives.
     c_inv = tuple(tuple(-x for x in row) for row in mat_mul(reps, form.q))
     return Diagonalization(form, transpose(reps), c_inv)
-
-
-def signed_permutation_equal(a, b, axis: str = "col") -> bool:
-    """Is A = B * S for a signed permutation S of the given axis?
-
-    axis="col" compares columns up to reordering and per-column sign
-    (the relation between two matrices whose columns are a diagonal basis,
-    such as C); axis="row" compares rows the same way (the relation
-    between two C^-1 matrices, whose rows are indexed by the diagonal
-    basis).
-    """
-    a = freeze(a)
-    b = freeze(b)
-    if axis == "row":
-        a, b = transpose(a), transpose(b)
-    elif axis != "col":
-        raise ValueError(f"axis must be 'col' or 'row', got {axis!r}")
-    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-        return False
-
-    def canonical_columns(m):
-        cols = list(zip(*m))
-        return sorted(max(c, tuple(-x for x in c)) for c in cols)
-
-    return canonical_columns(a) == canonical_columns(b)

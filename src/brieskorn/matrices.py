@@ -30,6 +30,9 @@ def mat_mul(a, b):
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"cannot multiply: row of length {len(row)} "
+                             f"by a matrix with {len(b)} rows")
         acc = [0] * width
         for x, b_row in zip(row, b_rows):
             if x:

@@ -13,8 +13,9 @@ action, where (in a standard diagonal basis, suitably oriented)
 The unknowns are one orientation sign per node sphere and one sign per
 diagonal basis vector.  Every nonzero coefficient then pins the product
 of two signs, so the whole system is a parity (2-coloring) problem; the
-solver is a backtracking search with unit propagation, with an exhaustive
-assignment oracle for small ranks.
+solver is a backtracking search with unit propagation.  The tests check
+it against an exhaustive assignment oracle for small ranks
+(tests/obstruction_oracle.py).
 """
 
 from __future__ import annotations
@@ -263,39 +264,3 @@ def _certificate(cs: ConstraintSystem) -> Certificate:
                 )
     return Certificate(kind="search-refutation", spheres=(),
                        detail="unit propagation derived a contradiction")
-
-
-def brute_force_decide(cs: ConstraintSystem, max_rank: int = 12) -> str:
-    """Exhaustive oracle over all orientation/sign assignments.
-
-    Enumerates all 2^m orientation tuples; for fixed orientations the
-    admissible values of each diagonal sign s_j are independent across j,
-    so scanning each j over {+1,-1} covers the full 2^(m+n) space exactly.
-    """
-    m = len(cs.columns)
-    if cs.n > max_rank:
-        raise ValueError(f"brute force limited to rank <= {max_rank}")
-    for o in itertools.product((1, -1), repeat=m):
-        if any(o[i] * o[k] != sign for i, k, sign in cs.couplings):
-            continue
-        def admissible(j: int) -> bool:
-            for s in (1, -1):
-                ok = True
-                for i in range(m):
-                    c = cs.columns[i][j]
-                    if not c:
-                        continue
-                    value = o[i] * s * c
-                    if cs.kinds[i] == "fixed":
-                        if value != 1:
-                            ok = False
-                            break
-                    elif value < 0:
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-        if all(admissible(j) for j in range(cs.n)):
-            return "feasible"
-    return "infeasible"

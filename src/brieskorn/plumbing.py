@@ -320,33 +320,8 @@ def propagate_rotations(g: PlumbingGraph, p: int,
 
 
 # ---------------------------------------------------------------------------
-# Shape helpers and export
+# Export
 # ---------------------------------------------------------------------------
-
-def spider_form(g: PlumbingGraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(center weight, sorted branch weight tuples) of a center-plus-chains
-    tree; raises for trees with a branch point away from the center."""
-    adj = g.adjacency()
-    branches = []
-    for start in adj[g.center]:
-        chain = []
-        prev, cur = g.center, start
-        while True:
-            chain.append(g.weights[cur])
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise ValueError("tree has a branch point away from the center")
-            prev, cur = cur, nxt[0]
-        branches.append(tuple(chain))
-    return g.weights[g.center], tuple(sorted(branches))
-
-
-def graphs_equivalent(g1: PlumbingGraph, g2: PlumbingGraph) -> bool:
-    """Equality up to node relabeling, for center-plus-chains trees."""
-    return spider_form(g1) == spider_form(g2)
-
 
 def to_tgf(g: PlumbingGraph) -> str:
     """Trivial Graph Format: 'id weight' lines, '#', then 'id id' edges."""

@@ -134,7 +134,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
         eta = eta_from_fixed_data(fd, p)
         rho = rho_from_eta(eta)
-        candidates = ll_extension_search(triple, p, rho)
+        candidates = ll_extension_search(triple, p, eta)
         report["locally_linear"] = {
             "rho_quotient": [_frac(x) for x in rho.values],
             "candidates": [

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference data for Sigma(3,16,113) and small helpers.
+"""Shared fixtures: reference data for Sigma(3,16,113) and small helpers
+(matrix and graph comparisons used only by the tests).
 
 Reference node order for Sigma(3,16,113): center, the [-3] branch, the
 [-3,-6,-4,-2] branch, then the [-4,-2,-2,-2,-2] branch (0-based ids).
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from brieskorn.matrices import freeze
+from brieskorn.matrices import freeze, transpose
 
 REFERENCE_QX = freeze([
     [-1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0],
@@ -65,6 +66,56 @@ def permute_columns(matrix, perm):
     for j, target in enumerate(perm):
         inverse[target] = j
     return freeze([[row[inverse[k]] for k in range(n)] for row in matrix])
+
+
+def signed_permutation_equal(a, b, axis="col"):
+    """Is A = B * S for a signed permutation S of the given axis?
+
+    axis="col" compares columns up to reordering and per-column sign
+    (the relation between two matrices whose columns are a diagonal basis,
+    such as C); axis="row" compares rows the same way (the relation
+    between two C^-1 matrices, whose rows are indexed by the diagonal
+    basis).
+    """
+    a = freeze(a)
+    b = freeze(b)
+    if axis == "row":
+        a, b = transpose(a), transpose(b)
+    elif axis != "col":
+        raise ValueError(f"axis must be 'col' or 'row', got {axis!r}")
+    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
+        return False
+
+    def canonical_columns(m):
+        cols = list(zip(*m))
+        return sorted(max(c, tuple(-x for x in c)) for c in cols)
+
+    return canonical_columns(a) == canonical_columns(b)
+
+
+def spider_form(g):
+    """(center weight, sorted branch weight tuples) of a center-plus-chains
+    tree; raises for trees with a branch point away from the center."""
+    adj = g.adjacency()
+    branches = []
+    for start in adj[g.center]:
+        chain = []
+        prev, cur = g.center, start
+        while True:
+            chain.append(g.weights[cur])
+            nxt = [u for u in adj[cur] if u != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise ValueError("tree has a branch point away from the center")
+            prev, cur = cur, nxt[0]
+        branches.append(tuple(chain))
+    return g.weights[g.center], tuple(sorted(branches))
+
+
+def graphs_equivalent(g1, g2):
+    """Equality up to node relabeling, for center-plus-chains trees."""
+    return spider_form(g1) == spider_form(g2)
 
 
 def rho_float_oracle(p, r, s, ell):

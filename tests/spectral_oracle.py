@@ -2,15 +2,22 @@
 
 These are the dense-``Fraction`` versions of the cyclotomic product, the
 Euclid-based inverse of zeta^m - 1, the three-product isolated-point
-defect and the ``Fraction``-accumulating rho transforms.  The package now
-computes the same values with integer-scaled kernels; the tests in
-``test_spectral_kernels.py`` check that both paths agree exactly.
+defect, eta evaluated separately at every zeta^j, the Galois-checked
+eta profile and its inverse transform, the Fourier and cotangent-sum rho
+transforms (integer vectors over a common denominator, each entry checked
+rational), and the lens search that scans every pair (r, s).  The package
+computes eta(zeta) once and reads rho tables and lens matches off it; the
+tests in ``test_spectral_kernels.py`` check that both paths agree exactly.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from typing import Dict
 
 from brieskorn.arith import Cyclotomic
+from brieskorn.spectral import LensCandidate, canonical_lens_pair
 
 
 def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
@@ -49,48 +56,115 @@ def sphere_defect(w: int, c: int, p: int, j: int = 1) -> Cyclotomic:
                mul(zc - 1, zc - 1).inverse())
 
 
+def eta_value(fd, p: int, j: int) -> Cyclotomic:
+    """eta at zeta^j, summed term by term over Fraction."""
+    total = Cyclotomic.from_rational(p, -fd.signature)
+    for a, b in fd.isolated:
+        total = total + nu_defect(a, b, p, j)
+    for w, c in fd.spheres:
+        total = total + sphere_defect(w, c, p, j)
+    return total
+
+
 def eta_values(fd, p: int):
-    """j -> eta at zeta^j, summed term by term over Fraction."""
-    values = {}
-    for j in range(1, p):
-        total = Cyclotomic.from_rational(p, -fd.signature)
-        for a, b in fd.isolated:
-            total = total + nu_defect(a, b, p, j)
-        for w, c in fd.spheres:
-            total = total + sphere_defect(w, c, p, j)
-        values[j] = total
-    return values
+    """j -> eta at zeta^j, each evaluated on its own."""
+    return {j: eta_value(fd, p, j) for j in range(1, p)}
 
 
-def _add_shifted(acc, coeffs, shift, p):
-    for i, c in enumerate(coeffs):
-        if c:
-            acc[(i + shift) % p] += c
+def _rotated(row, shift):
+    """A length-p vector multiplied by zeta^shift (a cyclic rotation)."""
+    shift %= len(row)
+    return row[-shift:] + row[:-shift] if shift else row
+
+
+def _numerator_rows(values):
+    """Length-p integer vectors of the values over their common denominator."""
+    den = lcm(*(x.denominator() for x in values))
+    return [x.numerators(den) + [0] for x in values], den
 
 
 def rho_from_eta(values, p: int):
-    """rho(l) = (1/p) sum_j eta_j (zeta^{jl} - 1), accumulated over Fraction."""
+    """rho(l) = (1/p) sum_j eta_j (zeta^{jl} - 1), each entry checked
+    Galois-invariant by rational_value."""
+    rows, den = _numerator_rows([values[j] for j in range(1, p)])
+    base = [-sum(col) for col in zip(*rows)]
     out = []
     for ell in range(p):
-        acc = [Fraction(0)] * p
-        for j in range(1, p):
-            coeffs = values[j].coeffs
-            _add_shifted(acc, coeffs, (j * ell) % p, p)
-            for i, c in enumerate(coeffs):
-                if c:
-                    acc[i] -= c
-        out.append(Cyclotomic(p, acc).rational_value() / p)
+        acc = base
+        for j, row in enumerate(rows, 1):
+            acc = [a + b for a, b in zip(acc, _rotated(row, j * ell))]
+        out.append(Cyclotomic.from_numerators(p, acc, den).rational_value() / p)
     return tuple(out)
 
 
 def rho_lens_exact(p: int, r: int, s: int, ell: int) -> Fraction:
-    """(1/2p) sum_k nu(r,s;zeta^k) (zeta^{kl} + zeta^{-kl} - 2), over Fraction."""
-    acc = [Fraction(0)] * p
-    for k in range(1, p):
-        coeffs = nu_defect(r, s, p, k).coeffs
-        _add_shifted(acc, coeffs, (k * ell) % p, p)
-        _add_shifted(acc, coeffs, (-k * ell) % p, p)
-        for i, c in enumerate(coeffs):
-            if c:
-                acc[i] -= 2 * c
-    return Cyclotomic(p, acc).rational_value() * Fraction(1, 2 * p)
+    """(1/2p) sum_k nu(r,s;zeta^k) (zeta^{kl} + zeta^{-kl} - 2), the
+    cotangent sum in cyclotomic form, checked Galois-invariant."""
+    rows, den = _numerator_rows([nu_defect(r, s, p, k) for k in range(1, p)])
+    acc = [0] * p
+    for k, row in enumerate(rows, 1):
+        acc = [a + x + y - 2 * z for a, x, y, z in
+               zip(acc, _rotated(row, k * ell), _rotated(row, -k * ell), row)]
+    return (Cyclotomic.from_numerators(p, acc, den).rational_value()
+            * Fraction(1, 2 * p))
+
+
+@dataclass(frozen=True)
+class EtaProfile:
+    """Map j -> eta at t = zeta^j, checked Galois-equivariant: the value at
+    j must be the image of the value at 1 under zeta -> zeta^j."""
+
+    p: int
+    values: Dict[int, Cyclotomic]
+
+    def __post_init__(self):
+        if sorted(self.values) != list(range(1, self.p)):
+            raise ValueError("profile must cover j = 1 .. p-1")
+        base = self.values[1]
+        for j in range(2, self.p):
+            if self.values[j] != base.galois(j):
+                raise ValueError(f"profile is not Galois-equivariant at j={j}")
+
+
+def eta_from_rho(table, j: int) -> Cyclotomic:
+    """Inverse transform sum_l rho(l) zeta^{-jl}, recovering eta at zeta^j."""
+    p = table.p
+    total = Cyclotomic.zero(p)
+    for ell, rho in enumerate(table.values):
+        if rho:
+            total = total + Cyclotomic.from_rational(p, rho).mul_zeta_power(-j * ell)
+    return total
+
+
+def _residue_class(x: int, p: int) -> int:
+    r = x % p
+    return min(r, p - r)
+
+
+def ll_extension_search(triple, p: int, sigma_rho):
+    """Scan every canonical pair (r, s) mod p for the multiset and product
+    congruences and compare full rho tables (sigma_rho against the lens
+    table from rho_lens_exact)."""
+    product_residue = triple.product % p
+    target = tuple(sorted(_residue_class(a, p) for a in triple.entries))
+    candidates = []
+    seen = set()
+    for r in range(1, p):
+        for s in range(r, p):
+            pair = canonical_lens_pair(r, s, p)
+            if pair in seen:
+                continue
+            seen.add(pair)
+            multiset = tuple(sorted((_residue_class(r, p), _residue_class(s, p), 1)))
+            if multiset != target or (r * s) % p != product_residue:
+                continue
+            lens_rho = tuple(rho_lens_exact(p, pair[0], pair[1], ell)
+                             for ell in range(p))
+            candidates.append(LensCandidate(
+                p=p, r=pair[0], s=pair[1],
+                product_residue=product_residue,
+                rs_residue=(r * s) % p,
+                multiset_residues=target,
+                rho_match=(lens_rho == sigma_rho),
+            ))
+    return tuple(sorted(candidates, key=lambda c: (c.r, c.s)))

@@ -1,0 +1,52 @@
+"""The benchmark's traced run looks up pipeline names in brieskorn.report,
+brieskorn.spectral, brieskorn.cli, brieskorn.lattice and
+brieskorn.matrices.  This test loads perfbench/run.py (read only) and
+runs its wrapper installation, one traced request and its probes, so a
+renamed or removed name fails here and not only in perfbench/smoke.py."""
+
+import importlib.util
+import pathlib
+import sys
+
+import brieskorn.cli
+import brieskorn.report
+import brieskorn.spectral
+from brieskorn.report import build_analysis
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_run(monkeypatch):
+    # run.py puts perfbench/ on sys.path to import its siblings; the
+    # monkeypatched copy of sys.path is restored after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve_and_probes_run(monkeypatch):
+    run = load_run(monkeypatch)
+    modules = (brieskorn.cli, brieskorn.report, brieskorn.spectral)
+    before = [dict(vars(m)) for m in modules]
+    tracer = run.Tracer()
+    run.install_wrappers(tracer, run.lens_pair_counter())
+    try:
+        with tracer.span("item", 0):
+            report = brieskorn.report.build_analysis(3, 16, 113, 5)
+    finally:
+        tracer.unwrap()
+    assert [dict(vars(m)) for m in modules] == before
+    for name in ("spectral.eta", "spectral.rho", "spectral.lens_search",
+                 "lattice.diagonalize", "report.build_analysis"):
+        assert name in tracer.names
+    assert tracer.counts["spectral.rho_matches"] == [1, 1]
+    assert report == build_analysis(3, 16, 113, 5)
+
+    probes = dict.fromkeys(("lattice.enumerate_probe_s",
+                            "matrices.inverse_probe_s",
+                            "matrices.negdef_probe_s"), 0.0)
+    run.run_probes(report, probes)
+    assert all(value > 0 for value in probes.values())

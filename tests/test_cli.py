@@ -52,7 +52,7 @@ class TestReport:
         (3, 32, 223, 11),
     ])
     def test_candidates_match_standalone_search(self, a, b, c, p):
-        # The report hands its own rho table to the lens search; the
+        # The report hands its own eta(zeta) to the lens search; the
         # standalone search recomputes it from the triple.
         report = build_analysis(a, b, c, p)
         standalone = ll_extension_search(BrieskornTriple.of(a, b, c), p)
@@ -171,9 +171,8 @@ class TestCLI:
         assert out.count("delta=-1") == 5
 
     def test_diagonalize_reference_matrix(self, tmp_path, capsys):
-        from brieskorn import signed_permutation_equal
         from brieskorn.matrices import parse_matrix_text
-        from conftest import REFERENCE_CINV
+        from conftest import REFERENCE_CINV, signed_permutation_equal
         path = tmp_path / "qx.txt"
         path.write_text(render_matrix_text(REFERENCE_QX) + "\n")
         assert main(["diagonalize", "--matrix", str(path)]) == 0
@@ -253,6 +252,20 @@ class TestCLI:
         assert main(["eta", "3", "16", "113", "--p", "5"]) == 0
         out = capsys.readouterr().out
         assert out.count("eta(zeta^") == 4
+
+    def test_non_real_eta_is_internal_error(self, tmp_cache, monkeypatch,
+                                            capsys):
+        import brieskorn.spectral as spectral
+        from brieskorn import Cyclotomic
+        # zeta is not real, so eta(zeta) != eta(zeta^-1)
+        monkeypatch.setattr(spectral, "nu_defect",
+                            lambda a, b, p: Cyclotomic.zeta(p))
+        assert main(["eta", "3", "16", "113", "--p", "5"]) == 2
+        assert "internal invariant violation: eta(zeta) is not real" in \
+            capsys.readouterr().err
+        assert main(["analyze", "3", "16", "113", "--p", "5",
+                     "--no-cache"]) == 2
+        assert "is not real" in capsys.readouterr().err
 
     def test_graph_formats(self, capsys):
         assert main(["graph", "3", "16", "113", "--format", "json"]) == 0

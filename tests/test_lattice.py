@@ -4,12 +4,13 @@ import pytest
 
 from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
                        diagonalize, enumerate_roots, intersection_matrix,
-                       seifert_invariants, signed_permutation_equal)
+                       seifert_invariants)
 from brieskorn.matrices import (det, identity, inverse_unimodular, mat_mul,
                                 parse_matrix_text, render_matrix_text,
                                 symmetric_signature, transpose)
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
-                      permute_columns, random_triples)
+                      permute_columns, random_triples,
+                      signed_permutation_equal)
 
 
 def form_of(a, b, c):
@@ -32,6 +33,13 @@ class TestMatrices:
         assert mat_mul(m, inverse_unimodular(m)) == identity(2)
         with pytest.raises(ValueError):
             inverse_unimodular(((2, 0), (0, 2)))
+
+    def test_mat_mul_rejects_mismatched_inner_dimensions(self):
+        with pytest.raises(ValueError):
+            mat_mul(((1, 2, 3),), ((1,), (1,)))
+        with pytest.raises(ValueError):
+            mat_mul(((1,),), ((1, 0), (0, 1)))
+        assert mat_mul(((1, 2),), ((1,), (1,))) == ((3,),)
 
     def test_symmetric_signature_reference(self):
         assert symmetric_signature(REFERENCE_QX) == (0, 11, 0)
@@ -123,6 +131,8 @@ class TestDiagonalize:
             Diagonalization(form, identity(form.n), d.c_inv)
         with pytest.raises(InternalInvariantError, match="C_inv != I"):
             Diagonalization(form, d.c, transpose(d.c))
+        with pytest.raises(InternalInvariantError, match="must be 11 x 11"):
+            Diagonalization(form, d.c[:-1], d.c_inv)
 
     def test_inverse_is_minus_c_transpose_q(self):
         form = form_of(3, 16, 113)

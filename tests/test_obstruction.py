@@ -5,12 +5,13 @@ import random
 import pytest
 
 from brieskorn import (BrieskornTriple, ConstraintError, Diagonalization,
-                       UnimodularForm, brute_force_decide, build_constraints,
+                       UnimodularForm, build_constraints,
                        canonical_resolution, decide, diagonalize, family,
                        gamma_k_graph, intersection_matrix, is_prime,
                        propagate_rotations, seifert_invariants,
                        standard_action_valid, star)
 from brieskorn.plumbing import EquivariantMarkup
+from obstruction_oracle import brute_force_decide
 
 
 def pipeline(graph, p):

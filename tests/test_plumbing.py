@@ -7,13 +7,11 @@ import pytest
 from brieskorn import (BrieskornTriple, EquivariantMarkup, PlumbingGraph,
                        PropagationError, canonical_pair, canonical_resolution,
                        fickle_graph, gamma_k_graph, graph_signature,
-                       graphs_equivalent, intersection_matrix,
-                       propagate_rotations, seifert_invariants, star, to_dot,
-                       to_tgf)
+                       intersection_matrix, propagate_rotations,
+                       seifert_invariants, star, to_dot, to_tgf)
 from brieskorn.matrices import det, symmetric_signature
-from brieskorn.plumbing import spider_form
-from conftest import (PERM_3_16_113, REFERENCE_QX, permute_symmetric,
-                      random_triples)
+from conftest import (PERM_3_16_113, REFERENCE_QX, graphs_equivalent,
+                      permute_symmetric, random_triples, spider_form)
 
 
 def resolution(a, b, c):

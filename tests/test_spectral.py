@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from brieskorn import (BrieskornTriple, Cyclotomic, EtaProfile,
-                       FixedPointData, canonical_lens_pair,
-                       canonical_resolution, eta_brieskorn, eta_from_fixed_data,
-                       eta_from_rho, fickle_graph, fixed_point_data,
-                       ll_extension_search, nu_defect, propagate_rotations,
-                       rho_from_eta, rho_lens_exact, rho_lens_table,
-                       seifert_invariants, sphere_defect, torsion_lens)
+import spectral_oracle as oracle
+from brieskorn import (BrieskornTriple, Cyclotomic, FixedPointData,
+                       canonical_lens_pair, canonical_resolution,
+                       eta_brieskorn, eta_from_fixed_data, fickle_graph,
+                       fixed_point_data, ll_extension_search,
+                       nu_defect, propagate_rotations, rho_from_eta,
+                       rho_lens_table, seifert_invariants, sphere_defect,
+                       torsion_lens)
 from conftest import rho_float_oracle
 
 
 def nu_profile(p, r, s):
-    return EtaProfile(p, {j: nu_defect(r, s, p, j) for j in range(1, p)})
+    """The oracle's Galois-checked profile j -> nu(r, s; zeta^j)."""
+    nu = nu_defect(r, s, p)
+    return oracle.EtaProfile(p, {j: nu.galois(j) for j in range(1, p)})
 
 
 class TestNuDefect:
@@ -30,13 +33,14 @@ class TestNuDefect:
 
     def test_exponents_mod_p(self):
         assert nu_defect(3, 8, 5) == nu_defect(3, 3, 5)
-        assert nu_defect(3, 8, 5, 2) == nu_defect(3, 3, 5, 2)
+        # at t = zeta^2: nu(3, 8; zeta^2) = nu(6, 16; zeta)
+        assert nu_defect(6, 16, 5) == nu_defect(6, 6, 5)
 
     def test_rejects_zero_rotation(self):
         with pytest.raises(ValueError):
             nu_defect(5, 1, 5)
         with pytest.raises(ValueError):
-            nu_defect(1, 1, 5, 0)
+            nu_defect(1, 10, 5)
 
 
 class TestCancellation:
@@ -44,7 +48,7 @@ class TestCancellation:
     def test_identity(self, p):
         for j in range(1, p):
             z = Cyclotomic.zeta(p, j)
-            expr = -2 * nu_defect(1, 2, p, j) + 4 * z / ((z - 1) * (z - 1)) + 2
+            expr = -2 * nu_defect(1, 2, p).galois(j) + 4 * z / ((z - 1) * (z - 1)) + 2
             assert expr.is_zero()
 
     def test_sphere_defect_normalization(self):
@@ -52,7 +56,7 @@ class TestCancellation:
         for p in (5, 7):
             for j in range(1, p):
                 z = Cyclotomic.zeta(p, j)
-                assert sphere_defect(-1, 1, p, j) == 4 * z / ((z - 1) * (z - 1))
+                assert sphere_defect(-1, 1, p).galois(j) == 4 * z / ((z - 1) * (z - 1))
 
 
 class TestEta:
@@ -63,8 +67,9 @@ class TestEta:
             fd = fixed_point_data(g, markup)
             assert fd.signature == -2
             eta = eta_from_fixed_data(fd, p)
+            assert eta == nu_defect(r, 2 * r + 2, p)
             for j in range(1, p):
-                assert eta.values[j] == nu_defect(r, 2 * r + 2, p, j)
+                assert eta.galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
 
     def test_three_way_consistency_sigma_3_16_113(self):
         t = BrieskornTriple.of(3, 16, 113)
@@ -78,15 +83,16 @@ class TestEta:
         eta_bounding = eta_from_fixed_data(
             fixed_point_data(fick, propagate_rotations(fick, 5)), 5)
         for j in range(1, 5):
-            assert eta_resolution.values[j] == nu_defect(3, 8, 5, j)
-            assert eta_bounding.values[j] == nu_defect(3, 8, 5, j)
+            assert eta_resolution.galois(j) == oracle.nu_defect(3, 8, 5, j)
+            assert eta_bounding.galois(j) == oracle.nu_defect(3, 8, 5, j)
 
     def test_profile_requires_equivariance(self):
         p = 5
-        values = {j: nu_defect(1, 2, p, j) for j in range(1, p)}
+        values = {j: oracle.nu_defect(1, 2, p, j) for j in range(1, p)}
+        oracle.EtaProfile(p, values)
         values[2] = values[2] + 1
         with pytest.raises(ValueError):
-            EtaProfile(p, values)
+            oracle.EtaProfile(p, values)
 
     def test_eta_brieskorn_requires_free_action(self):
         with pytest.raises(ValueError):
@@ -96,24 +102,25 @@ class TestEta:
 class TestRho:
     def test_trivial_character_vanishes(self):
         for p, r, s in [(5, 1, 1), (7, 2, 3), (11, 3, 5)]:
-            assert rho_lens_exact(p, r, s, 0) == 0
+            assert rho_lens_table(p, r, s).values[0] == 0
 
     def test_known_float_value(self):
-        value = rho_lens_exact(5, 3, 8, 1)
+        value = rho_lens_table(5, 3, 8).values[1]
         assert abs(float(value) - rho_float_oracle(5, 3, 8, 1)) < 1e-9
         assert value == Fraction(7, 5)
 
     def test_matches_fourier_transform_of_sphere_profile(self):
         for p, r, s in [(5, 3, 8), (7, 2, 3), (3, 1, 1), (11, 4, 7)]:
             table = rho_lens_table(p, r, s)
-            assert table.values == rho_from_eta(nu_profile(p, r, s)).values
+            assert table.values == oracle.rho_from_eta(nu_profile(p, r, s).values, p)
+            assert table.values == rho_from_eta(nu_defect(r, s, p)).values
 
     def test_inverse_relation_recovers_eta(self):
         for p, r, s in [(5, 3, 3), (7, 3, 8)]:
             profile = nu_profile(p, r, s)
-            table = rho_from_eta(profile)
+            table = rho_from_eta(nu_defect(r, s, p))
             for j in range(1, p):
-                assert eta_from_rho(table, j) == profile.values[j]
+                assert oracle.eta_from_rho(table, j) == profile.values[j]
 
     def test_quotient_rho_is_rational(self):
         t = BrieskornTriple.of(3, 16, 113)
@@ -122,7 +129,7 @@ class TestRho:
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            rho_lens_exact(5, 5, 1, 1)
+            rho_lens_table(5, 5, 1)
 
 
 class TestTorsion:
