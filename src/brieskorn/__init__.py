@@ -10,8 +10,7 @@ and cyclotomic arithmetic.
 
 __version__ = "1.0.0"
 
-from .arith import (Cyclotomic, HJExpansion, NonRationalError, hj_evaluate,
-                    hj_expand, is_prime)
+from .arith import Cyclotomic, HJExpansion, hj_evaluate, hj_expand, is_prime
 from .seifert import (BrieskornTriple, SeifertData, family, r_invariant,
                       seifert_invariants, standard_action_valid)
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
@@ -32,8 +31,7 @@ from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
     "__version__",
-    "Cyclotomic", "HJExpansion", "NonRationalError", "hj_evaluate",
-    "hj_expand", "is_prime",
+    "Cyclotomic", "HJExpansion", "hj_evaluate", "hj_expand", "is_prime",
     "BrieskornTriple", "SeifertData", "family", "r_invariant",
     "seifert_invariants", "standard_action_valid",
     "EquivariantMarkup", "InternalInvariantError", "PlumbingGraph",

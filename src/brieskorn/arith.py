@@ -11,11 +11,14 @@ Phi_p = 1 + x + ... + x^(p-1): a coefficient vector over the basis
 vectors are equal, so equality, hashing and the Galois action are exact.
 Products scale both operands to integer vectors over their least common
 denominators, convolve the integers and build Fractions once at the end.
+The package never divides in the field (the one inverse it needs,
+1/(zeta^m - 1), has a closed form in ``spectral``); field division,
+rational values and the float embedding are test oracles in
+``tests/spectral_oracle.py``.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -102,10 +105,6 @@ def hj_expand(a: int, b: int) -> HJExpansion:
 # ---------------------------------------------------------------------------
 # Cyclotomic field arithmetic
 # ---------------------------------------------------------------------------
-
-class NonRationalError(ValueError):
-    """A cyclotomic number expected to be Galois-invariant was not."""
-
 
 def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
@@ -227,32 +226,9 @@ class Cyclotomic:
                 full[(i + k) % p] = a
         return Cyclotomic._raw(p, self._reduce(p, full))
 
-    def inverse(self) -> "Cyclotomic":
-        """Field inverse via the extended Euclidean algorithm against Phi_p."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta_p)")
-        p = self.p
-        phi = [Fraction(1)] * p  # Phi_p = 1 + x + ... + x^(p-1)
-        r0, t0 = phi, [Fraction(0)]
-        r1, t1 = list(self.coeffs), [Fraction(1)]
-        while _poly_degree(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        if _poly_degree(r1) != 0:
-            raise ArithmeticError("gcd with Phi_p is not constant; p not prime?")
-        c = r1[0]
-        return Cyclotomic(p, [x / c for x in t1])
-
-    def __truediv__(self, other) -> "Cyclotomic":
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "Cyclotomic":
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, n: int) -> "Cyclotomic":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"negative exponent {n}")
         result = Cyclotomic.one(self.p)
         base = self
         while n:
@@ -285,31 +261,6 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        """The value of a Galois-invariant element, as an exact rational.
-
-        Invariance is verified by applying every automorphism; a
-        non-invariant input raises NonRationalError rather than being
-        projected.
-        """
-        for k in range(2, self.p):
-            if self.galois(k) != self:
-                raise NonRationalError(
-                    f"not fixed by zeta -> zeta^{k}; no rational value")
-        if not self.is_rational():
-            # Invariant under the full Galois group but not a constant
-            # vector: impossible for prime p (the fixed field is Q).
-            raise NonRationalError("Galois-invariant element is not constant")
-        return self.coeffs[0]
-
-    def to_complex(self) -> complex:
-        """Float embedding at zeta = e^(2 pi i / p) (cross-checks only)."""
-        z = cmath.exp(2j * cmath.pi / self.p)
-        return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -348,46 +299,3 @@ def convolve(p: int, x: Sequence[int], y: Sequence[int]) -> List[int]:
     for k in range(len(full) - 1, p - 1, -1):
         full[k - p] += full[k]
     return full[:p]
-
-
-# -- dense polynomial helpers over Fraction (for the inverse only) ----------
-
-def _poly_degree(f) -> int:
-    for i in range(len(f) - 1, -1, -1):
-        if f[i] != 0:
-            return i
-    return -1
-
-
-def _poly_sub(f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [Fraction(0)] * (n - len(f))
-    g = list(g) + [Fraction(0)] * (n - len(g))
-    return [a - b for a, b in zip(f, g)]
-
-
-def _poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1 if f and g else 0)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
-def _poly_divmod(f, g):
-    df, dg = _poly_degree(f), _poly_degree(g)
-    if dg < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f) + [Fraction(0)] * (max(df, dg) + 1 - len(f))
-    quot = [Fraction(0)] * (max(df - dg, 0) + 1)
-    lead = g[dg]
-    for k in range(df - dg, -1, -1):
-        c = rem[k + dg] / lead
-        if c:
-            quot[k] = c
-            for i in range(dg + 1):
-                rem[k + i] -= c * g[i]
-    return quot, rem

@@ -32,13 +32,6 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _validated_triple(a: int, b: int, c: int) -> BrieskornTriple:
-    try:
-        return BrieskornTriple.of(a, b, c)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-
-
 def _validated_p(triple: BrieskornTriple, p: Optional[int]) -> Optional[int]:
     if p is None:
         return None
@@ -68,7 +61,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def cmd_analyze(args) -> int:
-    triple = _validated_triple(args.a, args.b, args.c)
+    triple = BrieskornTriple.of(args.a, args.b, args.c)
     p = _validated_p(triple, args.p)
     report = cached_analysis(triple.a1, triple.a2, triple.a3, p,
                              use_cache=not args.no_cache)
@@ -169,17 +162,13 @@ def cmd_rho(args) -> int:
     p, r, s = args.lens
     if not is_prime(p) or p < 3:
         raise CLIError(f"p must be an odd prime >= 3, got {p}")
-    try:
-        table = rho_lens_table(p, r, s)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    for ell, value in enumerate(table.values):
+    for ell, value in enumerate(rho_lens_table(p, r, s).values):
         sys.stdout.write(f"rho({ell}) = {Fraction(value)}\n")
     return 0
 
 
 def cmd_eta(args) -> int:
-    triple = _validated_triple(args.a, args.b, args.c)
+    triple = BrieskornTriple.of(args.a, args.b, args.c)
     p = _validated_p(triple, args.p)
     eta = eta_brieskorn(triple, p)
     for j in range(1, p):
@@ -189,7 +178,7 @@ def cmd_eta(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    triple = _validated_triple(args.a, args.b, args.c)
+    triple = BrieskornTriple.of(args.a, args.b, args.c)
     graph = canonical_resolution(seifert_invariants(triple))
     if args.format == "json":
         payload = {"weights": list(graph.weights),

@@ -6,14 +6,16 @@ automatically pairwise orthogonal (Cauchy-Schwarz is strict on
 non-proportional vectors), so finding them is the entire problem.
 
 The search enumerates every v with v^t Q v = -1 by exact backtracking
-(Fincke & Pohst, Math. Comp. 44, 1985) on -Q = L D L^t.  The factor comes
-from one sparse elimination in leaf-first order: minimum degree, ties
-broken by node index.  On a plumbing tree that always removes a leaf, so
-there is no fill-in and the centre of each coordinate depends on its
-parent's coordinate alone; other symmetric matrices work too, with some
-fill-in.  All pivots are positive exactly when the form is negative
-definite, so the same elimination is the definiteness check and gives
-det Q = (-1)^n prod d_j.  The search itself is integer: column j has an
+(Fincke & Pohst, Math. Comp. 44, 1985) on Q = L D L^t.  The factor is
+the package's one symmetric elimination, ``matrices.eliminate``, in
+leaf-first order: minimum degree, ties broken by node index.  On a
+plumbing tree that always removes a leaf, so there is no fill-in and the
+centre of each coordinate depends on its parent's coordinate alone;
+other symmetric matrices work too, with some fill-in.  All pivots are
+negative exactly when the form is negative definite, so the same
+elimination is the definiteness check and gives det Q = prod d_j; on a
+definite form it never needs a zero-pivot repair, so it is a plain
+L D L^t.  The search itself is integer: column j has an
 integer centre numerator over g_j and every budget is scaled by one
 common S.  With the n representatives as the columns of C, C^t Q C = -I
 gives C^-1 = -C^t Q without an inversion.  No floating point enters the
@@ -24,52 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import matrices
-from .matrices import IntMatrix, det, freeze, identity, mat_mul, transpose
+from .matrices import (Elimination, IntMatrix, eliminate, freeze, identity,
+                       mat_mul, transpose)
 from .plumbing import InternalInvariantError
-
-# (order, pivots, columns) of -Q = L D L^t; see _leaf_first_ldl.
-Elimination = Tuple[Tuple[int, ...], Tuple[Fraction, ...],
-                    Tuple[Tuple[Tuple[int, Fraction], ...], ...]]
-
-
-def _leaf_first_ldl(q) -> Optional[Elimination]:
-    """-Q = L D L^t by sparse elimination in minimum-degree order.
-
-    order[j] is the j-th eliminated node (least remaining degree, ties by
-    node index), pivots[j] = d_j and columns[j] lists (i, L[i][order[j]])
-    for the nodes i eliminated later that are coupled to order[j].
-    Returns None at the first pivot <= 0, i.e. when Q is not negative
-    definite.
-    """
-    n = len(q)
-    diag = [Fraction(-q[i][i]) for i in range(n)]
-    off = [{j: Fraction(-x) for j, x in enumerate(row) if x and j != i}
-           for i, row in enumerate(q)]
-    remaining = set(range(n))
-    order, pivots, columns = [], [], []
-    while remaining:
-        k = min(remaining, key=lambda i: (len(off[i]), i))
-        d = diag[k]
-        if d <= 0:
-            return None
-        remaining.discard(k)
-        col = off[k]
-        for i, a_ik in col.items():
-            row = off[i]
-            del row[k]
-            diag[i] -= a_ik * a_ik / d
-            for j, a_jk in col.items():
-                if j != i:
-                    row[j] = row.get(j, 0) - a_ik * a_jk / d
-        order.append(k)
-        pivots.append(d)
-        columns.append(tuple((i, a / d) for i, a in sorted(col.items())))
-    return tuple(order), tuple(pivots), tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -87,18 +50,12 @@ class UnimodularForm:
         return cls(len(q), q)
 
     @cached_property
-    def _elimination(self) -> Optional[Elimination]:
-        """Leaf-first LDL^t of -Q, or None if Q is not negative definite."""
-        return _leaf_first_ldl(self.q)
+    def _elimination(self) -> Elimination:
+        """The congruence elimination of Q (matrices.eliminate)."""
+        return eliminate(self.q)
 
-    @cached_property
-    def determinant(self) -> int:
-        """det Q, read from the pivots as (-1)^n prod d_j when Q is
-        negative definite (the product is an integer because Q is), and
-        by Bareiss otherwise."""
-        if self._elimination is None:
-            return det(self.q)
-        return (-1) ** self.n * int(math.prod(self._elimination[1]))
+    determinant = property(lambda self: self._elimination.determinant,
+                           doc="det Q, the product of the pivots.")
 
     @property
     def is_unimodular(self) -> bool:
@@ -106,7 +63,7 @@ class UnimodularForm:
 
     @property
     def is_negative_definite(self) -> bool:
-        return self._elimination is not None
+        return self._elimination.definiteness == "negative-definite"
 
     def evaluate(self, v, w=None) -> int:
         """v^t Q w (defaults to the square v^t Q v)."""
@@ -119,23 +76,23 @@ class UnimodularForm:
 def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     """All integer vectors v with v^t Q v = -1, for negative definite Q.
 
-    Complete by construction: -v^t Q v = sum_j d_j (v_j + c_j)^2 with c_j
+    Complete by construction: -v^t Q v = sum_j |d_j| (v_j + c_j)^2 with c_j
     a combination of coordinates eliminated after j (on a tree, its
     parent's alone), so coordinates are chosen in reverse elimination
-    order with the exact interval d_j (v_j + c_j)^2 <= remaining budget.
+    order with the exact interval |d_j| (v_j + c_j)^2 <= remaining budget.
     In integers: with g_j the common denominator of column j of L,
-    t = g_j (v_j + c_j) is an integer, W_j = S d_j / g_j^2 is an integer
+    t = g_j (v_j + c_j) is an integer, W_j = S |d_j| / g_j^2 is an integer
     for one common S, and the condition reads W_j t^2 <= budget, starting
     from S.  The output is closed under negation, duplicate-free, and
     sorted lexicographically.
     """
-    if form._elimination is None:
+    if not form.is_negative_definite:
         raise ValueError("root enumeration requires a negative definite form")
-    order, pivots, columns = form._elimination
+    e = form._elimination
     steps = []
-    for node, d, col in zip(order, pivots, columns):
+    for node, d, col in zip(e.order, e.pivots, e.columns):
         g = math.lcm(*(l.denominator for _, l in col))
-        steps.append((node, g, d / (g * g),
+        steps.append((node, g, -d / (g * g),
                       tuple((i, int(l * g)) for i, l in col)))
     scale = math.lcm(*(w.denominator for _, _, w, _ in steps))
     steps = [(node, g, int(w * scale), coupling)

@@ -1,12 +1,17 @@
-"""Exact linear algebra over Z and Q for small dense symmetric matrices.
+"""Exact linear algebra over Z and Q for small symmetric matrices.
 
 Everything works on plain nested sequences; no floating point anywhere.
+``eliminate`` is the one symmetric elimination: signature, definiteness,
+determinant and the root-search factor of ``lattice`` are all read off it.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -48,31 +53,6 @@ def is_symmetric(m) -> bool:
         m[i][j] == m[j][i] for i in range(n) for j in range(i))
 
 
-def det(m) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def inverse_unimodular(m) -> IntMatrix:
     """Inverse of an integer matrix with det +-1, returned over Z.
 
@@ -99,79 +79,106 @@ def inverse_unimodular(m) -> IntMatrix:
     return freeze(inv)
 
 
-def symmetric_signature(m) -> Tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
+@dataclass(frozen=True)
+class Elimination:
+    """A symmetric matrix brought to diagonal form by congruence.
 
-    Congruence diagonalization over Q with the two standard zero-pivot
-    repairs (diagonal swap, then row+column merge), so indefinite and
-    degenerate inputs are handled.
+    order[j] is the j-th eliminated node, pivots[j] its pivot d_j and
+    columns[j] lists (i, L[i][order[j]]) for the nodes i eliminated later
+    that are coupled to order[j].  determinant is prod d_j: every step is
+    a congruence by a matrix of determinant +-1, so it is the determinant
+    of the input.
+    """
+
+    order: Tuple[int, ...]
+    pivots: Tuple[Fraction, ...]
+    columns: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+    determinant: int
+
+    @property
+    def signature(self) -> int:
+        return sum(d > 0 for d in self.pivots) - sum(d < 0 for d in self.pivots)
+
+    @property
+    def definiteness(self) -> str:
+        """One of "negative-definite", "indefinite" and "other" (positive
+        definite, or degenerate)."""
+        signs = {(d > 0) - (d < 0) for d in self.pivots}
+        if signs <= {-1}:
+            return "negative-definite"
+        return "indefinite" if signs == {-1, 1} else "other"
+
+
+def eliminate(m) -> Elimination:
+    """Diagonalize the symmetric matrix m by exact sparse congruence.
+
+    Nodes are eliminated in minimum-degree order: fewest remaining
+    couplings, ties broken by index.  On a tree that is always a leaf, so
+    there is no fill-in; other matrices get some.  A chosen node with a
+    zero diagonal but couplings left is passed over for the next node in
+    that order whose diagonal is nonzero.  When every remaining diagonal
+    is zero, row and column j (the least node coupled to k) are added to
+    row and column k, which puts 2 m_kj on k's diagonal.  A node with a
+    zero diagonal and no coupling is a zero pivot.  Neither repair fires
+    on a definite matrix, so there m = L D L^t exactly, with L read from
+    the columns.
     """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
+    diag = [Fraction(m[i][i]) for i in range(n)]
+    off = [{j: x for j, x in enumerate(row) if x and j != i}
+           for i, row in enumerate(m)]
+    remaining = set(range(n))
+    # (degree, node) entries; a popped entry whose degree is stale is skipped.
+    queue = [(len(row), i) for i, row in enumerate(off)]
+    heapq.heapify(queue)
+    order, pivots, columns = [], [], []
+
+    while remaining:
+        degree, k = heapq.heappop(queue)
+        if k not in remaining or degree != len(off[k]):
+            continue
+        if not diag[k] and off[k]:
+            nonzero = [i for i in remaining if diag[i]]
+            if nonzero:
+                heapq.heappush(queue, (degree, k))
+                k = min(nonzero, key=lambda i: (len(off[i]), i))
             else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                # a[k][k] = a[off][off] = 0, a[k][off] != 0: merging the two
-                # rows/columns puts 2*a[k][off] on the diagonal.
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        # Schur-complement update of the trailing block; for symmetric a it
-        # coincides with the paired row+column congruence operation.
-        rowk = a[k][:]
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * rowk[j]
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return pos, neg, zero
-
-
-def leading_pivots(m) -> List[Fraction]:
-    """LDL^t pivots of a symmetric matrix, stopping at a zero pivot.
-
-    For a definite matrix this returns all n pivots (ratios of leading
-    principal minors); a zero pivot means the matrix is not definite and
-    the list returned is short.
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots: List[Fraction] = []
-    for k in range(n):
-        d = a[k][k]
-        if d == 0:
-            return pivots
+                j = min(off[k])
+                diag[k] = Fraction(2 * off[k][j])
+                for i, a_ij in off[j].items():
+                    if i != k:
+                        _set(off, k, i, off[k].get(i, 0) + a_ij)
+                        heapq.heappush(queue, (len(off[i]), i))
+        d = diag[k]
+        remaining.discard(k)
+        col = sorted(off[k].items())
+        column = tuple((i, a / d) for i, a in col)
+        for (i, a_ik), (_, l_ik) in zip(col, column):
+            del off[i][k]
+            diag[i] -= a_ik * l_ik
+            for j, a_jk in col:
+                if j > i:
+                    _set(off, i, j, off[i].get(j, 0) - l_ik * a_jk)
+        for i, _ in col:
+            heapq.heappush(queue, (len(off[i]), i))
+        order.append(k)
         pivots.append(d)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / d
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return pivots
+        columns.append(column)
+    return Elimination(tuple(order), tuple(pivots), tuple(columns),
+                       int(math.prod(pivots)))
+
+
+def _set(off, i, j, x) -> None:
+    """Set the symmetric entry (i, j) of the sparse rows to x."""
+    if x:
+        off[i][j] = off[j][i] = x
+    else:
+        off[i].pop(j, None)
+        off[j].pop(i, None)
 
 
 def is_negative_definite(m) -> bool:
-    """Exact test via the signs of the leading principal minors."""
-    pivots = leading_pivots(m)
-    return len(pivots) == len(m) and all(p < 0 for p in pivots)
+    return eliminate(m).definiteness == "negative-definite"
 
 
 def parse_matrix_text(text: str) -> IntMatrix:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
-from .plumbing import EquivariantMarkup
+from .plumbing import EquivariantMarkup, InternalInvariantError
 
 
-class ConstraintError(ValueError):
+class ConstraintError(InternalInvariantError):
     """Markup and diagonalization do not describe the same configuration."""
 
 
@@ -56,10 +56,10 @@ def build_constraints(markup: EquivariantMarkup,
                       d: Diagonalization) -> ConstraintSystem:
     """Assemble the sign-constraint system for a marked diagonalized form.
 
-    Rejects inconsistent input: a fixed sphere whose column cannot have
-    coefficients in {0,1} under any choice of signs (an entry of absolute
-    value >= 2, equivalently square != -(number of nonzero entries)), or a
-    column whose square disagrees with the recorded self-intersection.
+    Rejects inconsistent input: a markup of the wrong size, or a fixed
+    sphere whose column square disagrees with the recorded
+    self-intersection.  A fixed sphere with a coefficient of absolute
+    value >= 2 is valid input; decide reports it as infeasible.
     """
     n = d.form.n
     if len(markup.node_kinds) != n:
@@ -76,10 +76,6 @@ def build_constraints(markup: EquivariantMarkup,
             raise ConstraintError(
                 f"fixed sphere {i}: column square {square} != recorded "
                 f"self-intersection {self_int[i]}")
-        if any(abs(x) >= 2 for x in col):
-            raise ConstraintError(
-                f"fixed sphere {i}: column {col} violates square = "
-                "-(number of nonzero entries) under any signs")
     couplings = []
     for i, col in enumerate(columns):
         if kinds[i] != "fixed" or -sum(x * x for x in col) != -1:
@@ -108,7 +104,9 @@ class Certificate:
     while all their coefficients are >= 0, so 0 = [F].[G] = -(1 + sum of
     products of nonnegative coefficients) < 0.  kind "parity-conflict"
     names two spheres whose shared diagonal indices pin their relative
-    orientation in contradictory ways.
+    orientation in contradictory ways.  kind "fixed-coefficient" names a
+    fixed sphere with a coefficient of absolute value >= 2, which no
+    choice of signs puts in {0, 1}.
     """
 
     kind: str
@@ -129,6 +127,10 @@ class Certificate:
                     and abs(cs.intersection(f, s)) == 1
                     and abs(cs.intersection(g, s)) == 1
                     and cs.intersection(f, g) == 0)
+        if self.kind == "fixed-coefficient":
+            (s,) = self.spheres
+            return (cs.kinds[s] == "fixed"
+                    and any(abs(x) >= 2 for x in cs.columns[s]))
         if self.kind == "parity-conflict":
             f, g = self.spheres
             products = {cs.columns[f][j] * cs.columns[g][j]

@@ -2,6 +2,9 @@
 family, the indefinite bounding graph, intersection matrices and
 signatures, and equivariant rotation-number propagation.
 
+Signatures, definiteness and determinants are read off the one
+congruence elimination, ``matrices.eliminate``.
+
 Node convention: nodes are 0..n-1 with integer weights; edges are
 unordered index pairs; the designated center is node 0 for the graphs
 built here.  Canonical node order is center first, then the branches in
@@ -11,22 +14,22 @@ input order, each walked outward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .arith import hj_expand, is_prime
-from .matrices import det, symmetric_signature
+from .matrices import eliminate
 from .seifert import SeifertData
 
 
-class PropagationError(ValueError):
+class InternalInvariantError(RuntimeError):
+    """An internal consistency check failed (a Lefschetz-type count, a
+    diagonalization identity, rotation propagation, or a markup that does
+    not match its diagonalization); the CLI exits with code 2."""
+
+
+class PropagationError(InternalInvariantError):
     """Rotation propagation met data inconsistent with a free boundary
     action (zero rotation pair) or with circle-equivariant plumbing."""
-
-
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed (a Lefschetz-type count, or a
-    diagonalization identity); the CLI exits with code 2."""
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,13 @@ def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
     edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
              (2, 8), (8, 9))
     graph = PlumbingGraph(weights, edges, center=2)
-    signature, kind = graph_signature(graph)
-    if signature != -2 or kind != "indefinite":
+    e = eliminate(intersection_matrix(graph))
+    if e.signature != -2 or e.definiteness != "indefinite":
         raise ValueError(
             f"validation failed for r={r}, s={s}, sign={sign}: "
-            f"signature {signature} ({kind}), expected -2 (indefinite)")
-    if abs(det(intersection_matrix(graph))) != 1:
+            f"signature {e.signature} ({e.definiteness}), expected -2 "
+            "(indefinite)")
+    if abs(e.determinant) != 1:
         raise ValueError(
             f"validation failed for r={r}, s={s}, sign={sign}: form is not unimodular")
     return graph
@@ -152,43 +156,13 @@ def intersection_matrix(g: PlumbingGraph) -> Tuple[Tuple[int, ...], ...]:
 
 
 def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
-    """(signature, definiteness) by exact rational elimination on the tree.
+    """(signature, definiteness) of the intersection form, from one exact
+    congruence elimination (matrices.eliminate; leaf-first on a tree).
 
-    Leaves are pivoted out first; on a definite tree no zero pivot ever
-    appears.  A zero pivot (possible on indefinite trees) falls back to
-    generic symmetric congruence elimination of the full matrix.
     Definiteness is one of "negative-definite", "indefinite", "other".
     """
-    n = g.node_count
-    weight = {i: Fraction(w) for i, w in enumerate(g.weights)}
-    adj = {i: set(nbrs) for i, nbrs in g.adjacency().items()}
-    pivots: List[Fraction] = []
-    remaining = set(range(n))
-    while len(remaining) > 1:
-        leaf = min(i for i in remaining if len(adj[i]) == 1)
-        d = weight[leaf]
-        if d == 0:
-            pos, neg, zero = symmetric_signature(intersection_matrix(g))
-            break
-        parent = next(iter(adj[leaf]))
-        weight[parent] -= 1 / d
-        pivots.append(d)
-        adj[parent].discard(leaf)
-        remaining.discard(leaf)
-    else:
-        pivots.append(weight[remaining.pop()])
-        pos = sum(1 for p in pivots if p > 0)
-        neg = sum(1 for p in pivots if p < 0)
-        zero = sum(1 for p in pivots if p == 0)
-    if zero:
-        kind = "other"
-    elif neg == n:
-        kind = "negative-definite"
-    elif pos and neg:
-        kind = "indefinite"
-    else:
-        kind = "other"
-    return pos - neg, kind
+    e = eliminate(intersection_matrix(g))
+    return e.signature, e.definiteness
 
 
 # ---------------------------------------------------------------------------

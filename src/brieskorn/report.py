@@ -105,7 +105,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
     if p is not None and diag.found:
         markup = propagate_rotations(graph, p)
-        fd = fixed_point_data(graph, markup)
+        fd = fixed_point_data(markup, signature)
         report["equivariant"] = {
             "p": p,
             "fixed_points": [list(pt) for pt in markup.isolated_points],

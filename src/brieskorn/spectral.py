@@ -58,7 +58,7 @@ from typing import List, Optional, Tuple
 
 from .arith import Cyclotomic, convolve, is_prime
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
-                       PlumbingGraph, canonical_resolution, graph_signature,
+                       canonical_resolution, graph_signature,
                        propagate_rotations)
 from .seifert import BrieskornTriple, seifert_invariants, standard_action_valid
 
@@ -123,12 +123,12 @@ class FixedPointData:
     signature: int
 
 
-def fixed_point_data(graph: PlumbingGraph, markup: EquivariantMarkup) -> FixedPointData:
-    """Assemble eta input from a plumbing tree and its markup."""
+def fixed_point_data(markup: EquivariantMarkup, signature: int) -> FixedPointData:
+    """Assemble eta input from a plumbing tree's markup and signature."""
     return FixedPointData(
         isolated=markup.isolated_points,
         spheres=tuple((w, c) for _, w, c in markup.fixed_spheres),
-        signature=graph_signature(graph)[0],
+        signature=signature,
     )
 
 
@@ -167,7 +167,8 @@ def eta_brieskorn(triple: BrieskornTriple, p: int,
         raise ValueError(f"p={p} is not coprime to {triple}")
     graph = canonical_resolution(seifert_invariants(triple))
     markup = propagate_rotations(graph, p, seed)
-    return eta_from_fixed_data(fixed_point_data(graph, markup), p)
+    return eta_from_fixed_data(
+        fixed_point_data(markup, graph_signature(graph)[0]), p)
 
 
 @dataclass(frozen=True)

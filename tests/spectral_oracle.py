@@ -1,6 +1,10 @@
 """Reference kernels for the spectral stage, kept as test oracles.
 
-These are the dense-``Fraction`` versions of the cyclotomic product, the
+Field arithmetic the package does not need lives here as functions: the
+Euclid inverse against Phi_p with division and negative powers, the
+Galois-checked rational value, and the float embedding.
+
+The kernels are the dense-``Fraction`` versions of the cyclotomic product, the
 Euclid-based inverse of zeta^m - 1, the three-product isolated-point
 defect, eta evaluated separately at every zeta^j, the Galois-checked
 eta profile and its inverse transform, the Fourier and cotangent-sum rho
@@ -10,6 +14,7 @@ computes eta(zeta) once and reads rho tables and lens matches off it; the
 tests in ``test_spectral_kernels.py`` check that both paths agree exactly.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +23,113 @@ from typing import Dict
 
 from brieskorn.arith import Cyclotomic
 from brieskorn.spectral import LensCandidate, canonical_lens_pair
+
+
+class NonRationalError(ValueError):
+    """A cyclotomic number expected to be Galois-invariant was not."""
+
+
+def inverse(x: Cyclotomic) -> Cyclotomic:
+    """Field inverse via the extended Euclidean algorithm against Phi_p."""
+    if x.is_zero():
+        raise ZeroDivisionError("division by zero in Q(zeta_p)")
+    p = x.p
+    phi = [Fraction(1)] * p  # Phi_p = 1 + x + ... + x^(p-1)
+    r0, t0 = phi, [Fraction(0)]
+    r1, t1 = list(x.coeffs), [Fraction(1)]
+    while _poly_degree(r1) > 0:
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
+    if _poly_degree(r1) != 0:
+        raise ArithmeticError("gcd with Phi_p is not constant; p not prime?")
+    c = r1[0]
+    return Cyclotomic(p, [y / c for y in t1])
+
+
+def div(x, y) -> Cyclotomic:
+    """x / y in Q(zeta_p); either side may be a rational scalar."""
+    p = x.p if isinstance(x, Cyclotomic) else y.p
+    if not isinstance(y, Cyclotomic):
+        y = Cyclotomic.from_rational(p, y)
+    return x * inverse(y)
+
+
+def power(x: Cyclotomic, n: int) -> Cyclotomic:
+    """x^n for any integer n; a negative power inverts first."""
+    return inverse(x) ** -n if n < 0 else x ** n
+
+
+def is_rational(x: Cyclotomic) -> bool:
+    return all(c == 0 for c in x.coeffs[1:])
+
+
+def rational_value(x: Cyclotomic) -> Fraction:
+    """The value of a Galois-invariant element, as an exact rational.
+
+    Invariance is verified by applying every automorphism; a
+    non-invariant input raises NonRationalError rather than being
+    projected.
+    """
+    for k in range(2, x.p):
+        if x.galois(k) != x:
+            raise NonRationalError(
+                f"not fixed by zeta -> zeta^{k}; no rational value")
+    if not is_rational(x):
+        # Invariant under the full Galois group but not a constant
+        # vector: impossible for prime p (the fixed field is Q).
+        raise NonRationalError("Galois-invariant element is not constant")
+    return x.coeffs[0]
+
+
+def to_complex(x: Cyclotomic) -> complex:
+    """Float embedding at zeta = e^(2 pi i / p) (cross-checks only)."""
+    z = cmath.exp(2j * cmath.pi / x.p)
+    return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+
+
+# -- dense polynomial helpers over Fraction (for the inverse only) ----------
+
+def _poly_degree(f) -> int:
+    for i in range(len(f) - 1, -1, -1):
+        if f[i] != 0:
+            return i
+    return -1
+
+
+def _poly_sub(f, g):
+    n = max(len(f), len(g))
+    f = list(f) + [Fraction(0)] * (n - len(f))
+    g = list(g) + [Fraction(0)] * (n - len(g))
+    return [a - b for a, b in zip(f, g)]
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1 if f and g else 0)
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def _poly_divmod(f, g):
+    df, dg = _poly_degree(f), _poly_degree(g)
+    if dg < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f) + [Fraction(0)] * (max(df, dg) + 1 - len(f))
+    quot = [Fraction(0)] * (max(df - dg, 0) + 1)
+    lead = g[dg]
+    for k in range(df - dg, -1, -1):
+        c = rem[k + dg] / lead
+        if c:
+            quot[k] = c
+            for i in range(dg + 1):
+                rem[k + i] -= c * g[i]
+    return quot, rem
+
 
 
 def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
@@ -36,7 +148,7 @@ def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
 @lru_cache(maxsize=None)
 def inv_zeta_minus_one(p: int, m: int) -> Cyclotomic:
     """1/(zeta^m - 1) by the extended Euclidean algorithm against Phi_p."""
-    return (Cyclotomic.zeta(p, m) - 1).inverse()
+    return inverse(Cyclotomic.zeta(p, m) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +165,7 @@ def sphere_defect(w: int, c: int, p: int, j: int = 1) -> Cyclotomic:
     """w * (-4 t^c)/(t^c - 1)^2 at t = zeta^j, by Euclid division."""
     zc = Cyclotomic.zeta(p, j * c)
     return mul(mul(Cyclotomic.from_rational(p, -4 * w), zc),
-               mul(zc - 1, zc - 1).inverse())
+               inverse(mul(zc - 1, zc - 1)))
 
 
 def eta_value(fd, p: int, j: int) -> Cyclotomic:
@@ -93,7 +205,7 @@ def rho_from_eta(values, p: int):
         acc = base
         for j, row in enumerate(rows, 1):
             acc = [a + b for a, b in zip(acc, _rotated(row, j * ell))]
-        out.append(Cyclotomic.from_numerators(p, acc, den).rational_value() / p)
+        out.append(rational_value(Cyclotomic.from_numerators(p, acc, den)) / p)
     return tuple(out)
 
 
@@ -105,7 +217,7 @@ def rho_lens_exact(p: int, r: int, s: int, ell: int) -> Fraction:
     for k, row in enumerate(rows, 1):
         acc = [a + x + y - 2 * z for a, x, y, z in
                zip(acc, _rotated(row, k * ell), _rotated(row, -k * ell), row)]
-    return (Cyclotomic.from_numerators(p, acc, den).rational_value()
+    return (rational_value(Cyclotomic.from_numerators(p, acc, den))
             * Fraction(1, 2 * p))
 
 

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from brieskorn import (BrieskornTriple, build_analysis, ll_extension_search,
-                       render_json, render_text)
+from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
+                       build_analysis, ll_extension_search, render_json,
+                       render_text)
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
 from brieskorn.report import cached_analysis
@@ -143,6 +144,8 @@ class TestCLI:
 
     def test_analyze_rejects_bad_triple(self, tmp_cache, capsys):
         assert main(["analyze", "2", "4", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: entries must be pairwise coprime, got (2, 4, 5)\n")
 
     def test_analyze_rejects_even_p(self, tmp_cache, capsys):
         assert main(["analyze", "3", "5", "7", "--p", "2"]) == 1
@@ -243,10 +246,40 @@ class TestCLI:
         assert main(["analyze", "2", "3", "7", "--p", "5", "--no-cache"]) == 2
         assert "internal invariant violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [("2", "7", "31", "3"),
+                                      ("2", "11", "27", "5"),
+                                      ("4", "7", "33", "5")])
+    def test_fixed_coefficient_inputs_are_infeasible(self, tmp_cache, capsys,
+                                                     args):
+        a, b, c, p = args
+        assert main(["analyze", a, b, c, "--p", p, "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "obstruction: infeasible" in captured.out
+        assert "infeasible (fixed-coefficient)" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("name, error", [
+        ("build_constraints", ConstraintError),
+        ("propagate_rotations", PropagationError)])
+    def test_constraint_and_propagation_errors_are_internal_errors(
+            self, tmp_cache, monkeypatch, capsys, name, error):
+        import brieskorn.report as report_module
+
+        def broken(*args, **kwargs):
+            raise error("forged failure")
+        monkeypatch.setattr(report_module, name, broken)
+        assert main(["analyze", "3", "16", "113", "--p", "5",
+                     "--no-cache"]) == 2
+        assert capsys.readouterr().err == \
+            "internal invariant violation: forged failure\n"
+
     def test_rho_command(self, capsys):
         assert main(["rho", "--lens", "5", "3", "8"]) == 0
         out = capsys.readouterr().out
         assert "rho(0) = 0" in out and "rho(1) = 7/5" in out
+        assert main(["rho", "--lens", "5", "5", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: rotation numbers (5,3) must be coprime to 5\n")
 
     def test_eta_command(self, tmp_cache, capsys):
         assert main(["eta", "3", "16", "113", "--p", "5"]) == 0

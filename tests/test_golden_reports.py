@@ -1,9 +1,9 @@
 """Reports are byte-identical to the recorded golden digests.
 
 perfbench/golden.json holds the sha256 of render_json for every request
-the benchmark can send.  The keys with p in {None, 5, 7} cover every
-lattice-n triple (stern members with up to 60 nodes), the
-non-diagonalizable triples and the cheap repeat-cache inputs.
+the benchmark can send: every lattice-n triple (stern members with up to
+60 nodes), the non-diagonalizable triples, the cheap repeat-cache inputs
+and the spectral-p grid at p up to 31.  All of them are checked.
 """
 
 import hashlib
@@ -16,11 +16,11 @@ from brieskorn import build_analysis, render_json
 
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent.parent
                      / "perfbench" / "golden.json").read_text(encoding="utf-8"))
-KEYS = sorted(key for key in GOLDEN if key.rsplit(",", 1)[1] in ("None", "5", "7"))
+KEYS = sorted(GOLDEN)
 
 
 def test_golden_grid_size():
-    assert len(KEYS) == 152
+    assert len(KEYS) == 359
 
 
 @pytest.mark.parametrize("key", KEYS)

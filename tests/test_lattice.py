@@ -5,12 +5,13 @@ import pytest
 from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
                        diagonalize, enumerate_roots, intersection_matrix,
                        seifert_invariants)
-from brieskorn.matrices import (det, identity, inverse_unimodular, mat_mul,
-                                parse_matrix_text, render_matrix_text,
-                                symmetric_signature, transpose)
+from brieskorn.matrices import (eliminate, identity, inverse_unimodular,
+                                mat_mul, parse_matrix_text,
+                                render_matrix_text, transpose)
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       permute_columns, random_triples,
                       signed_permutation_equal)
+from lattice_oracle import det, symmetric_signature
 
 
 def form_of(a, b, c):
@@ -24,9 +25,10 @@ def minus_identity(n):
 
 class TestMatrices:
     def test_bareiss_determinant(self):
-        assert det(((2, 1), (1, 1))) == 1
-        assert det(REFERENCE_QX) == -1
-        assert det(((0, 1), (1, 0))) == -1
+        for m, expected in ((((2, 1), (1, 1)), 1), (REFERENCE_QX, -1),
+                            (((0, 1), (1, 0)), -1)):
+            assert det(m) == expected
+            assert eliminate(m).determinant == expected
 
     def test_inverse_unimodular(self):
         m = ((2, 1), (1, 1))
@@ -43,6 +45,8 @@ class TestMatrices:
 
     def test_symmetric_signature_reference(self):
         assert symmetric_signature(REFERENCE_QX) == (0, 11, 0)
+        e = eliminate(REFERENCE_QX)
+        assert (e.signature, e.definiteness) == (-11, "negative-definite")
 
     def test_matrix_text_roundtrip(self):
         text = render_matrix_text(REFERENCE_QX)

@@ -1,7 +1,12 @@
 """The leaf-first, integer-scaled lattice kernel against the dense
 oracles in lattice_oracle.py, on random forms: resolution trees, non-tree
 forms -U^t U, definite forms that are not unimodular, arbitrary symmetric
-matrices, and E8."""
+matrices, and E8.  The one congruence elimination (matrices.eliminate)
+is checked against the Bareiss determinant, the dense congruence
+signature, the leading-minor definiteness test and the leaf-pivoting tree
+signature, on symmetric matrices with zero diagonals, singular and
+indefinite ones, random plumbing trees and the indefinite bounding
+graphs."""
 
 import hashlib
 import math
@@ -10,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_oracle as oracle
-from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
-                       diagonalize, enumerate_roots, intersection_matrix,
+from brieskorn import (BrieskornTriple, PlumbingGraph, UnimodularForm,
+                       canonical_resolution, diagonalize, enumerate_roots,
+                       fickle_graph, graph_signature, intersection_matrix,
                        seifert_invariants)
-from brieskorn.matrices import det, is_negative_definite, mat_mul, transpose
+from brieskorn.matrices import (eliminate, is_negative_definite, mat_mul,
+                                transpose)
 from conftest import permute_symmetric
 
 TRIPLES = [(a, b, c) for a in range(2, 8) for b in range(a + 1, 31)
@@ -32,8 +39,8 @@ def negated_gram(a):
 
 
 def assert_matches_oracle(form):
-    assert form.determinant == det(form.q)
-    assert form.is_negative_definite == is_negative_definite(form.q)
+    assert form.determinant == oracle.det(form.q)
+    assert form.is_negative_definite == oracle.is_negative_definite(form.q)
     assert enumerate_roots(form) == oracle.enumerate_roots(form)
     if abs(form.determinant) == 1:
         assert diagonalize(form) == oracle.diagonalize(form)
@@ -103,11 +110,98 @@ def test_pivots_agree_with_leading_minors_on_symmetric_matrices(entries):
     q = tuple(tuple(entries[min(i, j) * n + max(i, j)] for j in range(n))
               for i in range(n))
     form = UnimodularForm.from_matrix(q)
-    assert form.is_negative_definite == is_negative_definite(q)
-    assert form.determinant == det(q)
+    assert form.is_negative_definite == oracle.is_negative_definite(q)
+    assert form.determinant == oracle.det(q)
     if not form.is_negative_definite:
         with pytest.raises(ValueError, match="negative definite"):
             enumerate_roots(form)
+
+
+def assert_elimination_matches_oracles(q):
+    """Signature, definiteness and determinant of eliminate(q) against the
+    dense oracles; on a definite q the factor must rebuild q exactly."""
+    n = len(q)
+    e = eliminate(q)
+    pos, neg, zero = oracle.symmetric_signature(q)
+    assert sorted(e.order) == list(range(n))
+    assert (e.signature, sum(d == 0 for d in e.pivots)) == (pos - neg, zero)
+    assert e.determinant == oracle.det(q)
+    kind = ("other" if zero else "negative-definite" if neg == n
+            else "indefinite" if pos and neg else "other")
+    assert e.definiteness == kind
+    assert is_negative_definite(q) == oracle.is_negative_definite(q) == (
+        kind == "negative-definite")
+    if kind == "negative-definite" or neg == 0 == zero:
+        # L[order[j]][j] = 1, L[i][j] from columns[j]; q = L D L^t.
+        rebuilt = [[0] * n for _ in range(n)]
+        for node, d, col in zip(e.order, e.pivots, e.columns):
+            entries = ((node, 1),) + col
+            for a, la in entries:
+                for b, lb in entries:
+                    rebuilt[a][b] += la * d * lb
+        assert rebuilt == [list(row) for row in q]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric integer matrices; on request the diagonal is zero
+    (so the zero-pivot repairs fire) or the last node repeats node 0 (so
+    the matrix is singular)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                            min_size=n * n, max_size=n * n))
+    zero_diagonal, singular = draw(st.booleans()), draw(st.booleans())
+    source = [0 if singular and i == n - 1 else i for i in range(n)]
+    return tuple(tuple(
+        0 if zero_diagonal and i == j else
+        entries[min(source[i], source[j]) * n + max(source[i], source[j])]
+        for j in range(n)) for i in range(n))
+
+
+@st.composite
+def plumbing_trees(draw):
+    """A random tree on 1..10 nodes (node i > 0 hangs from a lower node)
+    with weights in -3..3."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    weights = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                            min_size=n, max_size=n))
+    edges = tuple((draw(st.integers(min_value=0, max_value=i - 1)), i)
+                  for i in range(1, n))
+    return PlumbingGraph(tuple(weights), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_elimination_matches_oracles_on_symmetric_matrices(q):
+    assert_elimination_matches_oracles(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plumbing_trees())
+def test_elimination_matches_oracles_on_random_trees(g):
+    assert_elimination_matches_oracles(intersection_matrix(g))
+    assert graph_signature(g) == oracle.graph_signature(g)
+
+
+def test_elimination_returns_to_passed_over_nodes():
+    # A hyperbolic pair (nodes 0, 1) beside a path with nonzero diagonal:
+    # both zero-diagonal nodes come first in minimum-degree order and are
+    # passed over, and must still be eliminated (by the row+column merge)
+    # once the path is gone.
+    q = ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 2, 1, 0, 0),
+         (0, 0, 1, 2, 1, 0), (0, 0, 0, 1, 2, 1), (0, 0, 0, 0, 1, 2))
+    assert_elimination_matches_oracles(q)
+    assert eliminate(q).order[:2] == (2, 3)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_elimination_matches_oracles_on_fickle_graphs(sign):
+    for r in (3, 5, 7, 9):
+        for s in range(1, 12):
+            g = fickle_graph(r, s, sign)
+            assert_elimination_matches_oracles(intersection_matrix(g))
+            assert graph_signature(g) == oracle.graph_signature(g) == (
+                -2, "indefinite")
 
 
 @settings(max_examples=20, deadline=None)

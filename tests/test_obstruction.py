@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from brieskorn import (BrieskornTriple, ConstraintError, Diagonalization,
-                       UnimodularForm, build_constraints,
+from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
+                       Diagonalization, UnimodularForm, build_constraints,
                        canonical_resolution, decide, diagonalize, family,
                        gamma_k_graph, intersection_matrix, is_prime,
                        propagate_rotations, seifert_invariants,
@@ -79,7 +79,8 @@ class TestBuildConstraints:
 
     def test_large_coefficient_raises(self):
         # basis (2e1 + e2, e1 + e2) of the standard rank-2 lattice:
-        # the first class has square -5 and a coefficient of size 2.
+        # the first class has square -5 and a coefficient of size 2.  That
+        # is valid input, and decide reports it as infeasible.
         form = UnimodularForm.from_matrix(((-5, -3), (-3, -2)))
         c = ((1, -1), (-1, 2))
         c_inv = ((2, 1), (1, 1))
@@ -87,11 +88,40 @@ class TestBuildConstraints:
         markup = EquivariantMarkup(
             p=5, fixed_spheres=((0, -5, 1),), invariant_nodes=(1,),
             isolated_points=((1, 1),), node_kinds=("fixed", "invariant"))
-        with pytest.raises(ConstraintError, match="number of nonzero"):
-            build_constraints(markup, diag)
+        cs = build_constraints(markup, diag)
+        verdict = decide(cs)
+        assert verdict.status == "infeasible"
+        assert verdict.certificate.kind == "fixed-coefficient"
+        assert verdict.certificate.spheres == (0,)
+        assert verdict.certificate.verify(cs)
+        assert brute_force_decide(cs) == "infeasible"
 
 
 class TestDecide:
+    @pytest.mark.parametrize("triple, p", [
+        ((2, 7, 31), 3), ((2, 11, 27), 5), ((4, 7, 33), 5)])
+    def test_fixed_sphere_with_large_coefficient_is_infeasible(self, triple, p):
+        g = canonical_resolution(seifert_invariants(BrieskornTriple.of(*triple)))
+        cs, _, _ = pipeline(g, p)
+        verdict = decide(cs)
+        assert verdict.status == "infeasible"
+        cert = verdict.certificate
+        assert cert.kind == "fixed-coefficient"
+        assert cert.verify(cs)
+        assert brute_force_decide(cs) == "infeasible"
+
+    def test_fixed_coefficient_certificate_is_checked(self):
+        g = canonical_resolution(seifert_invariants(BrieskornTriple.of(2, 7, 31)))
+        cs, _, _ = pipeline(g, 3)
+        cert = decide(cs).certificate
+        (s,) = cert.spheres
+        small = next(i for i, kind in enumerate(cs.kinds) if kind == "fixed"
+                     and all(abs(x) < 2 for x in cs.columns[i]))
+        invariant = cs.kinds.index("invariant")
+        for sphere in (small, invariant):
+            forged = Certificate(cert.kind, (sphere,), cert.detail)
+            assert not forged.verify(cs)
+
     def test_sigma_3_16_113_infeasible_with_pattern_certificate(self):
         g = canonical_resolution(seifert_invariants(BrieskornTriple.of(3, 16, 113)))
         cs, _, _ = pipeline(g, 5)

@@ -9,9 +9,9 @@ from brieskorn import (BrieskornTriple, EquivariantMarkup, PlumbingGraph,
                        fickle_graph, gamma_k_graph, graph_signature,
                        intersection_matrix, propagate_rotations,
                        seifert_invariants, star, to_dot, to_tgf)
-from brieskorn.matrices import det, symmetric_signature
 from conftest import (PERM_3_16_113, REFERENCE_QX, graphs_equivalent,
                       permute_symmetric, random_triples, spider_form)
+from lattice_oracle import det, symmetric_signature
 
 
 def resolution(a, b, c):

@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 import spectral_oracle as oracle
 from brieskorn import (BrieskornTriple, Cyclotomic, canonical_resolution,
                        eta_from_fixed_data, family, fixed_point_data,
-                       ll_extension_search, nu_defect, propagate_rotations,
-                       rho_from_eta, rho_lens_table, seifert_invariants,
-                       sphere_defect, standard_action_valid)
+                       graph_signature, ll_extension_search, nu_defect,
+                       propagate_rotations, rho_from_eta, rho_lens_table,
+                       seifert_invariants, sphere_defect,
+                       standard_action_valid)
 from brieskorn.arith import is_prime
 from brieskorn.spectral import _inv_zeta_minus_one
 from conftest import random_triples
@@ -79,7 +80,8 @@ def test_closed_form_inverse_times_zeta_power_minus_one_is_one():
 
 def quotient_data(triple, p):
     graph = canonical_resolution(seifert_invariants(triple))
-    return fixed_point_data(graph, propagate_rotations(graph, p))
+    return fixed_point_data(propagate_rotations(graph, p),
+                            graph_signature(graph)[0])
 
 
 @st.composite
