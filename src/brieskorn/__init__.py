@@ -11,13 +11,14 @@ and cyclotomic arithmetic.
 __version__ = "1.0.0"
 
 from .arith import Cyclotomic, HJExpansion, hj_evaluate, hj_expand, is_prime
-from .seifert import (BrieskornTriple, SeifertData, family, r_invariant,
-                      seifert_invariants, standard_action_valid)
+from .seifert import (BrieskornTriple, SeifertData, check_action, check_order,
+                      family, r_invariant, seifert_invariants,
+                      standard_action_valid)
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        PlumbingGraph, PropagationError, canonical_pair,
-                       canonical_resolution, fickle_graph, gamma_k_graph,
-                       graph_signature, intersection_matrix,
-                       propagate_rotations, star, to_dot, to_tgf)
+                       canonical_resolution, graph_signature,
+                       intersection_matrix, propagate_rotations, star, to_dot,
+                       to_tgf)
 from .lattice import (Diagonalization, DiagonalizationFailure,
                       UnimodularForm, diagonalize, enumerate_roots)
 from .obstruction import (Certificate, ConstraintError, ConstraintSystem,
@@ -25,18 +26,17 @@ from .obstruction import (Certificate, ConstraintError, ConstraintSystem,
 from .spectral import (FixedPointData, LensCandidate, RhoTable,
                        canonical_lens_pair, eta_brieskorn, eta_from_fixed_data,
                        fixed_point_data, ll_extension_search, nu_defect,
-                       rho_from_eta, rho_lens_table, sphere_defect,
-                       torsion_lens)
+                       rho_from_eta, rho_lens_table, sphere_defect)
 from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
     "__version__",
     "Cyclotomic", "HJExpansion", "hj_evaluate", "hj_expand", "is_prime",
-    "BrieskornTriple", "SeifertData", "family", "r_invariant",
-    "seifert_invariants", "standard_action_valid",
+    "BrieskornTriple", "SeifertData", "check_action", "check_order", "family",
+    "r_invariant", "seifert_invariants", "standard_action_valid",
     "EquivariantMarkup", "InternalInvariantError", "PlumbingGraph",
     "PropagationError", "canonical_pair", "canonical_resolution",
-    "fickle_graph", "gamma_k_graph", "graph_signature", "intersection_matrix",
+    "graph_signature", "intersection_matrix",
     "propagate_rotations", "star", "to_dot", "to_tgf",
     "Diagonalization", "DiagonalizationFailure", "UnimodularForm",
     "diagonalize", "enumerate_roots",
@@ -45,6 +45,6 @@ __all__ = [
     "FixedPointData", "LensCandidate", "RhoTable", "canonical_lens_pair",
     "eta_brieskorn", "eta_from_fixed_data", "fixed_point_data",
     "ll_extension_search", "nu_defect", "rho_from_eta", "rho_lens_table",
-    "sphere_defect", "torsion_lens",
+    "sphere_defect",
     "build_analysis", "cached_analysis", "render_json", "render_text",
 ]

@@ -226,18 +226,6 @@ class Cyclotomic:
                 full[(i + k) % p] = a
         return Cyclotomic._raw(p, self._reduce(p, full))
 
-    def __pow__(self, n: int) -> "Cyclotomic":
-        if n < 0:
-            raise ValueError(f"negative exponent {n}")
-        result = Cyclotomic.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- structure ----------------------------------------------------------
 
     def galois(self, k: int) -> "Cyclotomic":
@@ -258,9 +246,6 @@ class Cyclotomic:
         """The integers n_i with coeffs[i] == n_i/den, for den a multiple of
         denominator()."""
         return [c.numerator * (den // c.denominator) for c in self.coeffs]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -13,13 +13,13 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .arith import is_prime
 from .lattice import UnimodularForm, diagonalize
 from .matrices import parse_matrix_text, render_matrix_text
 from .plumbing import (InternalInvariantError, canonical_resolution,
                        intersection_matrix, to_dot, to_tgf)
 from .report import SCHEMA_VERSION, cached_analysis, render_json, render_text
-from .seifert import BrieskornTriple, family, seifert_invariants, standard_action_valid
+from .seifert import (BrieskornTriple, check_order, family, seifert_invariants,
+                      standard_action_valid)
 from .spectral import eta_brieskorn, rho_lens_table
 
 
@@ -30,17 +30,6 @@ class CLIError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIError(message)
-
-
-def _validated_p(triple: BrieskornTriple, p: Optional[int]) -> Optional[int]:
-    if p is None:
-        return None
-    if not is_prime(p) or p < 3:
-        raise CLIError(f"p must be an odd prime >= 3, got {p}")
-    if not standard_action_valid(triple, p):
-        raise CLIError(f"p = {p} divides {triple.product}: the standard "
-                       "action is not free")
-    return p
 
 
 def _parse_range(text: str):
@@ -61,9 +50,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def cmd_analyze(args) -> int:
-    triple = BrieskornTriple.of(args.a, args.b, args.c)
-    p = _validated_p(triple, args.p)
-    report = cached_analysis(triple.a1, triple.a2, triple.a3, p,
+    report = cached_analysis(args.a, args.b, args.c, args.p,
                              use_cache=not args.no_cache)
     if args.json:
         _write_json(args.json, report)
@@ -74,6 +61,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_family(args) -> int:
     lo, hi = _parse_range(args.s_range)
+    if args.p is not None:
+        check_order(args.p)
     rows = []
     for s in range(lo, hi + 1):
         try:
@@ -81,12 +70,9 @@ def cmd_family(args) -> int:
         except ValueError as exc:
             rows.append({"s": s, "skipped": str(exc)})
             continue
-        p = None
-        if args.p is not None:
-            if not is_prime(args.p) or args.p < 3:
-                raise CLIError(f"p must be an odd prime >= 3, got {args.p}")
-            if standard_action_valid(triple, args.p):
-                p = args.p
+        # A member on which the action is not free is analyzed without p.
+        p = (args.p if args.p is not None
+             and standard_action_valid(triple, args.p) else None)
         report = cached_analysis(triple.a1, triple.a2, triple.a3, p,
                                  use_cache=not args.no_cache)
         row = {
@@ -160,8 +146,6 @@ def cmd_diagonalize(args) -> int:
 
 def cmd_rho(args) -> int:
     p, r, s = args.lens
-    if not is_prime(p) or p < 3:
-        raise CLIError(f"p must be an odd prime >= 3, got {p}")
     for ell, value in enumerate(rho_lens_table(p, r, s).values):
         sys.stdout.write(f"rho({ell}) = {Fraction(value)}\n")
     return 0
@@ -169,9 +153,8 @@ def cmd_rho(args) -> int:
 
 def cmd_eta(args) -> int:
     triple = BrieskornTriple.of(args.a, args.b, args.c)
-    p = _validated_p(triple, args.p)
-    eta = eta_brieskorn(triple, p)
-    for j in range(1, p):
+    eta = eta_brieskorn(triple, args.p)
+    for j in range(1, args.p):
         coeffs = ", ".join(str(c) for c in eta.galois(j).coeffs)
         sys.stdout.write(f"eta(zeta^{j}) = [{coeffs}]\n")
     return 0

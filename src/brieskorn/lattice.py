@@ -50,11 +50,11 @@ class UnimodularForm:
         return cls(len(q), q)
 
     @cached_property
-    def _elimination(self) -> Elimination:
+    def elimination(self) -> Elimination:
         """The congruence elimination of Q (matrices.eliminate)."""
         return eliminate(self.q)
 
-    determinant = property(lambda self: self._elimination.determinant,
+    determinant = property(lambda self: self.elimination.determinant,
                            doc="det Q, the product of the pivots.")
 
     @property
@@ -63,14 +63,7 @@ class UnimodularForm:
 
     @property
     def is_negative_definite(self) -> bool:
-        return self._elimination.definiteness == "negative-definite"
-
-    def evaluate(self, v, w=None) -> int:
-        """v^t Q w (defaults to the square v^t Q v)."""
-        if w is None:
-            w = v
-        return sum(v[i] * self.q[i][j] * w[j]
-                   for i in range(self.n) for j in range(self.n))
+        return self.elimination.definiteness == "negative-definite"
 
 
 def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
@@ -88,7 +81,7 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     """
     if not form.is_negative_definite:
         raise ValueError("root enumeration requires a negative definite form")
-    e = form._elimination
+    e = form.elimination
     steps = []
     for node, d, col in zip(e.order, e.pivots, e.columns):
         g = math.lcm(*(l.denominator for _, l in col))

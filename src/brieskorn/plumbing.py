@@ -1,5 +1,4 @@
-"""Plumbing trees: canonical resolutions, the one-parameter resolution
-family, the indefinite bounding graph, intersection matrices and
+"""Plumbing trees: canonical resolutions, intersection matrices and
 signatures, and equivariant rotation-number propagation.
 
 Signatures, definiteness and determinants are read off the one
@@ -100,49 +99,6 @@ def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
     return star(sd.delta, branches)
 
 
-def gamma_k_graph(s: int) -> PlumbingGraph:
-    """The resolution tree of Sigma(3, 3s+1, 21s+8), for s >= 2.
-
-    Central -1; branches [-3], [-4, -2 x (s-1)] and [-3, -(s+1), -4, -2].
-    Equals canonical_resolution of the triple up to relabeling.
-    """
-    if s < 2:
-        raise ValueError(f"s must be >= 2, got {s}")
-    return star(-1, [[-3], [-4] + [-2] * (s - 1), [-3, -(s + 1), -4, -2]])
-
-
-def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
-    """The indefinite 10-node bounding tree for Sigma(r, rs+-1, 2r(rs+-1)+rs+-2).
-
-    Top chain [(r-1)/2, -2, -1, -2, (r-1)/2, -sign*s, -r, 2] with a branch
-    [-r, sign*s] hanging from the central -1 node.  Construction is
-    validated by signature == -2 and |det| == 1 (the boundary is an
-    integral homology sphere); parameters failing validation are rejected.
-    """
-    if r < 3 or r % 2 == 0:
-        raise ValueError(f"r must be an odd integer >= 3, got {r}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    e = 1 if sign == "+" else -1
-    half = (r - 1) // 2
-    weights = (half, -2, -1, -2, half, -e * s, -r, 2, -r, e * s)
-    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
-             (2, 8), (8, 9))
-    graph = PlumbingGraph(weights, edges, center=2)
-    e = eliminate(intersection_matrix(graph))
-    if e.signature != -2 or e.definiteness != "indefinite":
-        raise ValueError(
-            f"validation failed for r={r}, s={s}, sign={sign}: "
-            f"signature {e.signature} ({e.definiteness}), expected -2 "
-            "(indefinite)")
-    if abs(e.determinant) != 1:
-        raise ValueError(
-            f"validation failed for r={r}, s={s}, sign={sign}: form is not unimodular")
-    return graph
-
-
 def intersection_matrix(g: PlumbingGraph) -> Tuple[Tuple[int, ...], ...]:
     """Diagonal = node weights; entry 1 for each edge, 0 otherwise."""
     n = g.node_count
@@ -217,17 +173,16 @@ class EquivariantMarkup:
                 f"2*{len(self.fixed_spheres)} spheres != 1 + {nodes} nodes")
 
 
-def propagate_rotations(g: PlumbingGraph, p: int,
-                        seed: Tuple[int, int] = (0, 1)) -> EquivariantMarkup:
+def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     """Propagate circle-action rotation weights over the tree, mod p.
 
     Each node sphere carries a (base, fibre) weight pair at its inward
     pole.  Over a sphere of self-intersection w the pair (a, b) becomes
     (-a, b - w*a) at the opposite pole, and plumbing onto the next sphere
-    interchanges base and fibre coordinates.  The seed is the pair on the
-    central node, which is pointwise fixed (base weight 0; a nontrivially
-    rotated sphere has only two fixed points and cannot host three
-    junctions), with fibre weight 1 for the standard Seifert action.
+    interchanges base and fibre coordinates.  The central node is
+    pointwise fixed (base weight 0; a nontrivially rotated sphere has only
+    two fixed points and cannot host three junctions), with fibre weight 1
+    for the standard Seifert action.
 
     A node is a fixed sphere iff its base weight vanishes mod p (normal
     rotation c_F = fibre weight); junctions between two invariant spheres
@@ -235,12 +190,6 @@ def propagate_rotations(g: PlumbingGraph, p: int,
     """
     if not is_prime(p):
         raise ValueError(f"group order must be prime, got {p}")
-    base0, fiber0 = seed[0] % p, seed[1] % p
-    if base0 != 0:
-        raise PropagationError("seed base weight must vanish: the central "
-                               "sphere is pointwise fixed")
-    if fiber0 == 0:
-        raise PropagationError("seed produces a zero rotation pair")
     n = g.node_count
     adj = g.adjacency()
     kinds: Dict[int, str] = {}
@@ -248,9 +197,9 @@ def propagate_rotations(g: PlumbingGraph, p: int,
     isolated: List[Tuple[int, int]] = []
 
     kinds[g.center] = "fixed"
-    c_f[g.center] = fiber0
+    c_f[g.center] = 1
     # (node, parent, north pair); the center hands (fibre, 0) to each branch.
-    stack = [(u, g.center, (fiber0, 0)) for u in reversed(adj[g.center])]
+    stack = [(u, g.center, (1, 0)) for u in reversed(adj[g.center])]
     while stack:
         v, parent, (a, b) = stack.pop()
         w = g.weights[v]

@@ -17,9 +17,10 @@ from typing import Dict, List, Optional
 from . import __version__
 from .lattice import UnimodularForm, diagonalize
 from .obstruction import build_constraints, decide
-from .plumbing import (canonical_resolution, graph_signature,
+# graph_signature is not called here; perfbench's tracer wraps it by name.
+from .plumbing import (canonical_resolution, graph_signature,  # noqa: F401
                        intersection_matrix, propagate_rotations)
-from .seifert import BrieskornTriple, seifert_invariants, standard_action_valid
+from .seifert import BrieskornTriple, check_action, seifert_invariants
 from .spectral import (eta_from_fixed_data, fixed_point_data, ll_extension_search,
                        rho_from_eta)
 
@@ -36,19 +37,17 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
     Sections without p (Seifert data, graph, form, diagonalization) are
     always present; the equivariant, obstruction and locally-linear
-    sections require p.
+    sections require p, which must pass check_action.
     """
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
-        if not standard_action_valid(triple, p):
-            raise ValueError(f"p={p} divides {triple.product}; "
-                             "the standard action is not free")
+        check_action(triple, p)
     sd = seifert_invariants(triple)
     graph = canonical_resolution(sd)
     q = intersection_matrix(graph)
-    signature, definiteness = graph_signature(graph)
     form = UnimodularForm.from_matrix(q)
     diag = diagonalize(form)
+    elim = form.elimination  # computed once, inside diagonalize
 
     report: Dict = {
         "schema_version": SCHEMA_VERSION,
@@ -67,8 +66,8 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
         "form": {
             "matrix": [list(row) for row in q],
             "determinant": form.determinant,
-            "signature": signature,
-            "definiteness": definiteness,
+            "signature": elim.signature,
+            "definiteness": elim.definiteness,
         },
     }
 
@@ -105,7 +104,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
     if p is not None and diag.found:
         markup = propagate_rotations(graph, p)
-        fd = fixed_point_data(markup, signature)
+        fd = fixed_point_data(markup, elim.signature)
         report["equivariant"] = {
             "p": p,
             "fixed_points": [list(pt) for pt in markup.isolated_points],
@@ -239,9 +238,14 @@ def _cache_path(a: int, b: int, c: int, p: Optional[int]) -> str:
 
 def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
                     use_cache: bool = True) -> Dict:
-    """build_analysis with a transparent file cache keyed by input and
-    version.  An entry that does not parse as a report is a miss and is
-    rewritten."""
+    """build_analysis with a transparent file cache keyed by the sorted
+    triple, p and version.  The input is validated before the lookup, so
+    a bad p is never served or cached.  An entry that does not parse as a
+    report is a miss and is rewritten."""
+    triple = BrieskornTriple.of(a, b, c)
+    if p is not None:
+        check_action(triple, p)
+    a, b, c = triple.entries
     path = _cache_path(a, b, c, p)
     if use_cache:
         try:

@@ -24,6 +24,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
+from .arith import is_prime
+
 
 @dataclass(frozen=True, order=True)
 class BrieskornTriple:
@@ -124,6 +126,20 @@ def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     if p < 2:
         raise ValueError(f"group order must be >= 2, got {p}")
     return gcd(p, triple.product) == 1
+
+
+def check_order(p: int) -> None:
+    """The group order rule: p must be an odd prime."""
+    if not is_prime(p) or p < 3:
+        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+
+
+def check_action(triple: BrieskornTriple, p: int) -> None:
+    """The order rule, then freeness of the standard Z/p action."""
+    check_order(p)
+    if not standard_action_valid(triple, p):
+        raise ValueError(f"p = {p} divides {triple.product}: the standard "
+                         "action is not free")
 
 
 _FAMILY_KINDS = ("casson-harer", "stern")

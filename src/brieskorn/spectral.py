@@ -1,5 +1,5 @@
-"""Equivariant eta invariants, rho invariants, lens-space torsion, and the
-locally-linear extension search.
+"""Equivariant eta invariants, rho invariants and the locally-linear
+extension search.
 
 All spectral values live in Q(zeta_p) and are exact.  The boundary eta
 invariant of an equivariant 4-manifold with isolated fixed points
@@ -54,18 +54,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .arith import Cyclotomic, convolve, is_prime
+from .arith import Cyclotomic, convolve
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        canonical_resolution, graph_signature,
                        propagate_rotations)
-from .seifert import BrieskornTriple, seifert_invariants, standard_action_valid
-
-
-def _check_order(p: int) -> None:
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"group order must be an odd prime >= 3, got {p}")
+from .seifert import (BrieskornTriple, check_action, check_order,
+                      seifert_invariants)
 
 
 def _inv_numerators(p: int, m: int) -> List[int]:
@@ -97,7 +93,7 @@ def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
     One integer convolution of p(1 + 2/(t^a-1)) and p(1 + 2/(t^b-1)),
     over the denominator p^2.
     """
-    _check_order(p)
+    check_order(p)
     a, b = a % p, b % p
     if a == 0 or b == 0:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
@@ -107,7 +103,7 @@ def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
 
 def sphere_defect(self_intersection: int, c: int, p: int) -> Cyclotomic:
     """Fixed-sphere defect w * (-4 t^c)/(t^c - 1)^2 at t = zeta."""
-    _check_order(p)
+    check_order(p)
     if c % p == 0:
         raise ValueError(f"normal rotation {c} must be nonzero mod {p}")
     inv = _inv_zeta_minus_one(p, c)
@@ -149,7 +145,7 @@ def eta_from_fixed_data(fd: FixedPointData, p: int) -> Cyclotomic:
     eta is real by construction; a value that is not signals a broken
     defect kernel and raises InternalInvariantError.
     """
-    _check_order(p)
+    check_order(p)
     terms = [nu_defect(a, b, p) for a, b in fd.isolated]
     terms += [sphere_defect(w, c, p) for w, c in fd.spheres]
     eta = _sum_scaled(p, terms, -fd.signature)
@@ -159,14 +155,12 @@ def eta_from_fixed_data(fd: FixedPointData, p: int) -> Cyclotomic:
     return eta
 
 
-def eta_brieskorn(triple: BrieskornTriple, p: int,
-                  seed: Tuple[int, int] = (0, 1)) -> Cyclotomic:
+def eta_brieskorn(triple: BrieskornTriple, p: int) -> Cyclotomic:
     """eta(zeta) of the quotient data of Sigma(a1,a2,a3), via the
     canonical resolution with its equivariant markup."""
-    if not standard_action_valid(triple, p):
-        raise ValueError(f"p={p} is not coprime to {triple}")
+    check_action(triple, p)
     graph = canonical_resolution(seifert_invariants(triple))
-    markup = propagate_rotations(graph, p, seed)
+    markup = propagate_rotations(graph, p)
     return eta_from_fixed_data(
         fixed_point_data(markup, graph_signature(graph)[0]), p)
 
@@ -196,20 +190,12 @@ def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
     """Exact rho invariants of the lens space L(p; r, s):
     rho(l) = (n_l + n_{-l} - 2 n_0)/2 for n the coefficients of
     nu(r, s; zeta) padded with n_{p-1} = 0 (the cotangent sum, read off)."""
-    _check_order(p)
+    check_order(p)
     if gcd(r, p) != 1 or gcd(s, p) != 1:
         raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
     n = nu_defect(r, s, p).coeffs + (0,)
     return RhoTable(p, tuple((n[ell] + n[-ell] - 2 * n[0]) / 2
                              for ell in range(p)))
-
-
-def torsion_lens(p: int, r: int, s: int) -> Cyclotomic:
-    """Reidemeister torsion representative (zeta^r - 1)(zeta^s - 1)."""
-    _check_order(p)
-    if gcd(r * s, p) != 1:
-        raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
-    return (Cyclotomic.zeta(p, r) - 1) * (Cyclotomic.zeta(p, s) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +237,7 @@ def canonical_lens_pair(r: int, s: int, p: int) -> Tuple[int, int]:
     return min(variants)
 
 
-def ll_extension_search(triple: BrieskornTriple, p: int,
-                        eta: Optional[Cyclotomic] = None
+def ll_extension_search(triple: BrieskornTriple, p: int, eta: Cyclotomic
                         ) -> Tuple[LensCandidate, ...]:
     """All lens parameters (r, s) mod p compatible with a one-fixed-point
     locally linear extension, with rho diagnostics.
@@ -260,15 +245,10 @@ def ll_extension_search(triple: BrieskornTriple, p: int,
     A candidate has {a1, a2, a3} == {r, s, 1} (mod p) as multisets up to
     sign, so some a_i is +-1 and the other two are r, s up to sign, and
     a1*a2*a3 == r*s (mod p) fixes the sign.  Its rho tables match exactly
-    when eta(zeta) = nu(r, s; zeta).  A caller that already holds the
-    quotient's eta(zeta) passes it as eta; otherwise it is computed here.
+    when eta(zeta) = nu(r, s; zeta), for eta the quotient's eta(zeta).
     """
-    _check_order(p)
-    if not standard_action_valid(triple, p):
-        raise ValueError(f"p={p} is not coprime to {triple}")
-    if eta is None:
-        eta = eta_brieskorn(triple, p)
-    elif eta.p != p:
+    check_action(triple, p)
+    if eta.p != p:
         raise ValueError(f"eta is for p={eta.p}, not p={p}")
     product_residue = triple.product % p
     target = tuple(sorted(_residue_class(a, p) for a in triple.entries))

@@ -1,5 +1,7 @@
-"""Shared fixtures: reference data for Sigma(3,16,113) and small helpers
-(matrix and graph comparisons used only by the tests).
+"""Shared fixtures: reference data for Sigma(3,16,113), the resolution
+trees of the family Sigma(3, 3s+1, 21s+8) and the indefinite bounding
+trees, and small helpers (matrix and graph comparisons used only by the
+tests).
 
 Reference node order for Sigma(3,16,113): center, the [-3] branch, the
 [-3,-6,-4,-2] branch, then the [-4,-2,-2,-2,-2] branch (0-based ids).
@@ -13,7 +15,8 @@ import random
 
 import pytest
 
-from brieskorn.matrices import freeze, transpose
+from brieskorn.matrices import eliminate, freeze, transpose
+from brieskorn.plumbing import PlumbingGraph, intersection_matrix, star
 
 REFERENCE_QX = freeze([
     [-1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0],
@@ -47,6 +50,49 @@ REFERENCE_CINV = freeze([
 # [-4,-2,-2,-2,-2] branch of a_2 = 16 before the [-3,-6,-4,-2] branch of
 # a_3 = 113); PERM_3_16_113[our_index] = reference index.
 PERM_3_16_113 = (0, 1, 6, 7, 8, 9, 10, 2, 3, 4, 5)
+
+
+def gamma_k_graph(s: int) -> PlumbingGraph:
+    """The resolution tree of Sigma(3, 3s+1, 21s+8), for s >= 2.
+
+    Central -1; branches [-3], [-4, -2 x (s-1)] and [-3, -(s+1), -4, -2].
+    Equals canonical_resolution of the triple up to relabeling.
+    """
+    if s < 2:
+        raise ValueError(f"s must be >= 2, got {s}")
+    return star(-1, [[-3], [-4] + [-2] * (s - 1), [-3, -(s + 1), -4, -2]])
+
+
+def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
+    """The indefinite 10-node bounding tree for Sigma(r, rs+-1, 2r(rs+-1)+rs+-2).
+
+    Top chain [(r-1)/2, -2, -1, -2, (r-1)/2, -sign*s, -r, 2] with a branch
+    [-r, sign*s] hanging from the central -1 node.  Construction is
+    validated by signature == -2 and |det| == 1 (the boundary is an
+    integral homology sphere); parameters failing validation are rejected.
+    """
+    if r < 3 or r % 2 == 0:
+        raise ValueError(f"r must be an odd integer >= 3, got {r}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    e = 1 if sign == "+" else -1
+    half = (r - 1) // 2
+    weights = (half, -2, -1, -2, half, -e * s, -r, 2, -r, e * s)
+    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+             (2, 8), (8, 9))
+    graph = PlumbingGraph(weights, edges, center=2)
+    e = eliminate(intersection_matrix(graph))
+    if e.signature != -2 or e.definiteness != "indefinite":
+        raise ValueError(
+            f"validation failed for r={r}, s={s}, sign={sign}: "
+            f"signature {e.signature} ({e.definiteness}), expected -2 "
+            "(indefinite)")
+    if abs(e.determinant) != 1:
+        raise ValueError(
+            f"validation failed for r={r}, s={s}, sign={sign}: form is not unimodular")
+    return graph
 
 
 def permute_symmetric(matrix, perm):

@@ -6,12 +6,12 @@ repairs, leading pivots (the leading-minor definiteness test), the
 leaf-pivoting tree signature, an O(n^3) ``Fraction`` LDL^t of -Q in node
 order, a root enumeration whose centre terms are ``Fraction`` sums over
 every later coordinate, and a ``diagonalize`` that checks pairwise
-orthogonality of the roots and inverts C by Gauss-Jordan
-(``matrices.inverse_unimodular``).  The package reads signature,
-definiteness, determinant and the search factor off one sparse
-elimination (``matrices.eliminate``), runs an integer-scaled search and
-takes C^-1 = -C^t Q; the tests in ``test_lattice_kernels.py`` check that
-both paths agree exactly.
+orthogonality of the roots (with the bilinear form ``evaluate``) and
+inverts C by Gauss-Jordan (``matrices.inverse_unimodular``).  The
+package reads signature, definiteness, determinant and the search
+factor off one sparse elimination (``matrices.eliminate``), runs an
+integer-scaled search and takes C^-1 = -C^t Q; the tests in
+``test_lattice_kernels.py`` check that both paths agree exactly.
 """
 
 import math
@@ -216,6 +216,14 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(roots))
 
 
+def evaluate(form: UnimodularForm, v, w=None) -> int:
+    """v^t Q w (defaults to the square v^t Q v)."""
+    if w is None:
+        w = v
+    return sum(v[i] * form.q[i][j] * w[j]
+               for i in range(form.n) for j in range(form.n))
+
+
 def diagonalize(form: UnimodularForm):
     """Canonical C from the lexicographic root representatives, with the
     pairwise orthogonality loop and the Gauss-Jordan inverse."""
@@ -227,7 +235,7 @@ def diagonalize(form: UnimodularForm):
         return DiagonalizationFailure(form, len(reps))
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            if form.evaluate(reps[i], reps[j]) != 0:
+            if evaluate(form, reps[i], reps[j]) != 0:
                 raise ArithmeticError("root pairs are not pairwise orthogonal")
     c = tuple(tuple(reps[j][i] for j in range(form.n)) for i in range(form.n))
     return Diagonalization(form, c, inverse_unimodular(c))

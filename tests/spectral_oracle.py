@@ -1,8 +1,9 @@
 """Reference kernels for the spectral stage, kept as test oracles.
 
 Field arithmetic the package does not need lives here as functions: the
-Euclid inverse against Phi_p with division and negative powers, the
-Galois-checked rational value, and the float embedding.
+zero test, the Euclid inverse against Phi_p with division, powers
+(negative ones invert first), the Galois-checked rational value, the
+float embedding, and the lens-space torsion representative.
 
 The kernels are the dense-``Fraction`` versions of the cyclotomic product, the
 Euclid-based inverse of zeta^m - 1, the three-product isolated-point
@@ -18,10 +19,11 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Dict
 
 from brieskorn.arith import Cyclotomic
+from brieskorn.seifert import check_order
 from brieskorn.spectral import LensCandidate, canonical_lens_pair
 
 
@@ -31,7 +33,7 @@ class NonRationalError(ValueError):
 
 def inverse(x: Cyclotomic) -> Cyclotomic:
     """Field inverse via the extended Euclidean algorithm against Phi_p."""
-    if x.is_zero():
+    if is_zero(x):
         raise ZeroDivisionError("division by zero in Q(zeta_p)")
     p = x.p
     phi = [Fraction(1)] * p  # Phi_p = 1 + x + ... + x^(p-1)
@@ -55,9 +57,30 @@ def div(x, y) -> Cyclotomic:
     return x * inverse(y)
 
 
+def is_zero(x: Cyclotomic) -> bool:
+    return all(c == 0 for c in x.coeffs)
+
+
 def power(x: Cyclotomic, n: int) -> Cyclotomic:
     """x^n for any integer n; a negative power inverts first."""
-    return inverse(x) ** -n if n < 0 else x ** n
+    if n < 0:
+        return power(inverse(x), -n)
+    result = Cyclotomic.one(x.p)
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def torsion_lens(p: int, r: int, s: int) -> Cyclotomic:
+    """Reidemeister torsion representative (zeta^r - 1)(zeta^s - 1)."""
+    check_order(p)
+    if gcd(r * s, p) != 1:
+        raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
+    return (Cyclotomic.zeta(p, r) - 1) * (Cyclotomic.zeta(p, s) - 1)
 
 
 def is_rational(x: Cyclotomic) -> bool:

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
-                       build_analysis, ll_extension_search, render_json,
-                       render_text)
+                       build_analysis, eta_brieskorn, ll_extension_search,
+                       render_json, render_text)
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
 from brieskorn.report import cached_analysis
@@ -54,9 +54,10 @@ class TestReport:
     ])
     def test_candidates_match_standalone_search(self, a, b, c, p):
         # The report hands its own eta(zeta) to the lens search; the
-        # standalone search recomputes it from the triple.
+        # standalone search gets it from eta_brieskorn.
         report = build_analysis(a, b, c, p)
-        standalone = ll_extension_search(BrieskornTriple.of(a, b, c), p)
+        triple = BrieskornTriple.of(a, b, c)
+        standalone = ll_extension_search(triple, p, eta_brieskorn(triple, p))
         assert report["locally_linear"]["candidates"] == [
             {"r": cand.r, "s": cand.s, "product_mod_p": cand.product_residue,
              "rs_mod_p": cand.rs_residue,
@@ -76,8 +77,42 @@ class TestReport:
                     walk(v)
         walk(build_analysis(3, 16, 113, 5))
 
+    @pytest.mark.parametrize("a, b, c, p", [
+        (3, 16, 113, 5), (2, 3, 5, None), (3, 121, 848, 5)])
+    def test_one_elimination_per_analysis(self, monkeypatch, a, b, c, p):
+        import brieskorn.lattice
+        import brieskorn.matrices
+        import brieskorn.plumbing
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return real(m)
+
+        real = brieskorn.matrices.eliminate
+        for module in (brieskorn.matrices, brieskorn.lattice,
+                       brieskorn.plumbing):
+            monkeypatch.setattr(module, "eliminate", counted)
+        build_analysis(a, b, c, p)
+        assert len(calls) == 1
+
 
 class TestCache:
+    @pytest.mark.parametrize("p", [1, 2, 4, 9])
+    def test_bad_order_is_rejected_and_not_cached(self, tmp_cache, p):
+        # Sigma(2,7,13) does not diagonalize, so no stage that needs p runs.
+        with pytest.raises(ValueError, match="odd prime"):
+            build_analysis(2, 7, 13, p)
+        with pytest.raises(ValueError, match="odd prime"):
+            cached_analysis(2, 7, 13, p)
+        assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+    def test_cache_is_keyed_on_the_sorted_triple(self, tmp_cache):
+        first = cached_analysis(13, 7, 2, 5)
+        [entry] = tmp_cache.iterdir()
+        assert cached_analysis(2, 7, 13, 5) == first
+        assert list(tmp_cache.iterdir()) == [entry]
+
     def test_cache_never_changes_verdict(self, tmp_cache):
         fresh = cached_analysis(3, 16, 113, 5)
         assert tmp_cache.exists()
@@ -149,6 +184,23 @@ class TestCLI:
 
     def test_analyze_rejects_even_p(self, tmp_cache, capsys):
         assert main(["analyze", "3", "5", "7", "--p", "2"]) == 1
+
+    @pytest.mark.parametrize("argv, err", [
+        ("analyze 2 7 13 --p 9", "p must be an odd prime >= 3, got 9"),
+        ("analyze 3 16 113 --p 3",
+         "p = 3 divides 5424: the standard action is not free"),
+        ("eta 3 16 113 --p 3",
+         "p = 3 divides 5424: the standard action is not free"),
+        ("rho --lens 9 1 2", "p must be an odd prime >= 3, got 9"),
+        ("family stern --r 3 --s-range 1..2 --p 9",
+         "p must be an odd prime >= 3, got 9"),
+    ])
+    def test_bad_p_error_text(self, tmp_cache, capsys, argv, err):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n"
+        assert captured.out == ""
+        assert not tmp_cache.exists()
 
     def test_family_batch(self, tmp_cache, tmp_path):
         path = tmp_path / "family.json"

@@ -11,6 +11,7 @@ from brieskorn.matrices import (eliminate, identity, inverse_unimodular,
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       permute_columns, random_triples,
                       signed_permutation_equal)
+import lattice_oracle as oracle
 from lattice_oracle import det, symmetric_signature
 
 
@@ -78,7 +79,7 @@ class TestEnumerateRoots:
             assert sorted(roots) == list(roots)
             assert set(roots) == {tuple(-x for x in v) for v in roots}
             form = form_of(a, b, c)
-            assert all(form.evaluate(v) == -1 for v in roots)
+            assert all(oracle.evaluate(form, v) == -1 for v in roots)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):

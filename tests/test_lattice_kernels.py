@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 import lattice_oracle as oracle
 from brieskorn import (BrieskornTriple, PlumbingGraph, UnimodularForm,
                        canonical_resolution, diagonalize, enumerate_roots,
-                       fickle_graph, graph_signature, intersection_matrix,
+                       graph_signature, intersection_matrix,
                        seifert_invariants)
 from brieskorn.matrices import (eliminate, is_negative_definite, mat_mul,
                                 transpose)
-from conftest import permute_symmetric
+from conftest import fickle_graph, permute_symmetric
 
 TRIPLES = [(a, b, c) for a in range(2, 8) for b in range(a + 1, 31)
            for c in range(b + 1, 71)

@@ -7,10 +7,11 @@ import pytest
 from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
                        Diagonalization, UnimodularForm, build_constraints,
                        canonical_resolution, decide, diagonalize, family,
-                       gamma_k_graph, intersection_matrix, is_prime,
+                       intersection_matrix, is_prime,
                        propagate_rotations, seifert_invariants,
                        standard_action_valid, star)
 from brieskorn.plumbing import EquivariantMarkup
+from conftest import gamma_k_graph
 from obstruction_oracle import brute_force_decide
 
 

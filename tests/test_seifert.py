@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from brieskorn import (BrieskornTriple, family, r_invariant,
-                       seifert_invariants, standard_action_valid)
+import brieskorn
+from brieskorn import (BrieskornTriple, check_action, check_order, family,
+                       r_invariant, seifert_invariants, standard_action_valid)
 from conftest import random_triples
 
 
@@ -124,3 +125,23 @@ class TestStandardAction:
         assert standard_action_valid(t, 5)
         assert not standard_action_valid(t, 3)
         assert not standard_action_valid(BrieskornTriple.of(2, 3, 7), 7)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15])
+    def test_order_rule(self, p):
+        with pytest.raises(ValueError) as info:
+            check_order(p)
+        assert str(info.value) == f"p must be an odd prime >= 3, got {p}"
+        with pytest.raises(ValueError) as info:
+            check_action(BrieskornTriple.of(2, 7, 13), p)
+        assert str(info.value) == f"p must be an odd prime >= 3, got {p}"
+
+
+def test_public_names_resolve_and_exclude_test_helpers():
+    for name in brieskorn.__all__:
+        getattr(brieskorn, name)
+    for name in ("torsion_lens", "gamma_k_graph", "fickle_graph"):
+        assert name not in brieskorn.__all__
+        assert not hasattr(brieskorn, name)
+    assert not hasattr(brieskorn.UnimodularForm, "evaluate")
+    assert not hasattr(brieskorn.Cyclotomic, "__pow__")
+    assert not hasattr(brieskorn.Cyclotomic, "is_zero")

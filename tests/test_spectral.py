@@ -7,13 +7,13 @@ import pytest
 import spectral_oracle as oracle
 from brieskorn import (BrieskornTriple, Cyclotomic, FixedPointData,
                        canonical_lens_pair, canonical_resolution,
-                       eta_brieskorn, eta_from_fixed_data, fickle_graph,
+                       eta_brieskorn, eta_from_fixed_data,
                        fixed_point_data, graph_signature,
                        ll_extension_search,
                        nu_defect, propagate_rotations, rho_from_eta,
-                       rho_lens_table, seifert_invariants, sphere_defect,
-                       torsion_lens)
-from conftest import rho_float_oracle
+                       rho_lens_table, seifert_invariants, sphere_defect)
+from conftest import fickle_graph, rho_float_oracle
+from spectral_oracle import torsion_lens
 
 
 def nu_profile(p, r, s):
@@ -50,7 +50,7 @@ class TestCancellation:
         for j in range(1, p):
             z = Cyclotomic.zeta(p, j)
             expr = -2 * nu_defect(1, 2, p).galois(j) + oracle.div(4 * z, (z - 1) * (z - 1)) + 2
-            assert expr.is_zero()
+            assert oracle.is_zero(expr)
 
     def test_sphere_defect_normalization(self):
         # a (-1)-sphere with normal rotation 1 contributes +4t/(t-1)^2
@@ -147,7 +147,7 @@ class TestTorsion:
         for p in (5, 7):
             for r in range(1, p):
                 for s in range(1, p):
-                    assert not torsion_lens(p, r, s).is_zero()
+                    assert not oracle.is_zero(torsion_lens(p, r, s))
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ class TestTorsion:
 class TestLensSearch:
     def test_sigma_3_16_113(self):
         t = BrieskornTriple.of(3, 16, 113)
-        candidates = ll_extension_search(t, 5)
+        candidates = ll_extension_search(t, 5, eta_brieskorn(t, 5))
         assert len(candidates) == 1
         cand = candidates[0]
         assert canonical_lens_pair(cand.r, cand.s, 5) == canonical_lens_pair(3, 3, 5)
@@ -172,17 +172,18 @@ class TestLensSearch:
     def test_no_candidates_when_multiset_fails(self):
         # Sigma(3,28,197) mod 5 reduces to classes {2,2,2}: no unit slot
         t = BrieskornTriple.of(3, 28, 197)
-        assert ll_extension_search(t, 5) == ()
+        assert ll_extension_search(t, 5, eta_brieskorn(t, 5)) == ()
 
     def test_congruence_only_candidates_fail_rho(self):
         # Sigma(3,19,134) mod 5: candidate passes congruences, rho differs
         t = BrieskornTriple.of(3, 19, 134)
-        candidates = ll_extension_search(t, 5)
+        candidates = ll_extension_search(t, 5, eta_brieskorn(t, 5))
         assert candidates and all(not c.rho_match for c in candidates)
 
     def test_rejects_invalid_p(self):
         with pytest.raises(ValueError):
-            ll_extension_search(BrieskornTriple.of(3, 16, 113), 3)
+            ll_extension_search(BrieskornTriple.of(3, 16, 113), 3,
+                                Cyclotomic.zero(3))
 
 
 class TestFixedPointDataValidation:

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
 from brieskorn import (BrieskornTriple, Cyclotomic, canonical_resolution,
-                       eta_from_fixed_data, family, fixed_point_data,
-                       graph_signature, ll_extension_search, nu_defect,
+                       eta_brieskorn, eta_from_fixed_data, family,
+                       fixed_point_data, graph_signature,
+                       ll_extension_search, nu_defect,
                        propagate_rotations, rho_from_eta, rho_lens_table,
                        seifert_invariants, sphere_defect,
                        standard_action_valid)
@@ -143,7 +144,7 @@ def assert_search_matches_scan(triple, p):
     sigma_rho = oracle.rho_from_eta(galois_profile(eta).values, p)
     expected = oracle.ll_extension_search(triple, p, sigma_rho)
     assert ll_extension_search(triple, p, eta) == expected
-    assert ll_extension_search(triple, p) == expected
+    assert ll_extension_search(triple, p, eta_brieskorn(triple, p)) == expected
     return expected
 
 
