@@ -26,7 +26,7 @@ from .obstruction import (Certificate, ConstraintError, ConstraintSystem,
 from .spectral import (FixedPointData, LensCandidate, RhoTable,
                        canonical_lens_pair, eta_brieskorn, eta_from_fixed_data,
                        fixed_point_data, ll_extension_search, nu_defect,
-                       rho_from_eta, rho_lens_table, sphere_defect)
+                       rho_from_eta, rho_lens_table)
 from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "FixedPointData", "LensCandidate", "RhoTable", "canonical_lens_pair",
     "eta_brieskorn", "eta_from_fixed_data", "fixed_point_data",
     "ll_extension_search", "nu_defect", "rho_from_eta", "rho_lens_table",
-    "sphere_defect",
     "build_analysis", "cached_analysis", "render_json", "render_text",
 ]

@@ -11,10 +11,12 @@ Phi_p = 1 + x + ... + x^(p-1): a coefficient vector over the basis
 vectors are equal, so equality, hashing and the Galois action are exact.
 Products scale both operands to integer vectors over their least common
 denominators, convolve the integers and build Fractions once at the end.
-The package never divides in the field (the one inverse it needs,
-1/(zeta^m - 1), has a closed form in ``spectral``); field division,
-rational values and the float embedding are test oracles in
-``tests/spectral_oracle.py``.
+The pipeline never multiplies or divides two field elements: its one
+kernel, nu(a, b; zeta) in ``spectral``, convolves two integer vectors
+built from the closed form of 1/(zeta^m - 1), and eta is an integer
+combination of its values.  The product stays for the tests, which build
+expected values with it; field division, rational values and the float
+embedding are test oracles in ``tests/spectral_oracle.py``.
 """
 
 from __future__ import annotations
@@ -216,15 +218,6 @@ class Cyclotomic:
         return Cyclotomic.from_numerators(self.p, product, dx * dy)
 
     __rmul__ = __mul__
-
-    def mul_zeta_power(self, k: int) -> "Cyclotomic":
-        """Multiply by zeta^k (a cyclic coefficient shift; O(p))."""
-        p = self.p
-        full = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                full[(i + k) % p] = a
-        return Cyclotomic._raw(p, self._reduce(p, full))
 
     # -- structure ----------------------------------------------------------
 

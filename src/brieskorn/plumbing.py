@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .arith import hj_expand, is_prime
+from .arith import hj_expand
 from .matrices import eliminate
-from .seifert import SeifertData
+from .seifert import SeifertData, check_order
 
 
 class InternalInvariantError(RuntimeError):
@@ -188,8 +188,7 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     rotation c_F = fibre weight); junctions between two invariant spheres
     and free poles of invariant leaves are the isolated fixed points.
     """
-    if not is_prime(p):
-        raise ValueError(f"group order must be prime, got {p}")
+    check_order(p)
     n = g.node_count
     adj = g.adjacency()
     kinds: Dict[int, str] = {}

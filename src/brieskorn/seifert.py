@@ -87,21 +87,14 @@ class SeifertData:
 
 @lru_cache(maxsize=None)
 def seifert_invariants(triple: BrieskornTriple) -> SeifertData:
-    """Solve the defining congruences by exhaustive residue search.
+    """Solve the defining congruences in closed form.
 
-    Exhaustion over the (small) residue range doubles as a uniqueness
-    proof: exactly one b_i in (-a_i, 0) satisfies each congruence.
+    a1*a2*a3/a_i is coprime to a_i, so b_i is its inverse mod a_i shifted
+    into (-a_i, 0); the root is unique in that range.
     """
     a = triple.entries
     prod = triple.product
-    b = []
-    for ai in a:
-        others = prod // ai  # coprime to ai, so the congruence has one root
-        solutions = [bi for bi in range(-ai + 1, 0)
-                     if (others * bi) % ai == 1 % ai]
-        if len(solutions) != 1:
-            raise ArithmeticError(f"congruence not uniquely solvable for {ai}")
-        b.append(solutions[0])
+    b = [pow(prod // ai, -1, ai) - ai for ai in a]
     delta = Fraction(-1, prod) + sum(Fraction(bi, ai) for ai, bi in zip(a, b))
     if delta.denominator != 1:
         raise ArithmeticError(f"central weight is not an integer: {delta}")

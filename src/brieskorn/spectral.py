@@ -11,10 +11,17 @@ and signature sigma is, at t = zeta^j != 1,
 
 The sphere-term sign (a (-1)-sphere with c = 1 contributes +4t/(t-1)^2)
 makes -2 nu(1,2;t) + 4t/(t-1)^2 + 2 vanish identically (the cancellation
-used for the bounding family).  Only
-eta = eta(zeta) is computed: eta(zeta^j) = eta.galois(j), as eta(t) is a
-rational function of t over Q.  eta is real (t -> 1/t negates both
-factors of nu and fixes t^c/(t^c - 1)^2); that is the one runtime check.
+used for the bounding family).
+
+A sphere term is w (1 - nu(c, c; t)): with u = t^c,
+1 - ((u + 1)/(u - 1))^2 = ((u - 1)^2 - (u + 1)^2)/(u - 1)^2 = -4u/(u - 1)^2.
+So both kinds of fixed point go through the one kernel nu:
+
+    eta(t) = sum_i nu(a_i, b_i; t) - sum_F w nu(c, c; t) + (sum_F w - sigma).
+
+Only eta = eta(zeta) is computed: eta(zeta^j) = eta.galois(j), as eta(t)
+is a rational function of t over Q.  eta is real (t -> 1/t negates both
+factors of nu), and that is the one runtime check.
 
 The rho invariants of the quotient and of the lens space L(p; r, s) are
 defined by the finite Fourier transform and the cotangent sum
@@ -38,14 +45,12 @@ The two rho tables agree exactly when eta = nu(r, s; zeta): nu is real, so
 its transform is even in l and equals rho_L, and the transform is
 injective (c_0 = -rho(1) and c_k = rho(-k) + c_0).
 
-The kernels work on integer vectors, by three identities:
+The kernel works on integer vectors, by two identities:
 1/(zeta^m - 1) = (1/p) sum_{k<p} k zeta^{mk} for m != 0 mod p (multiply
-out: (zeta^m - 1) sum_k k zeta^{mk} = p); nu(a, b; t) =
+out: (zeta^m - 1) sum_k k zeta^{mk} = p); and nu(a, b; t) =
 (1 + 2/(t^a - 1))(1 + 2/(t^b - 1)), so p^2 nu is one convolution of two
-integer vectors; and the denominators of eta divide p^2 (each nu term and
-each sphere term -4w t^c (1/(t^c - 1))^2 is an integer vector over p^2,
-and sigma is an integer), so the eta sum runs on integer vectors over
-one common denominator.
+integer vectors.  eta is an integer combination of nu values and an
+integer, so its sum runs on integer vectors over the one denominator p^2.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import List, Tuple
 
 from .arith import Cyclotomic, convolve
@@ -64,31 +69,20 @@ from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
 
-def _inv_numerators(p: int, m: int) -> List[int]:
-    """p/(zeta^m - 1) = sum_k k zeta^{mk} as a length-p integer vector."""
-    out = [0] * p
-    for k in range(1, p):
-        out[(m * k) % p] = k
-    return out
-
-
 def _coth_numerators(p: int, m: int) -> List[int]:
     """p(1 + 2/(zeta^m - 1)) = p + 2 sum_k k zeta^{mk} as a length-p
     integer vector."""
-    out = [2 * k for k in _inv_numerators(p, m)]
+    out = [0] * p
     out[0] = p
+    for k in range(1, p):
+        out[(m * k) % p] = 2 * k
     return out
-
-
-@lru_cache(maxsize=None)
-def _inv_zeta_minus_one(p: int, m: int) -> Cyclotomic:
-    """Cached 1/(zeta^m - 1) for m != 0 mod p, in closed form."""
-    return Cyclotomic.from_numerators(p, _inv_numerators(p, m), p)
 
 
 @lru_cache(maxsize=None)
 def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
-    """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta.
+    """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta
+    (with a = b = c, also the kernel of a fixed sphere's term).
 
     One integer convolution of p(1 + 2/(t^a-1)) and p(1 + 2/(t^b-1)),
     over the denominator p^2.
@@ -99,15 +93,6 @@ def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
     product = convolve(p, _coth_numerators(p, a), _coth_numerators(p, b))
     return Cyclotomic.from_numerators(p, product, p * p)
-
-
-def sphere_defect(self_intersection: int, c: int, p: int) -> Cyclotomic:
-    """Fixed-sphere defect w * (-4 t^c)/(t^c - 1)^2 at t = zeta."""
-    check_order(p)
-    if c % p == 0:
-        raise ValueError(f"normal rotation {c} must be nonzero mod {p}")
-    inv = _inv_zeta_minus_one(p, c)
-    return (inv * inv).mul_zeta_power(c) * (-4 * self_intersection)
 
 
 @dataclass(frozen=True)
@@ -128,27 +113,23 @@ def fixed_point_data(markup: EquivariantMarkup, signature: int) -> FixedPointDat
     )
 
 
-def _sum_scaled(p: int, terms: List[Cyclotomic], constant: int = 0) -> Cyclotomic:
-    """constant + sum(terms), added as integer vectors over one common
-    denominator."""
-    den = lcm(*(x.denominator() for x in terms))
-    acc = [0] * (p - 1)
-    acc[0] = constant * den
-    for x in terms:
-        acc = [s + n for s, n in zip(acc, x.numerators(den))]
-    return Cyclotomic.from_numerators(p, acc, den)
-
-
 def eta_from_fixed_data(fd: FixedPointData, p: int) -> Cyclotomic:
     """Boundary eta invariant eta(zeta) of the fixed-point data, exactly.
 
-    eta is real by construction; a value that is not signals a broken
-    defect kernel and raises InternalInvariantError.
+    A sphere (w, c) adds w (1 - nu(c, c; zeta)), so eta is an integer
+    combination of cached nu_defect values and an integer, summed as
+    integer vectors over p^2.  eta is real by construction; a value that
+    is not signals a broken defect kernel and raises InternalInvariantError.
     """
     check_order(p)
-    terms = [nu_defect(a, b, p) for a, b in fd.isolated]
-    terms += [sphere_defect(w, c, p) for w, c in fd.spheres]
-    eta = _sum_scaled(p, terms, -fd.signature)
+    den = p * p
+    terms = [(1, a, b) for a, b in fd.isolated]
+    terms += [(-w, c, c) for w, c in fd.spheres]
+    acc = [0] * (p - 1)
+    acc[0] = den * (sum(w for w, _ in fd.spheres) - fd.signature)
+    for k, a, b in terms:
+        acc = [s + k * n for s, n in zip(acc, nu_defect(a, b, p).numerators(den))]
+    eta = Cyclotomic.from_numerators(p, acc, den)
     if eta.galois(p - 1) != eta:
         raise InternalInvariantError(
             f"eta(zeta) is not real at p={p}: eta(zeta^-1) != eta(zeta)")
@@ -224,10 +205,6 @@ class LensCandidate:
     rs_residue: int          # r*s mod p
     multiset_residues: Tuple[int, int, int]  # classes of (a1,a2,a3) up to sign
     rho_match: bool
-
-    @property
-    def congruence_ok(self) -> bool:
-        return self.product_residue == self.rs_residue
 
 
 def canonical_lens_pair(r: int, s: int, p: int) -> Tuple[int, int]:

@@ -1,13 +1,13 @@
 """Reference kernels for the spectral stage, kept as test oracles.
 
 Field arithmetic the package does not need lives here as functions: the
-zero test, the Euclid inverse against Phi_p with division, powers
-(negative ones invert first), the Galois-checked rational value, the
+zero test, the shift by a power of zeta, the Euclid inverse against Phi_p
+with division, powers (negative ones invert first), the Galois-checked rational value, the
 float embedding, and the lens-space torsion representative.
 
 The kernels are the dense-``Fraction`` versions of the cyclotomic product, the
 Euclid-based inverse of zeta^m - 1, the three-product isolated-point
-defect, eta evaluated separately at every zeta^j, the Galois-checked
+defect, the fixed-sphere defect by Euclid division, eta evaluated separately at every zeta^j, the Galois-checked
 eta profile and its inverse transform, the Fourier and cotangent-sum rho
 transforms (integer vectors over a common denominator, each entry checked
 rational), and the lens search that scans every pair (r, s).  The package
@@ -59,6 +59,14 @@ def div(x, y) -> Cyclotomic:
 
 def is_zero(x: Cyclotomic) -> bool:
     return all(c == 0 for c in x.coeffs)
+
+
+def mul_zeta_power(x: Cyclotomic, k: int) -> Cyclotomic:
+    """x * zeta^k, as a cyclic coefficient shift."""
+    full = [Fraction(0)] * x.p
+    for i, a in enumerate(x.coeffs):
+        full[(i + k) % x.p] = a
+    return Cyclotomic(x.p, full)
 
 
 def power(x: Cyclotomic, n: int) -> Cyclotomic:
@@ -267,7 +275,7 @@ def eta_from_rho(table, j: int) -> Cyclotomic:
     total = Cyclotomic.zero(p)
     for ell, rho in enumerate(table.values):
         if rho:
-            total = total + Cyclotomic.from_rational(p, rho).mul_zeta_power(-j * ell)
+            total = total + mul_zeta_power(Cyclotomic.from_rational(p, rho), -j * ell)
     return total
 
 

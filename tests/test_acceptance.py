@@ -253,7 +253,7 @@ def test_c10_locally_linear_search():
     assert canonical_lens_pair(3, 8, 5) == canonical_lens_pair(3, 3, 5)
     assert 3 * 16 * 113 == 5424 and 5424 % 5 == (3 * 8) % 5 == 4
     assert cand.product_residue == 4 and cand.rs_residue == 4
-    assert cand.congruence_ok
+    assert cand.product_residue == cand.rs_residue
     # {3, 16, 113} = {3, 1, 3} = {3, 8, 1} mod 5 as sign classes
     assert cand.multiset_residues == (1, 2, 2)
     assert cand.rho_match

@@ -1,8 +1,9 @@
 """The benchmark's traced run looks up pipeline names in brieskorn.report,
 brieskorn.spectral, brieskorn.cli, brieskorn.lattice and
 brieskorn.matrices.  This test loads perfbench/run.py (read only) and
-runs its wrapper installation, one traced request and its probes, so a
-renamed or removed name fails here and not only in perfbench/smoke.py."""
+runs its wrapper installation, one traced request and its probes, and
+its discovery of the package's functools caches, so a renamed or removed
+name fails here and not only in perfbench/smoke.py."""
 
 import importlib.util
 import pathlib
@@ -50,3 +51,20 @@ def test_traced_names_resolve_and_probes_run(monkeypatch):
                             "matrices.negdef_probe_s"), 0.0)
     run.run_probes(report, probes)
     assert all(value > 0 for value in probes.values())
+
+
+def test_nu_defect_cache_counters_reach_the_benchmark(monkeypatch):
+    # The benchmark finds the package's caches by cache_clear and reads
+    # spectral.nu_defect's hits and misses by that name; without
+    # cache_info its spectral.nu_cache_* metrics would read 0.
+    run = load_run(monkeypatch)
+    assert callable(getattr(brieskorn.spectral.nu_defect, "cache_info", None))
+    memos = run.Memos()
+    assert "spectral.nu_defect" in memos.caches
+    memos.clear()
+    hits, misses = memos.hits["spectral.nu_defect"], memos.misses["spectral.nu_defect"]
+    build_analysis(3, 16, 113, 5)
+    build_analysis(3, 16, 113, 5)
+    memos.clear()
+    assert memos.misses["spectral.nu_defect"] > misses
+    assert memos.hits["spectral.nu_defect"] > hits

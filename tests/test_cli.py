@@ -1,6 +1,10 @@
 """Reports, cache, and the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -369,3 +373,30 @@ class TestCLI:
         first = capsys.readouterr().out
         main(["analyze", "2", "3", "7", "--p", "5", "--no-cache"])
         assert capsys.readouterr().out == first
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(args, cache_dir):
+    """`python -m brieskorn ARGS` in a fresh interpreter on this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, BRIESKORN_CACHE_DIR=str(cache_dir))
+    return subprocess.run([sys.executable, "-m", "brieskorn", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+class TestEntryPoint:
+    def test_module_run_matches_in_process_main(self, tmp_cache, capsys):
+        args = ["analyze", "3", "16", "113", "--p", "5", "--no-cache"]
+        proc = run_module(args, tmp_cache)
+        assert proc.returncode == 0
+        assert main(args) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stderr == ""
+
+    def test_module_run_exits_1_on_bad_input(self, tmp_cache):
+        proc = run_module(["analyze", "3", "16", "113", "--p", "9"], tmp_cache)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: p must be an odd prime >= 3, got 9\n"

@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-from brieskorn import build_analysis, render_json
+from brieskorn import Cyclotomic, build_analysis, render_json
+from brieskorn.spectral import nu_defect
 
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent.parent
                      / "perfbench" / "golden.json").read_text(encoding="utf-8"))
@@ -29,3 +30,17 @@ def test_report_matches_golden_digest(key):
     report = build_analysis(int(a), int(b), int(c), None if p == "None" else int(p))
     digest = hashlib.sha256(render_json(report).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", ["3,16,113,5", "2,11,53,13", "3,40,281,13"])
+def test_reports_need_no_field_product(key, monkeypatch):
+    # eta(zeta) is an integer combination of nu values, so no report
+    # multiplies in Q(zeta_p).  Inputs: the paper's example, a stern
+    # member at p = 13, and the locally linear member stern r=3, s=13.
+    def refuse(self, other):
+        raise AssertionError("the pipeline multiplied in Q(zeta_p)")
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", refuse)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", refuse)
+    nu_defect.cache_clear()
+    test_report_matches_golden_digest(key)

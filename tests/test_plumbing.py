@@ -168,6 +168,12 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate_rotations(g, 4)
 
+    def test_p2_raises_the_order_rule(self):
+        g = resolution(2, 3, 7)
+        with pytest.raises(ValueError,
+                           match=r"^p must be an odd prime >= 3, got 2$"):
+            propagate_rotations(g, 2)
+
     def test_rejects_branch_point_away_from_center(self):
         # center at a leaf: the degree-3 node is then mid-branch
         g = PlumbingGraph((-1, -2, -2, -2), ((0, 1), (1, 2), (1, 3)), center=0)

@@ -1,8 +1,10 @@
 """Seifert invariants, the R-invariant, and the triple families."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import brieskorn
 from brieskorn import (BrieskornTriple, check_action, check_order, family,
@@ -46,6 +48,37 @@ class TestSeifertInvariants:
             delta = Fraction(-1, prod) + sum(
                 Fraction(bi, ai) for ai, bi in zip(t.entries, sd.b))
             assert delta == sd.delta and delta <= -1
+
+
+def seifert_b_by_scan(triple):
+    """The b_i by exhaustive residue scan over (-a_i, 0), each checked to
+    be the only root in that range."""
+    prod = triple.product
+    b = []
+    for ai in triple.entries:
+        roots = [x for x in range(-ai + 1, 0) if (prod // ai * x) % ai == 1 % ai]
+        assert len(roots) == 1
+        b.append(roots[0])
+    return tuple(b)
+
+
+entries = st.integers(min_value=2, max_value=3000)
+
+
+@given(entries, entries, entries)
+def test_closed_form_matches_residue_scan(a, b, c):
+    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
+    triple = BrieskornTriple.of(a, b, c)
+    assert seifert_invariants(triple).b == seifert_b_by_scan(triple)
+
+
+def test_closed_form_on_large_entries():
+    # The residue scan is O(a_i); the closed form is not.
+    sd = seifert_invariants(BrieskornTriple.of(3, 300001, 2100008))
+    prod = sd.triple.product
+    for ai, bi in zip(sd.triple.entries, sd.b):
+        assert -ai < bi < 0 and (prod // ai * bi) % ai == 1
+    assert sd.delta == -1
 
 
 class TestRInvariant:
@@ -145,3 +178,7 @@ def test_public_names_resolve_and_exclude_test_helpers():
     assert not hasattr(brieskorn.UnimodularForm, "evaluate")
     assert not hasattr(brieskorn.Cyclotomic, "__pow__")
     assert not hasattr(brieskorn.Cyclotomic, "is_zero")
+    assert not hasattr(brieskorn.Cyclotomic, "mul_zeta_power")
+    assert not hasattr(brieskorn, "sphere_defect")
+    assert not hasattr(brieskorn.spectral, "sphere_defect")
+    assert not hasattr(brieskorn.LensCandidate, "congruence_ok")

@@ -11,7 +11,7 @@ from brieskorn import (BrieskornTriple, Cyclotomic, FixedPointData,
                        fixed_point_data, graph_signature,
                        ll_extension_search,
                        nu_defect, propagate_rotations, rho_from_eta,
-                       rho_lens_table, seifert_invariants, sphere_defect)
+                       rho_lens_table, seifert_invariants)
 from conftest import fickle_graph, rho_float_oracle
 from spectral_oracle import torsion_lens
 
@@ -55,9 +55,15 @@ class TestCancellation:
     def test_sphere_defect_normalization(self):
         # a (-1)-sphere with normal rotation 1 contributes +4t/(t-1)^2
         for p in (5, 7):
+            sphere = eta_from_fixed_data(FixedPointData((), ((-1, 1),), 0), p)
             for j in range(1, p):
                 z = Cyclotomic.zeta(p, j)
-                assert sphere_defect(-1, 1, p).galois(j) == oracle.div(4 * z, (z - 1) * (z - 1))
+                assert sphere.galois(j) == oracle.div(4 * z, (z - 1) * (z - 1))
+
+    @pytest.mark.parametrize("c", [0, 5, -10])
+    def test_zero_normal_rotation_raises(self, c):
+        with pytest.raises(ValueError):
+            eta_from_fixed_data(FixedPointData(((1, 2),), ((-2, c),), 0), 5)
 
 
 class TestEta:
@@ -162,7 +168,8 @@ class TestLensSearch:
         cand = candidates[0]
         assert canonical_lens_pair(cand.r, cand.s, 5) == canonical_lens_pair(3, 3, 5)
         assert canonical_lens_pair(3, 8, 5) == canonical_lens_pair(3, 3, 5)
-        assert cand.rho_match and cand.congruence_ok
+        assert cand.rho_match
+        assert cand.product_residue == cand.rs_residue
         # spot congruences: 3*16*113 = 5424 = 4 = 3*8 (mod 5), and the
         # entries reduce to the classes of {3,1,3} = {r,s,1} up to sign
         assert 5424 % 5 == 4 == (3 * 8) % 5

@@ -3,6 +3,8 @@ in spectral_oracle.py, and the eta(zeta) read-offs (rho tables, lens
 matches, direct lens candidates) against the Fourier transforms and the
 pair scan they replace, on random inputs."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,10 +14,9 @@ from brieskorn import (BrieskornTriple, Cyclotomic, canonical_resolution,
                        fixed_point_data, graph_signature,
                        ll_extension_search, nu_defect,
                        propagate_rotations, rho_from_eta, rho_lens_table,
-                       seifert_invariants, sphere_defect,
-                       standard_action_valid)
+                       seifert_invariants, standard_action_valid)
 from brieskorn.arith import is_prime
-from brieskorn.spectral import _inv_zeta_minus_one
+from brieskorn.spectral import _coth_numerators
 from conftest import random_triples
 
 PRIMES = [p for p in range(3, 38) if is_prime(p)]
@@ -37,10 +38,17 @@ def cyclotomic(draw, p):
     return Cyclotomic(p, coeffs)
 
 
+def closed_form_inverse(p, m):
+    """1/(zeta^m - 1) read back from the kernel's integer vector
+    p(1 + 2/(zeta^m - 1))."""
+    coth = Cyclotomic.from_numerators(p, _coth_numerators(p, m), p)
+    return (coth - 1) * Fraction(1, 2)
+
+
 @given(primes, units)
 def test_inverse_matches_euclid(p, m):
     m = nonzero_mod(p, m)
-    assert _inv_zeta_minus_one(p, m) == oracle.inv_zeta_minus_one(p, m)
+    assert closed_form_inverse(p, m) == oracle.inv_zeta_minus_one(p, m)
 
 
 @given(primes, units, units, units)
@@ -51,8 +59,10 @@ def test_nu_defect_matches_three_products(p, a, b, j):
 
 @given(primes, units, units, st.integers(min_value=-5, max_value=5))
 def test_sphere_defect_matches_euclid_division(p, c, j, w):
+    # -4w t^c/(t^c - 1)^2 = w (1 - nu(c, c; t)), the form eta sums.
     c, j = nonzero_mod(p, c), nonzero_mod(p, j)
-    assert sphere_defect(w, c, p).galois(j) == oracle.sphere_defect(w, c, p, j)
+    assert ((w * (1 - nu_defect(c, c, p))).galois(j)
+            == oracle.sphere_defect(w, c, p, j))
 
 
 @settings(max_examples=20, deadline=None)
@@ -76,7 +86,7 @@ def test_product_matches_dense_fraction_convolution(data):
 def test_closed_form_inverse_times_zeta_power_minus_one_is_one():
     for p in (q for q in PRIMES if q <= 31):
         for m in range(1, p):
-            assert _inv_zeta_minus_one(p, m) * (Cyclotomic.zeta(p, m) - 1) == 1
+            assert closed_form_inverse(p, m) * (Cyclotomic.zeta(p, m) - 1) == 1
 
 
 def quotient_data(triple, p):
