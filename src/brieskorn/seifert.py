@@ -121,8 +121,21 @@ def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     return gcd(p, triple.product) == 1
 
 
+# The largest group order accepted.  The spectral stage is the only one
+# that grows with p (a few length-p integer vectors and one Kronecker
+# product per eta kernel); at the largest admitted prime, 99991,
+# `analyze 3 16 113` takes about half a minute.
+P_MAX = 100_000
+
+
 def check_order(p: int) -> None:
-    """The group order rule: p must be an odd prime."""
+    """The group order rule: p must be an odd prime, at most P_MAX.
+
+    The ceiling is checked first, so an oversized p is refused before any
+    work (the primality test included) is spent on it.
+    """
+    if p > P_MAX:
+        raise ValueError(f"p must be at most {P_MAX}, got {p}")
     if not is_prime(p) or p < 3:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
 

@@ -49,8 +49,13 @@ The kernel works on integer vectors, by two identities:
 1/(zeta^m - 1) = (1/p) sum_{k<p} k zeta^{mk} for m != 0 mod p (multiply
 out: (zeta^m - 1) sum_k k zeta^{mk} = p); and nu(a, b; t) =
 (1 + 2/(t^a - 1))(1 + 2/(t^b - 1)), so p^2 nu is one convolution of two
-integer vectors.  eta is an integer combination of nu values and an
-integer, so its sum runs on integer vectors over the one denominator p^2.
+integer vectors, done by Kronecker substitution (``arith.convolve``, one
+big-integer product, about p^1.6 instead of p^2).  A Cyclotomic is an
+integer numerator tuple over one denominator, so eta, an integer
+combination of nu values and an integer, sums the numerators of the nu
+values scaled to p^2; each rho value is one Fraction(int, den) read off
+the numerators; and the lens match compares (numerators, denominator)
+of eta and nu(r, s; zeta).
 """
 
 from __future__ import annotations
@@ -128,7 +133,9 @@ def eta_from_fixed_data(fd: FixedPointData, p: int) -> Cyclotomic:
     acc = [0] * (p - 1)
     acc[0] = den * (sum(w for w, _ in fd.spheres) - fd.signature)
     for k, a, b in terms:
-        acc = [s + k * n for s, n in zip(acc, nu_defect(a, b, p).numerators(den))]
+        nu = nu_defect(a, b, p)
+        scale = k * (den // nu.den)
+        acc = [s + scale * n for s, n in zip(acc, nu.nums)]
     eta = Cyclotomic.from_numerators(p, acc, den)
     if eta.galois(p - 1) != eta:
         raise InternalInvariantError(
@@ -163,8 +170,9 @@ class RhoTable:
 def rho_from_eta(eta: Cyclotomic) -> RhoTable:
     """rho(l) = c_{-l mod p} - c_0 for c the coefficients of eta(zeta)
     padded with c_{p-1} = 0 (the Fourier transform, read off)."""
-    c = eta.coeffs + (0,)
-    return RhoTable(eta.p, tuple(c[-ell] - c[0] for ell in range(eta.p)))
+    c, den = eta.nums + (0,), eta.den
+    return RhoTable(eta.p, tuple(Fraction(c[-ell] - c[0], den)
+                                 for ell in range(eta.p)))
 
 
 def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
@@ -174,8 +182,9 @@ def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
     check_order(p)
     if gcd(r, p) != 1 or gcd(s, p) != 1:
         raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
-    n = nu_defect(r, s, p).coeffs + (0,)
-    return RhoTable(p, tuple((n[ell] + n[-ell] - 2 * n[0]) / 2
+    nu = nu_defect(r, s, p)
+    n, den = nu.nums + (0,), 2 * nu.den
+    return RhoTable(p, tuple(Fraction(n[ell] + n[-ell] - 2 * n[0], den)
                              for ell in range(p)))
 
 

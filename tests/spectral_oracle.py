@@ -1,11 +1,14 @@
 """Reference kernels for the spectral stage, kept as test oracles.
 
 Field arithmetic the package does not need lives here as functions: the
-zero test, the shift by a power of zeta, the Euclid inverse against Phi_p
+constructors zero, one and zeta^k, the zero test, the shift by a power of
+zeta, the Euclid inverse against Phi_p
 with division, powers (negative ones invert first), the Galois-checked rational value, the
 float embedding, and the lens-space torsion representative.
 
-The kernels are the dense-``Fraction`` versions of the cyclotomic product, the
+The kernels are the schoolbook integer convolution (the oracle for the
+package's Kronecker-substitution ``convolve``), the dense-``Fraction``
+versions of the cyclotomic product, the
 Euclid-based inverse of zeta^m - 1, the three-product isolated-point
 defect, the fixed-sphere defect by Euclid division, eta evaluated separately at every zeta^j, the Galois-checked
 eta profile and its inverse transform, the Fourier and cotangent-sum rho
@@ -29,6 +32,34 @@ from brieskorn.spectral import LensCandidate, canonical_lens_pair
 
 class NonRationalError(ValueError):
     """A cyclotomic number expected to be Galois-invariant was not."""
+
+
+def zero(p: int) -> Cyclotomic:
+    return Cyclotomic(p, [])
+
+
+def one(p: int) -> Cyclotomic:
+    return Cyclotomic(p, [1])
+
+
+def zeta(p: int, k: int = 1) -> Cyclotomic:
+    """zeta_p^k (any integer k, exponent taken mod p)."""
+    vec = [0] * p
+    vec[k % p] = 1
+    return Cyclotomic(p, vec)
+
+
+def convolve(p: int, x, y):
+    """Cyclic product of two integer vectors modulo x^p - 1 (length p),
+    by the schoolbook double loop."""
+    full = [0] * max(len(x) + len(y) - 1, p)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                full[k] += a * b
+    for k in range(len(full) - 1, p - 1, -1):
+        full[k - p] += full[k]
+    return full[:p]
 
 
 def inverse(x: Cyclotomic) -> Cyclotomic:
@@ -73,7 +104,7 @@ def power(x: Cyclotomic, n: int) -> Cyclotomic:
     """x^n for any integer n; a negative power inverts first."""
     if n < 0:
         return power(inverse(x), -n)
-    result = Cyclotomic.one(x.p)
+    result = one(x.p)
     base = x
     while n:
         if n & 1:
@@ -88,7 +119,7 @@ def torsion_lens(p: int, r: int, s: int) -> Cyclotomic:
     check_order(p)
     if gcd(r * s, p) != 1:
         raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
-    return (Cyclotomic.zeta(p, r) - 1) * (Cyclotomic.zeta(p, s) - 1)
+    return (zeta(p, r) - 1) * (zeta(p, s) - 1)
 
 
 def is_rational(x: Cyclotomic) -> bool:
@@ -179,22 +210,22 @@ def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
 @lru_cache(maxsize=None)
 def inv_zeta_minus_one(p: int, m: int) -> Cyclotomic:
     """1/(zeta^m - 1) by the extended Euclidean algorithm against Phi_p."""
-    return inverse(Cyclotomic.zeta(p, m) - 1)
+    return inverse(zeta(p, m) - 1)
 
 
 @lru_cache(maxsize=None)
 def nu_defect(a: int, b: int, p: int, j: int = 1) -> Cyclotomic:
     """(t^a+1)(t^b+1) / ((t^a-1)(t^b-1)) at t = zeta^j, as three products."""
     a, b, j = a % p, b % p, j % p
-    za = Cyclotomic.zeta(p, j * a)
-    zb = Cyclotomic.zeta(p, j * b)
+    za = zeta(p, j * a)
+    zb = zeta(p, j * b)
     return mul(mul(mul(za + 1, zb + 1), inv_zeta_minus_one(p, j * a)),
                inv_zeta_minus_one(p, j * b))
 
 
 def sphere_defect(w: int, c: int, p: int, j: int = 1) -> Cyclotomic:
     """w * (-4 t^c)/(t^c - 1)^2 at t = zeta^j, by Euclid division."""
-    zc = Cyclotomic.zeta(p, j * c)
+    zc = zeta(p, j * c)
     return mul(mul(Cyclotomic.from_rational(p, -4 * w), zc),
                inverse(mul(zc - 1, zc - 1)))
 
@@ -272,7 +303,7 @@ class EtaProfile:
 def eta_from_rho(table, j: int) -> Cyclotomic:
     """Inverse transform sum_l rho(l) zeta^{-jl}, recovering eta at zeta^j."""
     p = table.p
-    total = Cyclotomic.zero(p)
+    total = zero(p)
     for ell, rho in enumerate(table.values):
         if rho:
             total = total + mul_zeta_power(Cyclotomic.from_rational(p, rho), -j * ell)

@@ -1,13 +1,17 @@
-"""Continued fractions and cyclotomic field arithmetic."""
+"""Continued fractions, cyclotomic field arithmetic, its integer
+representation and the Kronecker-substitution convolution."""
 
 import cmath
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import Cyclotomic, hj_evaluate, hj_expand
+from brieskorn import Cyclotomic, hj_evaluate, hj_expand, is_prime
+from brieskorn.arith import convolve
 
 
 def eval_oracle(terms):
@@ -63,12 +67,12 @@ class TestHJExpansion:
 class TestCyclotomic:
     def test_cyclotomic_relation(self):
         for p in (3, 5, 7, 11):
-            total = sum((Cyclotomic.zeta(p, j) for j in range(1, p)),
-                        Cyclotomic.one(p))
+            total = sum((oracle.zeta(p, j) for j in range(1, p)),
+                        oracle.one(p))
             assert oracle.is_zero(total)
 
     def test_inverse(self):
-        z = Cyclotomic.zeta(5)
+        z = oracle.zeta(5)
         assert (z - 1) * oracle.inverse(z - 1) == 1
 
     def test_p3_rational_quotient(self):
@@ -93,7 +97,7 @@ class TestCyclotomic:
         den = reduce_mod_phi3(poly_mul({1: 1, 0: -1}, {2: 1, 0: -1}))
         assert num == (1, 0) and den == (3, 0)
 
-        z = Cyclotomic.zeta(3)
+        z = oracle.zeta(3)
         value = oracle.div((z + 1) * (z * z + 1), (z - 1) * (z * z - 1))
         assert value == Fraction(num[0], den[0]) == Fraction(1, 3)
 
@@ -129,29 +133,29 @@ class TestCyclotomic:
                 assert abs(exact - naive) < 1e-9
 
     def test_galois_orbit_of_zeta(self):
-        z = Cyclotomic.zeta(7)
+        z = oracle.zeta(7)
         for k in range(1, 7):
-            assert z.galois(k) == Cyclotomic.zeta(7, k)
+            assert z.galois(k) == oracle.zeta(7, k)
         with pytest.raises(ValueError):
             z.galois(7)
 
     def test_powers(self):
-        z = Cyclotomic.zeta(5)
+        z = oracle.zeta(5)
         assert oracle.power(z, 5) == 1
-        assert oracle.power(z, -1) == Cyclotomic.zeta(5, 4)
+        assert oracle.power(z, -1) == oracle.zeta(5, 4)
 
     def test_requires_odd_prime(self):
         with pytest.raises(ValueError):
-            Cyclotomic.zeta(4)
+            oracle.zeta(4)
         with pytest.raises(ValueError):
-            Cyclotomic.zeta(2)
+            oracle.zeta(2)
 
 
 class TestRationalValue:
     def test_root_of_unity_sum(self):
         for p in (5, 7):
-            total = sum((Cyclotomic.zeta(p, j) for j in range(2, p)),
-                        Cyclotomic.zeta(p, 1))
+            total = sum((oracle.zeta(p, j) for j in range(2, p)),
+                        oracle.zeta(p, 1))
             assert oracle.rational_value(total) == -1
 
     def test_embedded_constant(self):
@@ -162,11 +166,174 @@ class TestRationalValue:
         # sum over j = 1, 2 of zeta^j + zeta^-j at p = 5 covers every
         # nontrivial root once; direct summation gives -1.
         p = 5
-        total = Cyclotomic.zero(p)
+        total = oracle.zero(p)
         for j in (1, 2):
-            total = total + Cyclotomic.zeta(p, j) + Cyclotomic.zeta(p, -j)
+            total = total + oracle.zeta(p, j) + oracle.zeta(p, -j)
         assert oracle.rational_value(total) == -1
 
     def test_rejects_non_invariant(self):
         with pytest.raises(oracle.NonRationalError):
-            oracle.rational_value(Cyclotomic.zeta(5))
+            oracle.rational_value(oracle.zeta(5))
+
+
+# -- the Kronecker-substitution convolution against the schoolbook oracle ----
+
+CONV_PRIMES = [p for p in range(3, 400) if is_prime(p)]
+SMALL_PRIMES = [p for p in CONV_PRIMES if p <= 41]
+
+
+@st.composite
+def integer_vector(draw, length):
+    """A vector of the given length whose entries reach +-2**bits, for a
+    drawn bits <= 70 (so every digit width is exercised), all of one sign
+    or mixed."""
+    bits = draw(st.integers(min_value=0, max_value=70))
+    sign = draw(st.sampled_from(["+", "-", "+-"]))
+    lo = -(2 ** bits) if "-" in sign else 0
+    hi = 2 ** bits if "+" in sign else 0
+    return draw(st.lists(st.integers(min_value=lo, max_value=hi),
+                         min_size=length, max_size=length))
+
+
+@st.composite
+def convolution_case(draw):
+    """p up to a few hundred, and len(x) + len(y) - 1 below, equal to or
+    above p (up to 2p each), with empty and one-entry vectors."""
+    p = draw(st.sampled_from(CONV_PRIMES) if draw(st.booleans())
+             else st.sampled_from(SMALL_PRIMES))
+    relation = draw(st.sampled_from(["below", "equal", "above", "any"]))
+    if relation == "below":
+        total = draw(st.integers(min_value=1, max_value=p - 1))
+    elif relation == "equal":
+        total = p
+    elif relation == "above":
+        total = draw(st.integers(min_value=p + 1, max_value=4 * p - 1))
+    else:
+        total = None
+    if total is None:
+        lx = draw(st.sampled_from([0, 1, draw(st.integers(0, 2 * p))]))
+        ly = draw(st.sampled_from([0, 1, draw(st.integers(0, 2 * p))]))
+    else:  # len(x) + len(y) - 1 == total, both lengths >= 1
+        lx = draw(st.integers(min_value=max(1, total + 1 - 2 * p),
+                              max_value=min(2 * p, total)))
+        ly = total + 1 - lx
+    return p, draw(integer_vector(lx)), draw(integer_vector(ly))
+
+
+@settings(max_examples=150, deadline=None)
+@given(convolution_case())
+def test_convolve_matches_schoolbook(case):
+    p, x, y = case
+    assert convolve(p, x, y) == oracle.convolve(p, x, y)
+
+
+@pytest.mark.parametrize("p,x,y", [
+    (5, [], []),
+    (5, [], [1, 2, 3]),
+    (5, [0] * 8, [7, -8, 9, 1, 2, 3]),
+    (5, [0], [2 ** 70]),
+    (7, [3], [-4]),
+    (7, [-(2 ** 70)], [2 ** 70, -(2 ** 70), 1]),
+    (3, [1] * 8, [1, -1, 1, 2, 3, 4, 5]),             # folds four times
+    (7, [2 ** 30] * 6, [2 ** 30] * 6),                # eight-byte digits
+    (7, [2 ** 32] * 6, [2 ** 32] * 6),                # nine-byte digits
+    (7, [-(2 ** 20)] * 6, [2 ** 20] * 7),             # six-byte digits
+    (13, list(range(-12, 14)), list(range(26, 0, -1))),
+    # coefficients reaching the bound 8 * 2**44 = 2**47: in balanced
+    # digits +2**47 needs seven bytes, although it fits in six
+    (17, [-(2 ** 22)] * 8, [-(2 ** 22)] * 8),
+    (17, [-(2 ** 22)] * 8, [2 ** 22] * 8),
+])
+def test_convolve_edge_vectors(p, x, y):
+    assert convolve(p, x, y) == oracle.convolve(p, x, y)
+    assert len(convolve(p, x, y)) == p
+
+
+# -- representation: one numerator tuple over one positive denominator -------
+
+def old_reduction(p, coeffs):
+    """The Fraction-vector reduction mod Phi_p of the earlier
+    representation: pad to length p, subtract the zeta^(p-1) coordinate."""
+    vec = [Fraction(c) for c in coeffs] + [Fraction(0)] * (p - len(coeffs))
+    top = vec[p - 1]
+    return tuple(c - top for c in vec[: p - 1])
+
+
+def assert_canonical(x):
+    assert len(x.nums) == x.p - 1
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert all(type(n) is int for n in x.nums + (x.den,))
+
+
+fractions = st.fractions(max_denominator=10 ** 6).filter(
+    lambda f: abs(f.numerator) < 10 ** 12)
+
+
+@st.composite
+def element(draw, p):
+    return Cyclotomic(p, draw(st.lists(fractions, max_size=p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_operation_returns_lowest_terms(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    x, y = data.draw(element(p)), data.draw(element(p))
+    q = data.draw(fractions)
+    k = data.draw(st.integers(min_value=1, max_value=p - 1))
+    nums = data.draw(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=p))
+    den = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    for value in (x, y, x + y, x - y, x - x, -x, x * y, x * q, q * x,
+                  x * 0, x + q, q - x, x.galois(k),
+                  Cyclotomic.from_numerators(p, nums, den)):
+        assert_canonical(value)
+    assert (x - x).den == 1 and not any((x - x).nums)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equal_elements_built_differently_agree(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    coeffs = data.draw(st.lists(fractions, min_size=p, max_size=p))
+    x = Cyclotomic(p, coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    scale = data.draw(st.integers(-50, 50).filter(bool))
+    y = Cyclotomic.from_numerators(
+        p, [c.numerator * (den // c.denominator) * scale for c in coeffs],
+        den * scale)
+    k = data.draw(st.integers(min_value=1, max_value=p - 1))
+    z = x.galois(k).galois(pow(k, -1, p))
+    w = Cyclotomic(p, list(x.coeffs))
+    for other in (y, z, w):
+        assert other == x and hash(other) == hash(x)
+        assert (other.nums, other.den) == (x.nums, x.den)
+    assert x.denominator() == x.den
+    assert Cyclotomic.from_numerators(p, x.numerators(6 * x.den), 6 * x.den) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coeffs_match_the_fraction_reduction(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    coeffs = data.draw(st.lists(fractions, max_size=p))
+    assert Cyclotomic(p, coeffs).coeffs == old_reduction(p, coeffs)
+    nums = data.draw(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=p))
+    den = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    assert (Cyclotomic.from_numerators(p, nums, den).coeffs
+            == old_reduction(p, [Fraction(n, den) for n in nums]))
+
+
+def test_zero_and_rationals_are_canonical():
+    assert (oracle.zero(7).nums, oracle.zero(7).den) == ((0,) * 6, 1)
+    assert Cyclotomic.from_numerators(7, [0] * 7, -9) == oracle.zero(7)
+    half = Cyclotomic.from_rational(5, Fraction(-3, 6))
+    assert (half.nums, half.den) == ((-1, 0, 0, 0), 2)
+    assert half == Fraction(-1, 2) and hash(half) == hash(
+        Cyclotomic.from_numerators(5, [5, 0, 0, 0, 0], -10))
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic.from_numerators(5, [1], 0)
+    with pytest.raises(ValueError):
+        Cyclotomic.from_numerators(5, [1] * 6, 1)
+    with pytest.raises(ValueError):
+        half.numerators(3)

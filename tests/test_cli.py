@@ -15,6 +15,7 @@ from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
 from brieskorn.report import cached_analysis
 from conftest import REFERENCE_QX
+import spectral_oracle as oracle
 
 
 class TestReport:
@@ -345,10 +346,9 @@ class TestCLI:
     def test_non_real_eta_is_internal_error(self, tmp_cache, monkeypatch,
                                             capsys):
         import brieskorn.spectral as spectral
-        from brieskorn import Cyclotomic
         # zeta is not real, so eta(zeta) != eta(zeta^-1)
         monkeypatch.setattr(spectral, "nu_defect",
-                            lambda a, b, p: Cyclotomic.zeta(p))
+                            lambda a, b, p: oracle.zeta(p))
         assert main(["eta", "3", "16", "113", "--p", "5"]) == 2
         assert "internal invariant violation: eta(zeta) is not real" in \
             capsys.readouterr().err
@@ -400,3 +400,25 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: p must be an odd prime >= 3, got 9\n"
+
+    def test_module_run_refuses_p_above_the_ceiling(self, tmp_cache):
+        # 100003 is the first prime above the ceiling on p.
+        proc = run_module(["analyze", "3", "16", "113", "--p", "100003",
+                           "--no-cache"], tmp_cache)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: p must be at most 100000, got 100003\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "3", "16", "113", "--p", "100003"],
+    ["family", "stern", "--r", "3", "--s-range", "5..6", "--p", "100003"],
+    ["eta", "3", "16", "113", "--p", "100003"],
+    ["rho", "--lens", "100003", "1", "2"],
+])
+def test_every_command_refuses_p_above_the_ceiling(args, tmp_cache, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p must be at most 100000, got 100003\n"
+    assert not tmp_cache.exists() or not any(tmp_cache.iterdir())

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 import brieskorn
 from brieskorn import (BrieskornTriple, check_action, check_order, family,
                        r_invariant, seifert_invariants, standard_action_valid)
+from brieskorn.seifert import P_MAX
 from conftest import random_triples
 
 
@@ -168,6 +169,18 @@ class TestStandardAction:
             check_action(BrieskornTriple.of(2, 7, 13), p)
         assert str(info.value) == f"p must be an odd prime >= 3, got {p}"
 
+    def test_order_ceiling(self):
+        # 99991 is the largest prime below the ceiling, 100003 the first
+        # prime above it; an oversized composite is refused the same way.
+        assert P_MAX == 100_000
+        check_order(99991)
+        for p in (100003, 10**6, 10**9 + 7, 10**40):
+            for check in (check_order,
+                          lambda q: check_action(BrieskornTriple.of(2, 7, 13), q)):
+                with pytest.raises(ValueError) as info:
+                    check(p)
+                assert str(info.value) == f"p must be at most 100000, got {p}"
+
 
 def test_public_names_resolve_and_exclude_test_helpers():
     for name in brieskorn.__all__:
@@ -182,3 +195,5 @@ def test_public_names_resolve_and_exclude_test_helpers():
     assert not hasattr(brieskorn, "sphere_defect")
     assert not hasattr(brieskorn.spectral, "sphere_defect")
     assert not hasattr(brieskorn.LensCandidate, "congruence_ok")
+    for name in ("zero", "one", "zeta"):
+        assert not hasattr(brieskorn.Cyclotomic, name)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, Cyclotomic, FixedPointData,
+from brieskorn import (BrieskornTriple, FixedPointData,
                        canonical_lens_pair, canonical_resolution,
                        eta_brieskorn, eta_from_fixed_data,
                        fixed_point_data, graph_signature,
@@ -48,7 +48,7 @@ class TestCancellation:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_identity(self, p):
         for j in range(1, p):
-            z = Cyclotomic.zeta(p, j)
+            z = oracle.zeta(p, j)
             expr = -2 * nu_defect(1, 2, p).galois(j) + oracle.div(4 * z, (z - 1) * (z - 1)) + 2
             assert oracle.is_zero(expr)
 
@@ -57,7 +57,7 @@ class TestCancellation:
         for p in (5, 7):
             sphere = eta_from_fixed_data(FixedPointData((), ((-1, 1),), 0), p)
             for j in range(1, p):
-                z = Cyclotomic.zeta(p, j)
+                z = oracle.zeta(p, j)
                 assert sphere.galois(j) == oracle.div(4 * z, (z - 1) * (z - 1))
 
     @pytest.mark.parametrize("c", [0, 5, -10])
@@ -142,11 +142,11 @@ class TestRho:
 
 class TestTorsion:
     def test_unit_rotation(self):
-        z = Cyclotomic.zeta(7)
+        z = oracle.zeta(7)
         assert torsion_lens(7, 1, 1) == (z - 1) * (z - 1)
 
     def test_exponents_mod_p(self):
-        z3 = Cyclotomic.zeta(5, 3)
+        z3 = oracle.zeta(5, 3)
         assert torsion_lens(5, 3, 8) == (z3 - 1) * (z3 - 1)
 
     def test_never_zero(self):
@@ -190,7 +190,7 @@ class TestLensSearch:
     def test_rejects_invalid_p(self):
         with pytest.raises(ValueError):
             ll_extension_search(BrieskornTriple.of(3, 16, 113), 3,
-                                Cyclotomic.zero(3))
+                                oracle.zero(3))
 
 
 class TestFixedPointDataValidation:

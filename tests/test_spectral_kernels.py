@@ -9,12 +9,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, Cyclotomic, canonical_resolution,
-                       eta_brieskorn, eta_from_fixed_data, family,
+from brieskorn import (BrieskornTriple, Cyclotomic, arith, build_analysis,
+                       canonical_resolution, eta_brieskorn,
+                       eta_from_fixed_data, family,
                        fixed_point_data, graph_signature,
                        ll_extension_search, nu_defect,
-                       propagate_rotations, rho_from_eta, rho_lens_table,
-                       seifert_invariants, standard_action_valid)
+                       propagate_rotations, render_json, render_text,
+                       rho_from_eta, rho_lens_table, seifert_invariants,
+                       spectral, standard_action_valid)
 from brieskorn.arith import is_prime
 from brieskorn.spectral import _coth_numerators
 from conftest import random_triples
@@ -86,7 +88,7 @@ def test_product_matches_dense_fraction_convolution(data):
 def test_closed_form_inverse_times_zeta_power_minus_one_is_one():
     for p in (q for q in PRIMES if q <= 31):
         for m in range(1, p):
-            assert closed_form_inverse(p, m) * (Cyclotomic.zeta(p, m) - 1) == 1
+            assert closed_form_inverse(p, m) * (oracle.zeta(p, m) - 1) == 1
 
 
 def quotient_data(triple, p):
@@ -177,3 +179,28 @@ def test_lens_search_matches_pair_scan(member):
 def test_lens_search_matches_pair_scan_on_known_inputs(triple, p, matches):
     expected = assert_search_matches_scan(BrieskornTriple.of(*triple), p)
     assert [c.rho_match for c in expected] == matches
+
+
+@pytest.mark.parametrize("p", [101, 401])
+def test_large_p_report_matches_schoolbook_convolution(p, monkeypatch):
+    # The golden digests stop at p = 31; past it, the report of the
+    # paper's example must not depend on how the convolution is done.
+    def build():
+        nu_defect.cache_clear()
+        report = build_analysis(3, 16, 113, p)
+        return render_json(report), render_text(report)
+
+    kronecker = build()
+    calls = []
+
+    def schoolbook(q, x, y):
+        calls.append(q)
+        return oracle.convolve(q, x, y)
+
+    monkeypatch.setattr(arith, "convolve", schoolbook)
+    monkeypatch.setattr(spectral, "convolve", schoolbook)
+    try:
+        assert build() == kronecker
+    finally:
+        nu_defect.cache_clear()
+    assert calls and set(calls) == {p}
