@@ -151,7 +151,14 @@ def cmd_rho(args) -> int:
     return 0
 
 
+ETA_TABLE_P_MAX = 1000      # eta prints 11.5 MB of coefficients at p = 1009
+
+
 def cmd_eta(args) -> int:
+    check_order(args.p)
+    if args.p > ETA_TABLE_P_MAX:
+        raise CLIError(f"eta prints (p-1)^2 coefficients: p must be at most "
+                       f"{ETA_TABLE_P_MAX}, got {args.p}")
     triple = BrieskornTriple.of(args.a, args.b, args.c)
     eta = eta_brieskorn(triple, args.p)
     for j in range(1, args.p):

@@ -17,8 +17,13 @@ elimination is the definiteness check and gives det Q = prod d_j; on a
 definite form it never needs a zero-pivot repair, so it is a plain
 L D L^t.  The search itself is integer: column j has an
 integer centre numerator over g_j and every budget is scaled by one
-common S.  With the n representatives as the columns of C, C^t Q C = -I
-gives C^-1 = -C^t Q without an inversion.  No floating point enters the
+common S.  Once a path has spent its budget, each later coordinate is
+forced to v_j = -c_j, and the path dies at the first that is not an
+integer: that tail is one loop.  The n representatives are the columns
+of C, and C^-1 = -C^t Q needs no inversion.  Both identities are checked
+with one dense product: M = C^t Q is cheap (Q is sparse), and M C = -I
+makes C invertible with inverse -M, the only X with C X = I, so
+C C_inv = I iff C_inv = -M entrywise.  No floating point enters the
 decision path.
 """
 
@@ -30,8 +35,8 @@ from functools import cached_property
 from typing import List, Tuple, Union
 
 from . import matrices
-from .matrices import (Elimination, IntMatrix, eliminate, freeze, identity,
-                       mat_mul, transpose)
+from .matrices import (Elimination, IntMatrix, eliminate, freeze, mat_mul,
+                       transpose)
 from .plumbing import InternalInvariantError
 
 
@@ -76,8 +81,10 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     In integers: with g_j the common denominator of column j of L,
     t = g_j (v_j + c_j) is an integer, W_j = S |d_j| / g_j^2 is an integer
     for one common S, and the condition reads W_j t^2 <= budget, starting
-    from S.  The output is closed under negation, duplicate-free, and
-    sorted lexicographically.
+    from S.  At budget 0 every later t is 0, so v_j = -c_j is forced and
+    must be an integer (g_j divides the centre numerator g_j c_j).  The
+    output is closed under negation, duplicate-free, and sorted
+    lexicographically.
     """
     if not form.is_negative_definite:
         raise ValueError("root enumeration requires a negative definite form")
@@ -92,15 +99,32 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
              for node, g, w, coupling in reversed(steps)]
     n = form.n
     roots: List[Tuple[int, ...]] = []
-    v = [0] * n
+    v = [0] * n          # 0 at every level not yet placed on this path
 
     def descend(level: int, budget: int):
-        if level == n:
-            if budget == 0:          # then v^t Q v = -1, so v != 0
+        if not budget:
+            tail = []        # nonzero forced coordinates, cleared after
+            for node, g, _, coupling in steps[level:]:
+                centre = 0
+                for i, l in coupling:
+                    centre += l * v[i]
+                if centre:
+                    m, r = divmod(-centre, g)
+                    if r:
+                        break
+                    v[node] = m
+                    tail.append(node)
+            else:            # then v^t Q v = -1, so v != 0
                 roots.append(tuple(v))
+            for node in tail:
+                v[node] = 0
+            return
+        if level == n:
             return
         node, g, w, coupling = steps[level]
-        centre = sum(l * v[i] for i, l in coupling)     # g_j c_j
+        centre = 0                                      # g_j c_j
+        for i, l in coupling:
+            centre += l * v[i]
         t_max = math.isqrt(budget // w)
         for m in range(-((t_max + centre) // g), (t_max - centre) // g + 1):
             t = g * m + centre
@@ -131,19 +155,17 @@ class Diagonalization:
         if any(len(m) != n or any(len(row) != n for row in m)
                for m in (self.c, self.c_inv)):
             raise InternalInvariantError(f"C and C_inv must be {n} x {n}")
-        minus_i = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-        if mat_mul(mat_mul(transpose(self.c), self.form.q), self.c) != minus_i:
+        m = mat_mul(transpose(self.c), self.form.q)
+        if any(row[i] != -1 or any(row[:i]) or any(row[i + 1:])
+               for i, row in enumerate(mat_mul(m, self.c))):
             raise InternalInvariantError("C^t Q C != -I")
-        if mat_mul(self.c, self.c_inv) != identity(n):
+        if any(x != -y for row, m_row in zip(self.c_inv, m)
+               for x, y in zip(row, m_row)):
             raise InternalInvariantError("C * C_inv != I")
 
     @property
     def found(self) -> bool:
         return True
-
-    def column(self, i: int) -> Tuple[int, ...]:
-        """Node class i in the diagonal basis (column i of C^-1)."""
-        return tuple(self.c_inv[j][i] for j in range(self.form.n))
 
 
 @dataclass(frozen=True)

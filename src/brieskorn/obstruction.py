@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
+from .matrices import transpose
 from .plumbing import EquivariantMarkup, InternalInvariantError
 
 
@@ -65,7 +66,7 @@ def build_constraints(markup: EquivariantMarkup,
     if len(markup.node_kinds) != n:
         raise ConstraintError(
             f"markup covers {len(markup.node_kinds)} nodes, form has rank {n}")
-    columns = tuple(d.column(i) for i in range(n))
+    columns = transpose(d.c_inv)     # node class i is column i of C^-1
     kinds = markup.node_kinds
     self_int = {node: w for node, w, _ in markup.fixed_spheres}
     for i, col in enumerate(columns):

@@ -5,13 +5,16 @@ determinant, the dense congruence signature with its two zero-pivot
 repairs, leading pivots (the leading-minor definiteness test), the
 leaf-pivoting tree signature, an O(n^3) ``Fraction`` LDL^t of -Q in node
 order, a root enumeration whose centre terms are ``Fraction`` sums over
-every later coordinate, and a ``diagonalize`` that checks pairwise
+every later coordinate, a ``diagonalize`` that checks pairwise
 orthogonality of the roots (with the bilinear form ``evaluate``) and
-inverts C by Gauss-Jordan (``matrices.inverse_unimodular``).  The
-package reads signature, definiteness, determinant and the search
-factor off one sparse elimination (``matrices.eliminate``), runs an
-integer-scaled search and takes C^-1 = -C^t Q; the tests in
-``test_lattice_kernels.py`` check that both paths agree exactly.
+inverts C by Gauss-Jordan (``matrices.inverse_unimodular``), and the
+three-product check of both diagonalization identities
+(``check_identities``).  The package reads signature, definiteness,
+determinant and the search factor off one sparse elimination
+(``matrices.eliminate``), runs an integer-scaled search with a forced
+tail, takes C^-1 = -C^t Q and checks both identities with one dense
+product; the tests in ``test_lattice_kernels.py`` check that both paths
+agree exactly.
 """
 
 import math
@@ -20,8 +23,9 @@ from typing import List, Tuple
 
 from brieskorn.lattice import (Diagonalization, DiagonalizationFailure,
                                UnimodularForm)
-from brieskorn.matrices import inverse_unimodular
-from brieskorn.plumbing import PlumbingGraph, intersection_matrix
+from brieskorn.matrices import identity, inverse_unimodular, mat_mul, transpose
+from brieskorn.plumbing import (InternalInvariantError, PlumbingGraph,
+                                intersection_matrix)
 
 
 def det(m) -> int:
@@ -239,3 +243,17 @@ def diagonalize(form: UnimodularForm):
                 raise ArithmeticError("root pairs are not pairwise orthogonal")
     c = tuple(tuple(reps[j][i] for j in range(form.n)) for i in range(form.n))
     return Diagonalization(form, c, inverse_unimodular(c))
+
+
+def check_identities(form: UnimodularForm, c, c_inv) -> None:
+    """Diagonalization's identity check as three dense products: the
+    shapes, then C^t Q C = -I, then C C_inv = I, each failure raising
+    InternalInvariantError with the message the package uses."""
+    n = form.n
+    if any(len(m) != n or any(len(row) != n for row in m) for m in (c, c_inv)):
+        raise InternalInvariantError(f"C and C_inv must be {n} x {n}")
+    minus_i = tuple(tuple(-x for x in row) for row in identity(n))
+    if mat_mul(mat_mul(transpose(c), form.q), c) != minus_i:
+        raise InternalInvariantError("C^t Q C != -I")
+    if mat_mul(c, c_inv) != identity(n):
+        raise InternalInvariantError("C * C_inv != I")

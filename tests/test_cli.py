@@ -422,3 +422,19 @@ def test_every_command_refuses_p_above_the_ceiling(args, tmp_cache, capsys):
     assert captured.out == ""
     assert captured.err == "error: p must be at most 100000, got 100003\n"
     assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+
+def test_eta_refuses_p_above_its_table_ceiling(tmp_cache, capsys):
+    # eta prints (p-1)^2 coefficients, so it has a ceiling of its own;
+    # 1009 is the first prime above it.  The other commands keep P_MAX.
+    from brieskorn.cli import ETA_TABLE_P_MAX
+    from brieskorn.seifert import is_prime
+    assert ETA_TABLE_P_MAX == 1000
+    assert [q for q in range(1001, 1010) if is_prime(q)] == [1009]
+    assert main(["eta", "3", "16", "113", "--p", "1009"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: eta prints (p-1)^2 coefficients: p must "
+                            "be at most 1000, got 1009\n")
+    assert main(["rho", "--lens", "1009", "1", "2"]) == 0
+    assert capsys.readouterr().out.count("rho(") == 1009

@@ -1,26 +1,36 @@
 """The leaf-first, integer-scaled lattice kernel against the dense
 oracles in lattice_oracle.py, on random forms: resolution trees, non-tree
 forms -U^t U, definite forms that are not unimodular, arbitrary symmetric
-matrices, and E8.  The one congruence elimination (matrices.eliminate)
-is checked against the Bareiss determinant, the dense congruence
-signature, the leading-minor definiteness test and the leaf-pivoting tree
-signature, on symmetric matrices with zero diagonals, singular and
-indefinite ones, random plumbing trees and the indefinite bounding
-graphs."""
+matrices, and E8 (also plus -I_k in a basis with fill-in, through the
+CLI).  The forced tail of the root search is checked where it dies, and
+the one-product identity check of Diagonalization against the
+three-product oracle on tampered diagonalizations.  The one congruence
+elimination (matrices.eliminate) is checked against the Bareiss
+determinant, the dense congruence signature, the leading-minor
+definiteness test and the leaf-pivoting tree signature, on symmetric
+matrices with zero diagonals, singular and indefinite ones, random
+plumbing trees and the indefinite bounding graphs."""
 
+import contextlib
 import hashlib
+import io
 import math
+import os
+import tempfile
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import lattice_oracle as oracle
-from brieskorn import (BrieskornTriple, PlumbingGraph, UnimodularForm,
-                       canonical_resolution, diagonalize, enumerate_roots,
-                       graph_signature, intersection_matrix,
+from brieskorn import (BrieskornTriple, InternalInvariantError, PlumbingGraph,
+                       UnimodularForm, canonical_resolution, diagonalize,
+                       enumerate_roots, graph_signature, intersection_matrix,
                        seifert_invariants)
-from brieskorn.matrices import (eliminate, is_negative_definite, mat_mul,
-                                transpose)
+from brieskorn.cli import main
+from brieskorn.lattice import Diagonalization
+from brieskorn.matrices import (eliminate, freeze, is_negative_definite,
+                                mat_mul, render_matrix_text, transpose)
 from conftest import fickle_graph, permute_symmetric
 
 TRIPLES = [(a, b, c) for a in range(2, 8) for b in range(a + 1, 31)
@@ -232,3 +242,118 @@ def test_stern_n86_matches_recorded_oracle_output():
     d = diagonalize(form)
     assert hashlib.sha256(repr((d.c, d.c_inv)).encode()).hexdigest() == (
         "2f1c0efe162b7e945691819f831b21b9ba6c58620f82d4e13fc6b64fe238857a")
+
+
+def test_forced_tail_dies_on_a_non_integral_coordinate():
+    # Node 0 goes first, with pivot -4 and L[1][0] = -1/2 (g = 2); node 1's
+    # pivot is then -1.  v_1 = +-1 spends the whole budget and forces
+    # v_0 = +-1/2, so both paths die in the tail.  The form is even, so it
+    # has no roots at all.
+    form = UnimodularForm.from_matrix(((-4, 2), (2, -2)))
+    e = form.elimination
+    assert e.order == (0, 1) and e.pivots == (-4, -1)
+    assert e.columns[0] == ((1, Fraction(-1, 2)),)
+    assert enumerate_roots(form) == oracle.enumerate_roots(form) == ()
+
+
+def e8_plus_minus_i(k, moves):
+    """E8 + -I_k after the basis changes e_i -> e_i + sign e_j, for
+    (i, j, sign) in moves.  Its square -1 vectors are the k pairs of -I_k."""
+    n = 8 + k
+    e8 = tree_form((2, 3, 5)).q
+    q = tuple(tuple(e8[i][j] if i < 8 and j < 8 else -(i == j)
+                    for j in range(n)) for i in range(n))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, sign in moves:
+        for row in u:
+            row[i] += sign * row[j]
+    return mat_mul(mat_mul(transpose(u), q), u)
+
+
+@st.composite
+def e8_moves_with_fill_in(draw):
+    """(k, moves) for k = 0..2 and four to eight moves, kept only when the
+    elimination of the form fills in (some L[i][j] != 0 where Q[i][j] = 0)."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    moves = []
+    for _ in range(draw(st.integers(min_value=4, max_value=8))):
+        i, j = draw(st.permutations(range(8 + k)))[:2]
+        moves.append((i, j, draw(st.sampled_from((-1, 1)))))
+    q = e8_plus_minus_i(k, moves)
+    e = eliminate(q)
+    assume(any(q[node][i] == 0
+               for node, col in zip(e.order, e.columns) for i, _ in col))
+    return k, tuple(moves)
+
+
+# The pinned example is still a tree: e_5 -> e_5 + e_8 gives node 5 weight
+# -3 and hangs node 8 (weight -1) off it.  Its search meets a tail that
+# writes nonzero forced coordinates and then dies, before a later tail
+# that must read them as 0 again.
+@example((1, ((5, 8, 1),)))
+@settings(max_examples=30, deadline=None)
+@given(e8_moves_with_fill_in())
+def test_e8_plus_minus_i_matches_oracle_through_cli(case):
+    k, moves = case
+    q = e8_plus_minus_i(k, moves)
+    form = UnimodularForm.from_matrix(q)
+    assert enumerate_roots(form) == oracle.enumerate_roots(form)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(render_matrix_text(q) + "\n")
+        with contextlib.redirect_stdout(out):
+            assert main(["diagonalize", "--matrix", path]) == 0
+    assert out.getvalue() == (f"not diagonalizable: {k} root pairs < {8 + k} "
+                              "required: no integral diagonalization exists\n")
+
+
+@st.composite
+def tampered_diagonalizations(draw):
+    """(form, C, C_inv) from a real diagonalization (the resolution tree of
+    a triple, or -U^t U) with one entry of C or C_inv shifted by -2..2,
+    one column of C negated with or without the matching row of C_inv, or
+    column j of C replaced by column i (squares stay -1, but columns i and
+    j are no longer orthogonal when i != j).  A zero shift, a matched
+    negation or i = j leaves it valid."""
+    if draw(st.booleans()):
+        form = tree_form(draw(st.sampled_from(TRIPLES)))
+        assume(form.is_negative_definite and form.is_unimodular)
+    else:
+        form = UnimodularForm.from_matrix(negated_gram(draw(unimodular())))
+    d = diagonalize(form)
+    assume(d.found)
+    c, c_inv = [list(row) for row in d.c], [list(row) for row in d.c_inv]
+    i = draw(st.integers(min_value=0, max_value=form.n - 1))
+    j = draw(st.integers(min_value=0, max_value=form.n - 1))
+    kind = draw(st.sampled_from(("C", "C_inv", "negate", "negate C only",
+                                 "copy column")))
+    if kind in ("C", "C_inv"):
+        (c if kind == "C" else c_inv)[i][j] += draw(
+            st.integers(min_value=-2, max_value=2))
+    elif kind == "copy column":
+        for row in c:
+            row[j] = row[i]
+    else:
+        for row in c:
+            row[j] = -row[j]
+        if kind == "negate":
+            c_inv[j] = [-x for x in c_inv[j]]
+    return form, freeze(c), freeze(c_inv)
+
+
+def identity_error(check, *args):
+    """The InternalInvariantError message of check(*args), or None."""
+    try:
+        check(*args)
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_diagonalizations())
+def test_identity_check_matches_three_product_oracle(case):
+    assert identity_error(Diagonalization, *case) == identity_error(
+        oracle.check_identities, *case)
