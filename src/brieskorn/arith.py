@@ -12,25 +12,22 @@ denominator ``den``, in lowest terms (gcd(den, *nums) = 1, and zero has
 den = 1).  Two elements are equal iff their (nums, den) are equal, so
 equality, hashing and the Galois action are exact and work on integers
 only; ``coeffs`` builds the Fraction coefficients on demand for readers.
-A product convolves the two numerator vectors by Kronecker substitution
-(``convolve``: one big-integer multiply, linear-time packing) over the
-product of the denominators.  The pipeline never multiplies or divides
-two field elements: its one kernel, nu(a, b; zeta) in ``spectral``,
-convolves two integer vectors built from the closed form of
-1/(zeta^m - 1), and eta is an integer combination of its values.  The
-product stays for the tests, which build expected values with it; field
-division, rational values, the float embedding and the schoolbook
-convolution are test oracles in ``tests/spectral_oracle.py``.
+A product convolves the two numerator vectors (``convolve``, the double
+loop folded by x^p = 1) over the product of the denominators.  The
+pipeline never multiplies or divides two field elements: its one kernel,
+nu(a, b; zeta) in ``spectral``, writes the p integer numerators of p^2 nu
+directly by a first-difference recurrence on a Dedekind-Rademacher sum,
+and eta is an integer combination of its values.  The product stays for
+the tests, which build expected values with it; field division, rational
+values, the float embedding and the old convolution path of nu are test
+oracles in ``tests/spectral_oracle.py``.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -284,116 +281,23 @@ class Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker-substitution convolution
+# Cyclic convolution
 # ---------------------------------------------------------------------------
 
-# Digits of 1, 2, 4 or 8 bytes are packed by the array module; 5 to 7
-# byte digits go through 8-byte words narrowed by strided byte copies;
-# wider digits through int.to_bytes one entry at a time.  Byte strings
-# are little-endian.
-_CODES = {array(code).itemsize: code for code in "BHILQ"}
-_SWAP = sys.byteorder == "big"
-
-
-def _digit_width(bound: int) -> int:
-    """Bytes per digit so that 0 <= digit <= bound is below 256**width
-    (bound >= 1); up to 4 bytes, rounded up to an array item size."""
-    width = (bound.bit_length() + 7) // 8
-    return 1 << (width - 1).bit_length() if width <= 4 else width
-
-
-def _words(code: str, data) -> array:
-    """An array of the given item code, its items stored little-endian."""
-    words = array(code, data)
-    if _SWAP:
-        words.byteswap()
-    return words
-
-
-def _pack(digits: Sequence[int], width: int) -> int:
-    """sum_k digits[k] 256**(width k), for 0 <= digits[k] < 256**width."""
-    if width > 8:
-        return int.from_bytes(
-            b"".join(d.to_bytes(width, "little") for d in digits), "little")
-    raw = _words(_CODES.get(width, "Q"), digits)
-    if width not in _CODES:  # keep the low `width` bytes of each word
-        raw, wide = bytearray(len(digits) * width), raw.tobytes()
-        for i in range(width):
-            raw[i::width] = wide[i::8]
-    return int.from_bytes(raw, "little")
-
-
-def _unpack(z: int, n: int, width: int) -> List[int]:
-    """The n base-256**width digits of 0 <= z < 256**(width n)."""
-    raw = z.to_bytes(n * width, "little")
-    if width > 8:
-        return [int.from_bytes(raw[k:k + width], "little")
-                for k in range(0, n * width, width)]
-    if width not in _CODES:  # widen each digit to an 8-byte word
-        raw, narrow = bytearray(8 * n), raw
-        for i in range(width):
-            raw[i::8] = narrow[i::width]
-    return _words(_CODES.get(width, "Q"), raw).tolist()
-
-
-def _signed_pack(x: Sequence[int], lo: int, width: int) -> int:
-    """sum_k x[k] B**k for B = 256**width, from non-negative digits x[k] - lo."""
-    if lo >= 0:
-        return _pack(x, width)
-    return _pack([a - lo for a in x], width) + lo * _pack([1] * len(x), width)
-
-
-# Up to this many entries in the shorter vector, the double loop is
-# cheaper than packing (it keeps nu at p = 3 and 5 as fast as the loop).
-_DIRECT = 5
-
-
 def convolve(p: int, x: Sequence[int], y: Sequence[int]) -> List[int]:
-    """Cyclic product of two integer vectors modulo x^p - 1 (length p).
-
-    Kronecker substitution: for B = 256**width larger than every
-    coefficient of the linear product (than twice it, for signed input),
-    X = sum x_i B^i and Y = sum y_j B^j are multiplied as integers and the
-    digits of XY are the linear convolution.  Packing and unpacking are
-    linear (one byte string per vector); the product is one big-integer
-    multiply.  Signed inputs are packed with an offset and the product is
-    read in balanced digits: adding sum_k (B/2) B^k makes every digit
-    z_k + B/2 lie in [0, B).  The wrap x^p = 1 is folded after unpacking.
-    """
-    if not x or not y:
-        return [0] * p
-    n = len(x) + len(y) - 1
-    if min(len(x), len(y)) <= _DIRECT:
-        full = [0] * n
-        for i, a in enumerate(x):
-            if a:
-                for k, b in enumerate(y, i):
-                    full[k] += a * b
-        return _fold(p, full)
-    xlo, ylo = min(x), min(y)
-    signed = xlo < 0 or ylo < 0
-    bound = ((max(max(x), -xlo) * max(max(y), -ylo) if signed
-              else max(x) * max(y))
-             * min(len(x), len(y)))  # >= |every coefficient of XY|
-    if not bound:
-        return [0] * p
-    if signed:
-        width = _digit_width(2 * bound)
-        half = 1 << (8 * width - 1)
-        z = _signed_pack(x, xlo, width) * _signed_pack(y, ylo, width)
-        full = [d - half for d in _unpack(z + _pack([half] * n, width), n, width)]
-    else:
-        width = _digit_width(bound)
-        full = _unpack(_pack(x, width) * _pack(y, width), n, width)
+    """Cyclic product of two integer vectors modulo x^p - 1 (length p),
+    by the double loop; the wrap x^p = 1 is folded afterwards."""
+    full = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                full[k] += a * b
     return _fold(p, full)
 
 
 def _fold(p: int, full: List[int]) -> List[int]:
     """A linear convolution reduced by x^p = 1 to length p."""
-    n = len(full)
-    out = full[:p]
-    for start in range(p, n, p):
-        out[:n - start] = map(add, out, full[start:start + p])
-    if n < p:
-        out += [0] * (p - n)
+    out = full[:p] + [0] * (p - len(full))
+    for k in range(p, len(full)):
+        out[k % p] += full[k]
     return out

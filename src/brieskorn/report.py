@@ -240,8 +240,9 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
                     use_cache: bool = True) -> Dict:
     """build_analysis with a transparent file cache keyed by the sorted
     triple, p and version.  The input is validated before the lookup, so
-    a bad p is never served or cached.  An entry that does not parse as a
-    report is a miss and is rewritten."""
+    a bad p is never served or cached.  An entry is a hit only when it is
+    a JSON object of this schema version for this input; anything else
+    is a miss and is rewritten."""
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
         check_action(triple, p)
@@ -251,7 +252,9 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 report = json.load(handle)
-            if isinstance(report, dict):
+            if (isinstance(report, dict)
+                    and report.get("schema_version") == SCHEMA_VERSION
+                    and report.get("input") == {"a": a, "b": b, "c": c, "p": p}):
                 return report
         except (FileNotFoundError, ValueError):  # ValueError: corrupt entry
             pass

@@ -45,17 +45,32 @@ The two rho tables agree exactly when eta = nu(r, s; zeta): nu is real, so
 its transform is even in l and equals rho_L, and the transform is
 injective (c_0 = -rho(1) and c_k = rho(-k) + c_0).
 
-The kernel works on integer vectors, by two identities:
+The kernel writes integer numerators directly, by two identities:
 1/(zeta^m - 1) = (1/p) sum_{k<p} k zeta^{mk} for m != 0 mod p (multiply
 out: (zeta^m - 1) sum_k k zeta^{mk} = p); and nu(a, b; t) =
-(1 + 2/(t^a - 1))(1 + 2/(t^b - 1)), so p^2 nu is one convolution of two
-integer vectors, done by Kronecker substitution (``arith.convolve``, one
-big-integer product, about p^1.6 instead of p^2).  A Cyclotomic is an
-integer numerator tuple over one denominator, so eta, an integer
-combination of nu values and an integer, sums the numerators of the nu
-values scaled to p^2; each rho value is one Fraction(int, den) read off
-the numerators; and the lens match compares (numerators, denominator)
-of eta and nu(r, s; zeta).
+(1 + 2/(t^a - 1))(1 + 2/(t^b - 1)).  So in Z[x]/(x^p - 1),
+
+    p^2 nu = (p + 2 A_a)(p + 2 A_b),    A_m[i] = i m^-1 mod p,
+
+and the coefficient of zeta^j is
+
+    N_j = p^2 [j = 0] + 2p (j a^-1 mod p) + 2p (j b^-1 mod p) + 4 T(j b^-1 mod p),
+
+where the cross term (A_a * A_b)[j] = sum_i A_a[i] A_b[j - i] becomes,
+with k = i a^-1 and d = a b^-1 mod p, the Dedekind-Rademacher sum
+
+    T(c) = sum_{k<p} k ((c - d k) mod p)
+
+(Rademacher-Grosswald, Dedekind Sums, 1972).  Its first difference is
+T(c+1) - T(c) = p(p-1)/2 - p k*, because raising c by one raises every
+residue (c - d k) mod p by one except the one at k* = (c+1) d^-1, which
+wraps from p - 1 to 0.  So T(0) = sum_{k>=1} k (p - (d k mod p)) is one
+sum and the other p - 1 values follow in O(p) integer steps, with no
+convolution.  A Cyclotomic is an integer numerator tuple over one
+denominator, so eta, an integer combination of nu values and an integer,
+sums the numerators of the nu values scaled to p^2; each rho value is one
+Fraction(int, den) read off the numerators; and the lens match compares
+(numerators, denominator) of eta and nu(r, s; zeta).
 """
 
 from __future__ import annotations
@@ -64,9 +79,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import List, Tuple
+from typing import Tuple
 
-from .arith import Cyclotomic, convolve
+from .arith import Cyclotomic
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        canonical_resolution, graph_signature,
                        propagate_rotations)
@@ -74,30 +89,39 @@ from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
 
-def _coth_numerators(p: int, m: int) -> List[int]:
-    """p(1 + 2/(zeta^m - 1)) = p + 2 sum_k k zeta^{mk} as a length-p
-    integer vector."""
-    out = [0] * p
-    out[0] = p
-    for k in range(1, p):
-        out[(m * k) % p] = 2 * k
-    return out
-
-
 @lru_cache(maxsize=None)
 def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
     """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta
     (with a = b = c, also the kernel of a fixed sphere's term).
 
-    One integer convolution of p(1 + 2/(t^a-1)) and p(1 + 2/(t^b-1)),
+    p^2 nu = (p + 2 A_a)(p + 2 A_b) in Z[x]/(x^p - 1), for A_m[i] =
+    i m^-1 mod p.  Walking c = 0 .. p-1, the coefficient of zeta^(cb) is
+    2p (c e mod p) + 2p c + 4 T(c), plus p^2 at c = 0, with e = b a^-1 and
+    the cross term T(c) = sum_k k ((c - d k) mod p), d = e^-1; T(0) is one
+    sum and T(c+1) = T(c) + p(p-1)/2 - p ((c+1) e mod p).  The result is
     over the denominator p^2.
     """
     check_order(p)
     a, b = a % p, b % p
     if a == 0 or b == 0:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
-    product = convolve(p, _coth_numerators(p, a), _coth_numerators(p, b))
-    return Cyclotomic.from_numerators(p, product, p * p)
+    e = b * pow(a, -1, p) % p
+    d = pow(e, -1, p)
+    half, two_p = p * (p - 1) // 2, 2 * p
+    t = sum(k * (p - d * k % p) for k in range(1, p))  # T(0)
+    out = [0] * p
+    u = j = 0  # c e mod p and c b mod p
+    for c in range(p):
+        out[j] = 4 * t + two_p * (u + c)
+        u += e
+        if u >= p:
+            u -= p
+        j += b
+        if j >= p:
+            j -= p
+        t += half - p * u
+    out[0] += p * p
+    return Cyclotomic.from_numerators(p, out, p * p)
 
 
 @dataclass(frozen=True)

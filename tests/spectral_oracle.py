@@ -7,8 +7,9 @@ with division, powers (negative ones invert first), the Galois-checked rational 
 float embedding, and the lens-space torsion representative.
 
 The kernels are the schoolbook integer convolution (the oracle for the
-package's Kronecker-substitution ``convolve``), the dense-``Fraction``
-versions of the cyclotomic product, the
+package's ``convolve``), the convolution path of nu (p^2 nu as the product
+of two integer coth vectors, the oracle for the package's recurrence), the
+dense-``Fraction`` versions of the cyclotomic product, the
 Euclid-based inverse of zeta^m - 1, the three-product isolated-point
 defect, the fixed-sphere defect by Euclid division, eta evaluated separately at every zeta^j, the Galois-checked
 eta profile and its inverse transform, the Fourier and cotangent-sum rho
@@ -60,6 +61,27 @@ def convolve(p: int, x, y):
     for k in range(len(full) - 1, p - 1, -1):
         full[k - p] += full[k]
     return full[:p]
+
+
+def coth_numerators(p: int, m: int):
+    """p(1 + 2/(zeta^m - 1)) = p + 2 sum_k k zeta^{mk} as a length-p
+    integer vector."""
+    out = [0] * p
+    out[0] = p
+    for k in range(1, p):
+        out[(m * k) % p] = 2 * k
+    return out
+
+
+def nu_by_convolution(a: int, b: int, p: int) -> Cyclotomic:
+    """nu(a, b; zeta) as the cyclic product of the two coth vectors over
+    p^2: the convolution path the package's recurrence replaces."""
+    check_order(p)
+    a, b = a % p, b % p
+    if a == 0 or b == 0:
+        raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
+    return Cyclotomic.from_numerators(
+        p, convolve(p, coth_numerators(p, a), coth_numerators(p, b)), p * p)
 
 
 def inverse(x: Cyclotomic) -> Cyclotomic:

@@ -134,8 +134,9 @@ class TestCache:
         cached_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
         good = render_json(report)
+        other = render_json(build_analysis(3, 16, 113, 5)).encode()
         for bad in (b"", good[: len(good) // 2].encode(), b"\xff\xfe{",
-                    b"null\n"):
+                    b"null\n", b"{}", other):
             entry.write_bytes(bad)
             assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
             assert capsys.readouterr().out == render_text(report)

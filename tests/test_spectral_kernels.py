@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, Cyclotomic, arith, build_analysis,
+from brieskorn import (BrieskornTriple, Cyclotomic, build_analysis,
                        canonical_resolution, eta_brieskorn,
                        eta_from_fixed_data, family,
                        fixed_point_data, graph_signature,
@@ -18,7 +18,6 @@ from brieskorn import (BrieskornTriple, Cyclotomic, arith, build_analysis,
                        rho_from_eta, rho_lens_table, seifert_invariants,
                        spectral, standard_action_valid)
 from brieskorn.arith import is_prime
-from brieskorn.spectral import _coth_numerators
 from conftest import random_triples
 
 PRIMES = [p for p in range(3, 38) if is_prime(p)]
@@ -41,9 +40,9 @@ def cyclotomic(draw, p):
 
 
 def closed_form_inverse(p, m):
-    """1/(zeta^m - 1) read back from the kernel's integer vector
+    """1/(zeta^m - 1) read back from the convolution path's integer vector
     p(1 + 2/(zeta^m - 1))."""
-    coth = Cyclotomic.from_numerators(p, _coth_numerators(p, m), p)
+    coth = Cyclotomic.from_numerators(p, oracle.coth_numerators(p, m), p)
     return (coth - 1) * Fraction(1, 2)
 
 
@@ -51,6 +50,44 @@ def closed_form_inverse(p, m):
 def test_inverse_matches_euclid(p, m):
     m = nonzero_mod(p, m)
     assert closed_form_inverse(p, m) == oracle.inv_zeta_minus_one(p, m)
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES if p <= 31])
+def test_nu_recurrence_matches_convolution_on_every_pair(p):
+    for a in range(1, p):
+        for b in range(1, p):
+            assert nu_defect(a, b, p) == oracle.nu_by_convolution(a, b, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
+def test_nu_recurrence_matches_convolution_on_special_pairs(p):
+    # a = +-b (d = +-1), and a or b = +-1 (no scaling on one side).
+    for x in (1, 2, p // 2, p - 2, p - 1):
+        for a, b in ((x, x), (x, -x), (x, 1), (x, -1), (1, x), (-1, x)):
+            assert nu_defect(a, b, p) == oracle.nu_by_convolution(a, b, p)
+
+
+LARGER_PRIMES = [p for p in range(3, 398) if is_prime(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LARGER_PRIMES), st.data())
+def test_nu_recurrence_matches_convolution_on_unreduced_input(p, data):
+    # Negative and unreduced rotations reduce mod p before either path.
+    rotation = st.integers(min_value=-5 * p, max_value=5 * p).filter(
+        lambda x: x % p)
+    a, b = data.draw(rotation), data.draw(rotation)
+    assert nu_defect(a, b, p) == oracle.nu_by_convolution(a, b, p)
+
+
+def test_nu_recurrence_matches_convolution_at_p_1009():
+    assert nu_defect(3, 16, 1009) == oracle.nu_by_convolution(3, 16, 1009)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (7, 14)])
+def test_nu_rejects_a_rotation_divisible_by_p(a, b):
+    with pytest.raises(ValueError, match="nonzero mod 7"):
+        nu_defect(a, b, 7)
 
 
 @given(primes, units, units, units)
@@ -181,26 +218,25 @@ def test_lens_search_matches_pair_scan_on_known_inputs(triple, p, matches):
     assert [c.rho_match for c in expected] == matches
 
 
-@pytest.mark.parametrize("p", [101, 401])
+@pytest.mark.parametrize("p", [101, 401, 1009])
 def test_large_p_report_matches_schoolbook_convolution(p, monkeypatch):
     # The golden digests stop at p = 31; past it, the report of the
-    # paper's example must not depend on how the convolution is done.
+    # paper's example must not depend on how nu is computed.
     def build():
         nu_defect.cache_clear()
         report = build_analysis(3, 16, 113, p)
         return render_json(report), render_text(report)
 
-    kronecker = build()
+    recurrence = build()
     calls = []
 
-    def schoolbook(q, x, y):
+    def by_convolution(a, b, q):
         calls.append(q)
-        return oracle.convolve(q, x, y)
+        return oracle.nu_by_convolution(a, b, q)
 
-    monkeypatch.setattr(arith, "convolve", schoolbook)
-    monkeypatch.setattr(spectral, "convolve", schoolbook)
+    monkeypatch.setattr(spectral, "nu_defect", by_convolution)
     try:
-        assert build() == kronecker
+        assert build() == recurrence
     finally:
         nu_defect.cache_clear()
     assert calls and set(calls) == {p}
