@@ -85,8 +85,10 @@ def hj_expand(a: int, b: int) -> HJExpansion:
 
     Each step takes t = floor(q) and recurses on -1/(q - t); because
     a/b < -1, every quotient along the way is < -1 and every floor is <= -2.
-    Uniqueness is a property of this expansion: re-evaluating the output
-    reproduces a/b exactly.
+    In integers, with q = x/y: t, r = divmod(x, y) gives q - t = r/y, so
+    the next quotient is -y/r, and r = 0 ends the expansion.  Uniqueness
+    is a property of this expansion: re-evaluating the output reproduces
+    a/b exactly.
     """
     if a <= 0:
         raise ValueError(f"numerator must be positive, got {a}")
@@ -95,14 +97,11 @@ def hj_expand(a: int, b: int) -> HJExpansion:
     if gcd(a, -b) != 1:
         raise ValueError(f"{a} and {b} are not coprime")
     terms = []
-    q = Fraction(a, b)
-    while True:
-        t = q.numerator // q.denominator  # floor for exact Fractions
-        if q == t:
-            terms.append(t)
-            break
+    x, y = a, b
+    while y:
+        t, r = divmod(x, y)
         terms.append(t)
-        q = -1 / (q - t)
+        x, y = -y, r
     return HJExpansion(a, b, tuple(terms))
 
 

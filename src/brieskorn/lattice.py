@@ -19,24 +19,26 @@ L D L^t.  The search itself is integer: column j has an
 integer centre numerator over g_j and every budget is scaled by one
 common S.  Once a path has spent its budget, each later coordinate is
 forced to v_j = -c_j, and the path dies at the first that is not an
-integer: that tail is one loop.  The n representatives are the columns
-of C, and C^-1 = -C^t Q needs no inversion.  Both identities are checked
-with one dense product: M = C^t Q is cheap (Q is sparse), and M C = -I
-makes C invertible with inverse -M, the only X with C X = I, so
-C C_inv = I iff C_inv = -M entrywise.  No floating point enters the
+integer: that tail is one loop, and each +- pair is found once.  The n
+representatives are the columns of C.  X = -C^t Q is formed once from
+the nonzeros of Q: row k of -Q C is node k's coordinates, column k of X,
+with at most -Q[k][k] nonzeros.  Then X^t X = -Q and |det Q| = 1 check
+both identities: X = -C^t Q = (X C)^t X with X invertible gives X C = I,
+so C^-1 = X and C^t Q C = -X C = -I.  No floating point enters the
 decision path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Tuple, Union
+from itertools import compress, repeat
+from operator import add, mul, neg
+from typing import List, Optional, Tuple, Union
 
 from . import matrices
-from .matrices import (Elimination, IntMatrix, eliminate, freeze, mat_mul,
-                       transpose)
+from .matrices import Elimination, IntMatrix, eliminate, freeze, transpose
 from .plumbing import InternalInvariantError
 
 
@@ -82,8 +84,13 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     t = g_j (v_j + c_j) is an integer, W_j = S |d_j| / g_j^2 is an integer
     for one common S, and the condition reads W_j t^2 <= budget, starting
     from S.  At budget 0 every later t is 0, so v_j = -c_j is forced and
-    must be an integer (g_j divides the centre numerator g_j c_j).  The
-    output is closed under negation, duplicate-free, and sorted
+    must be an integer (g_j divides the centre numerator g_j c_j).
+
+    Each +- pair is found once: while every placed coordinate is 0 (the
+    budget is still S) every centre is 0, the range is symmetric and the
+    subtree below -m mirrors the one below m, so only m >= 0 is taken and
+    each root v is recorded with -v; this holds for any definite form.
+    The output is closed under negation, duplicate-free, and sorted
     lexicographically.
     """
     if not form.is_negative_definite:
@@ -115,7 +122,7 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
                     v[node] = m
                     tail.append(node)
             else:            # then v^t Q v = -1, so v != 0
-                roots.append(tuple(v))
+                roots.extend((tuple(v), tuple(map(neg, v))))
             for node in tail:
                 v[node] = 0
             return
@@ -126,7 +133,8 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
         for i, l in coupling:
             centre += l * v[i]
         t_max = math.isqrt(budget // w)
-        for m in range(-((t_max + centre) // g), (t_max - centre) // g + 1):
+        low = 0 if budget == scale else -((t_max + centre) // g)
+        for m in range(low, (t_max - centre) // g + 1):
             t = g * m + centre
             v[node] = m
             descend(level + 1, budget - w * t * t)
@@ -141,27 +149,47 @@ class Diagonalization:
     """Exact basis change C with C^t Q C = -I and its integer inverse.
 
     Columns of c are the diagonal basis vectors in the node basis; columns
-    of c_inv express each node class in the diagonal basis.  Both
-    identities are re-verified on construction; a failure is an internal
-    invariant violation, not bad input.
+    of c_inv express each node class in the diagonal basis, and
+    coordinates[k] lists node k's nonzero (j, c_inv[j][k]) by increasing
+    j.  Construction forms c_inv (one passed in must equal it) and checks
+    the identities; a failure is an internal invariant violation.
     """
 
     form: UnimodularForm
     c: IntMatrix
-    c_inv: IntMatrix
+    c_inv: Optional[IntMatrix] = None
+    coordinates: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.form.n
+        n, q, c = self.form.n, self.form.q, self.c
         if any(len(m) != n or any(len(row) != n for row in m)
-               for m in (self.c, self.c_inv)):
+               for m in ((c,) if self.c_inv is None else (c, self.c_inv))):
             raise InternalInvariantError(f"C and C_inv must be {n} x {n}")
-        m = mat_mul(transpose(self.c), self.form.q)
-        if any(row[i] != -1 or any(row[:i]) or any(row[i + 1:])
-               for i, row in enumerate(mat_mul(m, self.c))):
+        if abs(self.form.determinant) != 1:   # then no row of Q is zero
             raise InternalInvariantError("C^t Q C != -I")
-        if any(x != -y for row, m_row in zip(self.c_inv, m)
-               for x, y in zip(row, m_row)):
+        gram, rows = {}, []   # Q + X^t X, and the rows of -Q C
+        for k, q_row in enumerate(q):
+            acc = None
+            for i in compress(range(n), q_row):
+                x = gram[k, i] = q_row[i]
+                term = c[i] if x == 1 else map(mul, repeat(x), c[i])
+                acc = term if acc is None else map(add, acc, term)
+            rows.append(tuple(map(neg, acc)))   # node k's coordinates
+        c_inv = transpose(rows)
+        for x_row in c_inv:                     # nodes sharing one e_j
+            nodes = [(k, x_row[k]) for k in compress(range(n), x_row)]
+            for k, x in nodes:
+                for l, y in nodes:
+                    gram[k, l] = gram.get((k, l), 0) + x * y
+        if any(gram.values()):
+            raise InternalInvariantError("C^t Q C != -I")
+        if self.c_inv is None:
+            object.__setattr__(self, "c_inv", c_inv)
+        elif tuple(map(tuple, self.c_inv)) != c_inv:
             raise InternalInvariantError("C * C_inv != I")
+        object.__setattr__(self, "coordinates", tuple(
+            tuple((j, r[j]) for j in compress(range(n), r)) for r in rows))
 
     @property
     def found(self) -> bool:
@@ -196,11 +224,10 @@ def diagonalize(form: UnimodularForm) -> Union[Diagonalization, DiagonalizationF
     if not form.is_unimodular:
         raise ValueError("form must have determinant +-1")
     roots = enumerate_roots(form)
-    reps = [v for v in roots if next(x for x in v if x) > 0]
+    # Sorted and sign-closed: the upper half has positive leading entries.
+    # Square -1 vectors of a negative definite form from different +-
+    # pairs are orthogonal (|v^t Q w| < 1), so C^t Q C = -I.
+    reps = roots[len(roots) // 2:]
     if len(reps) != form.n:
         return DiagonalizationFailure(form, len(reps))
-    # Square -1 vectors of a negative definite form from different +-
-    # pairs are orthogonal (|v^t Q w| < 1), so C^t Q C = -I (checked on construction) and therefore
-    # C^-1 = -C^t Q; the rows of C^t are the representatives.
-    c_inv = tuple(tuple(-x for x in row) for row in mat_mul(reps, form.q))
-    return Diagonalization(form, transpose(reps), c_inv)
+    return Diagonalization(form, transpose(reps))

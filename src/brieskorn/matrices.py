@@ -20,31 +20,8 @@ def freeze(rows) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def transpose(m) -> IntMatrix:
     return tuple(zip(*m))
-
-
-def mat_mul(a, b):
-    """Exact product A B, row by row; zero entries of either factor are
-    skipped, so sparse factors (tree forms, basis changes) are cheap."""
-    width = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        if len(row) != len(b):
-            raise ValueError(f"cannot multiply: row of length {len(row)} "
-                             f"by a matrix with {len(b)} rows")
-        acc = [0] * width
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
 
 
 def is_symmetric(m) -> bool:

@@ -13,9 +13,12 @@ action, where (in a standard diagonal basis, suitably oriented)
 The unknowns are one orientation sign per node sphere and one sign per
 diagonal basis vector.  Every nonzero coefficient then pins the product
 of two signs, so the whole system is a parity (2-coloring) problem; the
-solver is a backtracking search with unit propagation.  The tests check
-it against an exhaustive assignment oracle for small ranks
-(tests/obstruction_oracle.py).
+solver is a backtracking search with unit propagation.  Sphere i is read
+from its sparse coordinates (Diagonalization.coordinates), the nonzero
+(j, x) of column i of C^-1; a sphere of square w has at most |w|, and
+every loop runs over those pairs.  The tests check the solver against an
+exhaustive assignment oracle for small ranks, and the sparse assembly
+against a dense one (tests/obstruction_oracle.py).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
-from .matrices import transpose
 from .plumbing import EquivariantMarkup, InternalInvariantError
 
 
@@ -38,19 +40,20 @@ class ConstraintSystem:
     """Sign constraints on node-sphere orientations o_i and diagonal-basis
     signs s_j.
 
-    columns[i][j] is the e_j-coefficient of node sphere i; kinds[i] is
-    "fixed" or "invariant"; couplings are (i, k, sign) meaning
-    o_i * o_k = sign.
+    columns[i] lists the nonzero e_j-coefficients (j, x) of node sphere i
+    by increasing j; kinds[i] is "fixed" or "invariant"; couplings are
+    (i, k, sign) meaning o_i * o_k = sign.
     """
 
     n: int
-    columns: Tuple[Tuple[int, ...], ...]
+    columns: Tuple[Tuple[Tuple[int, int], ...], ...]
     kinds: Tuple[str, ...]
     couplings: Tuple[Tuple[int, int, int], ...]
 
     def intersection(self, i: int, k: int) -> int:
         """[F_i].[F_k], from the diagonal coordinates (e_j.e_j = -1)."""
-        return -sum(x * y for x, y in zip(self.columns[i], self.columns[k]))
+        return -sum(x * y for j, x in self.columns[i]
+                    for l, y in self.columns[k] if j == l)
 
 
 def build_constraints(markup: EquivariantMarkup,
@@ -66,25 +69,25 @@ def build_constraints(markup: EquivariantMarkup,
     if len(markup.node_kinds) != n:
         raise ConstraintError(
             f"markup covers {len(markup.node_kinds)} nodes, form has rank {n}")
-    columns = transpose(d.c_inv)     # node class i is column i of C^-1
+    columns = d.coordinates     # node class i is column i of C^-1
     kinds = markup.node_kinds
     self_int = {node: w for node, w, _ in markup.fixed_spheres}
     for i, col in enumerate(columns):
         if kinds[i] != "fixed":
             continue
-        square = -sum(x * x for x in col)
+        square = -sum(x * x for _, x in col)
         if square != self_int[i]:
             raise ConstraintError(
                 f"fixed sphere {i}: column square {square} != recorded "
                 f"self-intersection {self_int[i]}")
     couplings = []
     for i, col in enumerate(columns):
-        if kinds[i] != "fixed" or -sum(x * x for x in col) != -1:
+        if kinds[i] != "fixed" or -sum(x * x for _, x in col) != -1:
             continue
         for k in range(n):
             if kinds[k] != "invariant":
                 continue
-            dot = -sum(x * y for x, y in zip(columns[k], col))
+            dot = -sum(x * y for j, x in columns[k] for l, y in col if j == l)
             if abs(dot) == 1:
                 # standardly oriented classes must satisfy [F].[S] = -1
                 couplings.append((k, i, -dot))
@@ -131,12 +134,11 @@ class Certificate:
         if self.kind == "fixed-coefficient":
             (s,) = self.spheres
             return (cs.kinds[s] == "fixed"
-                    and any(abs(x) >= 2 for x in cs.columns[s]))
+                    and any(abs(x) >= 2 for _, x in cs.columns[s]))
         if self.kind == "parity-conflict":
             f, g = self.spheres
-            products = {cs.columns[f][j] * cs.columns[g][j]
-                        for j in range(cs.n)
-                        if cs.columns[f][j] and cs.columns[g][j]}
+            products = {x * y for j, x in cs.columns[f]
+                        for l, y in cs.columns[g] if j == l}
             return any(x > 0 for x in products) and any(x < 0 for x in products)
         return False
 
@@ -161,10 +163,8 @@ def _parity_equations(cs: ConstraintSystem):
     """
     equations = []
     for i, col in enumerate(cs.columns):
-        for j, c in enumerate(col):
-            if c:
-                sign = 1 if c > 0 else -1
-                equations.append((("o", i), ("s", j), sign))
+        for j, c in col:
+            equations.append((("o", i), ("s", j), 1 if c > 0 else -1))
     for i, k, sign in cs.couplings:
         equations.append((("o", i), ("o", k), sign))
     return equations
@@ -201,7 +201,7 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
         return None
 
     for i, col in enumerate(cs.columns):
-        if cs.kinds[i] == "fixed" and any(abs(x) >= 2 for x in col):
+        if cs.kinds[i] == "fixed" and any(abs(x) >= 2 for _, x in col):
             return ObstructionVerdict("infeasible", None, Certificate(
                 kind="fixed-coefficient", spheres=(i,),
                 detail=(f"fixed sphere {i} has a coefficient of absolute "
@@ -237,7 +237,7 @@ def _certificate(cs: ConstraintSystem) -> Certificate:
         for f, g in itertools.combinations(neighbours, 2):
             if cs.intersection(f, g) != 0:
                 continue
-            j0 = next(j for j, x in enumerate(cs.columns[s]) if x)
+            j0 = cs.columns[s][0][0]
             cert = Certificate(
                 kind="adjacent-branches",
                 spheres=(s, f, g),
@@ -251,19 +251,20 @@ def _certificate(cs: ConstraintSystem) -> Certificate:
             )
             if cert.verify(cs):
                 return cert
-    # Fallback: two columns whose shared support pins o_f*o_g both ways.
-    for f in range(len(cs.columns)):
-        for g in range(f + 1, len(cs.columns)):
-            products = [cs.columns[f][j] * cs.columns[g][j]
-                        for j in range(cs.n)
-                        if cs.columns[f][j] and cs.columns[g][j]]
-            if any(x > 0 for x in products) and any(x < 0 for x in products):
-                return Certificate(
-                    kind="parity-conflict",
-                    spheres=(f, g),
-                    detail=(f"spheres {f} and {g} share diagonal indices with "
-                            "both product signs; no sign assignment orients "
-                            "both columns consistently"),
-                )
+    # Fallback: the first two columns whose shared support pins o_f*o_g
+    # both ways; only spheres sharing a basis vector can qualify.
+    shared: Dict[int, List[int]] = {}
+    for f, col in enumerate(cs.columns):
+        for j, _ in col:
+            shared.setdefault(j, []).append(f)
+    for f, g in sorted({pair for nodes in shared.values()
+                        for pair in itertools.combinations(nodes, 2)}):
+        cert = Certificate(
+            kind="parity-conflict", spheres=(f, g),
+            detail=(f"spheres {f} and {g} share diagonal indices with "
+                    "both product signs; no sign assignment orients "
+                    "both columns consistently"))
+        if cert.verify(cs):
+            return cert
     return Certificate(kind="search-refutation", spheres=(),
                        detail="unit propagation derived a contradiction")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -26,10 +25,6 @@ from .spectral import (eta_from_fixed_data, fixed_point_data, ll_extension_searc
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "BRIESKORN_CACHE_DIR"
-
-
-def _frac(x) -> str:
-    return str(Fraction(x))
 
 
 def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
@@ -135,7 +130,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
         rho = rho_from_eta(eta)
         candidates = ll_extension_search(triple, p, eta)
         report["locally_linear"] = {
-            "rho_quotient": [_frac(x) for x in rho.values],
+            "rho_quotient": [str(x) for x in rho.values],
             "candidates": [
                 {
                     "r": cand.r,

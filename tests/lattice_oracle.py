@@ -1,20 +1,22 @@
 """Reference lattice kernels, kept as test oracles.
 
-These are the dense versions of the lattice stage: the Bareiss
-determinant, the dense congruence signature with its two zero-pivot
-repairs, leading pivots (the leading-minor definiteness test), the
-leaf-pivoting tree signature, an O(n^3) ``Fraction`` LDL^t of -Q in node
-order, a root enumeration whose centre terms are ``Fraction`` sums over
-every later coordinate, a ``diagonalize`` that checks pairwise
-orthogonality of the roots (with the bilinear form ``evaluate``) and
-inverts C by Gauss-Jordan (``matrices.inverse_unimodular``), and the
-three-product check of both diagonalization identities
-(``check_identities``).  The package reads signature, definiteness,
+These are the dense versions of the lattice stage: the exact product
+``mat_mul`` and ``identity``, the Bareiss determinant, the dense
+congruence signature with its two zero-pivot repairs, leading pivots
+(the leading-minor definiteness test), the leaf-pivoting tree
+signature, an O(n^3) ``Fraction`` LDL^t of -Q in node order, a root
+enumeration whose centre terms are ``Fraction`` sums over every later
+coordinate and which walks both signs of every coordinate, a
+``diagonalize`` that checks pairwise orthogonality of the roots (with
+the bilinear form ``evaluate``) and inverts C by Gauss-Jordan
+(``matrices.inverse_unimodular``), and the three-product check of both
+diagonalization identities (``check_identities``).  The package reads signature, definiteness,
 determinant and the search factor off one sparse elimination
 (``matrices.eliminate``), runs an integer-scaled search with a forced
-tail, takes C^-1 = -C^t Q and checks both identities with one dense
-product; the tests in ``test_lattice_kernels.py`` check that both paths
-agree exactly.
+tail that finds each +- pair once, forms C^-1 = -C^t Q once and checks
+both identities by the Gram identity X^t X = -Q with |det Q| = 1; the
+tests in ``test_lattice_kernels.py`` check that both paths agree
+exactly.
 """
 
 import math
@@ -23,9 +25,32 @@ from typing import List, Tuple
 
 from brieskorn.lattice import (Diagonalization, DiagonalizationFailure,
                                UnimodularForm)
-from brieskorn.matrices import identity, inverse_unimodular, mat_mul, transpose
+from brieskorn.matrices import inverse_unimodular, transpose
 from brieskorn.plumbing import (InternalInvariantError, PlumbingGraph,
                                 intersection_matrix)
+
+
+def identity(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    """Exact product A B, row by row; zero entries of either factor are
+    skipped, so sparse factors (tree forms, basis changes) are cheap."""
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"cannot multiply: row of length {len(row)} "
+                             f"by a matrix with {len(b)} rows")
+        acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def det(m) -> int:

@@ -17,12 +17,12 @@ from brieskorn import (BrieskornTriple, UnimodularForm,
                        ll_extension_search, nu_defect, propagate_rotations,
                        rho_from_eta, rho_lens_table, seifert_invariants,
                        standard_action_valid)
-from brieskorn.matrices import identity, mat_mul, transpose
+from brieskorn.matrices import transpose
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       fickle_graph, gamma_k_graph, permute_columns,
                       permute_symmetric, random_triples, rho_float_oracle,
                       signed_permutation_equal, spider_form)
-from lattice_oracle import det
+from lattice_oracle import det, identity, mat_mul
 from obstruction_oracle import brute_force_decide
 
 

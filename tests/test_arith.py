@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
 from brieskorn import Cyclotomic, hj_evaluate, hj_expand, is_prime
@@ -20,6 +20,31 @@ def eval_oracle(terms):
     for t in reversed(terms[:-1]):
         value = Fraction(t) - Fraction(1) / value
     return value
+
+
+def fraction_hj_terms(a, b, max_terms):
+    """The expansion of a/b by Fraction steps: t = floor(q), then
+    q -> -1/(q - t) until q is an integer; None past max_terms terms."""
+    terms = []
+    q = Fraction(a, b)
+    while len(terms) < max_terms:
+        t = q.numerator // q.denominator  # floor for exact Fractions
+        terms.append(t)
+        if q == t:
+            return tuple(terms)
+        q = -1 / (q - t)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 9).flatmap(lambda a: st.tuples(
+    st.just(a), st.integers(min_value=1 - a, max_value=-1))))
+def test_integer_hj_expansion_matches_fraction_steps(ab):
+    g = gcd(*ab)
+    a, b = ab[0] // g, ab[1] // g            # still a > 0 and -a < b < 0
+    terms = fraction_hj_terms(a, b, max_terms=200)
+    assume(terms is not None)      # b near -a gives about a/(a + b) terms
+    assert hj_expand(a, b).terms == terms
 
 
 class TestHJExpansion:

@@ -265,7 +265,8 @@ class TestCLI:
         assert "negative definite" in capsys.readouterr().err
 
     def test_diagonalize_non_tree_form(self, tmp_path, capsys):
-        from brieskorn.matrices import identity, mat_mul, transpose
+        from brieskorn.matrices import transpose
+        from lattice_oracle import identity, mat_mul
         # Q = -U^t U with U unimodular: dense, not a tree, equivalent to -I.
         u = mat_mul(((1, 2, -1), (0, 1, 3), (0, 0, 1)),
                     ((1, 0, 0), (1, 1, 0), (-2, 1, 1)))
@@ -298,7 +299,7 @@ class TestCLI:
             self, tmp_cache, monkeypatch, capsys):
         import brieskorn.report as report_module
         from brieskorn.lattice import Diagonalization
-        from brieskorn.matrices import identity
+        from lattice_oracle import identity
         monkeypatch.setattr(report_module, "diagonalize", lambda form: (
             Diagonalization(form, identity(form.n), identity(form.n))))
         assert main(["analyze", "2", "3", "7", "--p", "5", "--no-cache"]) == 2

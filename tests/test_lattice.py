@@ -5,14 +5,14 @@ import pytest
 from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
                        diagonalize, enumerate_roots, intersection_matrix,
                        seifert_invariants)
-from brieskorn.matrices import (eliminate, identity, inverse_unimodular,
-                                mat_mul, parse_matrix_text,
-                                render_matrix_text, transpose)
+from brieskorn.matrices import (eliminate, inverse_unimodular,
+                                parse_matrix_text, render_matrix_text,
+                                transpose)
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       permute_columns, random_triples,
                       signed_permutation_equal)
 import lattice_oracle as oracle
-from lattice_oracle import det, symmetric_signature
+from lattice_oracle import det, identity, mat_mul, symmetric_signature
 
 
 def form_of(a, b, c):
@@ -139,12 +139,24 @@ class TestDiagonalize:
         with pytest.raises(InternalInvariantError, match="must be 11 x 11"):
             Diagonalization(form, d.c[:-1], d.c_inv)
 
+    def test_gram_check_needs_a_unimodular_form(self):
+        # X = -C^t Q = (0) passes X^t X = -Q and matches the C_inv passed
+        # in; only |det Q| = 1 rules it out.
+        from brieskorn import InternalInvariantError
+        from brieskorn.lattice import Diagonalization
+        form = UnimodularForm.from_matrix(((0,),))
+        with pytest.raises(InternalInvariantError, match=r"C\^t Q C != -I"):
+            Diagonalization(form, ((1,),), ((0,),))
+
     def test_inverse_is_minus_c_transpose_q(self):
         form = form_of(3, 16, 113)
         d = diagonalize(form)
         assert d.c_inv == tuple(tuple(-x for x in row)
                                 for row in mat_mul(transpose(d.c), form.q))
         assert d.c_inv == inverse_unimodular(d.c)
+        assert d.coordinates == tuple(
+            tuple((j, x) for j, x in enumerate(col) if x)
+            for col in transpose(d.c_inv))
 
     def test_deterministic(self):
         form = form_of(3, 16, 113)

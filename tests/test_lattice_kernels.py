@@ -3,8 +3,9 @@ oracles in lattice_oracle.py, on random forms: resolution trees, non-tree
 forms -U^t U, definite forms that are not unimodular, arbitrary symmetric
 matrices, and E8 (also plus -I_k in a basis with fill-in, through the
 CLI).  The forced tail of the root search is checked where it dies, and
-the one-product identity check of Diagonalization against the
-three-product oracle on tampered diagonalizations.  The one congruence
+the Gram check of Diagonalization (one -QC product, X^t X = -Q and
+|det Q| = 1) against the three-product oracle on tampered
+diagonalizations.  The one congruence
 elimination (matrices.eliminate) is checked against the Bareiss
 determinant, the dense congruence signature, the leading-minor
 definiteness test and the leaf-pivoting tree signature, on symmetric
@@ -30,8 +31,9 @@ from brieskorn import (BrieskornTriple, InternalInvariantError, PlumbingGraph,
 from brieskorn.cli import main
 from brieskorn.lattice import Diagonalization
 from brieskorn.matrices import (eliminate, freeze, is_negative_definite,
-                                mat_mul, render_matrix_text, transpose)
+                                render_matrix_text, transpose)
 from conftest import fickle_graph, permute_symmetric
+from lattice_oracle import mat_mul
 
 TRIPLES = [(a, b, c) for a in range(2, 8) for b in range(a + 1, 31)
            for c in range(b + 1, 71)
