@@ -10,7 +10,7 @@ and cyclotomic arithmetic.
 
 __version__ = "1.0.0"
 
-from .arith import Cyclotomic, HJExpansion, hj_evaluate, hj_expand, is_prime
+from .arith import Cyclotomic, HJExpansion, hj_expand, is_prime
 from .seifert import (BrieskornTriple, SeifertData, check_action, check_order,
                       family, r_invariant, seifert_invariants,
                       standard_action_valid)
@@ -31,7 +31,7 @@ from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
     "__version__",
-    "Cyclotomic", "HJExpansion", "hj_evaluate", "hj_expand", "is_prime",
+    "Cyclotomic", "HJExpansion", "hj_expand", "is_prime",
     "BrieskornTriple", "SeifertData", "check_action", "check_order", "family",
     "r_invariant", "seifert_invariants", "standard_action_valid",
     "EquivariantMarkup", "InternalInvariantError", "PlumbingGraph",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
@@ -147,7 +146,7 @@ def cmd_diagonalize(args) -> int:
 def cmd_rho(args) -> int:
     p, r, s = args.lens
     for ell, value in enumerate(rho_lens_table(p, r, s).values):
-        sys.stdout.write(f"rho({ell}) = {Fraction(value)}\n")
+        sys.stdout.write(f"rho({ell}) = {value}\n")
     return 0
 
 

@@ -17,17 +17,18 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def freeze(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def transpose(m) -> IntMatrix:
     return tuple(zip(*m))
 
 
-def is_symmetric(m) -> bool:
+def is_symmetric(m: IntMatrix) -> bool:
+    """Whether m, a tuple of int tuples as ``freeze`` returns, is square
+    and equal to its transpose."""
     n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    return all(len(row) == n for row in m) and transpose(m) == m
 
 
 def inverse_unimodular(m) -> IntMatrix:

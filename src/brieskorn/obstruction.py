@@ -13,7 +13,8 @@ action, where (in a standard diagonal basis, suitably oriented)
 The unknowns are one orientation sign per node sphere and one sign per
 diagonal basis vector.  Every nonzero coefficient then pins the product
 of two signs, so the whole system is a parity (2-coloring) problem; the
-solver is a backtracking search with unit propagation.  Sphere i is read
+solver 2-colors it in linear time, seeding each connected component once
+and propagating, with no backtracking.  Sphere i is read
 from its sparse coordinates (Diagonalization.coordinates), the nonzero
 (j, x) of column i of C^-1; a sphere of square w has at most |w|, and
 every loop runs over those pairs.  The tests check the solver against an
@@ -171,11 +172,13 @@ def _parity_equations(cs: ConstraintSystem):
 
 
 def decide(cs: ConstraintSystem) -> ObstructionVerdict:
-    """Search for admissible signs; certificate on infeasibility.
+    """Admissible signs, or a certificate on infeasibility.
 
-    Backtracking over the sign variables with unit propagation: each
-    parity equation with one endpoint assigned immediately pins the other,
-    so the search only ever branches on a fresh connected component.
+    A linear-time parity 2-coloring: each connected component of the
+    parity equations is seeded once with +1, and each equation with one
+    endpoint assigned pins the other.  Flipping a component's seed flips
+    every sign in it and keeps every equation, so one seed decides the
+    component and nothing is ever undone.
     """
     equations = _parity_equations(cs)
     incident: Dict[Tuple[str, int], List[Tuple[Tuple[str, int], int]]] = {}

@@ -1,17 +1,22 @@
 """Reference kernels for the spectral stage, kept as test oracles.
 
-Field arithmetic the package does not need lives here as functions: the
-constructors zero, one and zeta^k, the zero test, the shift by a power of
-zeta, the Euclid inverse against Phi_p
-with division, powers (negative ones invert first), the Galois-checked rational value, the
-float embedding, and the lens-space torsion representative.
+The reference field Q(zeta_p) lives here: ``Field``, a subclass of the
+package's ``Cyclotomic`` that adds the Fraction-vector constructor,
+rational values, sums, negation and the product by the schoolbook
+``convolve``, with equality against rationals.  The package's own values
+are plain ``Cyclotomic`` numbers with no arithmetic; a test lifts one into
+the reference field with ``lift`` before it computes with it.  Around the
+field sit the constructors zero, one and zeta^k, the zero test, the shift
+by a power of zeta, the Euclid inverse against Phi_p with division,
+powers (negative ones invert first), the Galois-checked rational value,
+the float embedding, and the lens-space torsion representative.
 
-The kernels are the schoolbook integer convolution (the oracle for the
-package's ``convolve``), the convolution path of nu (p^2 nu as the product
-of two integer coth vectors, the oracle for the package's recurrence), the
-dense-``Fraction`` versions of the cyclotomic product, the
-Euclid-based inverse of zeta^m - 1, the three-product isolated-point
-defect, the fixed-sphere defect by Euclid division, eta evaluated separately at every zeta^j, the Galois-checked
+The kernels are the schoolbook integer convolution, the convolution path
+of nu (p^2 nu as the product of two integer coth vectors, the oracle for
+the package's recurrence), the dense-``Fraction`` version of the
+cyclotomic product, the Euclid-based inverse of zeta^m - 1, the
+three-product isolated-point defect, the fixed-sphere defect by Euclid
+division, eta evaluated separately at every zeta^j, the Galois-checked
 eta profile and its inverse transform, the Fourier and cotangent-sum rho
 transforms (integer vectors over a common denominator, each entry checked
 rational), and the lens search that scans every pair (r, s).  The package
@@ -24,30 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict
+from typing import Dict, Sequence, Union
 
-from brieskorn.arith import Cyclotomic
+from brieskorn.arith import Cyclotomic, _canonical, is_prime
 from brieskorn.seifert import check_order
 from brieskorn.spectral import LensCandidate, canonical_lens_pair
 
-
-class NonRationalError(ValueError):
-    """A cyclotomic number expected to be Galois-invariant was not."""
-
-
-def zero(p: int) -> Cyclotomic:
-    return Cyclotomic(p, [])
-
-
-def one(p: int) -> Cyclotomic:
-    return Cyclotomic(p, [1])
-
-
-def zeta(p: int, k: int = 1) -> Cyclotomic:
-    """zeta_p^k (any integer k, exponent taken mod p)."""
-    vec = [0] * p
-    vec[k % p] = 1
-    return Cyclotomic(p, vec)
+Scalar = Union[int, Fraction]
 
 
 def convolve(p: int, x, y):
@@ -61,6 +49,106 @@ def convolve(p: int, x, y):
     for k in range(len(full) - 1, p - 1, -1):
         full[k - p] += full[k]
     return full[:p]
+
+
+def _as_fraction(x: Scalar) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+class Field(Cyclotomic):
+    """An element of the reference field Q(zeta_p): a ``Cyclotomic`` with
+    the ring operations, mixed freely with ints and Fractions."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, coeffs: Sequence[Scalar]):
+        if not is_prime(p) or p < 3:
+            raise ValueError(f"order must be an odd prime >= 3, got {p}")
+        vec = [_as_fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in vec))
+        self.p = p
+        self.nums, self.den = _canonical(
+            p, [c.numerator * (den // c.denominator) for c in vec], den)
+
+    @classmethod
+    def from_rational(cls, p: int, value: Scalar) -> "Field":
+        return cls(p, [value])
+
+    def _coerce(self, other) -> "Field":
+        if isinstance(other, Cyclotomic):
+            if other.p != self.p:
+                raise ValueError(f"mixed cyclotomic orders {self.p} and {other.p}")
+            return lift(other)
+        return Field.from_rational(self.p, other)
+
+    def _combine(self, other, sign: int) -> "Field":
+        # self + sign * other over the least common denominator.
+        other = self._coerce(other)
+        den = lcm(self.den, other.den)
+        sx, sy = den // self.den, sign * (den // other.den)
+        return Field.from_numerators(
+            self.p, [a * sx + b * sy for a, b in zip(self.nums, other.nums)], den)
+
+    def __add__(self, other) -> "Field":
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Field":
+        return Field._raw(self.p, tuple(-a for a in self.nums), self.den)
+
+    def __sub__(self, other) -> "Field":
+        return self._combine(other, -1)
+
+    def __rsub__(self, other) -> "Field":
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "Field":
+        if isinstance(other, (int, Fraction)):
+            q = _as_fraction(other)
+            return Field.from_numerators(
+                self.p, [a * q.numerator for a in self.nums],
+                self.den * q.denominator)
+        other = self._coerce(other)
+        return Field.from_numerators(
+            self.p, convolve(self.p, self.nums, other.nums), self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = Field.from_rational(self.p, other)
+        return super().__eq__(other)
+
+    __hash__ = Cyclotomic.__hash__
+
+
+def lift(x: Cyclotomic) -> Field:
+    """The package's value x as an element of the reference field."""
+    return x if isinstance(x, Field) else Field._raw(x.p, x.nums, x.den)
+
+
+class NonRationalError(ValueError):
+    """A cyclotomic number expected to be Galois-invariant was not."""
+
+
+def zero(p: int) -> Field:
+    return Field(p, [])
+
+
+def one(p: int) -> Field:
+    return Field(p, [1])
+
+
+def zeta(p: int, k: int = 1) -> Field:
+    """zeta_p^k (any integer k, exponent taken mod p)."""
+    vec = [0] * p
+    vec[k % p] = 1
+    return Field(p, vec)
 
 
 def coth_numerators(p: int, m: int):
@@ -84,7 +172,7 @@ def nu_by_convolution(a: int, b: int, p: int) -> Cyclotomic:
         p, convolve(p, coth_numerators(p, a), coth_numerators(p, b)), p * p)
 
 
-def inverse(x: Cyclotomic) -> Cyclotomic:
+def inverse(x: Cyclotomic) -> Field:
     """Field inverse via the extended Euclidean algorithm against Phi_p."""
     if is_zero(x):
         raise ZeroDivisionError("division by zero in Q(zeta_p)")
@@ -99,14 +187,14 @@ def inverse(x: Cyclotomic) -> Cyclotomic:
     if _poly_degree(r1) != 0:
         raise ArithmeticError("gcd with Phi_p is not constant; p not prime?")
     c = r1[0]
-    return Cyclotomic(p, [y / c for y in t1])
+    return Field(p, [y / c for y in t1])
 
 
-def div(x, y) -> Cyclotomic:
+def div(x, y) -> Field:
     """x / y in Q(zeta_p); either side may be a rational scalar."""
     p = x.p if isinstance(x, Cyclotomic) else y.p
     if not isinstance(y, Cyclotomic):
-        y = Cyclotomic.from_rational(p, y)
+        y = Field.from_rational(p, y)
     return x * inverse(y)
 
 
@@ -114,20 +202,20 @@ def is_zero(x: Cyclotomic) -> bool:
     return all(c == 0 for c in x.coeffs)
 
 
-def mul_zeta_power(x: Cyclotomic, k: int) -> Cyclotomic:
+def mul_zeta_power(x: Cyclotomic, k: int) -> Field:
     """x * zeta^k, as a cyclic coefficient shift."""
     full = [Fraction(0)] * x.p
     for i, a in enumerate(x.coeffs):
         full[(i + k) % x.p] = a
-    return Cyclotomic(x.p, full)
+    return Field(x.p, full)
 
 
-def power(x: Cyclotomic, n: int) -> Cyclotomic:
+def power(x: Cyclotomic, n: int) -> Field:
     """x^n for any integer n; a negative power inverts first."""
     if n < 0:
         return power(inverse(x), -n)
     result = one(x.p)
-    base = x
+    base = lift(x)
     while n:
         if n & 1:
             result = result * base
@@ -136,7 +224,7 @@ def power(x: Cyclotomic, n: int) -> Cyclotomic:
     return result
 
 
-def torsion_lens(p: int, r: int, s: int) -> Cyclotomic:
+def torsion_lens(p: int, r: int, s: int) -> Field:
     """Reidemeister torsion representative (zeta^r - 1)(zeta^s - 1)."""
     check_order(p)
     if gcd(r * s, p) != 1:
@@ -216,7 +304,7 @@ def _poly_divmod(f, g):
 
 
 
-def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
+def mul(x: Cyclotomic, y: Cyclotomic) -> Field:
     """Dense convolution over Fraction, then reduction mod Phi_p."""
     p = x.p
     full = [Fraction(0)] * p
@@ -226,17 +314,17 @@ def mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
         for j, b in enumerate(y.coeffs):
             if b:
                 full[(i + j) % p] += a * b
-    return Cyclotomic(p, full)
+    return Field(p, full)
 
 
 @lru_cache(maxsize=None)
-def inv_zeta_minus_one(p: int, m: int) -> Cyclotomic:
+def inv_zeta_minus_one(p: int, m: int) -> Field:
     """1/(zeta^m - 1) by the extended Euclidean algorithm against Phi_p."""
     return inverse(zeta(p, m) - 1)
 
 
 @lru_cache(maxsize=None)
-def nu_defect(a: int, b: int, p: int, j: int = 1) -> Cyclotomic:
+def nu_defect(a: int, b: int, p: int, j: int = 1) -> Field:
     """(t^a+1)(t^b+1) / ((t^a-1)(t^b-1)) at t = zeta^j, as three products."""
     a, b, j = a % p, b % p, j % p
     za = zeta(p, j * a)
@@ -245,16 +333,16 @@ def nu_defect(a: int, b: int, p: int, j: int = 1) -> Cyclotomic:
                inv_zeta_minus_one(p, j * b))
 
 
-def sphere_defect(w: int, c: int, p: int, j: int = 1) -> Cyclotomic:
+def sphere_defect(w: int, c: int, p: int, j: int = 1) -> Field:
     """w * (-4 t^c)/(t^c - 1)^2 at t = zeta^j, by Euclid division."""
     zc = zeta(p, j * c)
-    return mul(mul(Cyclotomic.from_rational(p, -4 * w), zc),
+    return mul(mul(Field.from_rational(p, -4 * w), zc),
                inverse(mul(zc - 1, zc - 1)))
 
 
-def eta_value(fd, p: int, j: int) -> Cyclotomic:
+def eta_value(fd, p: int, j: int) -> Field:
     """eta at zeta^j, summed term by term over Fraction."""
-    total = Cyclotomic.from_rational(p, -fd.signature)
+    total = Field.from_rational(p, -fd.signature)
     for a, b in fd.isolated:
         total = total + nu_defect(a, b, p, j)
     for w, c in fd.spheres:
@@ -275,8 +363,8 @@ def _rotated(row, shift):
 
 def _numerator_rows(values):
     """Length-p integer vectors of the values over their common denominator."""
-    den = lcm(*(x.denominator() for x in values))
-    return [x.numerators(den) + [0] for x in values], den
+    den = lcm(*(x.den for x in values))
+    return [[n * (den // x.den) for n in x.nums] + [0] for x in values], den
 
 
 def rho_from_eta(values, p: int):
@@ -322,13 +410,13 @@ class EtaProfile:
                 raise ValueError(f"profile is not Galois-equivariant at j={j}")
 
 
-def eta_from_rho(table, j: int) -> Cyclotomic:
+def eta_from_rho(table, j: int) -> Field:
     """Inverse transform sum_l rho(l) zeta^{-jl}, recovering eta at zeta^j."""
     p = table.p
     total = zero(p)
     for ell, rho in enumerate(table.values):
         if rho:
-            total = total + mul_zeta_power(Cyclotomic.from_rational(p, rho), -j * ell)
+            total = total + mul_zeta_power(Field.from_rational(p, rho), -j * ell)
     return total
 
 

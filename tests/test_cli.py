@@ -1,5 +1,6 @@
 """Reports, cache, and the command-line interface."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -440,3 +441,29 @@ def test_eta_refuses_p_above_its_table_ceiling(tmp_cache, capsys):
                             "be at most 1000, got 1009\n")
     assert main(["rho", "--lens", "1009", "1", "2"]) == 0
     assert capsys.readouterr().out.count("rho(") == 1009
+
+
+# sha256 of stdout, recorded before the field operations left Cyclotomic:
+# the golden digests cover only `analyze` reports, and these commands
+# print through `galois`, `coeffs` and the rho table directly.
+PRINTED_DIGESTS = {
+    "eta 3 16 113 --p 5":
+        "ff74d8bb68d14483a6e1e27c4a6ffbe548cb9f951052c3393bbf8073fec34d27",
+    "eta 3 16 113 --p 13":
+        "cea148a3ff70b3110706ab808ec76ccb5bead87d0cae377f248a5b97acbc7a3d",
+    "eta 3 16 113 --p 101":
+        "f6f4b684bf81ece8fef0603a4cdbcbd6ddb0e3dccc40bb1f6b6ed723fdcb423f",
+    "rho --lens 5 3 8":
+        "792cd2de2d6018d43914aaf4abeaaa38576793de8d34b5a77c31fcdd792006a4",
+    "rho --lens 101 3 8":
+        "903d78d1b98d9b707038132b2b86fa78ea31e94bd599c69a854fa538592e46a4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED_DIGESTS))
+def test_eta_and_rho_output_bytes(command, tmp_cache, capsys):
+    assert main(command.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert digest == PRINTED_DIGESTS[command]

@@ -193,3 +193,10 @@ class TestFormValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             UnimodularForm.from_matrix(((1, 2), (3, 4)))
+        with pytest.raises(ValueError):     # not square
+            UnimodularForm.from_matrix(((-2, 1, 0), (1, -2, 1)))
+        q = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
+        UnimodularForm.from_matrix(q)
+        q[3][1] = 1                         # one entry off the diagonal
+        with pytest.raises(ValueError, match="symmetric"):
+            UnimodularForm.from_matrix(q)
