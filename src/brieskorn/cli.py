@@ -44,8 +44,11 @@ def _write_json(path: str, payload) -> None:
     if path == "-":
         sys.stdout.write(data)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(data)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(data)
+        except OSError as exc:
+            raise CLIError(str(exc)) from exc
 
 
 def cmd_analyze(args) -> int:

@@ -14,18 +14,22 @@ The unknowns are one orientation sign per node sphere and one sign per
 diagonal basis vector.  Every nonzero coefficient then pins the product
 of two signs, so the whole system is a parity (2-coloring) problem; the
 solver 2-colors it in linear time, seeding each connected component once
-and propagating, with no backtracking.  Sphere i is read
-from its sparse coordinates (Diagonalization.coordinates), the nonzero
-(j, x) of column i of C^-1; a sphere of square w has at most |w|, and
-every loop runs over those pairs.  The tests check the solver against an
-exhaustive assignment oracle for small ranks, and the sparse assembly
-against a dense one (tests/obstruction_oracle.py).
+and propagating, with no backtracking.  Sphere i is read from its sparse
+coordinates (Diagonalization.coordinates), the nonzero (j, x) of column i
+of C^-1; a sphere of square w has at most |w|.  Every intersection number
+the system needs is an entry of Q: Diagonalization checks X^t X = -Q for
+X = C^-1 when it is built, so [F_i].[F_k] = Q[i][k], and the squares and
+couplings are read off Q's diagonal and the nonzeros of its rows.  Only
+Certificate.verify takes its own sparse dot products, so it re-checks a
+certificate independently of Q.  The tests check the solver against an
+exhaustive assignment oracle for small ranks, and the assembly against a
+dense one (tests/obstruction_oracle.py).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations, compress
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
@@ -61,38 +65,34 @@ def build_constraints(markup: EquivariantMarkup,
                       d: Diagonalization) -> ConstraintSystem:
     """Assemble the sign-constraint system for a marked diagonalized form.
 
-    Rejects inconsistent input: a markup of the wrong size, or a fixed
-    sphere whose column square disagrees with the recorded
-    self-intersection.  A fixed sphere with a coefficient of absolute
-    value >= 2 is valid input; decide reports it as infeasible.
+    The intersection numbers come from Q by the Gram identity X^t X = -Q
+    that d checked when it was built: a fixed sphere's square is Q[i][i],
+    and an invariant k couples to a fixed (-1)-sphere i when Q[i][k] is
+    +-1, with sign -Q[k][i].  No dot product is taken.  Rejects
+    inconsistent input: a markup of the wrong size, or a fixed sphere
+    whose square in Q disagrees with the recorded self-intersection.  A
+    fixed sphere with a coefficient of absolute value >= 2 is valid
+    input; decide reports it as infeasible.
     """
-    n = d.form.n
-    if len(markup.node_kinds) != n:
-        raise ConstraintError(
-            f"markup covers {len(markup.node_kinds)} nodes, form has rank {n}")
-    columns = d.coordinates     # node class i is column i of C^-1
+    n, q = d.form.n, d.form.q
     kinds = markup.node_kinds
+    if len(kinds) != n:
+        raise ConstraintError(
+            f"markup covers {len(kinds)} nodes, form has rank {n}")
     self_int = {node: w for node, w, _ in markup.fixed_spheres}
-    for i, col in enumerate(columns):
+    couplings = []
+    for i in range(n):
         if kinds[i] != "fixed":
             continue
-        square = -sum(x * x for _, x in col)
-        if square != self_int[i]:
+        if q[i][i] != self_int.get(i):
             raise ConstraintError(
-                f"fixed sphere {i}: column square {square} != recorded "
-                f"self-intersection {self_int[i]}")
-    couplings = []
-    for i, col in enumerate(columns):
-        if kinds[i] != "fixed" or -sum(x * x for _, x in col) != -1:
-            continue
-        for k in range(n):
-            if kinds[k] != "invariant":
-                continue
-            dot = -sum(x * y for j, x in columns[k] for l, y in col if j == l)
-            if abs(dot) == 1:
-                # standardly oriented classes must satisfy [F].[S] = -1
-                couplings.append((k, i, -dot))
-    return ConstraintSystem(n, columns, kinds, tuple(couplings))
+                f"fixed sphere {i}: square {q[i][i]} in the form != "
+                f"recorded self-intersection {self_int.get(i)}")
+        if q[i][i] == -1:
+            # standardly oriented classes must satisfy [F].[S] = -1
+            couplings.extend((k, i, -q[k][i]) for k in compress(range(n), q[i])
+                             if kinds[k] == "invariant" and abs(q[k][i]) == 1)
+    return ConstraintSystem(n, d.coordinates, kinds, tuple(couplings))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,9 @@ class Certificate:
     names two spheres whose shared diagonal indices pin their relative
     orientation in contradictory ways.  kind "fixed-coefficient" names a
     fixed sphere with a coefficient of absolute value >= 2, which no
-    choice of signs puts in {0, 1}.
+    choice of signs puts in {0, 1}.  kind "search-refutation" is the
+    fallback when neither pattern is found; it names no witness, and
+    verify rejects it.
     """
 
     kind: str
@@ -155,54 +157,18 @@ class ObstructionVerdict:
         return self.status == "feasible"
 
 
-def _parity_equations(cs: ConstraintSystem):
-    """All constraints as parity equations var_a * var_b = sign.
-
-    Variables are ("o", i) and ("s", j).  A nonzero coefficient c of an
-    invariant sphere needs o*s*c > 0 and of a fixed sphere o*s*c in {0,1},
-    both of which force o*s = sign(c); couplings relate two o's.
-    """
-    equations = []
-    for i, col in enumerate(cs.columns):
-        for j, c in col:
-            equations.append((("o", i), ("s", j), 1 if c > 0 else -1))
-    for i, k, sign in cs.couplings:
-        equations.append((("o", i), ("o", k), sign))
-    return equations
-
-
 def decide(cs: ConstraintSystem) -> ObstructionVerdict:
     """Admissible signs, or a certificate on infeasibility.
 
-    A linear-time parity 2-coloring: each connected component of the
-    parity equations is seeded once with +1, and each equation with one
-    endpoint assigned pins the other.  Flipping a component's seed flips
-    every sign in it and keeps every equation, so one seed decides the
-    component and nothing is ever undone.
+    A linear-time parity 2-coloring over the integer variables o_i = i
+    and s_j = m + j (m node spheres).  A nonzero coefficient c of an
+    invariant sphere needs o*s*c > 0 and of a fixed sphere o*s*c in
+    {0, 1}, both of which force o_i * s_j = sign(c); a coupling relates
+    two o's.  Each connected component is seeded once with +1, and each
+    equation with one endpoint assigned pins the other.  Flipping a
+    component's seed flips every sign in it and keeps every equation, so
+    one seed decides the component and nothing is ever undone.
     """
-    equations = _parity_equations(cs)
-    incident: Dict[Tuple[str, int], List[Tuple[Tuple[str, int], int]]] = {}
-    for u, v, sign in equations:
-        incident.setdefault(u, []).append((v, sign))
-        incident.setdefault(v, []).append((u, sign))
-    variables = [("o", i) for i in range(len(cs.columns))]
-    variables += [("s", j) for j in range(cs.n)]
-    assignment: Dict[Tuple[str, int], int] = {}
-
-    def propagate(start) -> Optional[Tuple]:
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v, sign in incident.get(u, ()):
-                want = assignment[u] * sign
-                seen = assignment.get(v)
-                if seen is None:
-                    assignment[v] = want
-                    queue.append(v)
-                elif seen != want:
-                    return (u, v)
-        return None
-
     for i, col in enumerate(cs.columns):
         if cs.kinds[i] == "fixed" and any(abs(x) >= 2 for _, x in col):
             return ObstructionVerdict("infeasible", None, Certificate(
@@ -211,49 +177,56 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
                         "value >= 2; no signs put its class in {0,1} "
                         "coordinates")))
 
-    conflict = None
-    for var in variables:
-        if var in assignment:
+    m = len(cs.columns)
+    adjacent: List[List[Tuple[int, int]]] = [[] for _ in range(m + cs.n)]
+    for i, col in enumerate(cs.columns):
+        for j, x in col:
+            sign = 1 if x > 0 else -1
+            adjacent[i].append((m + j, sign))
+            adjacent[m + j].append((i, sign))
+    for i, k, sign in cs.couplings:
+        adjacent[i].append((k, sign))
+        adjacent[k].append((i, sign))
+    value = [0] * (m + cs.n)          # 0: not yet assigned
+    for seed in range(m + cs.n):
+        if value[seed]:
             continue
-        assignment[var] = 1  # component seed; parity consistency is
-        conflict = propagate(var)  # independent of the seed's sign
-        if conflict:
-            break
-
-    if conflict is None:
-        o = tuple(assignment[("o", i)] for i in range(len(cs.columns)))
-        s = tuple(assignment[("s", j)] for j in range(cs.n))
-        return ObstructionVerdict("feasible", {"orientations": o, "basis_signs": s}, None)
-    return ObstructionVerdict("infeasible", None, _certificate(cs))
+        value[seed] = 1
+        stack = [seed]
+        while stack:
+            u = stack.pop()
+            for v, sign in adjacent[u]:
+                if not value[v]:
+                    value[v] = value[u] * sign
+                    stack.append(v)
+                elif value[v] != value[u] * sign:
+                    return ObstructionVerdict("infeasible", None,
+                                              _certificate(cs))
+    return ObstructionVerdict("feasible", {"orientations": tuple(value[:m]),
+                                           "basis_signs": tuple(value[m:])},
+                              None)
 
 
 def _certificate(cs: ConstraintSystem) -> Certificate:
     # Preferred witness: fixed (-1)-sphere with two disjoint invariant
     # neighbours (always present for a central node of a resolution tree
-    # with at least two branches).
-    for s in range(len(cs.columns)):
-        if cs.kinds[s] != "fixed" or cs.intersection(s, s) != -1:
-            continue
-        neighbours = [f for f in range(len(cs.columns))
-                      if cs.kinds[f] == "invariant"
-                      and abs(cs.intersection(f, s)) == 1]
-        for f, g in itertools.combinations(neighbours, 2):
-            if cs.intersection(f, g) != 0:
-                continue
-            j0 = cs.columns[s][0][0]
-            cert = Certificate(
-                kind="adjacent-branches",
-                spheres=(s, f, g),
-                detail=(
+    # with at least two branches).  A fixed (-1)-sphere's invariant
+    # neighbours are exactly the spheres coupled to it.
+    neighbours: Dict[int, List[int]] = {}
+    for f, s, _ in cs.couplings:
+        neighbours.setdefault(s, []).append(f)
+    for s in sorted(neighbours):
+        for f, g in combinations(neighbours[s], 2):
+            cert = Certificate("adjacent-branches", (s, f, g), "")
+            if cert.verify(cs):
+                (j0, _), = cs.columns[s]    # a (-1)-sphere is +-e_j0
+                return replace(cert, detail=(
                     f"fixed sphere {s} of square -1 reduces to a diagonal "
                     f"basis vector e{j0}; orientation coupling then forces "
                     f"coefficient 1 on e{j0} in the standardly oriented "
                     f"invariant neighbours {f} and {g}, whose coefficients "
                     f"are all >= 0, so 0 = [F{f}].[F{g}] = -1 - (sum of "
-                    "products of nonnegative coefficients): impossible"),
-            )
-            if cert.verify(cs):
-                return cert
+                    "products of nonnegative coefficients): impossible"))
     # Fallback: the first two columns whose shared support pins o_f*o_g
     # both ways; only spheres sharing a basis vector can qualify.
     shared: Dict[int, List[int]] = {}
@@ -261,7 +234,7 @@ def _certificate(cs: ConstraintSystem) -> Certificate:
         for j, _ in col:
             shared.setdefault(j, []).append(f)
     for f, g in sorted({pair for nodes in shared.values()
-                        for pair in itertools.combinations(nodes, 2)}):
+                        for pair in combinations(nodes, 2)}):
         cert = Certificate(
             kind="parity-conflict", spheres=(f, g),
             detail=(f"spheres {f} and {g} share diagonal indices with "

@@ -237,7 +237,8 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
     triple, p and version.  The input is validated before the lookup, so
     a bad p is never served or cached.  An entry is a hit only when it is
     a JSON object of this schema version for this input; anything else
-    is a miss and is rewritten."""
+    is a miss and is rewritten.  An unusable cache directory is a miss
+    that is not cached: the report is still returned."""
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
         check_action(triple, p)
@@ -251,18 +252,21 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
                     and report.get("schema_version") == SCHEMA_VERSION
                     and report.get("input") == {"a": a, "b": b, "c": c, "p": p}):
                 return report
-        except (FileNotFoundError, ValueError):  # ValueError: corrupt entry
+        except (OSError, ValueError):  # ValueError: corrupt entry
             pass
     report = build_analysis(a, b, c, p)
     if use_cache:
-        os.makedirs(cache_dir(), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir(), prefix=".analyze_",
-                                   suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(render_json(report))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            os.makedirs(cache_dir(), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir(), prefix=".analyze_",
+                                       suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(render_json(report))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError:
+            pass   # not cached; the cache is an optimization only
     return report

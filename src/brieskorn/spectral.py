@@ -89,7 +89,7 @@ from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)   # an entry holds p numerators: ~4 MB at p = 99991
 def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
     """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta
     (with a = b = c, also the kernel of a fixed sphere's term).

@@ -144,6 +144,36 @@ class TestCache:
             assert entry.read_text(encoding="utf-8") == good
         assert [p.name for p in tmp_cache.iterdir()] == [entry.name]
 
+    def test_cache_dir_that_is_a_file_is_a_miss(self, tmp_cache, capsys):
+        tmp_cache.write_text("not a directory\n")
+        args = ["analyze", "2", "3", "7", "--p", "5"]
+        assert main(args + ["--no-cache"]) == 0
+        expected = capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr() == expected
+        assert tmp_cache.read_text() == "not a directory\n"
+
+    def test_unreadable_entry_is_a_miss(self, tmp_cache):
+        report = cached_analysis(2, 3, 7, 5)
+        [entry] = tmp_cache.iterdir()
+        entry.unlink()
+        entry.mkdir()           # reading it raises IsADirectoryError
+        assert cached_analysis(2, 3, 7, 5) == report
+
+    @pytest.mark.parametrize("name", ["makedirs", "mkstemp", "replace"])
+    def test_failed_write_still_returns_the_report(self, tmp_cache,
+                                                   monkeypatch, name):
+        import tempfile
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        module = tempfile if name == "mkstemp" else os
+        monkeypatch.setattr(module, name, fail)
+        assert cached_analysis(2, 3, 7, 5) == build_analysis(2, 3, 7, 5)
+        # the temp file of a failed replace is removed
+        assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
     def test_interleaved_writers_use_separate_temp_files(self, tmp_cache,
                                                          monkeypatch):
         import brieskorn.report as report_module
@@ -179,6 +209,24 @@ class TestCLI:
         data = json.loads(path.read_text())
         assert data["obstruction"]["status"] == "infeasible"
         assert data == build_analysis(3, 16, 113, 5)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "2", "3", "5", "--p", "7"],
+        ["family", "stern", "--r", "3", "--s-range", "5..5", "--p", "5"],
+        ["diagonalize", "--matrix", None],
+    ])
+    def test_unwritable_json_path_is_input_error(self, tmp_cache, tmp_path,
+                                                  capsys, argv):
+        matrix = tmp_path / "qx.txt"
+        matrix.write_text(render_matrix_text(REFERENCE_QX) + "\n")
+        argv = [str(matrix) if arg is None else arg for arg in argv]
+        missing = tmp_path / "missing" / "x.json"
+        assert main(argv + ["--json", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(missing) in captured.err
+        assert not missing.parent.exists()
 
     def test_analyze_rejects_dividing_p(self, tmp_cache, capsys):
         assert main(["analyze", "3", "16", "113", "--p", "3"]) == 1

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
-                       Diagonalization, UnimodularForm, build_constraints,
-                       canonical_resolution, decide, diagonalize, family,
-                       intersection_matrix, is_prime,
+                       ConstraintSystem, Diagonalization, UnimodularForm,
+                       build_constraints, canonical_resolution, decide,
+                       diagonalize, family, intersection_matrix, is_prime,
                        propagate_rotations, seifert_invariants,
                        standard_action_valid, star)
 from brieskorn.matrices import transpose
@@ -99,6 +99,30 @@ class TestBuildConstraints:
         assert verdict.certificate.spheres == (0,)
         assert verdict.certificate.verify(cs)
         assert brute_force_decide(cs) == "infeasible"
+
+
+    @pytest.mark.parametrize("seed", [3, 29, 101])
+    def test_matches_dense_assembly_on_random_members(self, seed):
+        # The package reads squares and couplings off Q; the oracle takes
+        # every dot product over the dense columns of C^-1.
+        from conftest import random_triples
+        rng = random.Random(seed)
+        members = [BrieskornTriple.of(*t)
+                   for t in random_triples(10, seed=seed)]
+        members += [family("stern", 3, rng.randint(2, 40)),
+                    family("casson-harer", 3, rng.randint(1, 9), "-")]
+        compared = 0
+        for t in members:
+            g = canonical_resolution(seifert_invariants(t))
+            diag = diagonalize(UnimodularForm.from_matrix(intersection_matrix(g)))
+            if not diag.found:
+                continue
+            for p in smallest_valid_primes(t):
+                markup = propagate_rotations(g, p)
+                cs = build_constraints(markup, diag)
+                assert cs == oracle.build_constraints(markup, diag), (t, p)
+                compared += 1
+        assert compared >= 6
 
 
 class TestDecide:
@@ -243,3 +267,73 @@ class TestDecide:
             except ConstraintError:
                 continue
             assert decide(cs).status == brute_force_decide(cs)
+
+
+def system(kinds, columns, couplings, n):
+    return ConstraintSystem(n, tuple(tuple(col) for col in columns),
+                            tuple(kinds), tuple(couplings))
+
+
+# Hand-built systems, one per certificate tier.  f = e0 + e1 and
+# g = e0 - e1 are orthogonal with both product signs on their shared
+# support; a fixed (-1)-sphere e0 couples to both.
+ADJACENT = system(("fixed", "invariant", "invariant"),
+                  [[(0, 1)], [(0, 1), (1, 1)], [(0, 1), (1, -1)]],
+                  [(1, 0, 1), (2, 0, 1)], 2)
+CONFLICT = system(("invariant", "invariant"),
+                  [[(0, 1), (1, 1)], [(0, 1), (1, -1)]], [], 2)
+# Coupling-only odd cycles: the sign products around 0-1-2 are -1.  In
+# the second, the (-1)-sphere's two neighbours meet ([F1].[F2] = -2), so
+# no adjacent-branches witness exists, and every shared product is > 0.
+ODD_CYCLE = system(("invariant",) * 3, [[(0, 1)], [(1, 1)], [(2, 1)]],
+                   [(0, 1, 1), (1, 2, 1), (2, 0, -1)], 3)
+ODD_CYCLE_AT_FIXED = system(
+    ("fixed", "invariant", "invariant"),
+    [[(0, 1)], [(0, 1), (1, 1)], [(0, 1), (1, 1), (2, 1)]],
+    [(1, 0, 1), (2, 0, 1), (1, 2, -1)], 3)
+
+
+class TestCertificateTiers:
+    @pytest.mark.parametrize("cs, kind, spheres", [
+        (ADJACENT, "adjacent-branches", (0, 1, 2)),
+        (CONFLICT, "parity-conflict", (0, 1)),
+    ])
+    def test_checkable_tiers(self, cs, kind, spheres):
+        verdict = decide(cs)
+        assert verdict.status == "infeasible" == brute_force_decide(cs)
+        cert = verdict.certificate
+        assert (cert.kind, cert.spheres) == (kind, spheres)
+        assert cert.verify(cs)
+
+    def test_adjacent_branches_detail_names_the_basis_vector(self):
+        detail = decide(ADJACENT).certificate.detail
+        assert detail.startswith("fixed sphere 0 of square -1 reduces to a "
+                                 "diagonal basis vector e0;")
+
+    def test_neighbours_are_read_off_the_couplings(self):
+        # Without its couplings the (-1)-sphere has no neighbours, and
+        # the pair f, g falls through to the parity-conflict tier.
+        uncoupled = system(ADJACENT.kinds, ADJACENT.columns, [], 2)
+        cert = decide(uncoupled).certificate
+        assert (cert.kind, cert.spheres) == ("parity-conflict", (1, 2))
+        assert cert.verify(uncoupled)
+
+    @pytest.mark.parametrize("cs", [ODD_CYCLE, ODD_CYCLE_AT_FIXED])
+    def test_coupling_only_odd_cycle_is_a_search_refutation(self, cs):
+        verdict = decide(cs)
+        assert verdict.status == "infeasible" == brute_force_decide(cs)
+        cert = verdict.certificate
+        assert (cert.kind, cert.spheres) == ("search-refutation", ())
+        # This tier names no witness, so there is nothing to re-check.
+        assert not cert.verify(cs)
+
+    def test_even_cycle_is_feasible(self):
+        cs = system(ODD_CYCLE.kinds, ODD_CYCLE.columns,
+                    [(0, 1, 1), (1, 2, -1), (2, 0, -1)], 3)
+        verdict = decide(cs)
+        assert verdict.status == "feasible" == brute_force_decide(cs)
+        o = verdict.assignment["orientations"]
+        s = verdict.assignment["basis_signs"]
+        assert all(o[i] * o[k] == sign for i, k, sign in cs.couplings)
+        assert all(o[i] * s[j] * x > 0
+                   for i, col in enumerate(cs.columns) for j, x in col)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import brieskorn
 from brieskorn import (BrieskornTriple, check_action, check_order, family,
@@ -66,10 +66,19 @@ def seifert_b_by_scan(triple):
 entries = st.integers(min_value=2, max_value=3000)
 
 
-@given(entries, entries, entries)
-def test_closed_form_matches_residue_scan(a, b, c):
-    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
-    triple = BrieskornTriple.of(a, b, c)
+@st.composite
+def coprime_triples(draw):
+    # Drawn entry by entry: three independent draws are pairwise coprime
+    # only 29% of the time, which can trip the filter health check.
+    a = draw(entries)
+    b = draw(entries.filter(lambda x: gcd(a, x) == 1))
+    c = draw(entries.filter(lambda x: gcd(a * b, x) == 1))
+    return a, b, c
+
+
+@given(coprime_triples())
+def test_closed_form_matches_residue_scan(abc):
+    triple = BrieskornTriple.of(*abc)
     assert seifert_invariants(triple).b == seifert_b_by_scan(triple)
 
 

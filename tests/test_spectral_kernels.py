@@ -47,6 +47,19 @@ def closed_form_inverse(p, m):
     return (coth - 1) * Fraction(1, 2)
 
 
+def test_nu_cache_is_bounded():
+    # A family sweep at large p meets more (a, b, p) keys than it reuses;
+    # at p = 99991 an entry holds ~4 MB, so the cache keeps at most 128.
+    p = 331
+    for a in range(1, 140):
+        nu_defect(a, 1, p)
+    info = nu_defect.cache_info()
+    assert info.maxsize == 128
+    assert info.currsize <= 128
+    nu_defect(139, 1, p)
+    assert nu_defect.cache_info().hits == info.hits + 1
+
+
 @given(primes, units)
 def test_inverse_matches_euclid(p, m):
     m = nonzero_mod(p, m)
