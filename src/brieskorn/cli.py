@@ -3,11 +3,19 @@
 Subcommands: analyze, family, diagonalize, rho, eta, graph.  Exit codes:
 0 success, 1 invalid input, 2 internal invariant violation.  All output is
 deterministic and exact (no floats).
+
+`main` may be called many times in one process: the argparse parser is
+built on the first call and shared by every later one, and no call
+leaves state behind that changes what a later call prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
+import os
+import stat
 import sys
 from typing import List, Optional
 
@@ -39,6 +47,21 @@ def _parse_range(text: str):
         raise CLIError(f"bad range {text!r}; expected LO..HI") from exc
 
 
+def _check_json_dir(path: Optional[str]) -> None:
+    """Refuse a --json PATH whose directory does not exist before any
+    analysis runs.  The file itself is not opened here, so a run that
+    then fails on bad input leaves an existing file unchanged."""
+    if path is None or path == "-":
+        return
+    # The message is the one open() gives for the same path.
+    try:
+        mode = os.stat(os.path.dirname(path) or ".").st_mode
+        if not stat.S_ISDIR(mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise CLIError(str(OSError(exc.errno, exc.strerror, path))) from exc
+
+
 def _write_json(path: str, payload) -> None:
     data = render_json(payload)
     if path == "-":
@@ -52,6 +75,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _check_json_dir(args.json)
     report = cached_analysis(args.a, args.b, args.c, args.p,
                              use_cache=not args.no_cache)
     if args.json:
@@ -65,6 +89,7 @@ def cmd_family(args) -> int:
     lo, hi = _parse_range(args.s_range)
     if args.p is not None:
         check_order(args.p)
+    _check_json_dir(args.json)
     rows = []
     for s in range(lo, hi + 1):
         try:
@@ -185,6 +210,7 @@ def cmd_graph(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="brieskorn",
                      description="Exact extension obstructions for cyclic "

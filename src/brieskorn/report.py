@@ -8,6 +8,7 @@ floats appear anywhere in a report.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -225,48 +226,66 @@ def cache_dir() -> str:
         os.path.join(os.path.expanduser("~"), ".cache", "brieskorn"))
 
 
+@functools.cache
+def source_digest() -> str:
+    """The first 16 hex digits of the sha256 of this package's *.py files,
+    by sorted name: each name, then the file's bytes.  Computed on first
+    use, once per process, so importing the package reads no file."""
+    import hashlib      # not at import: loading OpenSSL would slow start-up
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()[:16]
+
+
 def _cache_path(a: int, b: int, c: int, p: Optional[int]) -> str:
     key = f"analyze_{a}_{b}_{c}_p{p if p is not None else 'none'}" \
-          f"_s{SCHEMA_VERSION}_v{__version__}.json"
+          f"_s{SCHEMA_VERSION}_src{source_digest()}.json"
     return os.path.join(cache_dir(), key)
 
 
 def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
                     use_cache: bool = True) -> Dict:
     """build_analysis with a transparent file cache keyed by the sorted
-    triple, p and version.  The input is validated before the lookup, so
-    a bad p is never served or cached.  An entry is a hit only when it is
-    a JSON object of this schema version for this input; anything else
-    is a miss and is rewritten.  An unusable cache directory is a miss
-    that is not cached: the report is still returned."""
+    triple, p, the schema version and the package's source_digest, so an
+    entry written by other code is never read.  The input is validated
+    before the lookup, so a bad p is never served or cached.  An entry is
+    a hit only when it is a JSON object of this schema version for this
+    input; anything else is a miss and is rewritten.  An unusable cache
+    directory is a miss that is not cached: the report is still
+    returned."""
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
         check_action(triple, p)
     a, b, c = triple.entries
+    if not use_cache:
+        return build_analysis(a, b, c, p)
     path = _cache_path(a, b, c, p)
-    if use_cache:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                report = json.load(handle)
-            if (isinstance(report, dict)
-                    and report.get("schema_version") == SCHEMA_VERSION
-                    and report.get("input") == {"a": a, "b": b, "c": c, "p": p}):
-                return report
-        except (OSError, ValueError):  # ValueError: corrupt entry
-            pass
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+        if (isinstance(report, dict)
+                and report.get("schema_version") == SCHEMA_VERSION
+                and report.get("input") == {"a": a, "b": b, "c": c, "p": p}):
+            return report
+    except (OSError, ValueError):  # ValueError: corrupt entry
+        pass
     report = build_analysis(a, b, c, p)
-    if use_cache:
+    try:
+        os.makedirs(cache_dir(), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir(), prefix=".analyze_",
+                                   suffix=".tmp")
         try:
-            os.makedirs(cache_dir(), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir(), prefix=".analyze_",
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(render_json(report))
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass   # not cached; the cache is an optimization only
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(render_json(report))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass   # not cached; the cache is an optimization only
     return report

@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
+import brieskorn
 from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
                        build_analysis, eta_brieskorn, ll_extension_search,
                        render_json, render_text)
+from brieskorn import cli
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
 from brieskorn.report import cached_analysis
@@ -127,8 +129,12 @@ class TestCache:
         assert fresh == cached == uncached
 
     def test_cache_disabled_writes_nothing(self, tmp_cache):
+        from brieskorn.report import source_digest
+        source_digest.cache_clear()
         cached_analysis(2, 3, 7, use_cache=False)
         assert not tmp_cache.exists()
+        # --no-cache does not even hash the source for a key.
+        assert source_digest.cache_info().currsize == 0
 
     def test_corrupt_entry_is_a_miss_and_is_rewritten(self, tmp_cache, capsys):
         report = build_analysis(2, 3, 7, 5)
@@ -194,6 +200,32 @@ class TestCache:
         [entry] = tmp_cache.iterdir()
         assert entry.read_text(encoding="utf-8") == real_render(first)
 
+    def test_entry_of_other_source_is_never_read(self, tmp_cache, monkeypatch):
+        import brieskorn.report as report_module
+        report = cached_analysis(2, 3, 7, 5)
+        [old] = tmp_cache.iterdir()
+        old_bytes = old.read_bytes()
+        digest = report_module.source_digest()
+        assert f"_src{digest}." in old.name
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(report_module, "open", recording_open,
+                            raising=False)
+        monkeypatch.setattr(report_module, "source_digest",
+                            lambda: "0123456789abcdef")
+        assert cached_analysis(2, 3, 7, 5) == report
+        new = old.name.replace(digest, "0123456789abcdef")
+        # The one lookup is of the new name; it misses and is written.
+        assert opened == [new]
+        assert sorted(p.name for p in tmp_cache.iterdir()) == sorted(
+            [old.name, new])
+        assert old.read_bytes() == old_bytes
+        assert (tmp_cache / new).read_bytes() == old_bytes
+
 
 class TestCLI:
     def test_analyze_text(self, tmp_cache, capsys):
@@ -227,6 +259,36 @@ class TestCLI:
         assert captured.err.startswith("error: ")
         assert str(missing) in captured.err
         assert not missing.parent.exists()
+        # The path is checked before any member is analyzed or cached.
+        assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+    def test_json_dir_error_is_the_one_open_gives(self, tmp_cache, tmp_path,
+                                                  capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for path in (tmp_path / "missing" / "x.json", blocker / "x.json",
+                     blocker / "sub" / "x.json"):
+            with pytest.raises(OSError) as exc:
+                open(path, "w")
+            for argv in (["analyze", "2", "3", "5", "--p", "7"],
+                         ["family", "stern", "--r", "3", "--s-range", "1..3"]):
+                assert main(argv + ["--json", str(path)]) == 1
+                assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert not tmp_cache.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "analyze 3 16 113 --p 9",
+        "analyze 2 4 5",
+        "family stern --r 3 --s-range 1..2 --p 9",
+        "family stern --r 3 --s-range 1..x",
+    ])
+    def test_failed_run_leaves_an_existing_json_file_unchanged(
+            self, tmp_cache, tmp_path, capsys, argv):
+        path = tmp_path / "out.json"
+        path.write_text("previous\n")
+        assert main(argv.split() + ["--json", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_text() == "previous\n"
 
     def test_analyze_rejects_dividing_p(self, tmp_cache, capsys):
         assert main(["analyze", "3", "16", "113", "--p", "3"]) == 1
@@ -426,6 +488,71 @@ class TestCLI:
         assert capsys.readouterr().out == first
 
 
+class TestSharedParser:
+    """One process builds the argparse parser once and serves every later
+    main call with it."""
+
+    def test_many_commands_build_one_parser(self, tmp_cache, monkeypatch,
+                                            capsys):
+        built = []
+        real_init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for argv in ("analyze 3 16 113 --p 5",
+                     "analyze 3 16 113 --p 5",
+                     "family stern --r 3 --s-range 1..2 --p 5",
+                     "graph 3 16 113 --format json",
+                     "eta 3 16 113 --p 5",
+                     "rho --lens 5 3 8"):
+            assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert cli.build_parser.cache_info().misses == 1
+        # The top-level parser and one per subcommand, built once each.
+        assert len(built) == 7
+
+    def test_interleaved_calls_print_what_a_fresh_parser_prints(
+            self, tmp_cache, tmp_path, monkeypatch, capsys):
+        sequence = [
+            ["analyze", "3", "16", "113", "--p", "5"],
+            ["analyze", "3", "16", "113", "--bogus"],
+            ["--version"],
+            ["analyze", "3", "16", "113", "--p", "9"],
+            [],
+            ["diagonalize", "--matrix", str(tmp_path / "missing")],
+            ["analyze", "3", "16", "113", "--p", "5"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "fresh"))
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "shared"))
+        cli.build_parser.cache_clear()
+        shared = [run(argv) for argv in sequence]
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [
+            0, 1, ("SystemExit", 0), 1, 1, 1, 0]
+        assert shared[0][1].startswith("analysis of Sigma(3,16,113)")
+        assert shared[2][1] == f"{brieskorn.__version__}\n"
+        assert shared[4][2] == ("error: the following arguments are "
+                                "required: command\n")
+
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -451,6 +578,39 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: p must be an odd prime >= 3, got 9\n"
+
+    def test_import_builds_no_parser_and_reads_no_source(self):
+        # setup_s in the benchmark times the import and one parser build.
+        code = ("import brieskorn.cli as cli, brieskorn.report as r\n"
+                "print(cli.build_parser.cache_info().currsize,"
+                " r.source_digest.cache_info().currsize)\n")
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=60)
+        assert proc.stdout == "0 0\n"
+
+    def test_source_digest_follows_the_source_bytes(self, tmp_path):
+        import shutil
+
+        def digest(src):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import brieskorn.report as r; print(r.source_digest())"],
+                capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(src)))
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        copy = tmp_path / "src"
+        shutil.copytree(SRC / "brieskorn", copy / "brieskorn",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        original = digest(SRC)
+        assert digest(copy) == original     # independent of the location
+        with open(copy / "brieskorn" / "seifert.py", "a") as handle:
+            handle.write("# edited\n")
+        assert digest(copy) != original
 
     def test_module_run_refuses_p_above_the_ceiling(self, tmp_cache):
         # 100003 is the first prime above the ceiling on p.
