@@ -10,7 +10,7 @@ and cyclotomic arithmetic.
 
 __version__ = "1.0.0"
 
-from .arith import Cyclotomic, HJExpansion, hj_expand, is_prime
+from .arith import HJExpansion, hj_expand, is_prime
 from .seifert import (BrieskornTriple, SeifertData, check_action, check_order,
                       family, r_invariant, seifert_invariants,
                       standard_action_valid)
@@ -24,14 +24,15 @@ from .lattice import (Diagonalization, DiagonalizationFailure,
 from .obstruction import (Certificate, ConstraintError, ConstraintSystem,
                           ObstructionVerdict, build_constraints, decide)
 from .spectral import (FixedPointData, LensCandidate, RhoTable,
-                       canonical_lens_pair, eta_brieskorn, eta_from_fixed_data,
-                       fixed_point_data, ll_extension_search, nu_defect,
-                       rho_from_eta, rho_lens_table)
+                       canonical_lens_pair, coefficients_at, eta_brieskorn,
+                       eta_from_fixed_data, fixed_point_data,
+                       ll_extension_search, nu_defect, rho_from_eta,
+                       rho_lens_table)
 from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
     "__version__",
-    "Cyclotomic", "HJExpansion", "hj_expand", "is_prime",
+    "HJExpansion", "hj_expand", "is_prime",
     "BrieskornTriple", "SeifertData", "check_action", "check_order", "family",
     "r_invariant", "seifert_invariants", "standard_action_valid",
     "EquivariantMarkup", "InternalInvariantError", "PlumbingGraph",
@@ -43,7 +44,8 @@ __all__ = [
     "Certificate", "ConstraintError", "ConstraintSystem",
     "ObstructionVerdict", "build_constraints", "decide",
     "FixedPointData", "LensCandidate", "RhoTable", "canonical_lens_pair",
-    "eta_brieskorn", "eta_from_fixed_data", "fixed_point_data",
-    "ll_extension_search", "nu_defect", "rho_from_eta", "rho_lens_table",
+    "coefficients_at", "eta_brieskorn", "eta_from_fixed_data",
+    "fixed_point_data", "ll_extension_search", "nu_defect", "rho_from_eta",
+    "rho_lens_table",
     "build_analysis", "cached_analysis", "render_json", "render_text",
 ]

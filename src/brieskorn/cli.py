@@ -27,7 +27,7 @@ from .plumbing import (InternalInvariantError, canonical_resolution,
 from .report import SCHEMA_VERSION, cached_analysis, render_json, render_text
 from .seifert import (BrieskornTriple, check_order, family, seifert_invariants,
                       standard_action_valid)
-from .spectral import eta_brieskorn, rho_lens_table
+from .spectral import coefficients_at, eta_brieskorn, rho_lens_table
 
 
 class CLIError(Exception):
@@ -189,7 +189,7 @@ def cmd_eta(args) -> int:
     triple = BrieskornTriple.of(args.a, args.b, args.c)
     eta = eta_brieskorn(triple, args.p)
     for j in range(1, args.p):
-        coeffs = ", ".join(str(c) for c in eta.galois(j).coeffs)
+        coeffs = ", ".join(str(c) for c in coefficients_at(eta, j))
         sys.stdout.write(f"eta(zeta^{j}) = [{coeffs}]\n")
     return 0
 

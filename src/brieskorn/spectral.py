@@ -1,10 +1,19 @@
 """Equivariant eta invariants, rho invariants and the locally-linear
 extension search.
 
-All spectral values live in Q(zeta_p) and are exact.  The boundary eta
-invariant of an equivariant 4-manifold with isolated fixed points
-(a_i, b_i), fixed spheres of self-intersection w and normal rotation c,
-and signature sigma is, at t = zeta^j != 1,
+All spectral values live in Q(zeta_p) and are exact.  Each is a tuple v of
+p ints standing for sum_i v_i zeta^i / p^2 (p = len(v)).  As
+1 + zeta + ... + zeta^(p-1) = 0 and 1, zeta, ..., zeta^(p-2) are a basis,
+sum_i v_i zeta^i = 0 exactly when all the v_i are equal: v is the exact
+value up to an added constant vector, with no reduction mod Phi_p and no
+gcd.  Every reader below is invariant under that constant: the rho
+read-offs, the lens match and ``coefficients_at`` read differences of
+entries, and the reality check compares v_j with v_{-j}.  Only this
+module indexes the vectors.
+
+The boundary eta invariant of an equivariant 4-manifold with isolated
+fixed points (a_i, b_i), fixed spheres of self-intersection w and normal
+rotation c, and signature sigma is, at t = zeta^j != 1,
 
     eta(t) = sum_i nu(a_i, b_i; t) + sum_F w (-4 t^c) / (t^c - 1)^2 - sigma,
     nu(a, b; t) = (t^a + 1)(t^b + 1) / ((t^a - 1)(t^b - 1)).
@@ -19,9 +28,12 @@ So both kinds of fixed point go through the one kernel nu:
 
     eta(t) = sum_i nu(a_i, b_i; t) - sum_F w nu(c, c; t) + (sum_F w - sigma).
 
-Only eta = eta(zeta) is computed: eta(zeta^j) = eta.galois(j), as eta(t)
-is a rational function of t over Q.  eta is real (t -> 1/t negates both
-factors of nu), and that is the one runtime check.
+Only eta = eta(zeta) is computed: eta(t) is a rational function of t
+over Q, so eta(zeta^j) is the image of eta(zeta) under zeta -> zeta^j, a
+permutation of the vector's entries (``coefficients_at``).  eta is real
+(t -> 1/t negates both factors of nu), and that is the one runtime check:
+eta(zeta^-1) = eta(zeta) says v_j - v_{-j} is constant, and it is 0 at
+j = 0, so v_j = v_{-j} for every j.
 
 The rho invariants of the quotient and of the lens space L(p; r, s) are
 defined by the finite Fourier transform and the cotangent sum
@@ -33,19 +45,20 @@ defined by the finite Fourier transform and the cotangent sum
 
 (by cot(pi kx/p) = i (zeta^{kx} + 1)/(zeta^{kx} - 1) and
 sin^2(pi kl/p) = (2 - zeta^{kl} - zeta^{-kl})/4), and are read off
-coefficients.  With c and n the reduced coefficient vectors of eta and of
-nu(r, s; zeta), padded by c_{p-1} = n_{p-1} = 0,
+entries.  With v and n the vectors of eta and of nu(r, s; zeta),
 
-    rho(l) = c_{-l mod p} - c_0,      rho_L(l) = (n_l + n_{-l} - 2 n_0)/2,
+    rho(l) = (v_{-l mod p} - v_0)/p^2,
+    rho_L(l) = (n_l + n_{-l} - 2 n_0)/(2p^2),
 
-because Tr(sum_k x_k zeta^k) = p x_0 - sum_k x_k and eta (zeta^l - 1) has
-coefficient sum 0 and constant coefficient c_{-l} - c_0.
+because Tr(sum_{k<p} x_k zeta^k) = p x_0 - sum_k x_k for any length-p x,
+and eta (zeta^l - 1) has entry sum 0 and constant entry v_{-l} - v_0.
 
-The two rho tables agree exactly when eta = nu(r, s; zeta): nu is real, so
-its transform is even in l and equals rho_L, and the transform is
-injective (c_0 = -rho(1) and c_k = rho(-k) + c_0).
+The two rho tables agree exactly when eta = nu(r, s; zeta), that is when
+v_j - v_0 = n_j - n_0 for every j: nu is real, so its transform is even
+in l and equals rho_L, and the transform is injective (v_k - v_0 is
+p^2 rho(-k)).
 
-The kernel writes integer numerators directly, by two identities:
+The kernel writes the integer entries directly, by two identities:
 1/(zeta^m - 1) = (1/p) sum_{k<p} k zeta^{mk} for m != 0 mod p (multiply
 out: (zeta^m - 1) sum_k k zeta^{mk} = p); and nu(a, b; t) =
 (1 + 2/(t^a - 1))(1 + 2/(t^b - 1)).  So in Z[x]/(x^p - 1),
@@ -66,11 +79,9 @@ T(c+1) - T(c) = p(p-1)/2 - p k*, because raising c by one raises every
 residue (c - d k) mod p by one except the one at k* = (c+1) d^-1, which
 wraps from p - 1 to 0.  So T(0) = sum_{k>=1} k (p - (d k mod p)) is one
 sum and the other p - 1 values follow in O(p) integer steps, with no
-convolution.  A Cyclotomic is an integer numerator tuple over one
-denominator, so eta, an integer combination of nu values and an integer,
-sums the numerators of the nu values scaled to p^2; each rho value is one
-Fraction(int, den) read off the numerators; and the lens match compares
-(numerators, denominator) of eta and nu(r, s; zeta).
+convolution.  eta, an integer combination of nu values and an integer,
+is an integer combination of their vectors plus p^2 times that integer
+at entry 0, and each rho value is one Fraction(int, p^2) read off it.
 """
 
 from __future__ import annotations
@@ -81,7 +92,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
-from .arith import Cyclotomic
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        canonical_resolution, graph_signature,
                        propagate_rotations)
@@ -89,8 +99,11 @@ from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
 
-@lru_cache(maxsize=128)   # an entry holds p numerators: ~4 MB at p = 99991
-def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
+Vector = Tuple[int, ...]   # sum_i v[i] zeta^i / p^2 for p = len(v)
+
+
+@lru_cache(maxsize=128)   # an entry holds p ints: ~4 MB at p = 99991
+def nu_defect(a: int, b: int, p: int) -> Vector:
     """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta
     (with a = b = c, also the kernel of a fixed sphere's term).
 
@@ -99,7 +112,7 @@ def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
     2p (c e mod p) + 2p c + 4 T(c), plus p^2 at c = 0, with e = b a^-1 and
     the cross term T(c) = sum_k k ((c - d k) mod p), d = e^-1; T(0) is one
     sum and T(c+1) = T(c) + p(p-1)/2 - p ((c+1) e mod p).  The result is
-    over the denominator p^2.
+    that product's p entries, the vector of nu.
     """
     check_order(p)
     a, b = a % p, b % p
@@ -121,7 +134,7 @@ def nu_defect(a: int, b: int, p: int) -> Cyclotomic:
             j -= p
         t += half - p * u
     out[0] += p * p
-    return Cyclotomic.from_numerators(p, out, p * p)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -142,32 +155,45 @@ def fixed_point_data(markup: EquivariantMarkup, signature: int) -> FixedPointDat
     )
 
 
-def eta_from_fixed_data(fd: FixedPointData, p: int) -> Cyclotomic:
+def eta_from_fixed_data(fd: FixedPointData, p: int) -> Vector:
     """Boundary eta invariant eta(zeta) of the fixed-point data, exactly.
 
     A sphere (w, c) adds w (1 - nu(c, c; zeta)), so eta is an integer
     combination of cached nu_defect values and an integer, summed as
-    integer vectors over p^2.  eta is real by construction; a value that
-    is not signals a broken defect kernel and raises InternalInvariantError.
+    integer vectors.  eta is real by construction (v_j = v_{-j}); a value
+    that is not signals a broken defect kernel and raises
+    InternalInvariantError.
     """
     check_order(p)
-    den = p * p
     terms = [(1, a, b) for a, b in fd.isolated]
     terms += [(-w, c, c) for w, c in fd.spheres]
-    acc = [0] * (p - 1)
-    acc[0] = den * (sum(w for w, _ in fd.spheres) - fd.signature)
+    acc = [0] * p
+    acc[0] = p * p * (sum(w for w, _ in fd.spheres) - fd.signature)
     for k, a, b in terms:
-        nu = nu_defect(a, b, p)
-        scale = k * (den // nu.den)
-        acc = [s + scale * n for s, n in zip(acc, nu.nums)]
-    eta = Cyclotomic.from_numerators(p, acc, den)
-    if eta.galois(p - 1) != eta:
+        acc = [s + k * n for s, n in zip(acc, nu_defect(a, b, p))]
+    if acc[1:] != acc[:0:-1]:
         raise InternalInvariantError(
             f"eta(zeta) is not real at p={p}: eta(zeta^-1) != eta(zeta)")
-    return eta
+    return tuple(acc)
 
 
-def eta_brieskorn(triple: BrieskornTriple, p: int) -> Cyclotomic:
+def coefficients_at(value: Vector, j: int) -> Tuple[Fraction, ...]:
+    """The coefficients of the value at t = zeta^j over 1, zeta, ...,
+    zeta^(p-2), for j coprime to p.
+
+    zeta -> zeta^j moves entry i j^-1 to zeta^i; the coordinates over the
+    basis subtract the entry that lands on zeta^(p-1), which also cancels
+    the added constant.
+    """
+    p = len(value)
+    if gcd(j, p) != 1:
+        raise ValueError(f"{j} is not invertible mod {p}")
+    jinv, den = pow(j, -1, p), p * p
+    top = value[(p - 1) * jinv % p]
+    return tuple(Fraction(value[i * jinv % p] - top, den) for i in range(p - 1))
+
+
+def eta_brieskorn(triple: BrieskornTriple, p: int) -> Vector:
     """eta(zeta) of the quotient data of Sigma(a1,a2,a3), via the
     canonical resolution with its equivariant markup."""
     check_action(triple, p)
@@ -191,24 +217,24 @@ class RhoTable:
             raise ValueError("rho at the trivial character must vanish")
 
 
-def rho_from_eta(eta: Cyclotomic) -> RhoTable:
-    """rho(l) = c_{-l mod p} - c_0 for c the coefficients of eta(zeta)
-    padded with c_{p-1} = 0 (the Fourier transform, read off)."""
-    c, den = eta.nums + (0,), eta.den
-    return RhoTable(eta.p, tuple(Fraction(c[-ell] - c[0], den)
-                                 for ell in range(eta.p)))
+def rho_from_eta(eta: Vector) -> RhoTable:
+    """rho(l) = (v_{-l mod p} - v_0)/p^2 for v the vector of eta(zeta)
+    (the Fourier transform, read off)."""
+    p, v0 = len(eta), eta[0]
+    den = p * p
+    return RhoTable(p, tuple(Fraction(eta[-ell] - v0, den) for ell in range(p)))
 
 
 def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
     """Exact rho invariants of the lens space L(p; r, s):
-    rho(l) = (n_l + n_{-l} - 2 n_0)/2 for n the coefficients of
-    nu(r, s; zeta) padded with n_{p-1} = 0 (the cotangent sum, read off)."""
+    rho(l) = (n_l + n_{-l} - 2 n_0)/(2p^2) for n the vector of
+    nu(r, s; zeta) (the cotangent sum, read off)."""
     check_order(p)
     if gcd(r, p) != 1 or gcd(s, p) != 1:
         raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
-    nu = nu_defect(r, s, p)
-    n, den = nu.nums + (0,), 2 * nu.den
-    return RhoTable(p, tuple(Fraction(n[ell] + n[-ell] - 2 * n[0], den)
+    n = nu_defect(r, s, p)
+    n0, den = 2 * n[0], 2 * p * p
+    return RhoTable(p, tuple(Fraction(n[ell] + n[-ell] - n0, den)
                              for ell in range(p)))
 
 
@@ -247,7 +273,14 @@ def canonical_lens_pair(r: int, s: int, p: int) -> Tuple[int, int]:
     return min(variants)
 
 
-def ll_extension_search(triple: BrieskornTriple, p: int, eta: Cyclotomic
+def _same_value(x: Vector, y: Vector) -> bool:
+    """x and y stand for one number: x_j - x_0 = y_j - y_0 for every j,
+    which says that their rho tables agree."""
+    shift = x[0] - y[0]
+    return all(a - b == shift for a, b in zip(x, y))
+
+
+def ll_extension_search(triple: BrieskornTriple, p: int, eta: Vector
                         ) -> Tuple[LensCandidate, ...]:
     """All lens parameters (r, s) mod p compatible with a one-fixed-point
     locally linear extension, with rho diagnostics.
@@ -258,8 +291,8 @@ def ll_extension_search(triple: BrieskornTriple, p: int, eta: Cyclotomic
     when eta(zeta) = nu(r, s; zeta), for eta the quotient's eta(zeta).
     """
     check_action(triple, p)
-    if eta.p != p:
-        raise ValueError(f"eta is for p={eta.p}, not p={p}")
+    if len(eta) != p:
+        raise ValueError(f"eta is for p={len(eta)}, not p={p}")
     product_residue = triple.product % p
     target = tuple(sorted(_residue_class(a, p) for a in triple.entries))
     if target[0] != 1:  # no entry is +-1 mod p
@@ -270,5 +303,5 @@ def ll_extension_search(triple: BrieskornTriple, p: int, eta: Cyclotomic
     return tuple(
         LensCandidate(p=p, r=r, s=s, product_residue=product_residue,
                       rs_residue=(r * s) % p, multiset_residues=target,
-                      rho_match=(eta == nu_defect(r, s, p)))
+                      rho_match=_same_value(eta, nu_defect(r, s, p)))
         for r, s in pairs)

@@ -1,25 +1,31 @@
 """Reference kernels for the spectral stage, kept as test oracles.
 
-The reference field Q(zeta_p) lives here: ``Field``, a subclass of the
-package's ``Cyclotomic`` that adds the Fraction-vector constructor,
-rational values, sums, negation and the product by the schoolbook
-``convolve``, with equality against rationals.  The package's own values
-are plain ``Cyclotomic`` numbers with no arithmetic; a test lifts one into
-the reference field with ``lift`` before it computes with it.  Around the
+The reference field Q(zeta_p) lives here: ``Field`` stores an element as
+its canonical residue modulo Phi_p = 1 + x + ... + x^(p-1), one integer
+numerator tuple over the basis 1, zeta, ..., zeta^(p-2) over one positive
+denominator in lowest terms, so equality, hashing and the Galois action
+are exact.  It has the Fraction-vector constructor, rational values,
+sums, negation and the product by the schoolbook ``convolve``, with
+equality against rationals.  The package's own values are length-p int
+vectors v standing for sum_i v_i zeta^i / p^2, exact only up to an added
+constant vector; a test lifts one into the reference field with ``lift``,
+which reduces it, before it compares or computes with it.  Around the
 field sit the constructors zero, one and zeta^k, the zero test, the shift
 by a power of zeta, the Euclid inverse against Phi_p with division,
 powers (negative ones invert first), the Galois-checked rational value,
-the float embedding, and the lens-space torsion representative.
+the float embedding, the lens-space torsion representative and the
+Galois-checked profile of a package vector.
 
 The kernels are the schoolbook integer convolution, the convolution path
-of nu (p^2 nu as the product of two integer coth vectors, the oracle for
-the package's recurrence), the dense-``Fraction`` version of the
-cyclotomic product, the Euclid-based inverse of zeta^m - 1, the
-three-product isolated-point defect, the fixed-sphere defect by Euclid
-division, eta evaluated separately at every zeta^j, the Galois-checked
-eta profile and its inverse transform, the Fourier and cotangent-sum rho
-transforms (integer vectors over a common denominator, each entry checked
-rational), and the lens search that scans every pair (r, s).  The package
+of nu (p^2 nu as the product of two integer coth vectors, in the
+package's vector format: the oracle for its recurrence), the
+dense-``Fraction`` version of the cyclotomic product, the Euclid-based
+inverse of zeta^m - 1, the three-product isolated-point defect, the
+fixed-sphere defect by Euclid division, eta evaluated separately at every
+zeta^j, the Galois-checked eta profile and its inverse transform, the
+Fourier and cotangent-sum rho transforms (integer vectors over a common
+denominator, each entry checked rational), and the lens search that
+scans every pair (r, s).  The package
 computes eta(zeta) once and reads rho tables and lens matches off it; the
 tests in ``test_spectral_kernels.py`` check that both paths agree exactly.
 """
@@ -31,7 +37,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Sequence, Union
 
-from brieskorn.arith import Cyclotomic, _canonical, is_prime
+from brieskorn.arith import is_prime
 from brieskorn.seifert import check_order
 from brieskorn.spectral import LensCandidate, canonical_lens_pair
 
@@ -59,11 +65,33 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Field(Cyclotomic):
-    """An element of the reference field Q(zeta_p): a ``Cyclotomic`` with
-    the ring operations, mixed freely with ints and Fractions."""
+def _canonical(p: int, nums: Sequence[int], den: int):
+    """sum_i (nums[i]/den) zeta^i, len(nums) <= p, as a reduced numerator
+    tuple of length p - 1 over a positive denominator, in lowest terms."""
+    if len(nums) > p:
+        raise ValueError("coefficient vector longer than the field degree")
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    # Kill the zeta^(p-1) coordinate via zeta^(p-1) = -(1 + ... + zeta^(p-2)).
+    top = nums[p - 1] if len(nums) == p else 0
+    vec = [n - top for n in nums[: p - 1]] if top else list(nums[: p - 1])
+    vec += [0] * (p - 1 - len(vec))
+    g = gcd(den, *vec)
+    if den < 0:
+        g = -g
+    if g != 1:
+        vec = [n // g for n in vec]
+        den //= g
+    return tuple(vec), den
 
-    __slots__ = ()
+
+class Field:
+    """An element of the reference field Q(zeta_p) (p an odd prime):
+    sum_i (nums[i]/den) zeta^i for i < p - 1, with den > 0 and
+    gcd(den, *nums) = 1 (zero is stored with den = 1), with the ring
+    operations, mixed freely with ints and Fractions."""
+
+    __slots__ = ("p", "nums", "den")
 
     def __init__(self, p: int, coeffs: Sequence[Scalar]):
         if not is_prime(p) or p < 3:
@@ -75,14 +103,48 @@ class Field(Cyclotomic):
             p, [c.numerator * (den // c.denominator) for c in vec], den)
 
     @classmethod
+    def _raw(cls, p: int, nums, den: int) -> "Field":
+        # Internal fast path: (nums, den) already canonical.
+        self = object.__new__(cls)
+        self.p, self.nums, self.den = p, nums, den
+        return self
+
+    @classmethod
+    def from_numerators(cls, p: int, nums: Sequence[int], den: int) -> "Field":
+        """The element sum_i (nums[i]/den) zeta^i, for len(nums) <= p and
+        den != 0: one reduction mod Phi_p and one gcd pass."""
+        return cls._raw(p, *_canonical(p, nums, den))
+
+    @classmethod
     def from_rational(cls, p: int, value: Scalar) -> "Field":
         return cls(p, [value])
 
+    @property
+    def coeffs(self):
+        """The coefficients over 1, zeta, ..., zeta^(p-2) as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def galois(self, k: int) -> "Field":
+        """The automorphism zeta -> zeta^k, for k coprime to p.
+
+        It permutes the basis of Z[zeta] (up to the reduction), an
+        invertible integer map, so the image stays in lowest terms."""
+        p = self.p
+        if gcd(k, p) != 1:
+            raise ValueError(f"{k} is not invertible mod {p}")
+        kinv = pow(k, -1, p)
+        src = self.nums + (0,)
+        full = [src[(j * kinv) % p] for j in range(p)]  # coefficient of zeta^j
+        top = full[p - 1]
+        return Field._raw(
+            p, tuple(a - top for a in full[: p - 1]) if top else tuple(full[: p - 1]),
+            self.den)
+
     def _coerce(self, other) -> "Field":
-        if isinstance(other, Cyclotomic):
+        if isinstance(other, Field):
             if other.p != self.p:
                 raise ValueError(f"mixed cyclotomic orders {self.p} and {other.p}")
-            return lift(other)
+            return other
         return Field.from_rational(self.p, other)
 
     def _combine(self, other, sign: int) -> "Field":
@@ -122,14 +184,40 @@ class Field(Cyclotomic):
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Field.from_rational(self.p, other)
-        return super().__eq__(other)
+        if not isinstance(other, Field):
+            return NotImplemented
+        return (self.p == other.p and self.den == other.den
+                and self.nums == other.nums)
 
-    __hash__ = Cyclotomic.__hash__
+    def __hash__(self):
+        return hash((self.p, self.nums, self.den))
+
+    def __repr__(self):
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            elif k == 1:
+                parts.append(f"{c}*z")
+            else:
+                parts.append(f"{c}*z^{k}")
+        body = " + ".join(parts) if parts else "0"
+        return f"Field(p={self.p}, {body})"
 
 
-def lift(x: Cyclotomic) -> Field:
-    """The package's value x as an element of the reference field."""
-    return x if isinstance(x, Field) else Field._raw(x.p, x.nums, x.den)
+def lift(v) -> Field:
+    """The package's vector v, sum_i v_i zeta^i / p^2 for p = len(v), as an
+    element of the reference field."""
+    return Field.from_numerators(len(v), v, len(v) ** 2)
+
+
+def profile(v) -> "EtaProfile":
+    """The Galois-checked profile j -> value at zeta^j of the package's
+    vector v."""
+    x = lift(v)
+    return EtaProfile(x.p, {j: x.galois(j) for j in range(1, x.p)})
 
 
 class NonRationalError(ValueError):
@@ -161,18 +249,18 @@ def coth_numerators(p: int, m: int):
     return out
 
 
-def nu_by_convolution(a: int, b: int, p: int) -> Cyclotomic:
-    """nu(a, b; zeta) as the cyclic product of the two coth vectors over
-    p^2: the convolution path the package's recurrence replaces."""
+def nu_by_convolution(a: int, b: int, p: int):
+    """The package's vector of nu(a, b; zeta), p^2 nu, as the cyclic
+    product of the two coth vectors: the convolution path the package's
+    recurrence replaces."""
     check_order(p)
     a, b = a % p, b % p
     if a == 0 or b == 0:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
-    return Cyclotomic.from_numerators(
-        p, convolve(p, coth_numerators(p, a), coth_numerators(p, b)), p * p)
+    return tuple(convolve(p, coth_numerators(p, a), coth_numerators(p, b)))
 
 
-def inverse(x: Cyclotomic) -> Field:
+def inverse(x: Field) -> Field:
     """Field inverse via the extended Euclidean algorithm against Phi_p."""
     if is_zero(x):
         raise ZeroDivisionError("division by zero in Q(zeta_p)")
@@ -192,17 +280,17 @@ def inverse(x: Cyclotomic) -> Field:
 
 def div(x, y) -> Field:
     """x / y in Q(zeta_p); either side may be a rational scalar."""
-    p = x.p if isinstance(x, Cyclotomic) else y.p
-    if not isinstance(y, Cyclotomic):
+    p = x.p if isinstance(x, Field) else y.p
+    if not isinstance(y, Field):
         y = Field.from_rational(p, y)
     return x * inverse(y)
 
 
-def is_zero(x: Cyclotomic) -> bool:
+def is_zero(x: Field) -> bool:
     return all(c == 0 for c in x.coeffs)
 
 
-def mul_zeta_power(x: Cyclotomic, k: int) -> Field:
+def mul_zeta_power(x: Field, k: int) -> Field:
     """x * zeta^k, as a cyclic coefficient shift."""
     full = [Fraction(0)] * x.p
     for i, a in enumerate(x.coeffs):
@@ -210,12 +298,12 @@ def mul_zeta_power(x: Cyclotomic, k: int) -> Field:
     return Field(x.p, full)
 
 
-def power(x: Cyclotomic, n: int) -> Field:
+def power(x: Field, n: int) -> Field:
     """x^n for any integer n; a negative power inverts first."""
     if n < 0:
         return power(inverse(x), -n)
     result = one(x.p)
-    base = lift(x)
+    base = x
     while n:
         if n & 1:
             result = result * base
@@ -232,11 +320,11 @@ def torsion_lens(p: int, r: int, s: int) -> Field:
     return (zeta(p, r) - 1) * (zeta(p, s) - 1)
 
 
-def is_rational(x: Cyclotomic) -> bool:
+def is_rational(x: Field) -> bool:
     return all(c == 0 for c in x.coeffs[1:])
 
 
-def rational_value(x: Cyclotomic) -> Fraction:
+def rational_value(x: Field) -> Fraction:
     """The value of a Galois-invariant element, as an exact rational.
 
     Invariance is verified by applying every automorphism; a
@@ -254,7 +342,7 @@ def rational_value(x: Cyclotomic) -> Fraction:
     return x.coeffs[0]
 
 
-def to_complex(x: Cyclotomic) -> complex:
+def to_complex(x: Field) -> complex:
     """Float embedding at zeta = e^(2 pi i / p) (cross-checks only)."""
     z = cmath.exp(2j * cmath.pi / x.p)
     return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
@@ -304,7 +392,7 @@ def _poly_divmod(f, g):
 
 
 
-def mul(x: Cyclotomic, y: Cyclotomic) -> Field:
+def mul(x: Field, y: Field) -> Field:
     """Dense convolution over Fraction, then reduction mod Phi_p."""
     p = x.p
     full = [Fraction(0)] * p
@@ -377,7 +465,7 @@ def rho_from_eta(values, p: int):
         acc = base
         for j, row in enumerate(rows, 1):
             acc = [a + b for a, b in zip(acc, _rotated(row, j * ell))]
-        out.append(rational_value(Cyclotomic.from_numerators(p, acc, den)) / p)
+        out.append(rational_value(Field.from_numerators(p, acc, den)) / p)
     return tuple(out)
 
 
@@ -389,7 +477,7 @@ def rho_lens_exact(p: int, r: int, s: int, ell: int) -> Fraction:
     for k, row in enumerate(rows, 1):
         acc = [a + x + y - 2 * z for a, x, y, z in
                zip(acc, _rotated(row, k * ell), _rotated(row, -k * ell), row)]
-    return (rational_value(Cyclotomic.from_numerators(p, acc, den))
+    return (rational_value(Field.from_numerators(p, acc, den))
             * Fraction(1, 2 * p))
 
 
@@ -399,7 +487,7 @@ class EtaProfile:
     j must be the image of the value at 1 under zeta -> zeta^j."""
 
     p: int
-    values: Dict[int, Cyclotomic]
+    values: Dict[int, Field]
 
     def __post_init__(self):
         if sorted(self.values) != list(range(1, self.p)):

@@ -182,7 +182,7 @@ def test_c06_cancellation_identity():
     for p in (5, 7, 11, 13):
         for j in range(1, p):
             z = oracle.zeta(p, j)
-            nu = lift(nu_defect(1, 2, p).galois(j))
+            nu = lift(nu_defect(1, 2, p)).galois(j)
             expr = -2 * nu + oracle.div(4 * z, (z - 1) * (z - 1)) + 2
             assert oracle.is_zero(expr)
     _pass(6, "-2 nu(1,2;t) + 4t/(t-1)^2 + 2 = 0 exactly at every "
@@ -196,9 +196,9 @@ def test_c07_bounding_family_eta_equality():
         markup = propagate_rotations(graph, p)
         eta = eta_from_fixed_data(
             fixed_point_data(markup, graph_signature(graph)[0]), p)
-        assert eta == nu_defect(r, 2 * r + 2, p)
+        assert lift(eta) == lift(nu_defect(r, 2 * r + 2, p))
         for j in range(1, p):
-            assert eta.galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
+            assert lift(eta).galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
         assert rho_from_eta(eta).values == rho_lens_table(p, r, 2 * r + 2).values
     _pass(7, "eta from the indefinite bounding graph equals nu(r, 2r+2) "
              "exactly for (r,p,k) in {(3,5,1), (3,7,1), (5,7,1)}; rho "
@@ -219,9 +219,10 @@ def test_c08_three_way_eta_consistency():
     eta_fick = eta_from_fixed_data(
         fixed_point_data(propagate_rotations(fick, 5),
                          graph_signature(fick)[0]), 5)
-    assert eta_res == eta_fick == nu_defect(3, 8, 5)
+    assert lift(eta_res) == lift(eta_fick) == lift(nu_defect(3, 8, 5))
     for j in range(1, 5):
-        assert eta_res.galois(j) == eta_fick.galois(j) == oracle.nu_defect(3, 8, 5, j)
+        assert (lift(eta_res).galois(j) == lift(eta_fick).galois(j)
+                == oracle.nu_defect(3, 8, 5, j))
     _pass(8, "eta via resolution markup = eta via bounding graph = nu(3,8) "
              "exactly at every nontrivial t")
 
@@ -234,8 +235,7 @@ def test_c09_rho_cross_validation():
                 table = rho_lens_table(p, r, s)
                 assert table.values[0] == 0
                 nu = nu_defect(r, s, p)
-                profile = oracle.EtaProfile(
-                    p, {j: nu.galois(j) for j in range(1, p)})
+                profile = oracle.profile(nu)
                 assert table.values == oracle.rho_from_eta(profile.values, p)
                 assert table.values == rho_from_eta(nu).values
                 for ell in range(p):

@@ -1,6 +1,6 @@
-"""Continued fractions, the integer representation of cyclotomic numbers,
-and the reference field Q(zeta_p) with its schoolbook cyclic convolution
-(``spectral_oracle``) that the tests build expected values with."""
+"""Continued fractions, and the reference field Q(zeta_p) of
+``spectral_oracle`` that the tests build expected values with: its
+canonical integer representation and its schoolbook cyclic convolution."""
 
 import cmath
 import random
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import Cyclotomic, HJExpansion, hj_expand, is_prime
+from brieskorn import HJExpansion, hj_expand, is_prime
 from spectral_oracle import Field
 
 
@@ -331,7 +331,7 @@ def test_every_operation_returns_lowest_terms(data):
     den = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
     for value in (x, y, x + y, x - y, x - x, -x, x * y, x * q, q * x,
                   x * 0, x + q, q - x, x.galois(k),
-                  Cyclotomic.from_numerators(p, nums, den)):
+                  Field.from_numerators(p, nums, den)):
         assert_canonical(value)
     assert (x - x).den == 1 and not any((x - x).nums)
 
@@ -344,7 +344,7 @@ def test_equal_elements_built_differently_agree(data):
     x = Field(p, coeffs)
     den = lcm(*(c.denominator for c in coeffs))
     scale = data.draw(st.integers(-50, 50).filter(bool))
-    y = Cyclotomic.from_numerators(
+    y = Field.from_numerators(
         p, [c.numerator * (den // c.denominator) * scale for c in coeffs],
         den * scale)
     k = data.draw(st.integers(min_value=1, max_value=p - 1))
@@ -353,7 +353,7 @@ def test_equal_elements_built_differently_agree(data):
     for other in (y, z, w):
         assert other == x and hash(other) == hash(x)
         assert (other.nums, other.den) == (x.nums, x.den)
-    assert Cyclotomic.from_numerators(p, [6 * n for n in x.nums], 6 * x.den) == x
+    assert Field.from_numerators(p, [6 * n for n in x.nums], 6 * x.den) == x
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,18 +364,18 @@ def test_coeffs_match_the_fraction_reduction(data):
     assert Field(p, coeffs).coeffs == old_reduction(p, coeffs)
     nums = data.draw(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=p))
     den = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
-    assert (Cyclotomic.from_numerators(p, nums, den).coeffs
+    assert (Field.from_numerators(p, nums, den).coeffs
             == old_reduction(p, [Fraction(n, den) for n in nums]))
 
 
 def test_zero_and_rationals_are_canonical():
     assert (oracle.zero(7).nums, oracle.zero(7).den) == ((0,) * 6, 1)
-    assert Cyclotomic.from_numerators(7, [0] * 7, -9) == oracle.zero(7)
+    assert Field.from_numerators(7, [0] * 7, -9) == oracle.zero(7)
     half = Field.from_rational(5, Fraction(-3, 6))
     assert (half.nums, half.den) == ((-1, 0, 0, 0), 2)
     assert half == Fraction(-1, 2) and hash(half) == hash(
-        Cyclotomic.from_numerators(5, [5, 0, 0, 0, 0], -10))
+        Field.from_numerators(5, [5, 0, 0, 0, 0], -10))
     with pytest.raises(ZeroDivisionError):
-        Cyclotomic.from_numerators(5, [1], 0)
+        Field.from_numerators(5, [1], 0)
     with pytest.raises(ValueError):
-        Cyclotomic.from_numerators(5, [1] * 6, 1)
+        Field.from_numerators(5, [1] * 6, 1)

@@ -18,7 +18,6 @@ from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
 from brieskorn.report import cached_analysis
 from conftest import REFERENCE_QX
-import spectral_oracle as oracle
 
 
 class TestReport:
@@ -459,9 +458,10 @@ class TestCLI:
     def test_non_real_eta_is_internal_error(self, tmp_cache, monkeypatch,
                                             capsys):
         import brieskorn.spectral as spectral
-        # zeta is not real, so eta(zeta) != eta(zeta^-1)
+        # zeta, the vector (0, 1, 0, ..., 0), is not real, so
+        # eta(zeta) != eta(zeta^-1)
         monkeypatch.setattr(spectral, "nu_defect",
-                            lambda a, b, p: oracle.zeta(p))
+                            lambda a, b, p: (0, 1) + (0,) * (p - 2))
         assert main(["eta", "3", "16", "113", "--p", "5"]) == 2
         assert "internal invariant violation: eta(zeta) is not real" in \
             capsys.readouterr().err
@@ -651,9 +651,10 @@ def test_eta_refuses_p_above_its_table_ceiling(tmp_cache, capsys):
     assert capsys.readouterr().out.count("rho(") == 1009
 
 
-# sha256 of stdout, recorded before the field operations left Cyclotomic:
-# the golden digests cover only `analyze` reports, and these commands
-# print through `galois`, `coeffs` and the rho table directly.
+# sha256 of stdout, recorded while spectral values were still reduced
+# residues mod Phi_p: the golden digests cover only `analyze` reports, and
+# these commands print through `spectral.coefficients_at` and the rho
+# table directly.
 PRINTED_DIGESTS = {
     "eta 3 16 113 --p 5":
         "ff74d8bb68d14483a6e1e27c4a6ffbe548cb9f951052c3393bbf8073fec34d27",

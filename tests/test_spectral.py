@@ -16,18 +16,12 @@ from conftest import fickle_graph, rho_float_oracle
 from spectral_oracle import lift, torsion_lens
 
 
-def nu_profile(p, r, s):
-    """The oracle's Galois-checked profile j -> nu(r, s; zeta^j)."""
-    nu = nu_defect(r, s, p)
-    return oracle.EtaProfile(p, {j: nu.galois(j) for j in range(1, p)})
-
-
 class TestNuDefect:
     def test_antisymmetry(self):
         for p in (5, 7):
             for a in range(1, p):
                 for b in range(1, p):
-                    assert nu_defect(a, -b, p) == -lift(nu_defect(a, b, p))
+                    assert lift(nu_defect(a, -b, p)) == -lift(nu_defect(a, b, p))
 
     def test_p3_value(self):
         assert lift(nu_defect(1, 2, 3)) == Fraction(1, 3)
@@ -49,7 +43,7 @@ class TestCancellation:
     def test_identity(self, p):
         for j in range(1, p):
             z = oracle.zeta(p, j)
-            nu = lift(nu_defect(1, 2, p).galois(j))
+            nu = lift(nu_defect(1, 2, p)).galois(j)
             expr = -2 * nu + oracle.div(4 * z, (z - 1) * (z - 1)) + 2
             assert oracle.is_zero(expr)
 
@@ -59,7 +53,7 @@ class TestCancellation:
             sphere = eta_from_fixed_data(FixedPointData((), ((-1, 1),), 0), p)
             for j in range(1, p):
                 z = oracle.zeta(p, j)
-                assert sphere.galois(j) == oracle.div(4 * z, (z - 1) * (z - 1))
+                assert lift(sphere).galois(j) == oracle.div(4 * z, (z - 1) * (z - 1))
 
     @pytest.mark.parametrize("c", [0, 5, -10])
     def test_zero_normal_rotation_raises(self, c):
@@ -75,9 +69,9 @@ class TestEta:
             fd = fixed_point_data(markup, graph_signature(g)[0])
             assert fd.signature == -2
             eta = eta_from_fixed_data(fd, p)
-            assert eta == nu_defect(r, 2 * r + 2, p)
+            assert lift(eta) == lift(nu_defect(r, 2 * r + 2, p))
             for j in range(1, p):
-                assert eta.galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
+                assert lift(eta).galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
 
     def test_three_way_consistency_sigma_3_16_113(self):
         t = BrieskornTriple.of(3, 16, 113)
@@ -92,8 +86,8 @@ class TestEta:
             fixed_point_data(propagate_rotations(fick, 5),
                              graph_signature(fick)[0]), 5)
         for j in range(1, 5):
-            assert eta_resolution.galois(j) == oracle.nu_defect(3, 8, 5, j)
-            assert eta_bounding.galois(j) == oracle.nu_defect(3, 8, 5, j)
+            assert lift(eta_resolution).galois(j) == oracle.nu_defect(3, 8, 5, j)
+            assert lift(eta_bounding).galois(j) == oracle.nu_defect(3, 8, 5, j)
 
     def test_profile_requires_equivariance(self):
         p = 5
@@ -121,13 +115,15 @@ class TestRho:
     def test_matches_fourier_transform_of_sphere_profile(self):
         for p, r, s in [(5, 3, 8), (7, 2, 3), (3, 1, 1), (11, 4, 7)]:
             table = rho_lens_table(p, r, s)
-            assert table.values == oracle.rho_from_eta(nu_profile(p, r, s).values, p)
-            assert table.values == rho_from_eta(nu_defect(r, s, p)).values
+            nu = nu_defect(r, s, p)
+            assert table.values == oracle.rho_from_eta(oracle.profile(nu).values, p)
+            assert table.values == rho_from_eta(nu).values
 
     def test_inverse_relation_recovers_eta(self):
         for p, r, s in [(5, 3, 3), (7, 3, 8)]:
-            profile = nu_profile(p, r, s)
-            table = rho_from_eta(nu_defect(r, s, p))
+            nu = nu_defect(r, s, p)
+            profile = oracle.profile(nu)
+            table = rho_from_eta(nu)
             for j in range(1, p):
                 assert oracle.eta_from_rho(table, j) == profile.values[j]
 
@@ -190,8 +186,7 @@ class TestLensSearch:
 
     def test_rejects_invalid_p(self):
         with pytest.raises(ValueError):
-            ll_extension_search(BrieskornTriple.of(3, 16, 113), 3,
-                                oracle.zero(3))
+            ll_extension_search(BrieskornTriple.of(3, 16, 113), 3, (0,) * 3)
 
 
 class TestFixedPointDataValidation:

@@ -1,15 +1,18 @@
 """The integer-scaled spectral kernels against the dense-Fraction oracles
-in spectral_oracle.py, and the eta(zeta) read-offs (rho tables, lens
+in spectral_oracle.py, the package's vectors against the reference field,
+and the eta(zeta) read-offs (rho tables, lens
 matches, direct lens candidates) against the Fourier transforms and the
 pair scan they replace, on random inputs."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, build_analysis,
+from brieskorn import (BrieskornTriple, FixedPointData,
+                       InternalInvariantError, build_analysis,
                        canonical_resolution, eta_brieskorn,
                        eta_from_fixed_data, family,
                        fixed_point_data, graph_signature,
@@ -98,6 +101,47 @@ def test_nu_recurrence_matches_convolution_at_p_1009():
     assert nu_defect(3, 16, 1009) == oracle.nu_by_convolution(3, 16, 1009)
 
 
+@st.composite
+def vector_pair(draw):
+    """p and two int vectors of length p: x free or real (x_j = x_-j), and
+    y free, x plus a constant, or that with one entry moved."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    entry = st.integers(min_value=-10**6, max_value=10**6)
+    x = draw(st.lists(entry, min_size=p, max_size=p))
+    if draw(st.booleans()):
+        x = [x[min(j, p - j)] for j in range(p)]
+    kind = draw(st.sampled_from(["free", "shift", "near"]))
+    if kind == "free":
+        y = draw(st.lists(entry, min_size=p, max_size=p))
+    else:
+        c = draw(entry)
+        y = [a + c for a in x]
+        if kind == "near":
+            y[draw(st.integers(0, p - 1))] += draw(st.integers(-3, 3).filter(bool))
+    return p, tuple(x), tuple(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pair())
+def test_vectors_modulo_constants_are_the_field(case):
+    # The package's vector v stands for sum_i v_i zeta^i / p^2: its lens
+    # match, its coefficients at zeta^j and its reality check must be the
+    # reference field's equality, Galois action and conjugation.
+    p, x, y = case
+    fx, fy = (Field.from_numerators(p, v, p * p) for v in (x, y))
+    constant = len({a - b for a, b in zip(x, y)}) == 1
+    assert constant == (fx == fy) == spectral._same_value(x, y)
+    for j in range(1, p):
+        assert spectral.coefficients_at(x, j) == fx.galois(j).coeffs
+    fd = FixedPointData(isolated=((1, 1),), spheres=(), signature=0)
+    with mock.patch.object(spectral, "nu_defect", lambda a, b, q: x):
+        try:
+            real = eta_from_fixed_data(fd, p) == x
+        except InternalInvariantError:
+            real = False
+    assert real == (fx.galois(p - 1) == fx)
+
+
 @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (7, 14)])
 def test_nu_rejects_a_rotation_divisible_by_p(a, b):
     with pytest.raises(ValueError, match="nonzero mod 7"):
@@ -107,7 +151,7 @@ def test_nu_rejects_a_rotation_divisible_by_p(a, b):
 @given(primes, units, units, units)
 def test_nu_defect_matches_three_products(p, a, b, j):
     a, b, j = nonzero_mod(p, a), nonzero_mod(p, b), nonzero_mod(p, j)
-    assert nu_defect(a, b, p).galois(j) == oracle.nu_defect(a, b, p, j)
+    assert lift(nu_defect(a, b, p)).galois(j) == oracle.nu_defect(a, b, p, j)
 
 
 @given(primes, units, units, st.integers(min_value=-5, max_value=5))
@@ -171,7 +215,7 @@ def test_eta_and_rho_match_fraction_oracles(member):
     fd = quotient_data(triple, p)
     eta = eta_from_fixed_data(fd, p)
     expected = oracle.eta_values(fd, p)
-    assert {j: eta.galois(j) for j in range(1, p)} == expected
+    assert {j: lift(eta).galois(j) for j in range(1, p)} == expected
     assert rho_from_eta(eta).values == oracle.rho_from_eta(expected, p)
 
 
@@ -185,11 +229,6 @@ def triple_and_prime(draw):
     return triple, p
 
 
-def galois_profile(eta):
-    """The Galois-checked profile j -> eta(zeta^j) of the oracle."""
-    return oracle.EtaProfile(eta.p, {j: eta.galois(j) for j in range(1, eta.p)})
-
-
 @settings(max_examples=25, deadline=None)
 @given(triple_and_prime(), st.data())
 def test_rho_read_off_matches_fourier_transform(member, data):
@@ -197,14 +236,14 @@ def test_rho_read_off_matches_fourier_transform(member, data):
     fd = quotient_data(triple, p)
     eta = eta_from_fixed_data(fd, p)
     j = data.draw(st.integers(min_value=1, max_value=p - 1))
-    assert eta.galois(j) == oracle.eta_value(fd, p, j)
-    profile = galois_profile(eta)
+    assert lift(eta).galois(j) == oracle.eta_value(fd, p, j)
+    profile = oracle.profile(eta)
     assert rho_from_eta(eta).values == oracle.rho_from_eta(profile.values, p)
 
 
 def assert_search_matches_scan(triple, p):
     eta = eta_from_fixed_data(quotient_data(triple, p), p)
-    sigma_rho = oracle.rho_from_eta(galois_profile(eta).values, p)
+    sigma_rho = oracle.rho_from_eta(oracle.profile(eta).values, p)
     expected = oracle.ll_extension_search(triple, p, sigma_rho)
     assert ll_extension_search(triple, p, eta) == expected
     assert ll_extension_search(triple, p, eta_brieskorn(triple, p)) == expected
