@@ -24,6 +24,15 @@ def is_prime(n: int) -> bool:
 # Hirzebruch-Jung continued fractions
 # ---------------------------------------------------------------------------
 
+# The largest resolution tree accepted, in nodes.  One expansion term is one
+# node, and a branch of a_i / b_i can have about a_i terms, so without this
+# ceiling the expansion alone runs without bound on a large a_i.  The
+# lattice stage and the dense report grow with n^2: at the ceiling,
+# `analyze 3 3589 3590 --p 7` takes about 5 s and 430 MB on a 2-core
+# x86-64 host with Python 3.11, most of it caching the dense report.
+NODE_MAX = 1200
+
+
 @dataclass(frozen=True)
 class HJExpansion:
     """Continued-fraction expansion a/b = [t1, ..., tm] with every ti <= -2.
@@ -58,7 +67,7 @@ def hj_expand(a: int, b: int) -> HJExpansion:
     In integers, with q = x/y: t, r = divmod(x, y) gives q - t = r/y, so
     the next quotient is -y/r, and r = 0 ends the expansion.  Uniqueness
     is a property of this expansion: re-evaluating the output reproduces
-    a/b exactly.
+    a/b exactly.  More than NODE_MAX terms is refused as it is reached.
     """
     if a <= 0:
         raise ValueError(f"numerator must be positive, got {a}")
@@ -69,6 +78,9 @@ def hj_expand(a: int, b: int) -> HJExpansion:
     terms = []
     x, y = a, b
     while y:
+        if len(terms) == NODE_MAX:
+            raise ValueError(f"the continued fraction of {a}/{b} has more "
+                             f"than NODE_MAX = {NODE_MAX} terms")
         t, r = divmod(x, y)
         terms.append(t)
         x, y = -y, r

@@ -15,17 +15,15 @@ other symmetric matrices work too, with some fill-in.  All pivots are
 negative exactly when the form is negative definite, so the same
 elimination is the definiteness check and gives det Q = prod d_j; on a
 definite form it never needs a zero-pivot repair, so it is a plain
-L D L^t.  The search itself is integer: column j has an
-integer centre numerator over g_j and every budget is scaled by one
-common S.  Once a path has spent its budget, each later coordinate is
-forced to v_j = -c_j, and the path dies at the first that is not an
-integer: that tail is one loop, and each +- pair is found once.  The n
-representatives are the columns of C.  X = -C^t Q is formed once from
-the nonzeros of Q: row k of -Q C is node k's coordinates, column k of X,
-with at most -Q[k][k] nonzeros.  Then X^t X = -Q and |det Q| = 1 check
-both identities: X = -C^t Q = (X C)^t X with X invertible gives X C = I,
-so C^-1 = X and C^t Q C = -X C = -I.  No floating point enters the
-decision path.
+L D L^t.  The search itself is integer: column j has an integer centre
+numerator over g_j and every budget is scaled by one common S.  It is
+one flat loop with an explicit stack, so no recursion limit bounds n,
+and it finds each +- pair once.  The n representatives are the columns
+of C.  X = -C^t Q is formed once from the nonzeros of Q: row k of -Q C
+is node k's coordinates, column k of X, with at most -Q[k][k] nonzeros.
+Then X^t X = -Q and |det Q| = 1 check both identities: X = -C^t Q =
+(X C)^t X with X invertible gives X C = I, so C^-1 = X and
+C^t Q C = -X C = -I.  No floating point enters the decision path.
 """
 
 from __future__ import annotations
@@ -83,8 +81,15 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     In integers: with g_j the common denominator of column j of L,
     t = g_j (v_j + c_j) is an integer, W_j = S |d_j| / g_j^2 is an integer
     for one common S, and the condition reads W_j t^2 <= budget, starting
-    from S.  At budget 0 every later t is 0, so v_j = -c_j is forced and
-    must be an integer (g_j divides the centre numerator g_j c_j).
+    from S.  At budget 0 every later t is 0, so the range is the single
+    v_j = -c_j when g_j divides the centre numerator g_j c_j, else empty.
+
+    The walk is one loop: a level places the first value of its range and
+    pushes the rest, if any, on a stack; an empty range, or level n (a root
+    when the budget is 0), pops the stack.  Nothing is reset: a centre
+    reads only nodes placed at earlier levels of the current path, and
+    every level writes its coordinate, 0 included, so no stale entry is
+    read.
 
     Each +- pair is found once: while every placed coordinate is 0 (the
     budget is still S) every centre is 0, the range is symmetric and the
@@ -106,41 +111,31 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
              for node, g, w, coupling in reversed(steps)]
     n = form.n
     roots: List[Tuple[int, ...]] = []
-    v = [0] * n          # 0 at every level not yet placed on this path
-
-    def descend(level: int, budget: int):
-        if not budget:
-            tail = []        # nonzero forced coordinates, cleared after
-            for node, g, _, coupling in steps[level:]:
-                centre = 0
-                for i, l in coupling:
-                    centre += l * v[i]
-                if centre:
-                    m, r = divmod(-centre, g)
-                    if r:
-                        break
-                    v[node] = m
-                    tail.append(node)
-            else:            # then v^t Q v = -1, so v != 0
-                roots.extend((tuple(v), tuple(map(neg, v))))
-            for node in tail:
-                v[node] = 0
-            return
-        if level == n:
-            return
-        node, g, w, coupling = steps[level]
-        centre = 0                                      # g_j c_j
-        for i, l in coupling:
-            centre += l * v[i]
-        t_max = math.isqrt(budget // w)
-        low = 0 if budget == scale else -((t_max + centre) // g)
-        for m in range(low, (t_max - centre) // g + 1):
-            t = g * m + centre
-            v[node] = m
-            descend(level + 1, budget - w * t * t)
-        v[node] = 0
-
-    descend(0, scale)
+    v = [0] * n          # written at each level before a later one reads it
+    stack = []           # (level, next m, high, budget, centre) per open range
+    level, budget = 0, scale
+    while True:
+        if level < n:
+            node, g, w, coupling = steps[level]
+            centre = 0                                  # g_j c_j
+            for i, l in coupling:
+                centre += l * v[i]
+            t_max = math.isqrt(budget // w)
+            m = 0 if budget == scale else -((t_max + centre) // g)
+            high = (t_max - centre) // g
+        elif not budget:     # then v^t Q v = -1, so v != 0
+            roots.extend((tuple(v), tuple(map(neg, v))))
+        if level == n or m > high:
+            if not stack:
+                break
+            level, m, high, budget, centre = stack.pop()
+            node, g, w, _ = steps[level]
+        if m < high:
+            stack.append((level, m + 1, high, budget, centre))
+        v[node] = m
+        t = g * m + centre
+        budget -= w * t * t
+        level += 1
     return tuple(sorted(roots))
 
 

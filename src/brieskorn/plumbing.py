@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .arith import hj_expand
+from .arith import NODE_MAX, hj_expand
 from .matrices import eliminate
 from .seifert import SeifertData, check_order
 
@@ -92,10 +92,15 @@ def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
     """The minimal negative definite resolution tree of the triple.
 
     Central weight delta; branch i carries the continued-fraction weights
-    of a_i / b_i, walked outward from the center.
+    of a_i / b_i, walked outward from the center.  A tree of more than
+    NODE_MAX nodes is refused before it is built.
     """
     branches = [hj_expand(ai, bi).terms
                 for ai, bi in zip(sd.triple.entries, sd.b)]
+    n = 1 + sum(map(len, branches))
+    if n > NODE_MAX:
+        raise ValueError(f"the resolution tree has {n} nodes, more than "
+                         f"NODE_MAX = {NODE_MAX}")
     return star(sd.delta, branches)
 
 

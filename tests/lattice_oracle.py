@@ -12,11 +12,12 @@ the bilinear form ``evaluate``) and inverts C by Gauss-Jordan
 (``matrices.inverse_unimodular``), and the three-product check of both
 diagonalization identities (``check_identities``).  The package reads signature, definiteness,
 determinant and the search factor off one sparse elimination
-(``matrices.eliminate``), runs an integer-scaled search with a forced
-tail that finds each +- pair once, forms C^-1 = -C^t Q once and checks
-both identities by the Gram identity X^t X = -Q with |det Q| = 1; the
-tests in ``test_lattice_kernels.py`` check that both paths agree
-exactly.
+(``matrices.eliminate``), walks an integer-scaled search that finds each
++- pair once in one flat loop, forms C^-1 = -C^t Q once and checks both
+identities by the Gram identity X^t X = -Q with |det Q| = 1.  That walk
+is also kept here in its earlier recursive form with a separate forced
+tail (``forced_tail_roots``).  The tests in ``test_lattice_kernels.py``
+check that all paths agree exactly.
 """
 
 import math
@@ -242,6 +243,59 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
         v[j] = 0
 
     descend(n - 1, Fraction(1))
+    return tuple(sorted(roots))
+
+
+def forced_tail_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
+    """The package's integer walk as it was before it became one loop:
+    one recursive call per level on the same integer-scaled factor, and,
+    once a path has spent its budget, a separate loop over the forced tail
+    v_j = -c_j that dies at the first coordinate that is not an integer
+    and clears the coordinates it wrote.  Each +- pair is found once."""
+    if not form.is_negative_definite:
+        raise ValueError("root enumeration requires a negative definite form")
+    e = form.elimination
+    steps = []
+    for node, d, col in zip(e.order, e.pivots, e.columns):
+        g = math.lcm(*(l.denominator for _, l in col))
+        steps.append((node, g, -d / (g * g),
+                      tuple((i, int(l * g)) for i, l in col)))
+    scale = math.lcm(*(w.denominator for _, _, w, _ in steps))
+    steps = [(node, g, int(w * scale), coupling)
+             for node, g, w, coupling in reversed(steps)]
+    n = form.n
+    roots: List[Tuple[int, ...]] = []
+    v = [0] * n          # 0 at every level not yet placed on this path
+
+    def descend(level: int, budget: int):
+        if not budget:
+            tail = []        # nonzero forced coordinates, cleared after
+            for node, g, _, coupling in steps[level:]:
+                centre = sum(l * v[i] for i, l in coupling)
+                if centre:
+                    m, r = divmod(-centre, g)
+                    if r:
+                        break
+                    v[node] = m
+                    tail.append(node)
+            else:            # then v^t Q v = -1, so v != 0
+                roots.extend((tuple(v), tuple(-x for x in v)))
+            for node in tail:
+                v[node] = 0
+            return
+        if level == n:
+            return
+        node, g, w, coupling = steps[level]
+        centre = sum(l * v[i] for i, l in coupling)       # g_j c_j
+        t_max = math.isqrt(budget // w)
+        low = 0 if budget == scale else -((t_max + centre) // g)
+        for m in range(low, (t_max - centre) // g + 1):
+            t = g * m + centre
+            v[node] = m
+            descend(level + 1, budget - w * t * t)
+        v[node] = 0
+
+    descend(0, scale)
     return tuple(sorted(roots))
 
 

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
 from brieskorn import HJExpansion, hj_expand, is_prime
+from brieskorn.arith import NODE_MAX
 from spectral_oracle import Field
 
 
@@ -64,6 +65,15 @@ class TestHJExpansion:
             hj_expand(6, -2)      # not coprime
         with pytest.raises(ValueError):
             hj_expand(-3, -1)
+
+    def test_refuses_more_than_node_max_terms(self):
+        # (k+1)/-k expands to k terms of -2.
+        assert NODE_MAX == 1200
+        assert hj_expand(1201, -1200).terms == (-2,) * NODE_MAX
+        with pytest.raises(ValueError) as info:
+            hj_expand(1202, -1201)
+        assert str(info.value) == ("the continued fraction of 1202/-1201 has "
+                                   "more than NODE_MAX = 1200 terms")
 
     def test_roundtrip_random(self):
         rng = random.Random(7)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -633,6 +634,42 @@ def test_every_command_refuses_p_above_the_ceiling(args, tmp_cache, capsys):
     assert captured.out == ""
     assert captured.err == "error: p must be at most 100000, got 100003\n"
     assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    # A branch of 4 1000003 2305843009213693951 has more than 10^6 terms;
+    # 3 3592 3593 has 1201 nodes, no branch of them above the ceiling.
+    ["analyze", "4", "1000003", "2305843009213693951", "--p", "5"],
+    ["graph", "4", "1000003", "2305843009213693951"],
+    ["eta", "4", "1000003", "2305843009213693951", "--p", "5"],
+    ["analyze", "3", "3592", "3593", "--p", "7"],
+    ["graph", "3", "3592", "3593"],
+    ["eta", "3", "3592", "3593", "--p", "7"],
+    ["analyze", "13", "1000003", "36"],
+])
+def test_every_resolving_command_refuses_a_tree_above_the_ceiling(
+        args, tmp_cache, capsys):
+    start = time.perf_counter()
+    assert main(args) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "NODE_MAX = 1200" in captured.err
+    assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+
+def test_family_runs_past_the_old_recursion_depth(tmp_cache, capsys):
+    # Stern r=3 s=1000 has 1006 nodes: a root search that recursed once per
+    # level raised RecursionError out of main here.
+    assert main(["family", "stern", "--r", "3", "--s-range", "1000..1000",
+                 "--p", "5", "--no-cache"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()
+    assert len(rows) == 1
+    assert rows[0].startswith("s=1000  Sigma(3,3001,21008)  ")
+    assert "  diagonalizable=True  " in rows[0]
 
 
 def test_eta_refuses_p_above_its_table_ceiling(tmp_cache, capsys):

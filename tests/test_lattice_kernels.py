@@ -2,11 +2,11 @@
 oracles in lattice_oracle.py, on random forms: resolution trees, non-tree
 forms -U^t U, definite forms that are not unimodular, arbitrary symmetric
 matrices, and E8 (also plus -I_k in a basis with fill-in, through the
-CLI).  The forced tail of the root search is checked where it dies, and
-the Gram check of Diagonalization (one -QC product, X^t X = -Q and
-|det Q| = 1) against the three-product oracle on tampered
-diagonalizations.  The one congruence
-elimination (matrices.eliminate) is checked against the Bareiss
+CLI), and against the earlier recursive integer walk with its separate
+forced tail.  A budget-0 path is checked where it dies, and the Gram
+check of Diagonalization (one -QC product, X^t X = -Q and |det Q| = 1)
+against the three-product oracle on tampered diagonalizations.  The one
+congruence elimination (matrices.eliminate) is checked against the Bareiss
 determinant, the dense congruence signature, the leading-minor
 definiteness test and the leaf-pivoting tree signature, on symmetric
 matrices with zero diagonals, singular and indefinite ones, random
@@ -53,7 +53,9 @@ def negated_gram(a):
 def assert_matches_oracle(form):
     assert form.determinant == oracle.det(form.q)
     assert form.is_negative_definite == oracle.is_negative_definite(form.q)
-    assert enumerate_roots(form) == oracle.enumerate_roots(form)
+    roots = enumerate_roots(form)
+    assert roots == oracle.enumerate_roots(form)
+    assert roots == oracle.forced_tail_roots(form)
     if abs(form.determinant) == 1:
         assert diagonalize(form) == oracle.diagonalize(form)
     else:
@@ -249,13 +251,14 @@ def test_stern_n86_matches_recorded_oracle_output():
 def test_forced_tail_dies_on_a_non_integral_coordinate():
     # Node 0 goes first, with pivot -4 and L[1][0] = -1/2 (g = 2); node 1's
     # pivot is then -1.  v_1 = +-1 spends the whole budget and forces
-    # v_0 = +-1/2, so both paths die in the tail.  The form is even, so it
-    # has no roots at all.
+    # v_0 = +-1/2: at budget 0 node 0's range is empty, so both paths die
+    # there.  The form is even, so it has no roots at all.
     form = UnimodularForm.from_matrix(((-4, 2), (2, -2)))
     e = form.elimination
     assert e.order == (0, 1) and e.pivots == (-4, -1)
     assert e.columns[0] == ((1, Fraction(-1, 2)),)
     assert enumerate_roots(form) == oracle.enumerate_roots(form) == ()
+    assert oracle.forced_tail_roots(form) == ()
 
 
 def e8_plus_minus_i(k, moves):
@@ -289,9 +292,10 @@ def e8_moves_with_fill_in(draw):
 
 
 # The pinned example is still a tree: e_5 -> e_5 + e_8 gives node 5 weight
-# -3 and hangs node 8 (weight -1) off it.  Its search meets a tail that
-# writes nonzero forced coordinates and then dies, before a later tail
-# that must read them as 0 again.
+# -3 and hangs node 8 (weight -1) off it.  Its search meets a path that
+# spends its budget, writes nonzero forced coordinates and then dies,
+# before a later path that must not read them: the flat walk never
+# resets a coordinate, the recursive oracle clears its forced tail.
 @example((1, ((5, 8, 1),)))
 @settings(max_examples=30, deadline=None)
 @given(e8_moves_with_fill_in())
@@ -299,7 +303,9 @@ def test_e8_plus_minus_i_matches_oracle_through_cli(case):
     k, moves = case
     q = e8_plus_minus_i(k, moves)
     form = UnimodularForm.from_matrix(q)
-    assert enumerate_roots(form) == oracle.enumerate_roots(form)
+    roots = enumerate_roots(form)
+    assert roots == oracle.enumerate_roots(form)
+    assert roots == oracle.forced_tail_roots(form)
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "q.txt")

@@ -8,6 +8,7 @@ from brieskorn import (BrieskornTriple, EquivariantMarkup, PlumbingGraph,
                        PropagationError, canonical_pair, canonical_resolution,
                        graph_signature, intersection_matrix,
                        propagate_rotations, seifert_invariants, star, to_dot, to_tgf)
+from brieskorn.arith import NODE_MAX
 from conftest import (PERM_3_16_113, REFERENCE_QX, fickle_graph,
                       gamma_k_graph, graphs_equivalent, permute_symmetric,
                       random_triples, spider_form)
@@ -51,6 +52,19 @@ class TestCanonicalResolution:
             sig, kind = graph_signature(g)
             assert kind == "negative-definite"
             assert sig == -g.node_count
+
+    def test_node_ceiling(self):
+        # Casson-Harer r = 3: Sigma(3, 3s+1, 3s+2) has branches of 1, s and
+        # 2 terms, so n = s + 4.  Each branch stays under the ceiling; at
+        # s = 1197 only the total crosses it.  Sigma(300, 899, 3599) has
+        # two long branches, of 299 and 898 terms.
+        assert NODE_MAX == 1200
+        assert resolution(3, 3589, 3590).node_count == NODE_MAX
+        assert resolution(300, 899, 3599).node_count == NODE_MAX
+        with pytest.raises(ValueError) as info:
+            resolution(3, 3592, 3593)
+        assert str(info.value) == ("the resolution tree has 1201 nodes, "
+                                   "more than NODE_MAX = 1200")
 
 
 class TestIntersectionMatrix:
