@@ -87,21 +87,27 @@ def cmd_analyze(args) -> int:
 
 def cmd_family(args) -> int:
     lo, hi = _parse_range(args.s_range)
+    if hi - lo + 1 > FAMILY_MAX:
+        raise CLIError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
+                       f"more than FAMILY_MAX = {FAMILY_MAX}")
     if args.p is not None:
         check_order(args.p)
     _check_json_dir(args.json)
     rows = []
     for s in range(lo, hi + 1):
+        # Any ValueError, from the family rule or from the analysis (the
+        # NODE_MAX refusal, but also a failed input check deeper down), is a
+        # skipped row; InternalInvariantError is not a ValueError.
         try:
             triple = family(args.kind, args.r, s, args.sign)
+            # A member on which the action is not free is analyzed without p.
+            p = (args.p if args.p is not None
+                 and standard_action_valid(triple, args.p) else None)
+            report = cached_analysis(triple.a1, triple.a2, triple.a3, p,
+                                     use_cache=not args.no_cache)
         except ValueError as exc:
             rows.append({"s": s, "skipped": str(exc)})
             continue
-        # A member on which the action is not free is analyzed without p.
-        p = (args.p if args.p is not None
-             and standard_action_valid(triple, args.p) else None)
-        report = cached_analysis(triple.a1, triple.a2, triple.a3, p,
-                                 use_cache=not args.no_cache)
         row = {
             "s": s,
             "triple": [triple.a1, triple.a2, triple.a3],
@@ -173,11 +179,14 @@ def cmd_diagonalize(args) -> int:
 
 def cmd_rho(args) -> int:
     p, r, s = args.lens
-    for ell, value in enumerate(rho_lens_table(p, r, s).values):
+    for ell, value in enumerate(rho_lens_table(p, r, s)):
         sys.stdout.write(f"rho({ell}) = {value}\n")
     return 0
 
 
+# A member count, not a time bound: stern --r 3 --s-range 195..1194 --p 7
+# (n up to NODE_MAX) took 855 s and wrote 5.2 GB of cache entries.
+FAMILY_MAX = 1000
 ETA_TABLE_P_MAX = 1000      # eta prints 11.5 MB of coefficients at p = 1009
 
 

@@ -42,17 +42,19 @@ from .plumbing import InternalInvariantError
 
 @dataclass(frozen=True)
 class UnimodularForm:
-    n: int
     q: IntMatrix
 
     def __post_init__(self):
-        if len(self.q) != self.n or not matrices.is_symmetric(self.q):
+        if not matrices.is_symmetric(self.q):
             raise ValueError("form matrix must be symmetric n x n")
 
     @classmethod
     def from_matrix(cls, rows) -> "UnimodularForm":
-        q = freeze(rows)
-        return cls(len(q), q)
+        return cls(freeze(rows))
+
+    @property
+    def n(self) -> int:
+        return len(self.q)
 
     @cached_property
     def elimination(self) -> Elimination:

@@ -148,13 +148,16 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
-    status: str  # "feasible" | "infeasible"
     assignment: Optional[Dict[str, Tuple[int, ...]]]
     certificate: Optional[Certificate]
 
     @property
     def feasible(self) -> bool:
-        return self.status == "feasible"
+        return self.certificate is None
+
+    @property
+    def status(self) -> str:
+        return "feasible" if self.feasible else "infeasible"
 
 
 def decide(cs: ConstraintSystem) -> ObstructionVerdict:
@@ -171,7 +174,7 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
     """
     for i, col in enumerate(cs.columns):
         if cs.kinds[i] == "fixed" and any(abs(x) >= 2 for _, x in col):
-            return ObstructionVerdict("infeasible", None, Certificate(
+            return ObstructionVerdict(None, Certificate(
                 kind="fixed-coefficient", spheres=(i,),
                 detail=(f"fixed sphere {i} has a coefficient of absolute "
                         "value >= 2; no signs put its class in {0,1} "
@@ -200,11 +203,9 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
                     value[v] = value[u] * sign
                     stack.append(v)
                 elif value[v] != value[u] * sign:
-                    return ObstructionVerdict("infeasible", None,
-                                              _certificate(cs))
-    return ObstructionVerdict("feasible", {"orientations": tuple(value[:m]),
-                                           "basis_signs": tuple(value[m:])},
-                              None)
+                    return ObstructionVerdict(None, _certificate(cs))
+    return ObstructionVerdict({"orientations": tuple(value[:m]),
+                               "basis_signs": tuple(value[m:])}, None)
 
 
 def _certificate(cs: ConstraintSystem) -> Certificate:

@@ -165,7 +165,6 @@ class EquivariantMarkup:
 
     p: int
     fixed_spheres: Tuple[Tuple[int, int, int], ...]
-    invariant_nodes: Tuple[int, ...]
     isolated_points: Tuple[Tuple[int, int], ...]
     node_kinds: Tuple[str, ...]
 
@@ -176,6 +175,11 @@ class EquivariantMarkup:
             raise InternalInvariantError(
                 f"fixed-set Euler characteristic mismatch: {points} points + "
                 f"2*{len(self.fixed_spheres)} spheres != 1 + {nodes} nodes")
+
+    @property
+    def invariant_nodes(self) -> Tuple[int, ...]:
+        return tuple(v for v, kind in enumerate(self.node_kinds)
+                     if kind == "invariant")
 
 
 def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
@@ -236,11 +240,9 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
 
     fixed = tuple((v, g.weights[v], c_f[v] % p)  # normal rotations as 1..p-1
                   for v in sorted(c_f))
-    invariant = tuple(v for v in range(n) if kinds[v] == "invariant")
     return EquivariantMarkup(
         p=p,
         fixed_spheres=fixed,
-        invariant_nodes=invariant,
         isolated_points=tuple(sorted(isolated)),
         node_kinds=tuple(kinds[v] for v in range(n)),
     )

@@ -131,7 +131,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
         rho = rho_from_eta(eta)
         candidates = ll_extension_search(triple, p, eta)
         report["locally_linear"] = {
-            "rho_quotient": [str(x) for x in rho.values],
+            "rho_quotient": [str(x) for x in rho],
             "candidates": [
                 {
                     "r": cand.r,
@@ -281,7 +281,7 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(render_json(report))
+                handle.write(json.dumps(report))   # compact: the C encoder
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

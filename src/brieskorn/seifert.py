@@ -69,7 +69,6 @@ class SeifertData:
     triple: BrieskornTriple
     b: Tuple[int, int, int]
     delta: int
-    r_invariant: int
 
     def __post_init__(self):
         a = self.triple.entries
@@ -81,8 +80,11 @@ class SeifertData:
                 raise ValueError(f"congruence fails for b={self.b}")
         if self.delta > -1:
             raise ValueError(f"delta must be <= -1, got {self.delta}")
-        if self.r_invariant != -2 * self.delta - 3:
-            raise ValueError("r_invariant inconsistent with delta")
+
+    @property
+    def r_invariant(self) -> int:
+        """-2*delta - 3: odd, and >= -1 because delta <= -1."""
+        return -2 * self.delta - 3
 
 
 @lru_cache(maxsize=None)
@@ -98,11 +100,7 @@ def seifert_invariants(triple: BrieskornTriple) -> SeifertData:
     delta = Fraction(-1, prod) + sum(Fraction(bi, ai) for ai, bi in zip(a, b))
     if delta.denominator != 1:
         raise ArithmeticError(f"central weight is not an integer: {delta}")
-    d = int(delta)
-    r = -2 * d - 3
-    if r % 2 == 0 or r < -1:
-        raise ArithmeticError(f"R-invariant {r} is not an odd integer >= -1")
-    return SeifertData(triple, tuple(b), d, r)
+    return SeifertData(triple, tuple(b), int(delta))
 
 
 def r_invariant(triple: BrieskornTriple) -> int:

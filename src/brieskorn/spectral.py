@@ -203,30 +203,16 @@ def eta_brieskorn(triple: BrieskornTriple, p: int) -> Vector:
         fixed_point_data(markup, graph_signature(graph)[0]), p)
 
 
-@dataclass(frozen=True)
-class RhoTable:
-    """Rational rho invariants per character l = 0 .. p-1."""
-
-    p: int
-    values: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.p:
-            raise ValueError("rho table must have one entry per character")
-        if self.values[0] != 0:
-            raise ValueError("rho at the trivial character must vanish")
-
-
-def rho_from_eta(eta: Vector) -> RhoTable:
-    """rho(l) = (v_{-l mod p} - v_0)/p^2 for v the vector of eta(zeta)
-    (the Fourier transform, read off)."""
+def rho_from_eta(eta: Vector) -> Tuple[Fraction, ...]:
+    """rho(l) for l = 0 .. p-1: (v_{-l mod p} - v_0)/p^2 for v the vector
+    of eta(zeta) (the Fourier transform, read off)."""
     p, v0 = len(eta), eta[0]
     den = p * p
-    return RhoTable(p, tuple(Fraction(eta[-ell] - v0, den) for ell in range(p)))
+    return tuple(Fraction(eta[-ell] - v0, den) for ell in range(p))
 
 
-def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
-    """Exact rho invariants of the lens space L(p; r, s):
+def rho_lens_table(p: int, r: int, s: int) -> Tuple[Fraction, ...]:
+    """Exact rho invariants of the lens space L(p; r, s), l = 0 .. p-1:
     rho(l) = (n_l + n_{-l} - 2 n_0)/(2p^2) for n the vector of
     nu(r, s; zeta) (the cotangent sum, read off)."""
     check_order(p)
@@ -234,8 +220,7 @@ def rho_lens_table(p: int, r: int, s: int) -> RhoTable:
         raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
     n = nu_defect(r, s, p)
     n0, den = 2 * n[0], 2 * p * p
-    return RhoTable(p, tuple(Fraction(n[ell] + n[-ell] - n0, den)
-                             for ell in range(p)))
+    return tuple(Fraction(n[ell] + n[-ell] - n0, den) for ell in range(p))
 
 
 # ---------------------------------------------------------------------------

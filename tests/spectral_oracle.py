@@ -500,9 +500,9 @@ class EtaProfile:
 
 def eta_from_rho(table, j: int) -> Field:
     """Inverse transform sum_l rho(l) zeta^{-jl}, recovering eta at zeta^j."""
-    p = table.p
+    p = len(table)
     total = zero(p)
-    for ell, rho in enumerate(table.values):
+    for ell, rho in enumerate(table):
         if rho:
             total = total + mul_zeta_power(Field.from_rational(p, rho), -j * ell)
     return total

@@ -140,8 +140,8 @@ class TestCache:
         report = build_analysis(2, 3, 7, 5)
         cached_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
-        good = render_json(report)
-        other = render_json(build_analysis(3, 16, 113, 5)).encode()
+        good = json.dumps(report)
+        other = json.dumps(build_analysis(3, 16, 113, 5)).encode()
         for bad in (b"", good[: len(good) // 2].encode(), b"\xff\xfe{",
                     b"null\n", b"{}", other):
             entry.write_bytes(bad)
@@ -182,23 +182,39 @@ class TestCache:
 
     def test_interleaved_writers_use_separate_temp_files(self, tmp_cache,
                                                          monkeypatch):
+        import types
+
         import brieskorn.report as report_module
-        real_render = report_module.render_json
         second = []
 
-        def render_with_second_writer(report):
+        def dumps_with_second_writer(report):
             # A second writer of the same entry runs while the first one
             # holds its temp file open.
-            monkeypatch.setattr(report_module, "render_json", real_render)
+            monkeypatch.setattr(report_module, "json", json)
             second.append(report_module.cached_analysis(2, 3, 7, 5))
-            return real_render(report)
+            return json.dumps(report)
 
-        monkeypatch.setattr(report_module, "render_json",
-                            render_with_second_writer)
+        monkeypatch.setattr(report_module, "json", types.SimpleNamespace(
+            load=json.load, dumps=dumps_with_second_writer))
         first = report_module.cached_analysis(2, 3, 7, 5)
         assert first == second[0] == build_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
-        assert entry.read_text(encoding="utf-8") == real_render(first)
+        assert entry.read_text(encoding="utf-8") == json.dumps(first)
+
+    @pytest.mark.parametrize("a, b, c, p", [(3, 16, 113, 5), (2, 7, 13, None),
+                                            (2, 7, 31, 3)])
+    def test_entry_is_compact_json_of_the_report(self, tmp_cache, a, b, c, p):
+        # The entry is written by the C encoder, with no indent; a hit
+        # loads a dict equal to the miss's, so it renders the same bytes.
+        miss = cached_analysis(a, b, c, p)
+        [entry] = tmp_cache.iterdir()
+        text = entry.read_text(encoding="utf-8")
+        assert "\n" not in text
+        assert json.loads(text) == miss
+        hit = cached_analysis(a, b, c, p)
+        assert hit == miss
+        assert render_json(hit) == render_json(build_analysis(a, b, c, p))
+        assert render_text(hit) == render_text(build_analysis(a, b, c, p))
 
     def test_entry_of_other_source_is_never_read(self, tmp_cache, monkeypatch):
         import brieskorn.report as report_module
@@ -670,6 +686,68 @@ def test_family_runs_past_the_old_recursion_depth(tmp_cache, capsys):
     assert len(rows) == 1
     assert rows[0].startswith("s=1000  Sigma(3,3001,21008)  ")
     assert "  diagonalizable=True  " in rows[0]
+
+
+FAMILY_ARGS = ["family", "stern", "--r", "3", "--s-range", "10..20", "--p",
+               "5", "--no-cache"]
+
+
+def test_family_member_refused_by_the_analysis_is_a_row(monkeypatch, capsys):
+    # With the node ceiling at 20, s <= 14 (n = s + 6) is analyzed and
+    # s >= 15 is refused; a refusal is a skipped row, not the end of
+    # the batch.
+    import brieskorn.plumbing
+    monkeypatch.setattr(brieskorn.plumbing, "NODE_MAX", 20)
+    assert main(FAMILY_ARGS) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        f"s={s}" + (":" if s >= 15 else "") for s in range(10, 21)]
+    assert lines[4].startswith("s=14  Sigma(3,43,302)  ")
+    assert lines[5] == ("s=15: skipped (the resolution tree has 21 nodes, "
+                        "more than NODE_MAX = 20)")
+    assert main(FAMILY_ARGS + ["--json", "-"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["s"] for row in rows] == list(range(10, 21))
+    assert all(("skipped" in row) == (row["s"] >= 15) for row in rows)
+    assert rows[5]["skipped"] == ("the resolution tree has 21 nodes, more "
+                                  "than NODE_MAX = 20")
+    assert rows[4]["triple"] == [3, 43, 302]
+
+
+def test_family_internal_error_still_exits_2(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ConstraintError("planted")
+
+    monkeypatch.setattr(cli, "cached_analysis", broken)
+    assert main(FAMILY_ARGS) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violation: planted\n"
+
+
+@pytest.mark.parametrize("s_range, admitted", [
+    ("1..1000", True), ("1..1001", False), ("7..1006", True),
+    ("1..1000000000", False)])
+def test_family_range_ceiling(s_range, admitted, tmp_cache, capsys):
+    # Every member of stern --r 1 is a quick skip (r < 2), so a run of
+    # FAMILY_MAX members is cheap; one member more is refused before any.
+    assert cli.FAMILY_MAX == 1000
+    start = time.perf_counter()
+    code = main(["family", "stern", "--r", "1", "--s-range", s_range])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    if admitted:
+        assert code == 0
+        assert captured.out.count("skipped") == 1000
+    else:
+        lo, hi = map(int, s_range.split(".."))
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the range {s_range} has {hi - lo + 1} members, more "
+            "than FAMILY_MAX = 1000\n")
 
 
 def test_eta_refuses_p_above_its_table_ceiling(tmp_cache, capsys):

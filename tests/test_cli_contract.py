@@ -1,0 +1,186 @@
+"""The exit-code contract under random argv.
+
+Every in-process ``main`` call on argv drawn from the CLI grammar returns
+0 or 1, and on 1 its stderr starts with ``error:``.  Nothing escapes
+``main`` but argparse's ``SystemExit(0)`` for ``--version`` and
+``--help``, and no drawn call runs for long: orders are bounded by
+P_MAX and ETA_TABLE_P_MAX, trees by NODE_MAX, and family ranges are drawn
+with at most 3 members or with more than FAMILY_MAX (refused at once).
+FAMILY_MAX bounds the member count of a run, not its time, so a long
+admitted range is not drawn here.  Exit 2 (a broken internal invariant)
+never happens on user input.
+"""
+
+import io
+import os
+import subprocess
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from brieskorn.cli import FAMILY_MAX, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+CALL_SECONDS = 10
+
+# Edge values: 0, +-1, primes around the eta and P_MAX ceilings, and
+# entries whose resolutions run into NODE_MAX.
+ints = st.one_of(
+    st.sampled_from([0, 1, -1, 997, 1009, 99991, 10**6 + 3, 2**61 - 1]),
+    st.integers(min_value=2, max_value=60))
+orders = st.one_of(st.sampled_from([3, 5, 7, 11, 13]), ints)
+
+
+def opt(flag, values):
+    """[] or [flag, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def either(*choices):
+    return st.sampled_from([list(c) for c in choices])
+
+
+def argv_of(*parts):
+    """One argv: the drawn parts, each a list, concatenated."""
+    return st.tuples(*parts).map(lambda drawn: [x for part in drawn
+                                                for x in part])
+
+
+@st.composite
+def s_ranges(draw):
+    """LO..HI of at most 3 members or more than FAMILY_MAX, or no range."""
+    kind = draw(st.sampled_from(["short", "long", "bad"]))
+    if kind == "bad":
+        return draw(st.sampled_from(["", "5", "5..", "..5", "1..2..3", "a..b",
+                                     "3.5..4"]))
+    lo = draw(st.integers(min_value=0, max_value=40))
+    if kind == "short":
+        return f"{lo}..{lo + draw(st.integers(min_value=-1, max_value=2))}"
+    return f"{lo}..{lo + FAMILY_MAX + draw(st.sampled_from([0, 1, 10**9]))}"
+
+
+class MatrixFile(str):
+    """A --matrix argument: the file's text, written before the call.
+    The empty MatrixFile() names a file that does not exist."""
+
+
+entries = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def matrix_files(draw):
+    """A matrix file of rank <= 4: symmetric, arbitrary, ragged or junk."""
+    kind = draw(st.sampled_from(["symmetric", "square", "ragged", "junk",
+                                 "missing"]))
+    if kind == "missing":
+        return MatrixFile()
+    if kind == "junk":
+        return MatrixFile(draw(st.text(alphabet="0123456789-.x \n",
+                                       min_size=1, max_size=12)))
+    n = draw(st.integers(min_value=0, max_value=4))
+    if kind == "ragged":
+        rows = draw(st.lists(st.lists(entries, max_size=4), min_size=1,
+                             max_size=4))
+    else:
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        if kind == "symmetric":
+            for i in range(n):
+                rows[i][i] = -abs(rows[i][i]) or -1
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+    return MatrixFile("\n".join(" ".join(map(str, row)) for row in rows)
+                      + "\n")
+
+
+@st.composite
+def coprime_triples(draw):
+    """Entries >= 2 and pairwise coprime, drawn entry by entry."""
+    a = draw(ints.filter(lambda x: x >= 2))
+    b = draw(ints.filter(lambda x: x >= 2 and gcd(a, x) == 1))
+    c = draw(ints.filter(lambda x: x >= 2 and gcd(a * b, x) == 1))
+    return a, b, c
+
+
+triple = st.one_of(st.tuples(ints, ints, ints), coprime_triples()).map(
+    lambda t: [str(x) for x in t])
+json_out = either([], ["--json", "-"])
+argvs = argv_of(
+    st.one_of(
+        argv_of(st.just(["analyze"]), triple, opt("--p", orders),
+                either([], ["--text"]), either([], ["--no-cache"]), json_out),
+        argv_of(st.just(["family"]),
+                either(["stern"], ["casson-harer"], ["other"]),
+                st.integers(min_value=-1, max_value=8).map(
+                    lambda r: ["--r", str(r)]),
+                s_ranges().map(lambda s: ["--s-range", s]),
+                either([], ["--sign", "+"], ["--sign", "-"]),
+                opt("--p", orders), either([], ["--no-cache"]), json_out),
+        argv_of(st.just(["rho", "--lens"]),
+                st.lists(ints.map(str), min_size=2, max_size=4)),
+        argv_of(st.just(["eta"]), triple, opt("--p", orders)),
+        argv_of(st.just(["graph"]), triple,
+                either([], ["--format", "dot"], ["--format", "json"],
+                       ["--format", "tgf"], ["--format", "png"])),
+        argv_of(st.just(["diagonalize", "--matrix"]),
+                matrix_files().map(lambda m: [m]), json_out),
+        either(["bogus"], [])),
+    st.one_of(st.just([]), either(["--bogus"], ["--p"], ["7"], ["--version"],
+                                  ["--help"])))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BRIESKORN_CACHE_DIR", str(path / "cache"))
+        yield path
+
+
+def written(argv, workdir):
+    """argv with each MatrixFile written out and replaced by its path."""
+    out = []
+    for arg in argv:
+        if isinstance(arg, MatrixFile):
+            path = workdir / ("matrix.txt" if arg else "missing/matrix.txt")
+            if arg:
+                path.write_text(arg)
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argvs)
+def test_exit_code_contract(workdir, argv):
+    argv = written(argv, workdir)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's --version and --help
+            assert exc.code == 0, argv
+            assert "--version" in argv or "--help" in argv, argv
+            code = None
+    assert time.perf_counter() - start < CALL_SECONDS, argv
+    assert code in (None, 0, 1), (argv, code, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+def test_module_run_prints_no_traceback(tmp_path):
+    env = dict(os.environ, BRIESKORN_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "brieskorn", "analyze", "2",
+                           "4", "5"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

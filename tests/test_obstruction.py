@@ -53,7 +53,8 @@ class TestBuildConstraints:
         g = star(-1, [])
         cs, _, _ = pipeline(g, 5)
         verdict = decide(cs)
-        assert verdict.feasible
+        assert verdict.feasible and verdict.status == "feasible"
+        assert verdict.certificate is None
         assert verdict.assignment["orientations"] in ((1,), (-1,))
 
     def test_coupling_for_adjacent_invariant(self):
@@ -75,7 +76,6 @@ class TestBuildConstraints:
         bad = EquivariantMarkup(
             p=5,
             fixed_spheres=((0, -2, 1),),   # wrong self-intersection
-            invariant_nodes=(1,),
             isolated_points=(markup.isolated_points[0],),
             node_kinds=("fixed", "invariant"))
         with pytest.raises(ConstraintError):
@@ -90,7 +90,7 @@ class TestBuildConstraints:
         c_inv = ((2, 1), (1, 1))
         diag = Diagonalization(form, c, c_inv)
         markup = EquivariantMarkup(
-            p=5, fixed_spheres=((0, -5, 1),), invariant_nodes=(1,),
+            p=5, fixed_spheres=((0, -5, 1),),
             isolated_points=((1, 1),), node_kinds=("fixed", "invariant"))
         cs = build_constraints(markup, diag)
         verdict = decide(cs)

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from brieskorn import (BrieskornTriple, EquivariantMarkup, PlumbingGraph,
+from brieskorn import (BrieskornTriple, EquivariantMarkup,
+                       InternalInvariantError, PlumbingGraph,
                        PropagationError, canonical_pair, canonical_resolution,
                        graph_signature, intersection_matrix,
                        propagate_rotations, seifert_invariants, star, to_dot, to_tgf)
@@ -153,6 +154,9 @@ class TestPropagation:
         data = sorted((w, cf) for _, w, cf in markup.fixed_spheres)
         assert data == [(-2, 3), (-2, 3), (-1, 1)]
         assert markup.node_kinds[g.center] == "fixed"
+        fixed = {node for node, _, _ in markup.fixed_spheres}
+        assert markup.invariant_nodes == tuple(
+            v for v in range(g.node_count) if v not in fixed)
 
     def test_fickle_rotation_numbers(self):
         for r, p in ((3, 5), (3, 7), (5, 7)):
@@ -205,9 +209,8 @@ class TestPropagation:
 
 class TestMarkupInvariant:
     def test_euler_identity_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InternalInvariantError, match="Euler"):
             EquivariantMarkup(p=5, fixed_spheres=((0, -1, 1),),
-                              invariant_nodes=(1,),
                               isolated_points=(),
                               node_kinds=("fixed", "invariant"))
 

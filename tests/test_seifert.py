@@ -82,6 +82,15 @@ def test_closed_form_matches_residue_scan(abc):
     assert seifert_invariants(triple).b == seifert_b_by_scan(triple)
 
 
+@given(coprime_triples())
+def test_r_invariant_is_odd_and_at_least_minus_one(abc):
+    # SeifertData keeps only delta <= -1; R = -2 delta - 3 is then odd and
+    # >= -1, which seifert_invariants once checked on every triple.
+    sd = seifert_invariants(BrieskornTriple.of(*abc))
+    assert sd.r_invariant == -2 * sd.delta - 3 == r_invariant(sd.triple)
+    assert sd.r_invariant % 2 == 1 and sd.r_invariant >= -1
+
+
 def test_closed_form_on_large_entries():
     # The residue scan is O(a_i); the closed form is not.
     sd = seifert_invariants(BrieskornTriple.of(3, 300001, 2100008))
