@@ -15,6 +15,7 @@ import argparse
 import errno
 import functools
 import os
+import re
 import stat
 import sys
 from typing import List, Optional
@@ -35,6 +36,14 @@ class CLIError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a value that starts with "-" as a flag unless it
+        # looks like a negative number; a LO..HI range such as -2..2 is
+        # read as a value too.  Subparsers are built by this class.
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
+
     def error(self, message):
         raise CLIError(message)
 

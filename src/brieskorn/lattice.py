@@ -15,15 +15,21 @@ other symmetric matrices work too, with some fill-in.  All pivots are
 negative exactly when the form is negative definite, so the same
 elimination is the definiteness check and gives det Q = prod d_j; on a
 definite form it never needs a zero-pivot repair, so it is a plain
-L D L^t.  The search itself is integer: column j has an integer centre
-numerator over g_j and every budget is scaled by one common S.  It is
-one flat loop with an explicit stack, so no recursion limit bounds n,
-and it finds each +- pair once.  The n representatives are the columns
-of C.  X = -C^t Q is formed once from the nonzeros of Q: row k of -Q C
-is node k's coordinates, column k of X, with at most -Q[k][k] nonzeros.
-Then X^t X = -Q and |det Q| = 1 check both identities: X = -C^t Q =
-(X C)^t X with X invertible gives X C = I, so C^-1 = X and
-C^t Q C = -X C = -I.  No floating point enters the decision path.
+L D L^t.  Nothing between Q and C is a Fraction: the elimination keeps
+each row as integers over one positive scale and hands over each pivot
+as an integer numerator and denominator and each column of L as integer
+numerators over the pivot numerator; the search turns these into an
+integer centre numerator over g_j per column and integer weights over
+one common budget S.  It is one flat loop with an explicit stack, so no
+recursion limit bounds n; a path that has spent its budget walks its
+forced tail by one divmod per level, and each +- pair is found once.
+The n representatives are the columns of C.  X = -C^t Q is formed once
+from the nonzeros of Q: row k of -Q C is node k's coordinates, column k
+of X, with at most -Q[k][k] nonzeros.  Then X^t X = -Q, summed over the
+nodes that share each basis vector, and |det Q| = 1 check both
+identities: X = -C^t Q = (X C)^t X with X invertible gives X C = I, so
+C^-1 = X and C^t Q C = -X C = -I.  No floating point enters the
+decision path.
 """
 
 from __future__ import annotations
@@ -80,18 +86,21 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     a combination of coordinates eliminated after j (on a tree, its
     parent's alone), so coordinates are chosen in reverse elimination
     order with the exact interval |d_j| (v_j + c_j)^2 <= remaining budget.
-    In integers: with g_j the common denominator of column j of L,
-    t = g_j (v_j + c_j) is an integer, W_j = S |d_j| / g_j^2 is an integer
-    for one common S, and the condition reads W_j t^2 <= budget, starting
-    from S.  At budget 0 every later t is 0, so the range is the single
-    v_j = -c_j when g_j divides the centre numerator g_j c_j, else empty.
+    In integers: column j of L is (i, a_i) over the pivot numerator D_j,
+    so with h_j = gcd(D_j, a_i) the common denominator of the column is
+    g_j = |D_j| / h_j, t = g_j (v_j + c_j) = g_j v_j - sum a_i v_i / h_j is
+    an integer, and W_j = S h_j^2 / (s_j |D_j|) = S |d_j| / g_j^2 is an
+    integer for one common S.  The condition reads W_j t^2 <= budget,
+    starting from S.  Once a path has spent its budget every later t is
+    0, so the tail is forced: v_j = -c_j, found by one divmod, and the
+    path dies at the first level where g_j does not divide the centre
+    numerator g_j c_j; a path that reaches level n is a root.
 
     The walk is one loop: a level places the first value of its range and
-    pushes the rest, if any, on a stack; an empty range, or level n (a root
-    when the budget is 0), pops the stack.  Nothing is reset: a centre
-    reads only nodes placed at earlier levels of the current path, and
-    every level writes its coordinate, 0 included, so no stale entry is
-    read.
+    pushes the rest, if any, on a stack; an empty range, a forced tail or
+    level n pops the stack.  Nothing is reset: a centre reads only nodes
+    placed at earlier levels of the current path, and every level writes
+    its coordinate, 0 included, so no stale entry is read.
 
     Each +- pair is found once: while every placed coordinate is 0 (the
     budget is still S) every centre is 0, the range is symmetric and the
@@ -104,20 +113,37 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
         raise ValueError("root enumeration requires a negative definite form")
     e = form.elimination
     steps = []
-    for node, d, col in zip(e.order, e.pivots, e.columns):
-        g = math.lcm(*(l.denominator for _, l in col))
-        steps.append((node, g, -d / (g * g),
-                      tuple((i, int(l * g)) for i, l in col)))
-    scale = math.lcm(*(w.denominator for _, _, w, _ in steps))
-    steps = [(node, g, int(w * scale), coupling)
-             for node, g, w, coupling in reversed(steps)]
+    for node, d, s, col in zip(e.order, e.pivots, e.scales, e.columns):
+        h = math.gcd(d, *(a for _, a in col))      # d < 0
+        num, den = h * h, -s * d                   # W_j / S = num / den
+        r = math.gcd(num, den)
+        steps.append((node, -d // h, num // r, den // r,
+                      tuple((i, -a // h) for i, a in col)))
+    scale = math.lcm(*(den for _, _, _, den, _ in steps))
+    steps = [(node, g, num * (scale // den), coupling)
+             for node, g, num, den, coupling in reversed(steps)]
     n = form.n
     roots: List[Tuple[int, ...]] = []
     v = [0] * n          # written at each level before a later one reads it
     stack = []           # (level, next m, high, budget, centre) per open range
     level, budget = 0, scale
     while True:
-        if level < n:
+        if not budget:       # forced tail: t = 0 at every later level
+            for node, g, _, coupling in steps[level:]:
+                centre = 0
+                for i, l in coupling:
+                    centre += l * v[i]
+                if centre:
+                    m, r = divmod(-centre, g)
+                    if r:
+                        break
+                    v[node] = m
+                else:
+                    v[node] = 0
+            else:            # then v^t Q v = -1, so v != 0
+                roots.extend((tuple(v), tuple(map(neg, v))))
+            m, high = 1, 0
+        elif level < n:
             node, g, w, coupling = steps[level]
             centre = 0                                  # g_j c_j
             for i, l in coupling:
@@ -125,9 +151,9 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
             t_max = math.isqrt(budget // w)
             m = 0 if budget == scale else -((t_max + centre) // g)
             high = (t_max - centre) // g
-        elif not budget:     # then v^t Q v = -1, so v != 0
-            roots.extend((tuple(v), tuple(map(neg, v))))
-        if level == n or m > high:
+        else:
+            m, high = 1, 0
+        if m > high:
             if not stack:
                 break
             level, m, high, budget, centre = stack.pop()
@@ -173,20 +199,24 @@ class Diagonalization:
                 term = c[i] if x == 1 else map(mul, repeat(x), c[i])
                 acc = term if acc is None else map(add, acc, term)
             rows.append(tuple(map(neg, acc)))   # node k's coordinates
-        c_inv = transpose(rows)
-        for x_row in c_inv:                     # nodes sharing one e_j
-            nodes = [(k, x_row[k]) for k in compress(range(n), x_row)]
+        coordinates = tuple(tuple((j, r[j]) for j in compress(range(n), r))
+                            for r in rows)
+        sharing = [[] for _ in range(n)]       # the nodes with a nonzero e_j
+        for k, coords in enumerate(coordinates):
+            for j, x in coords:
+                sharing[j].append((k, x))
+        for nodes in sharing:
             for k, x in nodes:
                 for l, y in nodes:
                     gram[k, l] = gram.get((k, l), 0) + x * y
         if any(gram.values()):
             raise InternalInvariantError("C^t Q C != -I")
+        c_inv = transpose(rows)
         if self.c_inv is None:
             object.__setattr__(self, "c_inv", c_inv)
         elif tuple(map(tuple, self.c_inv)) != c_inv:
             raise InternalInvariantError("C * C_inv != I")
-        object.__setattr__(self, "coordinates", tuple(
-            tuple((j, r[j]) for j in compress(range(n), r)) for r in rows))
+        object.__setattr__(self, "coordinates", coordinates)
 
     @property
     def found(self) -> bool:

@@ -1,8 +1,13 @@
-"""Exact linear algebra over Z and Q for small symmetric matrices.
+"""Exact integer linear algebra for small symmetric matrices.
 
 Everything works on plain nested sequences; no floating point anywhere.
 ``eliminate`` is the one symmetric elimination: signature, definiteness,
 determinant and the root-search factor of ``lattice`` are all read off it.
+It forms no ``Fraction``: each row still to be eliminated is a set of
+integer numerators over one positive scale, reduced by its content after
+every step, and each pivot and column of L is kept as integers over a
+shared denominator.  Only ``inverse_unimodular``, which the pipeline does
+not call, works over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -59,29 +66,36 @@ def inverse_unimodular(m) -> IntMatrix:
 
 @dataclass(frozen=True)
 class Elimination:
-    """A symmetric matrix brought to diagonal form by congruence.
+    """A symmetric matrix brought to diagonal form by congruence, in
+    integers.
 
-    order[j] is the j-th eliminated node, pivots[j] its pivot d_j and
-    columns[j] lists (i, L[i][order[j]]) for the nodes i eliminated later
-    that are coupled to order[j].  determinant is prod d_j: every step is
-    a congruence by a matrix of determinant +-1, so it is the determinant
-    of the input.
+    order[j] is the j-th eliminated node k; its pivot is d_j = pivots[j] /
+    scales[j] with scales[j] > 0, and columns[j] lists (i, a) for the
+    nodes i eliminated later that are coupled to k, with L[i][k] =
+    a / pivots[j].  determinant is prod d_j: every step is a congruence
+    by a matrix of determinant +-1, so it is the determinant of the input.
     """
 
     order: Tuple[int, ...]
-    pivots: Tuple[Fraction, ...]
-    columns: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+    pivots: Tuple[int, ...]
+    scales: Tuple[int, ...]
+    columns: Tuple[Tuple[Tuple[int, int], ...], ...]
     determinant: int
 
-    @property
-    def signature(self) -> int:
-        return sum(d > 0 for d in self.pivots) - sum(d < 0 for d in self.pivots)
+    @cached_property
+    def signs(self) -> Tuple[int, ...]:
+        """The sign of each pivot d_j."""
+        return tuple((d > 0) - (d < 0) for d in self.pivots)
 
-    @property
+    @cached_property
+    def signature(self) -> int:
+        return sum(self.signs)
+
+    @cached_property
     def definiteness(self) -> str:
         """One of "negative-definite", "indefinite" and "other" (positive
         definite, or degenerate)."""
-        signs = {(d > 0) - (d < 0) for d in self.pivots}
+        signs = set(self.signs)
         if signs <= {-1}:
             return "negative-definite"
         return "indefinite" if signs == {-1, 1} else "other"
@@ -100,16 +114,24 @@ def eliminate(m) -> Elimination:
     zero diagonal and no coupling is a zero pivot.  Neither repair fires
     on a definite matrix, so there m = L D L^t exactly, with L read from
     the columns.
+
+    No Fraction is formed: each remaining row i is held as integers over
+    one positive scale s_i.  Eliminating k, with pivot numerator D_k,
+    turns row i into (row i) D_k - O_ik (row k) over s_i D_k, where O_ik
+    is row i's numerator at k (signs flipped when D_k < 0), and then
+    divides the row and its scale by their content.
     """
     n = len(m)
-    diag = [Fraction(m[i][i]) for i in range(n)]
-    off = [{j: x for j, x in enumerate(row) if x and j != i}
-           for i, row in enumerate(m)]
+    diag = [m[i][i] for i in range(n)]
+    scale = [1] * n
+    off = []
+    for i, row in enumerate(m):
+        off.append({j: row[j] for j in compress(range(n), row) if j != i})
     remaining = set(range(n))
     # (degree, node) entries; a popped entry whose degree is stale is skipped.
     queue = [(len(row), i) for i, row in enumerate(off)]
     heapq.heapify(queue)
-    order, pivots, columns = [], [], []
+    order, pivots, scales, columns = [], [], [], []
 
     while remaining:
         degree, k = heapq.heappop(queue)
@@ -122,37 +144,70 @@ def eliminate(m) -> Elimination:
                 k = min(nonzero, key=lambda i: (len(off[i]), i))
             else:
                 j = min(off[k])
-                diag[k] = Fraction(2 * off[k][j])
-                for i, a_ij in off[j].items():
+                _merge(diag, scale, off, k, j)
+                for i in off[j]:
                     if i != k:
-                        _set(off, k, i, off[k].get(i, 0) + a_ij)
                         heapq.heappush(queue, (len(off[i]), i))
         d = diag[k]
         remaining.discard(k)
-        col = sorted(off[k].items())
-        column = tuple((i, a / d) for i, a in col)
-        for (i, a_ik), (_, l_ik) in zip(col, column):
-            del off[i][k]
-            diag[i] -= a_ik * l_ik
-            for j, a_jk in col:
-                if j > i:
-                    _set(off, i, j, off[i].get(j, 0) - l_ik * a_jk)
+        col = tuple(sorted(off[k].items()))
+        e = abs(d)
+        for i, a_ki in col:
+            row = off[i]
+            f = row.pop(k) if d > 0 else -row.pop(k)
+            x = diag[i] * e - f * a_ki
+            for j in row:
+                row[j] *= e
+            for j, a_kj in col:
+                if j != i:
+                    y = row.get(j, 0) - f * a_kj
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+            diag[i], scale[i] = x, scale[i] * e
+            _divide_content(diag, scale, off, i)
         for i, _ in col:
             heapq.heappush(queue, (len(off[i]), i))
         order.append(k)
         pivots.append(d)
-        columns.append(column)
-    return Elimination(tuple(order), tuple(pivots), tuple(columns),
-                       int(math.prod(pivots)))
+        scales.append(scale[k])
+        columns.append(col)
+    return Elimination(tuple(order), tuple(pivots), tuple(scales),
+                       tuple(columns), math.prod(pivots) // math.prod(scales))
 
 
-def _set(off, i, j, x) -> None:
-    """Set the symmetric entry (i, j) of the sparse rows to x."""
-    if x:
-        off[i][j] = off[j][i] = x
-    else:
-        off[i].pop(j, None)
-        off[j].pop(i, None)
+def _merge(diag, scale, off, k, j) -> None:
+    """Add row and column j to row and column k, whose diagonals are both
+    zero: k's diagonal becomes 2 a_kj.  Row k is brought to the scale
+    s_k s_j; every other row keeps its scale."""
+    s_k, s_j = scale[k], scale[j]
+    row = off[k]
+    for i in row:
+        row[i] *= s_j
+    diag[k] = 2 * row[j]
+    for i, a_ji in off[j].items():
+        if i != k:
+            x = row.get(i, 0) + a_ji * s_k
+            other = off[i]
+            y = other.get(k, 0) + other[j]
+            if x:
+                row[i], other[k] = x, y
+            else:
+                del row[i], other[k]
+    scale[k] = s_k * s_j
+    _divide_content(diag, scale, off, k)
+
+
+def _divide_content(diag, scale, off, i) -> None:
+    """Divide row i, its diagonal and its scale by their gcd."""
+    row = off[i]
+    g = math.gcd(scale[i], diag[i], *row.values())
+    if g != 1:
+        scale[i] //= g
+        diag[i] //= g
+        for j in row:
+            row[j] //= g
 
 
 def is_negative_definite(m) -> bool:

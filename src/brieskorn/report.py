@@ -41,7 +41,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
     sd = seifert_invariants(triple)
     graph = canonical_resolution(sd)
     q = intersection_matrix(graph)
-    form = UnimodularForm.from_matrix(q)
+    form = UnimodularForm(q)
     diag = diagonalize(form)
     elim = form.elimination  # computed once, inside diagonalize
 

@@ -10,23 +10,27 @@ coordinate and which walks both signs of every coordinate, a
 ``diagonalize`` that checks pairwise orthogonality of the roots (with
 the bilinear form ``evaluate``) and inverts C by Gauss-Jordan
 (``matrices.inverse_unimodular``), and the three-product check of both
-diagonalization identities (``check_identities``).  The package reads signature, definiteness,
-determinant and the search factor off one sparse elimination
-(``matrices.eliminate``), walks an integer-scaled search that finds each
-+- pair once in one flat loop, forms C^-1 = -C^t Q once and checks both
-identities by the Gram identity X^t X = -Q with |det Q| = 1.  That walk
-is also kept here in its earlier recursive form with a separate forced
-tail (``forced_tail_roots``).  The tests in ``test_lattice_kernels.py``
-check that all paths agree exactly.
+diagonalization identities (``check_identities``).  The package reads
+signature, definiteness, determinant and the search factor off one
+sparse elimination in integers (``matrices.eliminate``), walks an
+integer-scaled search that finds each +- pair once in one flat loop,
+forms C^-1 = -C^t Q once and checks both identities by the Gram identity
+X^t X = -Q with |det Q| = 1.  That elimination is also kept here as it
+was over Fraction (``fraction_eliminate``), with ``fraction_view`` to read
+the integer one the same way, and that walk in its earlier recursive
+form with a separate forced tail (``forced_tail_roots``).  The tests in
+``test_lattice_kernels.py`` check that all paths agree exactly.
 """
 
+import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 from brieskorn.lattice import (Diagonalization, DiagonalizationFailure,
                                UnimodularForm)
-from brieskorn.matrices import inverse_unimodular, transpose
+from brieskorn.matrices import Elimination, inverse_unimodular, transpose
 from brieskorn.plumbing import (InternalInvariantError, PlumbingGraph,
                                 intersection_matrix)
 
@@ -194,6 +198,95 @@ def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
     return pos - neg, kind
 
 
+@dataclass(frozen=True)
+class FractionElimination:
+    """An elimination held in Fractions: order[j] is the j-th eliminated
+    node, pivots[j] its pivot d_j, columns[j] lists (i, L[i][order[j]])
+    for the nodes i eliminated later that are coupled to order[j], and
+    determinant is prod d_j."""
+
+    order: Tuple[int, ...]
+    pivots: Tuple[Fraction, ...]
+    columns: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+    determinant: int
+
+    @property
+    def signature(self) -> int:
+        return sum(d > 0 for d in self.pivots) - sum(d < 0 for d in self.pivots)
+
+    @property
+    def definiteness(self) -> str:
+        signs = {(d > 0) - (d < 0) for d in self.pivots}
+        if signs <= {-1}:
+            return "negative-definite"
+        return "indefinite" if signs == {-1, 1} else "other"
+
+
+def fraction_view(e: Elimination) -> FractionElimination:
+    """The integer elimination of matrices.eliminate read as Fractions:
+    d_j = pivots[j] / scales[j] and L[i][order[j]] = a / pivots[j]."""
+    return FractionElimination(
+        e.order,
+        tuple(Fraction(d, s) for d, s in zip(e.pivots, e.scales)),
+        tuple(tuple((i, Fraction(a, d)) for i, a in col)
+              for d, col in zip(e.pivots, e.columns)),
+        e.determinant)
+
+
+def fraction_eliminate(m) -> FractionElimination:
+    """matrices.eliminate as it was over Fraction: the same minimum-degree
+    order and zero-pivot repairs, with every remaining entry a Fraction."""
+    n = len(m)
+    diag = [Fraction(m[i][i]) for i in range(n)]
+    off = [{j: x for j, x in enumerate(row) if x and j != i}
+           for i, row in enumerate(m)]
+    remaining = set(range(n))
+    queue = [(len(row), i) for i, row in enumerate(off)]
+    heapq.heapify(queue)
+    order, pivots, columns = [], [], []
+
+    def put(i, j, x):
+        if x:
+            off[i][j] = off[j][i] = x
+        else:
+            off[i].pop(j, None)
+            off[j].pop(i, None)
+
+    while remaining:
+        degree, k = heapq.heappop(queue)
+        if k not in remaining or degree != len(off[k]):
+            continue
+        if not diag[k] and off[k]:
+            nonzero = [i for i in remaining if diag[i]]
+            if nonzero:
+                heapq.heappush(queue, (degree, k))
+                k = min(nonzero, key=lambda i: (len(off[i]), i))
+            else:
+                j = min(off[k])
+                diag[k] = Fraction(2 * off[k][j])
+                for i, a_ij in off[j].items():
+                    if i != k:
+                        put(k, i, off[k].get(i, 0) + a_ij)
+                        heapq.heappush(queue, (len(off[i]), i))
+        d = diag[k]
+        remaining.discard(k)
+        col = sorted(off[k].items())
+        column = tuple((i, a / d) for i, a in col)
+        for (i, a_ik), (_, l_ik) in zip(col, column):
+            del off[i][k]
+            diag[i] -= a_ik * l_ik
+            for j, a_jk in col:
+                if j > i:
+                    put(i, j, off[i].get(j, 0) - l_ik * a_jk)
+        for i, _ in col:
+            heapq.heappush(queue, (len(off[i]), i))
+        order.append(k)
+        pivots.append(d)
+        columns.append(column)
+    return FractionElimination(tuple(order), tuple(pivots), tuple(columns),
+                               int(math.prod(pivots)))
+
+
 def ldl(a: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[Fraction]]:
     """A = L D L^t for positive definite A; L unit lower triangular."""
     n = len(a)
@@ -254,7 +347,7 @@ def forced_tail_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     and clears the coordinates it wrote.  Each +- pair is found once."""
     if not form.is_negative_definite:
         raise ValueError("root enumeration requires a negative definite form")
-    e = form.elimination
+    e = fraction_view(form.elimination)
     steps = []
     for node, d, col in zip(e.order, e.pivots, e.columns):
         g = math.lcm(*(l.denominator for _, l in col))

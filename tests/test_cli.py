@@ -352,6 +352,22 @@ class TestCLI:
                      "--s-range", "5..4"]) == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("s_range", ["-2..2", "-3..-1", "-1..0"])
+    def test_family_range_may_start_with_minus(self, tmp_cache, capsys,
+                                               s_range):
+        # A separate LO..HI value that starts with "-" is the range, not
+        # a flag: the run prints what --s-range=LO..HI prints.
+        argv = ["family", "stern", "--r", "3", "--p", "5"]
+        assert main(argv + [f"--s-range={s_range}"]) == 0
+        joined = capsys.readouterr()
+        assert main(argv + ["--s-range", s_range]) == 0
+        assert capsys.readouterr() == joined
+        lo, hi = map(int, s_range.split(".."))
+        lines = joined.out.splitlines()
+        assert [line.split(":")[0].split()[0] for line in lines] == [
+            f"s={s}" for s in range(lo, hi + 1)]
+        assert sum("skipped" in line for line in lines) == min(hi, 0) - lo + 1
+
     def test_family_casson_harer_text(self, tmp_cache, capsys):
         assert main(["family", "casson-harer", "--r", "3",
                      "--s-range", "1..5"]) == 0

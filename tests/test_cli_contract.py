@@ -58,7 +58,7 @@ def s_ranges(draw):
     if kind == "bad":
         return draw(st.sampled_from(["", "5", "5..", "..5", "1..2..3", "a..b",
                                      "3.5..4"]))
-    lo = draw(st.integers(min_value=0, max_value=40))
+    lo = draw(st.integers(min_value=-3, max_value=40))
     if kind == "short":
         return f"{lo}..{lo + draw(st.integers(min_value=-1, max_value=2))}"
     return f"{lo}..{lo + FAMILY_MAX + draw(st.sampled_from([0, 1, 10**9]))}"

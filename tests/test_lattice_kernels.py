@@ -10,7 +10,11 @@ congruence elimination (matrices.eliminate) is checked against the Bareiss
 determinant, the dense congruence signature, the leading-minor
 definiteness test and the leaf-pivoting tree signature, on symmetric
 matrices with zero diagonals, singular and indefinite ones, random
-plumbing trees and the indefinite bounding graphs."""
+plumbing trees and the indefinite bounding graphs.  Its order, pivots,
+columns and determinant are checked exactly against the Fraction
+elimination it replaced, on matrices that fire both zero-pivot repairs
+and on resolution trees.  At n = 406 the root search is checked against
+the recursive walk."""
 
 import contextlib
 import hashlib
@@ -148,7 +152,8 @@ def assert_elimination_matches_oracles(q):
     if kind == "negative-definite" or neg == 0 == zero:
         # L[order[j]][j] = 1, L[i][j] from columns[j]; q = L D L^t.
         rebuilt = [[0] * n for _ in range(n)]
-        for node, d, col in zip(e.order, e.pivots, e.columns):
+        f = oracle.fraction_view(e)
+        for node, d, col in zip(f.order, f.pivots, f.columns):
             entries = ((node, 1),) + col
             for a, la in entries:
                 for b, lb in entries:
@@ -197,6 +202,52 @@ def test_elimination_matches_oracles_on_random_trees(g):
     assert graph_signature(g) == oracle.graph_signature(g)
 
 
+def assert_elimination_matches_fraction_oracle(q):
+    """eliminate(q), read as Fractions, equals the Fraction elimination it
+    replaced: the same order, pivots, columns of L and determinant, and so
+    the same signature and definiteness; every row scale is positive."""
+    e, f = eliminate(q), oracle.fraction_eliminate(q)
+    assert oracle.fraction_view(e) == f
+    assert (e.signature, e.definiteness) == (f.signature, f.definiteness)
+    assert all(s > 0 for s in e.scales)
+
+
+@st.composite
+def repair_matrices(draw):
+    """Random symmetric integer matrices whose diagonal entries are each
+    zero on request, so that a zero-diagonal node is passed over or, once
+    every remaining diagonal is zero, merged; the last node repeats node 0
+    on request (a singular matrix).  Most are indefinite."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entries = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                            min_size=n * n, max_size=n * n))
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    source = [0 if draw(st.booleans()) and i == n - 1 else i
+              for i in range(n)]
+    return tuple(tuple(
+        0 if i == j and zero[i] else
+        entries[min(source[i], source[j]) * n + max(source[i], source[j])]
+        for j in range(n)) for i in range(n))
+
+
+# Every diagonal is zero, so the merge fires on nodes 3 and 0, both at
+# scale 1; once nodes 3 and 0 are gone it fires again on node 1 (scale 1)
+# and node 2 (scale 3), and row 1 is brought to scale 3.
+@example(((0, -3, -1, 3, 0), (-3, 0, 3, 0, -2), (-1, 3, 0, 0, 2),
+          (3, 0, 0, 0, -2), (0, -2, 2, -2, 0)))
+@example(((0, 1), (1, 0)))
+@settings(max_examples=300, deadline=None)
+@given(repair_matrices())
+def test_integer_elimination_matches_fraction_oracle(q):
+    assert_elimination_matches_fraction_oracle(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TRIPLES))
+def test_integer_elimination_matches_fraction_oracle_on_trees(triple):
+    assert_elimination_matches_fraction_oracle(tree_form(triple).q)
+
+
 def test_elimination_returns_to_passed_over_nodes():
     # A hyperbolic pair (nodes 0, 1) beside a path with nonzero diagonal:
     # both zero-diagonal nodes come first in minimum-degree order and are
@@ -238,6 +289,17 @@ def test_stern_member_matches_oracle():
     assert diagonalize(form) == oracle.diagonalize(form)
 
 
+def test_root_search_matches_forced_tail_walk_at_n406():
+    # Sigma(3,1201,8408), stern r=3 s=400: 406 nodes, far past the golden
+    # reports (n <= 60).  About three quarters of the walk's level steps
+    # come after a path has spent its budget, in the forced tail.
+    form = tree_form((3, 1201, 8408))
+    assert form.n == 406
+    roots = enumerate_roots(form)
+    assert len(roots) == 2 * 406
+    assert roots == oracle.forced_tail_roots(form)
+
+
 def test_stern_n86_matches_recorded_oracle_output():
     # Sigma(3,241,1688), stern r=3 s=80: 86 nodes.  The digest is that of
     # oracle.diagonalize's (C, C_inv) on this form, which takes seconds.
@@ -254,7 +316,7 @@ def test_forced_tail_dies_on_a_non_integral_coordinate():
     # v_0 = +-1/2: at budget 0 node 0's range is empty, so both paths die
     # there.  The form is even, so it has no roots at all.
     form = UnimodularForm.from_matrix(((-4, 2), (2, -2)))
-    e = form.elimination
+    e = oracle.fraction_view(form.elimination)
     assert e.order == (0, 1) and e.pivots == (-4, -1)
     assert e.columns[0] == ((1, Fraction(-1, 2)),)
     assert enumerate_roots(form) == oracle.enumerate_roots(form) == ()
