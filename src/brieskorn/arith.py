@@ -3,9 +3,10 @@ Hirzebruch-Jung continued fractions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Tuple
+
+from .records import record
 
 
 def is_prime(n: int) -> bool:
@@ -33,7 +34,7 @@ def is_prime(n: int) -> bool:
 NODE_MAX = 1200
 
 
-@dataclass(frozen=True)
+@record
 class HJExpansion:
     """Continued-fraction expansion a/b = [t1, ..., tm] with every ti <= -2.
 

@@ -35,7 +35,6 @@ decision path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul, neg
@@ -44,9 +43,10 @@ from typing import List, Optional, Tuple, Union
 from . import matrices
 from .matrices import Elimination, IntMatrix, eliminate, freeze, transpose
 from .plumbing import InternalInvariantError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class UnimodularForm:
     q: IntMatrix
 
@@ -167,22 +167,21 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(roots))
 
 
-@dataclass(frozen=True)
+@record
 class Diagonalization:
     """Exact basis change C with C^t Q C = -I and its integer inverse.
 
     Columns of c are the diagonal basis vectors in the node basis; columns
     of c_inv express each node class in the diagonal basis, and
     coordinates[k] lists node k's nonzero (j, c_inv[j][k]) by increasing
-    j.  Construction forms c_inv (one passed in must equal it) and checks
-    the identities; a failure is an internal invariant violation.
+    j; it is set by construction and is not a field.  Construction forms
+    c_inv (one passed in must equal it) and checks the identities; a
+    failure is an internal invariant violation.
     """
 
     form: UnimodularForm
     c: IntMatrix
     c_inv: Optional[IntMatrix] = None
-    coordinates: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, q, c = self.form.n, self.form.q, self.c
@@ -223,7 +222,7 @@ class Diagonalization:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalizationFailure:
     """Certificate that the form is not integrally equivalent to -I."""
 

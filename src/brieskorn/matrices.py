@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from typing import Tuple
+
+from .records import record
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -64,7 +65,7 @@ def inverse_unimodular(m) -> IntMatrix:
     return freeze(inv)
 
 
-@dataclass(frozen=True)
+@record
 class Elimination:
     """A symmetric matrix brought to diagonal form by congruence, in
     integers.

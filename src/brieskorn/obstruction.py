@@ -28,19 +28,19 @@ dense one (tests/obstruction_oracle.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations, compress
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
 from .plumbing import EquivariantMarkup, InternalInvariantError
+from .records import record
 
 
 class ConstraintError(InternalInvariantError):
     """Markup and diagonalization do not describe the same configuration."""
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSystem:
     """Sign constraints on node-sphere orientations o_i and diagonal-basis
     signs s_j.
@@ -99,7 +99,7 @@ def build_constraints(markup: EquivariantMarkup,
 # Verdicts and certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Witness of infeasibility.
 
@@ -146,7 +146,7 @@ class Certificate:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionVerdict:
     assignment: Optional[Dict[str, Tuple[int, ...]]]
     certificate: Optional[Certificate]
@@ -221,7 +221,7 @@ def _certificate(cs: ConstraintSystem) -> Certificate:
             cert = Certificate("adjacent-branches", (s, f, g), "")
             if cert.verify(cs):
                 (j0, _), = cs.columns[s]    # a (-1)-sphere is +-e_j0
-                return replace(cert, detail=(
+                return Certificate(cert.kind, cert.spheres, detail=(
                     f"fixed sphere {s} of square -1 reduces to a diagonal "
                     f"basis vector e{j0}; orientation coupling then forces "
                     f"coefficient 1 on e{j0} in the standardly oriented "

@@ -12,11 +12,11 @@ input order, each walked outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .arith import NODE_MAX, hj_expand
 from .matrices import eliminate
+from .records import record
 from .seifert import SeifertData, check_order
 
 
@@ -31,7 +31,7 @@ class PropagationError(InternalInvariantError):
     action (zero rotation pair) or with circle-equivariant plumbing."""
 
 
-@dataclass(frozen=True)
+@record
 class PlumbingGraph:
     weights: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
@@ -154,7 +154,7 @@ def canonical_pair(a: int, b: int, p: int) -> Tuple[int, int]:
     return min(variants)
 
 
-@dataclass(frozen=True)
+@record
 class EquivariantMarkup:
     """Z/p fixed-set data of a plumbing tree.
 

@@ -18,18 +18,20 @@ always an integer <= -1.  The R-invariant is -2*delta - 3, an odd integer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd
 from typing import Tuple
 
 from .arith import is_prime
+from .records import record
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@record
 class BrieskornTriple:
-    """Pairwise-coprime integers >= 2, stored sorted ascending."""
+    """Pairwise-coprime integers >= 2, stored sorted ascending; triples
+    are ordered by their entries."""
 
     a1: int
     a2: int
@@ -46,6 +48,11 @@ class BrieskornTriple:
                 if gcd(entries[i], entries[j]) != 1:
                     raise ValueError(
                         f"entries must be pairwise coprime, got {entries}")
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries < other.entries
+        return NotImplemented
 
     @classmethod
     def of(cls, a: int, b: int, c: int) -> "BrieskornTriple":
@@ -64,7 +71,7 @@ class BrieskornTriple:
         return f"Sigma({self.a1},{self.a2},{self.a3})"
 
 
-@dataclass(frozen=True)
+@record
 class SeifertData:
     triple: BrieskornTriple
     b: Tuple[int, int, int]

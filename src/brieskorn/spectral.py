@@ -86,7 +86,6 @@ at entry 0, and each rho value is one Fraction(int, p^2) read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -95,6 +94,7 @@ from typing import Tuple
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        canonical_resolution, graph_signature,
                        propagate_rotations)
+from .records import record
 from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
@@ -137,7 +137,7 @@ def nu_defect(a: int, b: int, p: int) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointData:
     """Fixed-set data of a bounding equivariant 4-manifold."""
 
@@ -233,7 +233,7 @@ def _residue_class(x: int, p: int) -> int:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
+@record
 class LensCandidate:
     """A lens-space target passing the degree-one-map congruences.
 
