@@ -12,8 +12,7 @@ __version__ = "1.0.0"
 
 from .arith import HJExpansion, hj_expand, is_prime
 from .seifert import (BrieskornTriple, SeifertData, check_action, check_order,
-                      family, r_invariant, seifert_invariants,
-                      standard_action_valid)
+                      family, seifert_invariants, standard_action_valid)
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        PlumbingGraph, PropagationError, canonical_pair,
                        canonical_resolution, graph_signature,
@@ -33,7 +32,7 @@ __all__ = [
     "__version__",
     "HJExpansion", "hj_expand", "is_prime",
     "BrieskornTriple", "SeifertData", "check_action", "check_order", "family",
-    "r_invariant", "seifert_invariants", "standard_action_valid",
+    "seifert_invariants", "standard_action_valid",
     "EquivariantMarkup", "InternalInvariantError", "PlumbingGraph",
     "PropagationError", "canonical_pair", "canonical_resolution",
     "graph_signature", "intersection_matrix",

@@ -25,13 +25,14 @@ from .lattice import UnimodularForm, diagonalize
 from .matrices import parse_matrix_text, render_matrix_text
 from .plumbing import (InternalInvariantError, canonical_resolution,
                        intersection_matrix, to_dot, to_tgf)
-from .report import SCHEMA_VERSION, cached_analysis, render_json, render_text
+from .report import (SCHEMA_VERSION, build_analysis, cached_analysis,
+                     render_json, render_text)
 from .seifert import (BrieskornTriple, check_order, family, seifert_invariants,
                       standard_action_valid)
 from .spectral import coefficients_at, eta_brieskorn, rho_lens_table
 
 
-class CLIError(Exception):
+class CLIError(ValueError):
     """Invalid input; reported on stderr with exit code 1."""
 
 
@@ -57,18 +58,20 @@ def _parse_range(text: str):
 
 
 def _check_json_dir(path: Optional[str]) -> None:
-    """Refuse a --json PATH whose directory does not exist before any
-    analysis runs.  The file itself is not opened here, so a run that
-    then fails on bad input leaves an existing file unchanged."""
+    """Refuse an empty --json PATH, or one whose directory does not exist,
+    before any analysis runs.  The file itself is not opened here, so a
+    run that then fails on bad input leaves an existing file unchanged."""
     if path is None or path == "-":
         return
-    # The message is the one open() gives for the same path.
+    # The error is the one open() raises for the same path.
+    if not path:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     try:
         mode = os.stat(os.path.dirname(path) or ".").st_mode
         if not stat.S_ISDIR(mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
-        raise CLIError(str(OSError(exc.errno, exc.strerror, path))) from exc
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _write_json(path: str, payload) -> None:
@@ -76,20 +79,17 @@ def _write_json(path: str, payload) -> None:
     if path == "-":
         sys.stdout.write(data)
     else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(data)
-        except OSError as exc:
-            raise CLIError(str(exc)) from exc
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(data)
 
 
 def cmd_analyze(args) -> int:
     _check_json_dir(args.json)
-    report = cached_analysis(args.a, args.b, args.c, args.p,
-                             use_cache=not args.no_cache)
-    if args.json:
+    analysis = build_analysis if args.no_cache else cached_analysis
+    report = analysis(args.a, args.b, args.c, args.p)
+    if args.json is not None:
         _write_json(args.json, report)
-    if args.text or not args.json:
+    if args.text or args.json is None:
         sys.stdout.write(render_text(report))
     return 0
 
@@ -102,6 +102,7 @@ def cmd_family(args) -> int:
     if args.p is not None:
         check_order(args.p)
     _check_json_dir(args.json)
+    analysis = build_analysis if args.no_cache else cached_analysis
     rows = []
     for s in range(lo, hi + 1):
         # Any ValueError, from the family rule or from the analysis (the
@@ -112,8 +113,7 @@ def cmd_family(args) -> int:
             # A member on which the action is not free is analyzed without p.
             p = (args.p if args.p is not None
                  and standard_action_valid(triple, args.p) else None)
-            report = cached_analysis(triple.a1, triple.a2, triple.a3, p,
-                                     use_cache=not args.no_cache)
+            report = analysis(triple.a1, triple.a2, triple.a3, p)
         except ValueError as exc:
             rows.append({"s": s, "skipped": str(exc)})
             continue
@@ -137,7 +137,7 @@ def cmd_family(args) -> int:
              "family": {"kind": args.kind, "r": args.r, "sign": args.sign,
                         "s_range": [lo, hi], "p": args.p},
              "rows": rows}
-    if args.json:
+    if args.json is not None:
         _write_json(args.json, batch)
     else:
         for row in rows:
@@ -161,13 +161,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_diagonalize(args) -> int:
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            rows = parse_matrix_text(handle.read())
-        form = UnimodularForm.from_matrix(rows)
-        result = diagonalize(form)
-    except (OSError, ValueError) as exc:
-        raise CLIError(str(exc)) from exc
+    with open(args.matrix, "r", encoding="utf-8") as handle:
+        rows = parse_matrix_text(handle.read())
+    result = diagonalize(UnimodularForm.from_matrix(rows))
     if result.found:
         payload = {"found": True,
                    "C": [list(r) for r in result.c],
@@ -179,7 +175,7 @@ def cmd_diagonalize(args) -> int:
         payload = {"found": False, "root_pairs": result.root_pairs,
                    "certificate": result.message}
         text = f"not diagonalizable: {result.message}\n"
-    if args.json:
+    if args.json is not None:
         _write_json(args.json, payload)
     else:
         sys.stdout.write(text)
@@ -287,10 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InternalInvariantError as exc:

@@ -38,9 +38,8 @@ import math
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul, neg
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from . import matrices
 from .matrices import Elimination, IntMatrix, eliminate, freeze, transpose
 from .plumbing import InternalInvariantError
 from .records import record
@@ -51,7 +50,8 @@ class UnimodularForm:
     q: IntMatrix
 
     def __post_init__(self):
-        if not matrices.is_symmetric(self.q):
+        n = len(self.q)
+        if any(len(row) != n for row in self.q) or transpose(self.q) != self.q:
             raise ValueError("form matrix must be symmetric n x n")
 
     @classmethod
@@ -69,10 +69,6 @@ class UnimodularForm:
 
     determinant = property(lambda self: self.elimination.determinant,
                            doc="det Q, the product of the pivots.")
-
-    @property
-    def is_unimodular(self) -> bool:
-        return abs(self.determinant) == 1
 
     @property
     def is_negative_definite(self) -> bool:
@@ -174,20 +170,17 @@ class Diagonalization:
     Columns of c are the diagonal basis vectors in the node basis; columns
     of c_inv express each node class in the diagonal basis, and
     coordinates[k] lists node k's nonzero (j, c_inv[j][k]) by increasing
-    j; it is set by construction and is not a field.  Construction forms
-    c_inv (one passed in must equal it) and checks the identities; a
-    failure is an internal invariant violation.
+    j.  Neither is a field: construction derives both from c and checks
+    the identities; a failure is an internal invariant violation.
     """
 
     form: UnimodularForm
     c: IntMatrix
-    c_inv: Optional[IntMatrix] = None
 
     def __post_init__(self):
         n, q, c = self.form.n, self.form.q, self.c
-        if any(len(m) != n or any(len(row) != n for row in m)
-               for m in ((c,) if self.c_inv is None else (c, self.c_inv))):
-            raise InternalInvariantError(f"C and C_inv must be {n} x {n}")
+        if len(c) != n or any(len(row) != n for row in c):
+            raise InternalInvariantError(f"C must be {n} x {n}")
         if abs(self.form.determinant) != 1:   # then no row of Q is zero
             raise InternalInvariantError("C^t Q C != -I")
         gram, rows = {}, []   # Q + X^t X, and the rows of -Q C
@@ -210,11 +203,7 @@ class Diagonalization:
                     gram[k, l] = gram.get((k, l), 0) + x * y
         if any(gram.values()):
             raise InternalInvariantError("C^t Q C != -I")
-        c_inv = transpose(rows)
-        if self.c_inv is None:
-            object.__setattr__(self, "c_inv", c_inv)
-        elif tuple(map(tuple, self.c_inv)) != c_inv:
-            raise InternalInvariantError("C * C_inv != I")
+        object.__setattr__(self, "c_inv", transpose(rows))
         object.__setattr__(self, "coordinates", coordinates)
 
     @property
@@ -247,7 +236,7 @@ def diagonalize(form: UnimodularForm) -> Union[Diagonalization, DiagonalizationF
     pairs; representatives are the pair members with positive leading
     entry, in lexicographic order, which makes the output canonical.
     """
-    if not form.is_unimodular:
+    if abs(form.determinant) != 1:
         raise ValueError("form must have determinant +-1")
     roots = enumerate_roots(form)
     # Sorted and sign-closed: the upper half has positive leading entries.

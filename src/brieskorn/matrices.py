@@ -32,13 +32,6 @@ def transpose(m) -> IntMatrix:
     return tuple(zip(*m))
 
 
-def is_symmetric(m: IntMatrix) -> bool:
-    """Whether m, a tuple of int tuples as ``freeze`` returns, is square
-    and equal to its transpose."""
-    n = len(m)
-    return all(len(row) == n for row in m) and transpose(m) == m
-
-
 def inverse_unimodular(m) -> IntMatrix:
     """Inverse of an integer matrix with det +-1, returned over Z.
 

@@ -1,9 +1,8 @@
 """Analysis reports: the full pipeline for one triple, exact JSON
 serialization, deterministic text rendering, and a result cache.
 
-Numbers are serialized exactly: integers as JSON integers, rationals as
-"num/den" strings, cyclotomic values as coefficient-string vectors.  No
-floats appear anywhere in a report.
+Numbers are serialized exactly: integers as JSON integers and rationals
+as "num/den" strings.  No floats appear anywhere in a report.
 """
 
 from __future__ import annotations
@@ -248,8 +247,7 @@ def _cache_path(a: int, b: int, c: int, p: Optional[int]) -> str:
     return os.path.join(cache_dir(), key)
 
 
-def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
-                    use_cache: bool = True) -> Dict:
+def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
     """build_analysis with a transparent file cache keyed by the sorted
     triple, p, the schema version and the package's source_digest, so an
     entry written by other code is never read.  The input is validated
@@ -262,8 +260,6 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None,
     if p is not None:
         check_action(triple, p)
     a, b, c = triple.entries
-    if not use_cache:
-        return build_analysis(a, b, c, p)
     path = _cache_path(a, b, c, p)
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -110,12 +110,6 @@ def seifert_invariants(triple: BrieskornTriple) -> SeifertData:
     return SeifertData(triple, tuple(b), int(delta))
 
 
-def r_invariant(triple: BrieskornTriple) -> int:
-    """-2*delta - 3; values != -1 rule out bounding a smooth contractible
-    4-manifold."""
-    return seifert_invariants(triple).r_invariant
-
-
 def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     """Is the restriction of the circle action to Z/p free on the sphere?
 

@@ -8,9 +8,9 @@ signature, an O(n^3) ``Fraction`` LDL^t of -Q in node order, a root
 enumeration whose centre terms are ``Fraction`` sums over every later
 coordinate and which walks both signs of every coordinate, a
 ``diagonalize`` that checks pairwise orthogonality of the roots (with
-the bilinear form ``evaluate``) and inverts C by Gauss-Jordan
-(``matrices.inverse_unimodular``), and the three-product check of both
-diagonalization identities (``check_identities``).  The package reads
+the bilinear form ``evaluate``) and checks the derived C^-1 against
+Gauss-Jordan (``matrices.inverse_unimodular``), and the dense
+three-product check C^t Q C = -I (``check_identities``).  The package reads
 signature, definiteness, determinant and the search factor off one
 sparse elimination in integers (``matrices.eliminate``), walks an
 integer-scaled search that finds each +- pair once in one flat loop,
@@ -414,18 +414,19 @@ def diagonalize(form: UnimodularForm):
             if evaluate(form, reps[i], reps[j]) != 0:
                 raise ArithmeticError("root pairs are not pairwise orthogonal")
     c = tuple(tuple(reps[j][i] for j in range(form.n)) for i in range(form.n))
-    return Diagonalization(form, c, inverse_unimodular(c))
+    d = Diagonalization(form, c)
+    if d.c_inv != inverse_unimodular(c):
+        raise ArithmeticError("C_inv is not the Gauss-Jordan inverse of C")
+    return d
 
 
-def check_identities(form: UnimodularForm, c, c_inv) -> None:
-    """Diagonalization's identity check as three dense products: the
-    shapes, then C^t Q C = -I, then C C_inv = I, each failure raising
-    InternalInvariantError with the message the package uses."""
+def check_identities(form: UnimodularForm, c) -> None:
+    """Diagonalization's identity check as a dense product: the shape of
+    C, then C^t Q C = -I, each failure raising InternalInvariantError
+    with the message the package uses."""
     n = form.n
-    if any(len(m) != n or any(len(row) != n for row in m) for m in (c, c_inv)):
-        raise InternalInvariantError(f"C and C_inv must be {n} x {n}")
+    if len(c) != n or any(len(row) != n for row in c):
+        raise InternalInvariantError(f"C must be {n} x {n}")
     minus_i = tuple(tuple(-x for x in row) for row in identity(n))
     if mat_mul(mat_mul(transpose(c), form.q), c) != minus_i:
         raise InternalInvariantError("C^t Q C != -I")
-    if mat_mul(c, c_inv) != identity(n):
-        raise InternalInvariantError("C * C_inv != I")

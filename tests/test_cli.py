@@ -125,13 +125,14 @@ class TestCache:
         fresh = cached_analysis(3, 16, 113, 5)
         assert tmp_cache.exists()
         cached = cached_analysis(3, 16, 113, 5)
-        uncached = cached_analysis(3, 16, 113, 5, use_cache=False)
+        uncached = build_analysis(3, 16, 113, 5)
         assert fresh == cached == uncached
 
-    def test_cache_disabled_writes_nothing(self, tmp_cache):
+    def test_cache_disabled_writes_nothing(self, tmp_cache, capsys):
         from brieskorn.report import source_digest
         source_digest.cache_clear()
-        cached_analysis(2, 3, 7, use_cache=False)
+        assert main(["analyze", "2", "3", "7", "--no-cache"]) == 0
+        assert capsys.readouterr().out == render_text(build_analysis(2, 3, 7))
         assert not tmp_cache.exists()
         # --no-cache does not even hash the source for a key.
         assert source_digest.cache_info().currsize == 0
@@ -258,16 +259,23 @@ class TestCLI:
         assert data["obstruction"]["status"] == "infeasible"
         assert data == build_analysis(3, 16, 113, 5)
 
-    @pytest.mark.parametrize("argv", [
+    # One run of each command that takes --json; None is a matrix file.
+    JSON_COMMANDS = [
         ["analyze", "2", "3", "5", "--p", "7"],
         ["family", "stern", "--r", "3", "--s-range", "5..5", "--p", "5"],
         ["diagonalize", "--matrix", None],
-    ])
-    def test_unwritable_json_path_is_input_error(self, tmp_cache, tmp_path,
-                                                  capsys, argv):
+    ]
+
+    @staticmethod
+    def with_matrix(argv, tmp_path):
         matrix = tmp_path / "qx.txt"
         matrix.write_text(render_matrix_text(REFERENCE_QX) + "\n")
-        argv = [str(matrix) if arg is None else arg for arg in argv]
+        return [str(matrix) if arg is None else arg for arg in argv]
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS)
+    def test_unwritable_json_path_is_input_error(self, tmp_cache, tmp_path,
+                                                  capsys, argv):
+        argv = self.with_matrix(argv, tmp_path)
         missing = tmp_path / "missing" / "x.json"
         assert main(argv + ["--json", str(missing)]) == 1
         captured = capsys.readouterr()
@@ -291,6 +299,32 @@ class TestCLI:
                 assert main(argv + ["--json", str(path)]) == 1
                 assert capsys.readouterr() == ("", f"error: {exc.value}\n")
         assert not tmp_cache.exists()
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS)
+    def test_empty_json_path_is_refused(self, tmp_cache, tmp_path, capsys,
+                                        argv):
+        argv = self.with_matrix(argv, tmp_path)
+        with pytest.raises(OSError) as exc:
+            open("", "w")
+        assert main(argv + ["--json", ""]) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert str(exc.value) == "[Errno 2] No such file or directory: ''"
+        # analyze and family refuse it before any member is analyzed.
+        assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS)
+    def test_json_path_that_is_a_directory_fails_at_write(
+            self, tmp_cache, tmp_path, capsys, argv):
+        # The directory pre-check passes (the parent exists); open() then
+        # raises IsADirectoryError after the analysis.
+        argv = self.with_matrix(argv, tmp_path)
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            open(target, "w")
+        assert main(argv + ["--json", str(target)]) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert list(target.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         "analyze 3 16 113 --p 9",
@@ -444,7 +478,7 @@ class TestCLI:
         from brieskorn.lattice import Diagonalization
         from lattice_oracle import identity
         monkeypatch.setattr(report_module, "diagonalize", lambda form: (
-            Diagonalization(form, identity(form.n), identity(form.n))))
+            Diagonalization(form, identity(form.n))))
         assert main(["analyze", "2", "3", "7", "--p", "5", "--no-cache"]) == 2
         assert "internal invariant violation" in capsys.readouterr().err
 
@@ -736,7 +770,9 @@ def test_family_internal_error_still_exits_2(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ConstraintError("planted")
 
+    # FAMILY_ARGS has --no-cache, which skips cached_analysis.
     monkeypatch.setattr(cli, "cached_analysis", broken)
+    monkeypatch.setattr(cli, "build_analysis", broken)
     assert main(FAMILY_ARGS) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -87,8 +87,8 @@ class TestBuildConstraints:
         # is valid input, and decide reports it as infeasible.
         form = UnimodularForm.from_matrix(((-5, -3), (-3, -2)))
         c = ((1, -1), (-1, 2))
-        c_inv = ((2, 1), (1, 1))
-        diag = Diagonalization(form, c, c_inv)
+        diag = Diagonalization(form, c)
+        assert diag.c_inv == ((2, 1), (1, 1))
         markup = EquivariantMarkup(
             p=5, fixed_spheres=((0, -5, 1),),
             isolated_points=((1, 1),), node_kinds=("fixed", "invariant"))
@@ -215,7 +215,8 @@ class TestDecide:
                                     for j in range(n)) for i in range(n))
                 c2 = mat_mul(diag.c, transpose(s_mat))
                 cinv2 = mat_mul(s_mat, diag.c_inv)
-                twisted = Diagonalization(form, c2, cinv2)
+                twisted = Diagonalization(form, c2)
+                assert twisted.c_inv == cinv2
                 cs = build_constraints(markup, twisted)
                 assert cs == oracle.build_constraints(markup, twisted)
                 assert decide(cs).status == expected

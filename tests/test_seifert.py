@@ -1,5 +1,6 @@
 """Seifert invariants, the R-invariant, and the triple families."""
 
+import inspect
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import brieskorn
 from brieskorn import (BrieskornTriple, check_action, check_order, family,
-                       r_invariant, seifert_invariants, standard_action_valid)
+                       seifert_invariants, standard_action_valid)
 from brieskorn.seifert import P_MAX
 from conftest import random_triples
 
@@ -87,7 +88,7 @@ def test_r_invariant_is_odd_and_at_least_minus_one(abc):
     # SeifertData keeps only delta <= -1; R = -2 delta - 3 is then odd and
     # >= -1, which seifert_invariants once checked on every triple.
     sd = seifert_invariants(BrieskornTriple.of(*abc))
-    assert sd.r_invariant == -2 * sd.delta - 3 == r_invariant(sd.triple)
+    assert sd.r_invariant == -2 * sd.delta - 3
     assert sd.r_invariant % 2 == 1 and sd.r_invariant >= -1
 
 
@@ -107,12 +108,12 @@ class TestRInvariant:
         ((2, 3, 7), -1),
     ])
     def test_known_values(self, triple, r):
-        assert r_invariant(BrieskornTriple.of(*triple)) == r
+        assert seifert_invariants(BrieskornTriple.of(*triple)).r_invariant == r
 
     def test_odd_and_bounded(self):
         for (a, b, c) in random_triples(40, seed=9):
             t = BrieskornTriple.of(a, b, c)
-            r = r_invariant(t)
+            r = seifert_invariants(t).r_invariant
             assert r % 2 == 1 and r >= -1
             assert (r == -1) == (seifert_invariants(t).delta == -1)
 
@@ -219,3 +220,17 @@ def test_public_names_resolve_and_exclude_test_helpers():
         assert not hasattr(brieskorn.arith, name), name
     assert "hj_evaluate" not in brieskorn.__all__
     assert not hasattr(brieskorn, "hj_evaluate")
+    # One source each: the R-invariant is SeifertData.r_invariant, the
+    # unimodularity and symmetry checks live in their one caller,
+    # build_analysis is the one uncached analysis, and C^-1 is derived.
+    assert "r_invariant" not in brieskorn.__all__
+    assert not hasattr(brieskorn, "r_invariant")
+    assert not hasattr(brieskorn.seifert, "r_invariant")
+    assert not hasattr(brieskorn.UnimodularForm, "is_unimodular")
+    assert not hasattr(brieskorn.matrices, "is_symmetric")
+    assert "use_cache" not in inspect.signature(
+        brieskorn.cached_analysis).parameters
+    form = brieskorn.UnimodularForm.from_matrix(((-1,),))
+    diag = brieskorn.diagonalize(form)
+    with pytest.raises(TypeError):
+        brieskorn.Diagonalization(diag.form, diag.c, diag.c_inv)
