@@ -28,9 +28,8 @@ def is_prime(n: int) -> bool:
 # The largest resolution tree accepted, in nodes.  One expansion term is one
 # node, and a branch of a_i / b_i can have about a_i terms, so without this
 # ceiling the expansion alone runs without bound on a large a_i.  The
-# lattice stage and the dense report grow with n^2: at the ceiling,
-# `analyze 3 3589 3590 --p 7` takes about 2.3 s and 115 MB on a cache miss
-# (1.6 s and 96 MB with --no-cache) on a 2-core x86-64 host, Python 3.11.
+# lattice stage and the dense report grow with n^2; the README gives the
+# time and memory of a run at the ceiling.
 NODE_MAX = 1200
 
 

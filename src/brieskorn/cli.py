@@ -4,6 +4,13 @@ Subcommands: analyze, family, diagonalize, rho, eta, graph.  Exit codes:
 0 success, 1 invalid input, 2 internal invariant violation.  All output is
 deterministic and exact (no floats).
 
+Each `cmd_*` computes and writes nothing: it returns `(payload, lines)`,
+the object `--json` writes (None for rho, eta and graph) and the text
+chunks, lazy where the text is large.  `main` alone checks the `--json`
+path, before any command runs, then writes the payload to that path and
+the text to stdout when there is no path or `--text` is given.  A bad
+path is so refused before any work, and its error wins over every other.
+
 `main` may be called many times in one process: the argparse parser is
 built on the first call and shared by every later one, and no call
 leaves state behind that changes what a later call prints.
@@ -18,7 +25,7 @@ import os
 import re
 import stat
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from . import __version__
 from .lattice import UnimodularForm, diagonalize
@@ -34,6 +41,10 @@ from .spectral import coefficients_at, eta_brieskorn, rho_lens_table
 
 class CLIError(ValueError):
     """Invalid input; reported on stderr with exit code 1."""
+
+
+# What a command returns for main to write: the --json payload and the text.
+_Output = Tuple[Optional[dict], Iterable[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +70,7 @@ def _parse_range(text: str):
 
 def _check_json_dir(path: Optional[str]) -> None:
     """Refuse an empty --json PATH, or one whose directory does not exist,
-    before any analysis runs.  The file itself is not opened here, so a
+    before any command runs.  The file itself is not opened here, so a
     run that then fails on bad input leaves an existing file unchanged."""
     if path is None or path == "-":
         return
@@ -83,25 +94,38 @@ def _write_json(path: str, payload) -> None:
             handle.write(data)
 
 
-def cmd_analyze(args) -> int:
-    _check_json_dir(args.json)
+def cmd_analyze(args) -> _Output:
     analysis = build_analysis if args.no_cache else cached_analysis
     report = analysis(args.a, args.b, args.c, args.p)
-    if args.json is not None:
-        _write_json(args.json, report)
-    if args.text or args.json is None:
-        sys.stdout.write(render_text(report))
-    return 0
+    # map() renders the text only if main writes it.
+    return report, map(render_text, (report,))
 
 
-def cmd_family(args) -> int:
+def _family_line(row) -> str:
+    if "skipped" in row:
+        return f"s={row['s']}: skipped ({row['skipped']})\n"
+    t = row["triple"]
+    parts = [f"s={row['s']}", f"Sigma({t[0]},{t[1]},{t[2]})",
+             f"delta={row['delta']}", f"R={row['r_invariant']}",
+             f"diagonalizable={row['diagonalizable']}"]
+    if "obstruction" in row:
+        parts.append(f"obstruction={row['obstruction']}")
+    if "locally_linear_candidates" in row:
+        cands = row["locally_linear_candidates"]
+        desc = ", ".join(f"({c['r']},{c['s']})"
+                         + ("+rho" if c["rho_match"] else "")
+                         for c in cands) or "none"
+        parts.append(f"lens={desc}")
+    return "  ".join(parts) + "\n"
+
+
+def cmd_family(args) -> _Output:
     lo, hi = _parse_range(args.s_range)
     if hi - lo + 1 > FAMILY_MAX:
         raise CLIError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
                        f"more than FAMILY_MAX = {FAMILY_MAX}")
     if args.p is not None:
         check_order(args.p)
-    _check_json_dir(args.json)
     analysis = build_analysis if args.no_cache else cached_analysis
     rows = []
     for s in range(lo, hi + 1):
@@ -137,91 +161,58 @@ def cmd_family(args) -> int:
              "family": {"kind": args.kind, "r": args.r, "sign": args.sign,
                         "s_range": [lo, hi], "p": args.p},
              "rows": rows}
-    if args.json is not None:
-        _write_json(args.json, batch)
-    else:
-        for row in rows:
-            if "skipped" in row:
-                sys.stdout.write(f"s={row['s']}: skipped ({row['skipped']})\n")
-                continue
-            t = row["triple"]
-            parts = [f"s={row['s']}", f"Sigma({t[0]},{t[1]},{t[2]})",
-                     f"delta={row['delta']}", f"R={row['r_invariant']}",
-                     f"diagonalizable={row['diagonalizable']}"]
-            if "obstruction" in row:
-                parts.append(f"obstruction={row['obstruction']}")
-            if "locally_linear_candidates" in row:
-                cands = row["locally_linear_candidates"]
-                desc = ", ".join(f"({c['r']},{c['s']})"
-                                 + ("+rho" if c["rho_match"] else "")
-                                 for c in cands) or "none"
-                parts.append(f"lens={desc}")
-            sys.stdout.write("  ".join(parts) + "\n")
-    return 0
+    return batch, map(_family_line, rows)
 
 
-def cmd_diagonalize(args) -> int:
+def cmd_diagonalize(args) -> _Output:
     with open(args.matrix, "r", encoding="utf-8") as handle:
         rows = parse_matrix_text(handle.read())
     result = diagonalize(UnimodularForm.from_matrix(rows))
     if result.found:
-        payload = {"found": True,
-                   "C": [list(r) for r in result.c],
-                   "C_inv": [list(r) for r in result.c_inv]}
-        text = ("diagonalization found\nC =\n"
-                + render_matrix_text(result.c)
-                + "\nC_inv =\n" + render_matrix_text(result.c_inv) + "\n")
-    else:
-        payload = {"found": False, "root_pairs": result.root_pairs,
-                   "certificate": result.message}
-        text = f"not diagonalizable: {result.message}\n"
-    if args.json is not None:
-        _write_json(args.json, payload)
-    else:
-        sys.stdout.write(text)
-    return 0
+        return ({"found": True,
+                 "C": [list(r) for r in result.c],
+                 "C_inv": [list(r) for r in result.c_inv]},
+                ["diagonalization found\nC =\n", render_matrix_text(result.c),
+                 "\nC_inv =\n", render_matrix_text(result.c_inv), "\n"])
+    return ({"found": False, "root_pairs": result.root_pairs,
+             "certificate": result.message},
+            [f"not diagonalizable: {result.message}\n"])
 
 
-def cmd_rho(args) -> int:
+def cmd_rho(args) -> _Output:
     p, r, s = args.lens
-    for ell, value in enumerate(rho_lens_table(p, r, s)):
-        sys.stdout.write(f"rho({ell}) = {value}\n")
-    return 0
+    return None, (f"rho({ell}) = {value}\n"
+                  for ell, value in enumerate(rho_lens_table(p, r, s)))
 
 
-# A member count, not a time bound: stern --r 3 --s-range 195..1194 --p 7
-# (n up to NODE_MAX) took 855 s and wrote 5.2 GB of cache entries.
+# A member count, not a time bound: the README gives the time and the
+# cache size of the largest admitted run.
 FAMILY_MAX = 1000
-ETA_TABLE_P_MAX = 1000      # eta prints 11.5 MB of coefficients at p = 1009
+# eta prints (p-1)^2 coefficients; the README gives their size and time.
+ETA_TABLE_P_MAX = 1000
 
 
-def cmd_eta(args) -> int:
+def cmd_eta(args) -> _Output:
     check_order(args.p)
     if args.p > ETA_TABLE_P_MAX:
         raise CLIError(f"eta prints (p-1)^2 coefficients: p must be at most "
                        f"{ETA_TABLE_P_MAX}, got {args.p}")
-    triple = BrieskornTriple.of(args.a, args.b, args.c)
-    eta = eta_brieskorn(triple, args.p)
-    for j in range(1, args.p):
-        coeffs = ", ".join(str(c) for c in coefficients_at(eta, j))
-        sys.stdout.write(f"eta(zeta^{j}) = [{coeffs}]\n")
-    return 0
+    eta = eta_brieskorn(BrieskornTriple.of(args.a, args.b, args.c), args.p)
+    return None, (f"eta(zeta^{j}) = ["
+                  f"{', '.join(map(str, coefficients_at(eta, j)))}]\n"
+                  for j in range(1, args.p))
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> _Output:
     triple = BrieskornTriple.of(args.a, args.b, args.c)
     graph = canonical_resolution(seifert_invariants(triple))
     if args.format == "json":
-        payload = {"weights": list(graph.weights),
-                   "edges": [list(e) for e in sorted(graph.edges)],
-                   "center": graph.center,
-                   "matrix": [list(r) for r in intersection_matrix(graph)]}
-        sys.stdout.write(render_json(payload))
-    elif args.format == "dot":
-        sys.stdout.write(to_dot(graph))
-    else:
-        sys.stdout.write(to_tgf(graph))
-    return 0
+        return None, [render_json({
+            "weights": list(graph.weights),
+            "edges": [list(e) for e in sorted(graph.edges)],
+            "center": graph.center,
+            "matrix": [list(r) for r in intersection_matrix(graph)]})]
+    return None, [to_dot(graph) if args.format == "dot" else to_tgf(graph)]
 
 
 @functools.cache
@@ -282,7 +273,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        path = getattr(args, "json", None)
+        _check_json_dir(path)
+        payload, lines = args.func(args)
+        if path is not None:
+            _write_json(path, payload)
+        if path is None or getattr(args, "text", False):
+            sys.stdout.writelines(lines)
+        return 0
     except (ValueError, OSError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

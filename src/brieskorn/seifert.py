@@ -18,8 +18,7 @@ always an integer <= -1.  The R-invariant is -2*delta - 3, an odd integer
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from math import gcd
 from typing import Tuple
 
@@ -94,20 +93,22 @@ class SeifertData:
         return -2 * self.delta - 3
 
 
-@lru_cache(maxsize=None)
 def seifert_invariants(triple: BrieskornTriple) -> SeifertData:
-    """Solve the defining congruences in closed form.
+    """Solve the defining congruences in closed form, in integers.
 
     a1*a2*a3/a_i is coprime to a_i, so b_i is its inverse mod a_i shifted
-    into (-a_i, 0); the root is unique in that range.
+    into (-a_i, 0); the root is unique in that range.  With P = a1*a2*a3,
+    delta = (b1*P/a1 + b2*P/a2 + b3*P/a3 - 1) / P, one exact division.
     """
     a = triple.entries
     prod = triple.product
     b = [pow(prod // ai, -1, ai) - ai for ai in a]
-    delta = Fraction(-1, prod) + sum(Fraction(bi, ai) for ai, bi in zip(a, b))
-    if delta.denominator != 1:
-        raise ArithmeticError(f"central weight is not an integer: {delta}")
-    return SeifertData(triple, tuple(b), int(delta))
+    numerator = sum(bi * (prod // ai) for ai, bi in zip(a, b)) - 1
+    delta, remainder = divmod(numerator, prod)
+    if remainder:
+        raise ArithmeticError(
+            f"central weight is not an integer: {numerator}/{prod}")
+    return SeifertData(triple, tuple(b), delta)
 
 
 def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
@@ -122,8 +123,8 @@ def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
 
 # The largest group order accepted.  The spectral stage is the only one
 # that grows with p (a few length-p integer vectors and one O(p) pass per
-# eta kernel); at the largest admitted prime, 99991, `analyze 3 16 113`
-# takes about 2 s and 80 MB.
+# eta kernel); the README gives its time and memory at the largest
+# admitted prime, 99991.
 P_MAX = 100_000
 
 

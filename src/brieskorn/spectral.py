@@ -92,8 +92,8 @@ from math import gcd
 from typing import Tuple
 
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
-                       canonical_resolution, graph_signature,
-                       propagate_rotations)
+                       canonical_resolution, centered_residue,
+                       graph_signature, propagate_rotations)
 from .records import record
 from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
@@ -227,12 +227,6 @@ def rho_lens_table(p: int, r: int, s: int) -> Tuple[Fraction, ...]:
 # Locally linear extension search
 # ---------------------------------------------------------------------------
 
-def _residue_class(x: int, p: int) -> int:
-    """Class of x mod p up to sign, as min(x, p-x)."""
-    r = x % p
-    return min(r, p - r)
-
-
 @record
 class LensCandidate:
     """A lens-space target passing the degree-one-map congruences.
@@ -279,7 +273,10 @@ def ll_extension_search(triple: BrieskornTriple, p: int, eta: Vector
     if len(eta) != p:
         raise ValueError(f"eta is for p={len(eta)}, not p={p}")
     product_residue = triple.product % p
-    target = tuple(sorted(_residue_class(a, p) for a in triple.entries))
+    # check_action makes p odd, where |centered residue| is the class of
+    # a mod p up to sign, min(a % p, p - a % p).
+    target = tuple(sorted(abs(centered_residue(a, p))
+                          for a in triple.entries))
     if target[0] != 1:  # no entry is +-1 mod p
         return ()
     u, v = target[1:]

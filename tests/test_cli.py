@@ -326,6 +326,44 @@ class TestCLI:
         assert capsys.readouterr() == ("", f"error: {exc.value}\n")
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", JSON_COMMANDS)
+    def test_bad_json_path_is_refused_before_any_work(
+            self, tmp_cache, tmp_path, capsys, monkeypatch, argv):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the --json path check")
+
+        for name in ("diagonalize", "cached_analysis", "build_analysis"):
+            monkeypatch.setattr(cli, name, computed)
+        argv = self.with_matrix(argv, tmp_path)
+        missing = tmp_path / "missing" / "x.json"
+        with pytest.raises(OSError) as exc:
+            open(missing, "w")
+        assert main(argv + ["--json", str(missing)]) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+    @pytest.mark.parametrize("argv", [
+        "diagonalize --matrix no-such-matrix.txt",
+        "family stern --r 3 --s-range 1..x",
+        "family stern --r 3 --s-range 1..2 --p 4",
+        "analyze 2 3 5 --p 4",
+    ])
+    def test_json_path_error_wins_over_other_bad_input(
+            self, tmp_cache, tmp_path, capsys, argv):
+        missing = tmp_path / "missing" / "x.json"
+        with pytest.raises(OSError) as exc:
+            open(missing, "w")
+        assert main(argv.split() + ["--json", str(missing)]) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+    @pytest.mark.parametrize("argv", ["rho --lens 4 1 1",
+                                      "eta 3 16 113 --p 1009"])
+    def test_lazy_text_commands_fail_before_any_output(self, tmp_cache,
+                                                       capsys, argv):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("argv", [
         "analyze 3 16 113 --p 9",
         "analyze 2 4 5",

@@ -92,6 +92,33 @@ def test_r_invariant_is_odd_and_at_least_minus_one(abc):
     assert sd.r_invariant % 2 == 1 and sd.r_invariant >= -1
 
 
+def seifert_by_fractions(triple):
+    """b and delta as the solve once computed them, delta summed over
+    Fraction: the oracle of the integer solve."""
+    a, prod = triple.entries, triple.product
+    b = tuple(pow(prod // ai, -1, ai) - ai for ai in a)
+    delta = Fraction(-1, prod) + sum(Fraction(bi, ai) for ai, bi in zip(a, b))
+    assert delta.denominator == 1
+    return b, int(delta)
+
+
+@given(coprime_triples())
+def test_integer_solve_matches_the_fraction_formula(abc):
+    triple = BrieskornTriple.of(*abc)
+    sd = seifert_invariants(triple)
+    assert (sd.b, sd.delta) == seifert_by_fractions(triple)
+
+
+def test_non_integral_central_weight_is_an_arithmetic_error(monkeypatch):
+    # Unreachable with the true inverses b = (-1, -1, -1) of (2, 3, 7);
+    # b_i = 1 - a_i leaves (-1*21 - 2*14 - 6*6 - 1)/42 = -86/42.
+    import brieskorn.seifert as seifert
+    monkeypatch.setattr(seifert, "pow", lambda x, e, m: 1, raising=False)
+    with pytest.raises(ArithmeticError,
+                       match="central weight is not an integer: -86/42"):
+        seifert_invariants(BrieskornTriple.of(2, 3, 7))
+
+
 def test_closed_form_on_large_entries():
     # The residue scan is O(a_i); the closed form is not.
     sd = seifert_invariants(BrieskornTriple.of(3, 300001, 2100008))
