@@ -4,6 +4,11 @@ Subcommands: analyze, family, diagonalize, rho, eta, graph.  Exit codes:
 0 success, 1 invalid input, 2 internal invariant violation.  All output is
 deterministic and exact (no floats).
 
+Invalid input is a `ValueError`, raised where the input is checked (the
+argument parser, the range and table ceilings here, the checks in the
+pipeline), or an `OSError` from a file; `main` alone maps both to exit 1
+and `InternalInvariantError` to exit 2.
+
 Each `cmd_*` computes and writes nothing: it returns `(payload, lines)`,
 the object `--json` writes (None for rho, eta and graph) and the text
 chunks, lazy where the text is large.  `main` alone checks the `--json`
@@ -33,14 +38,10 @@ from .matrices import parse_matrix_text, render_matrix_text
 from .plumbing import (InternalInvariantError, canonical_resolution,
                        intersection_matrix, to_dot, to_tgf)
 from .report import (SCHEMA_VERSION, build_analysis, cached_analysis,
-                     render_json, render_text)
-from .seifert import (BrieskornTriple, check_order, family, seifert_invariants,
-                      standard_action_valid)
+                     graph_section, render_json, render_text)
+from .seifert import (FAMILY_KINDS, BrieskornTriple, check_order, family,
+                      seifert_invariants, standard_action_valid)
 from .spectral import coefficients_at, eta_brieskorn, rho_lens_table
-
-
-class CLIError(ValueError):
-    """Invalid input; reported on stderr with exit code 1."""
 
 
 # What a command returns for main to write: the --json payload and the text.
@@ -57,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
             self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
 
     def error(self, message):
-        raise CLIError(message)
+        raise ValueError(message)
 
 
 def _parse_range(text: str):
@@ -65,7 +66,7 @@ def _parse_range(text: str):
         lo, hi = text.split("..")
         return int(lo), int(hi)
     except ValueError as exc:
-        raise CLIError(f"bad range {text!r}; expected LO..HI") from exc
+        raise ValueError(f"bad range {text!r}; expected LO..HI") from exc
 
 
 def _check_json_dir(path: Optional[str]) -> None:
@@ -122,8 +123,8 @@ def _family_line(row) -> str:
 def cmd_family(args) -> _Output:
     lo, hi = _parse_range(args.s_range)
     if hi - lo + 1 > FAMILY_MAX:
-        raise CLIError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
-                       f"more than FAMILY_MAX = {FAMILY_MAX}")
+        raise ValueError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
+                         f"more than FAMILY_MAX = {FAMILY_MAX}")
     if args.p is not None:
         check_order(args.p)
     analysis = build_analysis if args.no_cache else cached_analysis
@@ -166,7 +167,10 @@ def cmd_family(args) -> _Output:
 
 def cmd_diagonalize(args) -> _Output:
     with open(args.matrix, "r", encoding="utf-8") as handle:
-        rows = parse_matrix_text(handle.read())
+        try:
+            rows = parse_matrix_text(handle.read())
+        except ValueError as exc:  # a bad line, or bytes that are not UTF-8
+            raise ValueError(f"{args.matrix}: {exc}") from exc
     result = diagonalize(UnimodularForm.from_matrix(rows))
     if result.found:
         return ({"found": True,
@@ -195,8 +199,8 @@ ETA_TABLE_P_MAX = 1000
 def cmd_eta(args) -> _Output:
     check_order(args.p)
     if args.p > ETA_TABLE_P_MAX:
-        raise CLIError(f"eta prints (p-1)^2 coefficients: p must be at most "
-                       f"{ETA_TABLE_P_MAX}, got {args.p}")
+        raise ValueError(f"eta prints (p-1)^2 coefficients: p must be at "
+                         f"most {ETA_TABLE_P_MAX}, got {args.p}")
     eta = eta_brieskorn(BrieskornTriple.of(args.a, args.b, args.c), args.p)
     return None, (f"eta(zeta^{j}) = ["
                   f"{', '.join(map(str, coefficients_at(eta, j)))}]\n"
@@ -208,11 +212,14 @@ def cmd_graph(args) -> _Output:
     graph = canonical_resolution(seifert_invariants(triple))
     if args.format == "json":
         return None, [render_json({
-            "weights": list(graph.weights),
-            "edges": [list(e) for e in sorted(graph.edges)],
-            "center": graph.center,
+            **graph_section(graph),
             "matrix": [list(r) for r in intersection_matrix(graph)]})]
     return None, [to_dot(graph) if args.format == "dot" else to_tgf(graph)]
+
+
+def _add_triple(parser) -> None:
+    for name in ("a", "b", "c"):
+        parser.add_argument(name, type=int)
 
 
 @functools.cache
@@ -224,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="full pipeline for one triple")
-    p_an.add_argument("a", type=int)
-    p_an.add_argument("b", type=int)
-    p_an.add_argument("c", type=int)
+    _add_triple(p_an)
     p_an.add_argument("--p", type=int, default=None)
     p_an.add_argument("--json", metavar="PATH", default=None)
     p_an.add_argument("--text", action="store_true")
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_fam = sub.add_parser("family", help="batch analysis over a family")
-    p_fam.add_argument("kind", choices=("casson-harer", "stern"))
+    p_fam.add_argument("kind", choices=FAMILY_KINDS)
     p_fam.add_argument("--r", type=int, required=True)
     p_fam.add_argument("--s-range", required=True, metavar="LO..HI")
     p_fam.add_argument("--sign", choices=("+", "-"), default="+")
@@ -254,16 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rho.set_defaults(func=cmd_rho)
 
     p_eta = sub.add_parser("eta", help="exact eta(zeta^j), j = 1..p-1, of a triple")
-    p_eta.add_argument("a", type=int)
-    p_eta.add_argument("b", type=int)
-    p_eta.add_argument("c", type=int)
+    _add_triple(p_eta)
     p_eta.add_argument("--p", type=int, required=True)
     p_eta.set_defaults(func=cmd_eta)
 
     p_gr = sub.add_parser("graph", help="export the resolution tree")
-    p_gr.add_argument("a", type=int)
-    p_gr.add_argument("b", type=int)
-    p_gr.add_argument("c", type=int)
+    _add_triple(p_gr)
     p_gr.add_argument("--format", choices=("dot", "json", "tgf"), default="tgf")
     p_gr.set_defaults(func=cmd_graph)
     return parser
@@ -281,7 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if path is None or getattr(args, "text", False):
             sys.stdout.writelines(lines)
         return 0
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InternalInvariantError as exc:

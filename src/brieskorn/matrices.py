@@ -209,18 +209,24 @@ def is_negative_definite(m) -> bool:
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
-    """Whitespace-separated integer rows, one row per line."""
+    """Whitespace-separated integer rows, one row per line; blank lines
+    and lines starting with # are skipped.  A bad token or a row of
+    another width than the first is refused with its 1-based line.  Lines
+    end at "\n" only (str.splitlines also breaks at a form feed), so the
+    number is the file's."""
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(int(tok) for tok in line.split()))
+        try:
+            rows.append(tuple(map(int, line.split())))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"line {number}: ragged matrix rows")
     if not rows:
         raise ValueError("no matrix rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix rows")
     return tuple(rows)
 
 

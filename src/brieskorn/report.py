@@ -53,11 +53,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
             "delta": sd.delta,
             "r_invariant": sd.r_invariant,
         },
-        "graph": {
-            "weights": list(graph.weights),
-            "edges": [list(e) for e in sorted(graph.edges)],
-            "center": graph.center,
-        },
+        "graph": graph_section(graph),
         "form": {
             "matrix": [list(row) for row in q],
             "determinant": form.determinant,
@@ -162,6 +158,14 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
     report["conclusions"] = conclusions
     return report
+
+
+def graph_section(graph) -> Dict:
+    """The report's "graph" section, which `graph --format json` prints
+    with the intersection matrix added."""
+    return {"weights": list(graph.weights),
+            "edges": [list(e) for e in sorted(graph.edges)],
+            "center": graph.center}
 
 
 def render_json(report: Dict) -> str:

@@ -148,7 +148,7 @@ def check_action(triple: BrieskornTriple, p: int) -> None:
                          "action is not free")
 
 
-_FAMILY_KINDS = ("casson-harer", "stern")
+FAMILY_KINDS = ("casson-harer", "stern")
 
 
 def family(kind: str, r: int, s: int, sign: str = "+") -> BrieskornTriple:
@@ -165,29 +165,21 @@ def family(kind: str, r: int, s: int, sign: str = "+") -> BrieskornTriple:
     Degenerate parameters (an entry <= 1, or non-coprime entries) are
     rejected rather than silently normalized.
     """
-    if kind not in _FAMILY_KINDS:
-        raise ValueError(f"unknown family kind {kind!r}; expected one of {_FAMILY_KINDS}")
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if r < 2 or s < 1:
         raise ValueError(f"parameters out of range: r={r}, s={s}")
+    even = r % 2 == 0
+    if even and s % 2 == 0:
+        raise ValueError(f"r even requires s odd, got r={r}, s={s}")
     e = 1 if sign == "+" else -1
+    m = r * s + e
     if kind == "casson-harer":
-        if r % 2 == 0:
-            if s % 2 == 0:
-                raise ValueError(f"r even requires s odd, got r={r}, s={s}")
-            raw = (r, r * s - 1, r * s + 1)
-        else:
-            raw = (r, r * s + e, r * s + 2 * e)
+        raw = (r, r * s - 1, r * s + 1) if even else (r, m, m + e)
     else:
-        if r % 2 == 0:
-            if s % 2 == 0:
-                raise ValueError(f"r even requires s odd, got r={r}, s={s}")
-            m = r * s + e
-            raw = (r, m, 2 * r * m + r * s - e)
-        else:
-            m = r * s + e
-            raw = (r, m, 2 * r * m + r * s + 2 * e)
+        raw = (r, m, 2 * r * m + r * s + (-e if even else 2 * e))
     if any(x < 2 for x in raw):
         raise ValueError(f"degenerate family member {raw} for "
                          f"kind={kind}, r={r}, s={s}, sign={sign}")

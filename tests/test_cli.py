@@ -41,6 +41,37 @@ class TestReport:
         assert any("does not extend to a smooth action"
                    in c for c in report["conclusions"])
 
+    def test_feasible_verdict_does_not_obstruct(self, monkeypatch):
+        # No analysis on record has a feasible verdict, so one is planted.
+        import brieskorn.report as report_module
+        from brieskorn import ObstructionVerdict
+        actual = build_analysis(3, 16, 113, 5)
+        monkeypatch.setattr(report_module, "decide", lambda cs: (
+            ObstructionVerdict({"orientations": (), "basis_signs": ()}, None)))
+        planted = build_analysis(3, 16, 113, 5)
+
+        assert planted["obstruction"] == {"status": "feasible",
+                                          "certificate": None}
+        smooth = [c for c in actual["conclusions"]
+                  if "does not extend to a smooth action" in c]
+        feasible = ("The orientation/sign constraint system is satisfiable; "
+                    "this criterion does not obstruct a smooth extension.")
+        assert len(smooth) == 1
+        assert planted["conclusions"] == [
+            feasible if c in smooth else c for c in actual["conclusions"]]
+        rest = ("obstruction", "conclusions")
+        assert ({k: v for k, v in planted.items() if k not in rest}
+                == {k: v for k, v in actual.items() if k not in rest})
+
+        # Text: one obstruction line with no certificate line under it, and
+        # the feasible conclusion in place of the smooth obstruction.
+        lines = render_text(actual).splitlines()
+        at = lines.index("  obstruction: infeasible")
+        assert lines[at + 1].startswith("    infeasible (")
+        lines[at:at + 2] = ["  obstruction: feasible"]
+        lines[lines.index(f"  - {smooth[0]}")] = f"  - {feasible}"
+        assert render_text(planted).splitlines() == lines
+
     def test_json_roundtrip_and_recompute(self):
         report = build_analysis(3, 16, 113, 5)
         loaded = json.loads(render_json(report))
@@ -582,6 +613,33 @@ class TestCLI:
         assert "graph plumbing" in capsys.readouterr().out
         assert main(["graph", "2", "3", "5", "--format", "tgf"]) == 0
         assert "#" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("triple", [("3", "16", "113"), ("2", "3", "5"),
+                                        ("7", "3", "2")])
+    def test_graph_json_is_the_report_graph_section_and_matrix(
+            self, tmp_cache, capsys, triple):
+        assert main(["graph", *triple, "--format", "json"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["analyze", *triple, "--json", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert printed == render_json(
+            {**report["graph"], "matrix": report["form"]["matrix"]})
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1 2\nx\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        (b"-2 1\n1\nx y\n", "line 2: ragged matrix rows"),
+        (b"# only a comment\n", "no matrix rows found"),
+        (b"\xff-1\n", "'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"),
+    ])
+    def test_bad_matrix_file_error_names_the_file(
+            self, tmp_path, monkeypatch, capsys, data, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "junk.txt").write_bytes(data)
+        assert main(["diagonalize", "--matrix", "junk.txt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: junk.txt: {message}\n"
 
     def test_unknown_flag_is_input_error(self, capsys):
         assert main(["analyze", "3", "16", "113", "--bogus"]) == 1

@@ -55,6 +55,24 @@ class TestMatrices:
         with pytest.raises(ValueError):
             parse_matrix_text("1 2\n3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\nx\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("\n# c\n-1 0\n0 -1 y\n",
+         "line 4: invalid literal for int() with base 10: 'y'"),
+        ("1 2\n3\n", "line 2: ragged matrix rows"),
+        # The first bad line wins: line 2 is ragged before line 3 is junk.
+        ("-2 1\n1\nx y\n", "line 2: ragged matrix rows"),
+        ("", "no matrix rows found"),
+        ("  \n# 1 2\n", "no matrix rows found"),
+        # A form feed ends no line: x is on line 3.
+        ("-1 0\f\n0 -1\nx\n",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_matrix_text_error_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_matrix_text(text)
+        assert str(info.value) == message
+
 
 class TestEnumerateRoots:
     def test_minus_identity(self):

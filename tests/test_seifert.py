@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import brieskorn
 from brieskorn import (BrieskornTriple, check_action, check_order, family,
                        seifert_invariants, standard_action_valid)
-from brieskorn.seifert import P_MAX
+from brieskorn.seifert import FAMILY_KINDS, P_MAX
 from conftest import random_triples
 
 
@@ -171,6 +171,16 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family("unknown", 3, 1)
         assert family("casson-harer", 3, 3, "-").entries == (3, 7, 8)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("r, s", [(2, 2), (4, 6), (10, 100)])
+    def test_both_kinds_refuse_even_r_with_even_s_alike(self, r, s, sign):
+        assert FAMILY_KINDS == ("casson-harer", "stern")
+        for kind in FAMILY_KINDS:
+            with pytest.raises(ValueError) as info:
+                family(kind, r, s, sign)
+            assert str(info.value) == (
+                f"r even requires s odd, got r={r}, s={s}")
 
     def test_casson_harer_all_bound_contractible(self):
         # every valid member with r, s <= 9 has central weight -1
