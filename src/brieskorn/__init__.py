@@ -10,6 +10,7 @@ and cyclotomic arithmetic.
 
 __version__ = "1.0.0"
 
+from .records import InputError
 from .arith import HJExpansion, hj_expand, is_prime
 from .seifert import (BrieskornTriple, SeifertData, check_action, check_order,
                       family, seifert_invariants, standard_action_valid)
@@ -29,7 +30,7 @@ from .spectral import (FixedPointData, LensCandidate, canonical_lens_pair,
 from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
-    "__version__",
+    "__version__", "InputError",
     "HJExpansion", "hj_expand", "is_prime",
     "BrieskornTriple", "SeifertData", "check_action", "check_order", "family",
     "seifert_invariants", "standard_action_valid",

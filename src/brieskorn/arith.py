@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Tuple
 
-from .records import record
+from .records import InputError, record
 
 
 def is_prime(n: int) -> bool:
@@ -79,7 +79,7 @@ def hj_expand(a: int, b: int) -> HJExpansion:
     x, y = a, b
     while y:
         if len(terms) == NODE_MAX:
-            raise ValueError(f"the continued fraction of {a}/{b} has more "
+            raise InputError(f"the continued fraction of {a}/{b} has more "
                              f"than NODE_MAX = {NODE_MAX} terms")
         t, r = divmod(x, y)
         terms.append(t)

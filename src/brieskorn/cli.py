@@ -4,10 +4,16 @@ Subcommands: analyze, family, diagonalize, rho, eta, graph.  Exit codes:
 0 success, 1 invalid input, 2 internal invariant violation.  All output is
 deterministic and exact (no floats).
 
-Invalid input is a `ValueError`, raised where the input is checked (the
-argument parser, the range and table ceilings here, the checks in the
-pipeline), or an `OSError` from a file; `main` alone maps both to exit 1
-and `InternalInvariantError` to exit 2.
+One rule gives the exit code, and `main` alone applies it.  A check that
+a command hands a user's value to, unchanged, raises `InputError` (the
+argument parser, the range and table ceilings here, the matrix file, and
+the checks in the pipeline that meet argv); that and an `OSError` from a
+file exit 1 with `error: ...`.  Any other exception is a broken
+invariant and exits 2 with one `internal invariant violation: ...` line:
+`InternalInvariantError`, but also a `ValueError` of a check that was
+handed a value the package computed, an `ArithmeticError` or an
+`IndexError`.  `family` skips a member only on `InputError`, and
+`diagonalize` turns a `ValueError` about the user's form into one.
 
 Each `cmd_*` computes and writes nothing: it returns `(payload, lines)`,
 the object `--json` writes (None for rho, eta and graph) and the text
@@ -35,8 +41,8 @@ from typing import Iterable, List, Optional, Tuple
 from . import __version__
 from .lattice import UnimodularForm, diagonalize
 from .matrices import parse_matrix_text, render_matrix_text
-from .plumbing import (InternalInvariantError, canonical_resolution,
-                       intersection_matrix, to_dot, to_tgf)
+from .plumbing import canonical_resolution, intersection_matrix, to_dot, to_tgf
+from .records import InputError
 from .report import (SCHEMA_VERSION, build_analysis, cached_analysis,
                      graph_section, render_json, render_text)
 from .seifert import (FAMILY_KINDS, BrieskornTriple, check_order, family,
@@ -58,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
             self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
 
     def error(self, message):
-        raise ValueError(message)
+        raise InputError(message)
 
 
 def _parse_range(text: str):
@@ -66,7 +72,7 @@ def _parse_range(text: str):
         lo, hi = text.split("..")
         return int(lo), int(hi)
     except ValueError as exc:
-        raise ValueError(f"bad range {text!r}; expected LO..HI") from exc
+        raise InputError(f"bad range {text!r}; expected LO..HI") from exc
 
 
 def _check_json_dir(path: Optional[str]) -> None:
@@ -95,9 +101,15 @@ def _write_json(path: str, payload) -> None:
             handle.write(data)
 
 
+def _analysis(args):
+    """The cache policy of analyze and family: --no-cache builds every
+    report, otherwise the file cache serves it.  The names are looked up
+    at call time, so a caller may replace either."""
+    return build_analysis if args.no_cache else cached_analysis
+
+
 def cmd_analyze(args) -> _Output:
-    analysis = build_analysis if args.no_cache else cached_analysis
-    report = analysis(args.a, args.b, args.c, args.p)
+    report = _analysis(args)(args.a, args.b, args.c, args.p)
     # map() renders the text only if main writes it.
     return report, map(render_text, (report,))
 
@@ -123,23 +135,23 @@ def _family_line(row) -> str:
 def cmd_family(args) -> _Output:
     lo, hi = _parse_range(args.s_range)
     if hi - lo + 1 > FAMILY_MAX:
-        raise ValueError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
+        raise InputError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
                          f"more than FAMILY_MAX = {FAMILY_MAX}")
     if args.p is not None:
         check_order(args.p)
-    analysis = build_analysis if args.no_cache else cached_analysis
+    analysis = _analysis(args)
     rows = []
     for s in range(lo, hi + 1):
-        # Any ValueError, from the family rule or from the analysis (the
-        # NODE_MAX refusal, but also a failed input check deeper down), is a
-        # skipped row; InternalInvariantError is not a ValueError.
+        # An InputError, from the family rule or from the analysis (the
+        # NODE_MAX refusal), is a skipped row; any other exception is a
+        # broken invariant and ends the run.
         try:
             triple = family(args.kind, args.r, s, args.sign)
             # A member on which the action is not free is analyzed without p.
             p = (args.p if args.p is not None
                  and standard_action_valid(triple, args.p) else None)
             report = analysis(triple.a1, triple.a2, triple.a3, p)
-        except ValueError as exc:
+        except InputError as exc:
             rows.append({"s": s, "skipped": str(exc)})
             continue
         row = {
@@ -170,8 +182,13 @@ def cmd_diagonalize(args) -> _Output:
         try:
             rows = parse_matrix_text(handle.read())
         except ValueError as exc:  # a bad line, or bytes that are not UTF-8
-            raise ValueError(f"{args.matrix}: {exc}") from exc
-    result = diagonalize(UnimodularForm.from_matrix(rows))
+            raise InputError(f"{args.matrix}: {exc}") from exc
+    # The form is the user's, so the form's own checks (symmetric,
+    # unimodular, negative definite) are input checks here.
+    try:
+        result = diagonalize(UnimodularForm.from_matrix(rows))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if result.found:
         return ({"found": True,
                  "C": [list(r) for r in result.c],
@@ -199,7 +216,7 @@ ETA_TABLE_P_MAX = 1000
 def cmd_eta(args) -> _Output:
     check_order(args.p)
     if args.p > ETA_TABLE_P_MAX:
-        raise ValueError(f"eta prints (p-1)^2 coefficients: p must be at "
+        raise InputError(f"eta prints (p-1)^2 coefficients: p must be at "
                          f"most {ETA_TABLE_P_MAX}, got {args.p}")
     eta = eta_brieskorn(BrieskornTriple.of(args.a, args.b, args.c), args.p)
     return None, (f"eta(zeta^{j}) = ["
@@ -282,10 +299,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if path is None or getattr(args, "text", False):
             sys.stdout.writelines(lines)
         return 0
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except InternalInvariantError as exc:
+    except Exception as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 2
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Tuple
 
-from .records import record
+from .records import InputError, record
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -222,11 +222,11 @@ def parse_matrix_text(text: str) -> IntMatrix:
         try:
             rows.append(tuple(map(int, line.split())))
         except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from exc
+            raise InputError(f"line {number}: {exc}") from exc
         if len(rows[-1]) != len(rows[0]):
-            raise ValueError(f"line {number}: ragged matrix rows")
+            raise InputError(f"line {number}: ragged matrix rows")
     if not rows:
-        raise ValueError("no matrix rows found")
+        raise InputError("no matrix rows found")
     return tuple(rows)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .arith import NODE_MAX, hj_expand
 from .matrices import eliminate
-from .records import record
+from .records import InputError, record
 from .seifert import SeifertData, check_order
 
 
@@ -99,7 +99,7 @@ def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
                 for ai, bi in zip(sd.triple.entries, sd.b)]
     n = 1 + sum(map(len, branches))
     if n > NODE_MAX:
-        raise ValueError(f"the resolution tree has {n} nodes, more than "
+        raise InputError(f"the resolution tree has {n} nodes, more than "
                          f"NODE_MAX = {NODE_MAX}")
     return star(sd.delta, branches)
 

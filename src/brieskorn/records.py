@@ -1,5 +1,6 @@
 """Frozen value records: the small part of ``dataclasses`` the pipeline's
-result classes use.
+result classes use; and ``InputError``, the class of a refused user value.
+Every module of the pipeline imports this one, so each can raise it.
 
 A record is a class whose annotated names are its fields, in order.
 ``@record`` gives it
@@ -32,6 +33,14 @@ triple per call.
 """
 
 from operator import attrgetter
+
+
+class InputError(ValueError):
+    """A check refused a value that a command handed to it unchanged from
+    the user: argv, or a matrix file.  The CLI prints the message and
+    exits 1; any other exception out of a command is a broken invariant
+    and exits 2.  Being a ValueError, it changes nothing for a library
+    caller that catches ValueError."""
 
 
 def _frozen_setattr(self, name, value):

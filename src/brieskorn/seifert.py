@@ -23,7 +23,7 @@ from math import gcd
 from typing import Tuple
 
 from .arith import is_prime
-from .records import record
+from .records import InputError, record
 
 
 @total_ordering
@@ -39,13 +39,13 @@ class BrieskornTriple:
     def __post_init__(self):
         entries = (self.a1, self.a2, self.a3)
         if any(a < 2 for a in entries):
-            raise ValueError(f"entries must all be >= 2, got {entries}")
+            raise InputError(f"entries must all be >= 2, got {entries}")
         if not (self.a1 <= self.a2 <= self.a3):
-            raise ValueError(f"entries must be sorted ascending, got {entries}")
+            raise InputError(f"entries must be sorted ascending, got {entries}")
         for i in range(3):
             for j in range(i + 1, 3):
                 if gcd(entries[i], entries[j]) != 1:
-                    raise ValueError(
+                    raise InputError(
                         f"entries must be pairwise coprime, got {entries}")
 
     def __lt__(self, other):
@@ -117,7 +117,7 @@ def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     True iff p is coprime to a1*a2*a3.
     """
     if p < 2:
-        raise ValueError(f"group order must be >= 2, got {p}")
+        raise InputError(f"group order must be >= 2, got {p}")
     return gcd(p, triple.product) == 1
 
 
@@ -135,16 +135,16 @@ def check_order(p: int) -> None:
     work (the primality test included) is spent on it.
     """
     if p > P_MAX:
-        raise ValueError(f"p must be at most {P_MAX}, got {p}")
+        raise InputError(f"p must be at most {P_MAX}, got {p}")
     if not is_prime(p) or p < 3:
-        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        raise InputError(f"p must be an odd prime >= 3, got {p}")
 
 
 def check_action(triple: BrieskornTriple, p: int) -> None:
     """The order rule, then freeness of the standard Z/p action."""
     check_order(p)
     if not standard_action_valid(triple, p):
-        raise ValueError(f"p = {p} divides {triple.product}: the standard "
+        raise InputError(f"p = {p} divides {triple.product}: the standard "
                          "action is not free")
 
 
@@ -166,14 +166,14 @@ def family(kind: str, r: int, s: int, sign: str = "+") -> BrieskornTriple:
     rejected rather than silently normalized.
     """
     if kind not in FAMILY_KINDS:
-        raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+        raise InputError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
     if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        raise InputError(f"sign must be '+' or '-', got {sign!r}")
     if r < 2 or s < 1:
-        raise ValueError(f"parameters out of range: r={r}, s={s}")
+        raise InputError(f"parameters out of range: r={r}, s={s}")
     even = r % 2 == 0
     if even and s % 2 == 0:
-        raise ValueError(f"r even requires s odd, got r={r}, s={s}")
+        raise InputError(f"r even requires s odd, got r={r}, s={s}")
     e = 1 if sign == "+" else -1
     m = r * s + e
     if kind == "casson-harer":
@@ -181,6 +181,6 @@ def family(kind: str, r: int, s: int, sign: str = "+") -> BrieskornTriple:
     else:
         raw = (r, m, 2 * r * m + r * s + (-e if even else 2 * e))
     if any(x < 2 for x in raw):
-        raise ValueError(f"degenerate family member {raw} for "
+        raise InputError(f"degenerate family member {raw} for "
                          f"kind={kind}, r={r}, s={s}, sign={sign}")
     return BrieskornTriple.of(*raw)

@@ -94,7 +94,7 @@ from typing import Tuple
 from .plumbing import (EquivariantMarkup, InternalInvariantError,
                        canonical_resolution, centered_residue,
                        graph_signature, propagate_rotations)
-from .records import record
+from .records import InputError, record
 from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
@@ -212,15 +212,14 @@ def rho_from_eta(eta: Vector) -> Tuple[Fraction, ...]:
 
 
 def rho_lens_table(p: int, r: int, s: int) -> Tuple[Fraction, ...]:
-    """Exact rho invariants of the lens space L(p; r, s), l = 0 .. p-1:
-    rho(l) = (n_l + n_{-l} - 2 n_0)/(2p^2) for n the vector of
-    nu(r, s; zeta) (the cotangent sum, read off)."""
+    """Exact rho invariants of the lens space L(p; r, s), l = 0 .. p-1,
+    read off the vector n of nu(r, s; zeta) (the cotangent sum) by
+    rho_from_eta.  nu is real, so n_l = n_{-l}, and the symmetrized
+    (n_l + n_{-l} - 2 n_0)/(2p^2) is the same number as (n_{-l} - n_0)/p^2."""
     check_order(p)
     if gcd(r, p) != 1 or gcd(s, p) != 1:
-        raise ValueError(f"rotation numbers ({r},{s}) must be coprime to {p}")
-    n = nu_defect(r, s, p)
-    n0, den = 2 * n[0], 2 * p * p
-    return tuple(Fraction(n[ell] + n[-ell] - n0, den) for ell in range(p))
+        raise InputError(f"rotation numbers ({r},{s}) must be coprime to {p}")
+    return rho_from_eta(nu_defect(r, s, p))
 
 
 # ---------------------------------------------------------------------------

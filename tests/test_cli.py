@@ -641,6 +641,22 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == f"error: junk.txt: {message}\n"
 
+    @pytest.mark.parametrize("data, message", [
+        ("-1 2\n3 -1\n", "form matrix must be symmetric n x n"),
+        ("-2 1\n1 -2\n", "form must have determinant +-1"),   # det 3
+        ("-1 0\n0 1\n", "root enumeration requires a negative definite form"),
+    ])
+    def test_bad_form_in_matrix_file_is_input_error(
+            self, tmp_path, capsys, data, message):
+        # The form's own checks raise ValueError; diagonalize is the one
+        # command whose form is the user's, so they exit 1 here.
+        path = tmp_path / "form.txt"
+        path.write_text(data)
+        assert main(["diagonalize", "--matrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_flag_is_input_error(self, capsys):
         assert main(["analyze", "3", "16", "113", "--bogus"]) == 1
 
@@ -873,6 +889,67 @@ def test_family_internal_error_still_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal invariant violation: planted\n"
+
+
+def test_input_error_is_an_exported_value_error():
+    assert "InputError" in brieskorn.__all__
+    assert brieskorn.InputError is brieskorn.records.InputError
+    assert issubclass(brieskorn.InputError, ValueError)
+
+
+def _plant_wrong_hj_term(monkeypatch):
+    """Every expansion of the resolution gets its last term one lower."""
+    import brieskorn.plumbing
+    from brieskorn import HJExpansion
+
+    def wrong(a, b):
+        terms = real(a, b).terms
+        return HJExpansion(a, b, terms[:-1] + (terms[-1] - 1,))
+    real = brieskorn.plumbing.hj_expand
+    monkeypatch.setattr(brieskorn.plumbing, "hj_expand", wrong)
+
+
+def _plant_delta_one_too_small(monkeypatch):
+    import brieskorn.report as report_module
+    from brieskorn import SeifertData
+
+    def wrong(triple):
+        sd = real(triple)
+        return SeifertData(sd.triple, sd.b, sd.delta - 1)
+    real = report_module.seifert_invariants
+    monkeypatch.setattr(report_module, "seifert_invariants", wrong)
+
+
+def _plant_non_integral_delta(monkeypatch):
+    # Every b_i = 1 - a_i, so the central weight is no integer.
+    import brieskorn.seifert as seifert
+    monkeypatch.setattr(seifert, "pow", lambda *args: 1, raising=False)
+
+
+ANALYZE_ARGS = ["analyze", "3", "16", "113", "--p", "5", "--no-cache"]
+
+
+@pytest.mark.parametrize("plant, argv, message", [
+    (_plant_wrong_hj_term, ANALYZE_ARGS,
+     "terms do not evaluate to numerator/denominator"),
+    (_plant_delta_one_too_small, ANALYZE_ARGS,
+     "form must have determinant +-1"),
+    (_plant_non_integral_delta, ANALYZE_ARGS,
+     "central weight is not an integer: -14078/5424"),
+    # Not a skipped row: only an InputError skips a member.
+    (_plant_wrong_hj_term,
+     ["family", "stern", "--r", "3", "--s-range", "5..6", "--p", "7"],
+     "terms do not evaluate to numerator/denominator"),
+], ids=["hj-term", "delta-minus-one", "delta-not-integral", "family-hj-term"])
+def test_planted_fault_exits_2(plant, argv, message, tmp_cache, monkeypatch,
+                               capsys):
+    # A ValueError or an ArithmeticError that no user value reaches is a
+    # broken invariant: one stderr line, no traceback, nothing on stdout.
+    plant(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal invariant violation: {message}\n"
 
 
 @pytest.mark.parametrize("s_range, admitted", [

@@ -8,11 +8,12 @@ message.
 import pytest
 
 from brieskorn import (BrieskornTriple, ConstraintError, EquivariantMarkup,
-                       PlumbingGraph, PropagationError, SeifertData,
-                       UnimodularForm, build_constraints, coefficients_at,
-                       diagonalize, family, ll_extension_search,
-                       propagate_rotations, standard_action_valid, star)
-from brieskorn.matrices import inverse_unimodular
+                       InputError, PlumbingGraph, PropagationError,
+                       SeifertData, UnimodularForm, build_constraints,
+                       coefficients_at, diagonalize, family,
+                       ll_extension_search, propagate_rotations,
+                       standard_action_valid, star)
+from brieskorn.matrices import inverse_unimodular, parse_matrix_text
 
 T235 = BrieskornTriple(2, 3, 5)   # its Seifert data: b = (-1, -2, -4), delta = -2
 
@@ -47,13 +48,13 @@ CASES = {
         ValueError, "delta must be <= -1, got 0"),
     "triple-unsorted": (
         lambda: BrieskornTriple(3, 2, 5),
-        ValueError, "entries must be sorted ascending, got (3, 2, 5)"),
+        InputError, "entries must be sorted ascending, got (3, 2, 5)"),
     "action-order-below-two": (
         lambda: standard_action_valid(T235, 1),
-        ValueError, "group order must be >= 2, got 1"),
+        InputError, "group order must be >= 2, got 1"),
     "family-bad-sign": (
         lambda: family("stern", 3, 1, "*"),
-        ValueError, "sign must be '+' or '-', got '*'"),
+        InputError, "sign must be '+' or '-', got '*'"),
     "coefficients-at-a-multiple-of-p": (
         lambda: coefficients_at((0,) * 5, 10),
         ValueError, "10 is not invertible mod 5"),
@@ -68,6 +69,9 @@ CASES = {
                               isolated_points=(), node_kinds=("fixed",)),
             diagonalize(UnimodularForm(((-1, 0), (0, -1))))),
         ConstraintError, "markup covers 1 nodes, form has rank 2"),
+    "matrix-text-without-rows": (
+        lambda: parse_matrix_text("# only a comment\n"),
+        InputError, "no matrix rows found"),
     "inverse-of-a-singular-matrix": (
         lambda: inverse_unimodular(((1, 2), (2, 4))),
         ValueError, "matrix is singular"),
