@@ -10,13 +10,12 @@ and cyclotomic arithmetic.
 
 __version__ = "1.0.0"
 
-from .records import InputError
+from .records import InputError, InternalInvariantError
 from .arith import HJExpansion, hj_expand, is_prime
 from .seifert import (BrieskornTriple, SeifertData, check_action, check_order,
                       family, seifert_invariants, standard_action_valid)
-from .plumbing import (EquivariantMarkup, InternalInvariantError,
-                       PlumbingGraph, PropagationError, canonical_pair,
-                       canonical_resolution, graph_signature,
+from .plumbing import (EquivariantMarkup, PlumbingGraph, PropagationError,
+                       canonical_pair, canonical_resolution, graph_signature,
                        intersection_matrix, propagate_rotations, star, to_dot,
                        to_tgf)
 from .lattice import (Diagonalization, DiagonalizationFailure,

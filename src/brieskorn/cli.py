@@ -4,16 +4,19 @@ Subcommands: analyze, family, diagonalize, rho, eta, graph.  Exit codes:
 0 success, 1 invalid input, 2 internal invariant violation.  All output is
 deterministic and exact (no floats).
 
-One rule gives the exit code, and `main` alone applies it.  A check that
-a command hands a user's value to, unchanged, raises `InputError` (the
-argument parser, the range and table ceilings here, the matrix file, and
-the checks in the pipeline that meet argv); that and an `OSError` from a
-file exit 1 with `error: ...`.  Any other exception is a broken
-invariant and exits 2 with one `internal invariant violation: ...` line:
-`InternalInvariantError`, but also a `ValueError` of a check that was
-handed a value the package computed, an `ArithmeticError` or an
-`IndexError`.  `family` skips a member only on `InputError`, and
-`diagonalize` turns a `ValueError` about the user's form into one.
+One rule gives the exit code, and `main` alone applies it; both failure
+classes live in `records`.  A check that a command hands a user's value
+to, unchanged, raises `InputError` (the argument parser, the range and
+table ceilings here, the matrix file, and the checks in the pipeline
+that meet argv); that and an `OSError` from a file exit 1 with
+`error: ...`.  Any other exception is a broken invariant and exits 2
+with one `internal invariant violation: ...` line, and no traceback.
+An `InternalInvariantError` (or a subclass) prints its message alone.
+Any other class, such as a `ValueError` of a check that was handed a
+value the package computed, an `ArithmeticError` or a `KeyError`, prints
+`Class: message`, or the class alone when the message is empty.
+`family` skips a member only on `InputError`, and `diagonalize` turns a
+`ValueError` about the user's form into one.
 
 Each `cmd_*` computes and writes nothing: it returns `(payload, lines)`,
 the object `--json` writes (None for rho, eta and graph) and the text
@@ -42,7 +45,7 @@ from . import __version__
 from .lattice import UnimodularForm, diagonalize
 from .matrices import parse_matrix_text, render_matrix_text
 from .plumbing import canonical_resolution, intersection_matrix, to_dot, to_tgf
-from .records import InputError
+from .records import InputError, InternalInvariantError
 from .report import (SCHEMA_VERSION, build_analysis, cached_analysis,
                      graph_section, render_json, render_text)
 from .seifert import (FAMILY_KINDS, BrieskornTriple, check_order, family,
@@ -303,7 +306,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:
-        sys.stderr.write(f"internal invariant violation: {exc}\n")
+        message = str(exc)
+        if not isinstance(exc, InternalInvariantError):
+            # With no traceback, the class is what names such a failure.
+            message = ": ".join(filter(None, (type(exc).__name__, message)))
+        sys.stderr.write(f"internal invariant violation: {message}\n")
         return 2
 
 

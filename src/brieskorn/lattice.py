@@ -41,8 +41,7 @@ from operator import add, mul, neg
 from typing import List, Tuple, Union
 
 from .matrices import Elimination, IntMatrix, eliminate, freeze, transpose
-from .plumbing import InternalInvariantError
-from .records import record
+from .records import InternalInvariantError, record
 
 
 @record

@@ -32,8 +32,8 @@ from itertools import combinations, compress
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
-from .plumbing import EquivariantMarkup, InternalInvariantError
-from .records import record
+from .plumbing import EquivariantMarkup
+from .records import InternalInvariantError, record
 
 
 class ConstraintError(InternalInvariantError):

@@ -16,19 +16,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from .arith import NODE_MAX, hj_expand
 from .matrices import eliminate
-from .records import InputError, record
+from .records import InputError, InternalInvariantError, record
 from .seifert import SeifertData, check_order
 
 
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed (a Lefschetz-type count, a
-    diagonalization identity, rotation propagation, or a markup that does
-    not match its diagonalization); the CLI exits with code 2."""
-
-
 class PropagationError(InternalInvariantError):
-    """Rotation propagation met data inconsistent with a free boundary
-    action (zero rotation pair) or with circle-equivariant plumbing."""
+    """Rotation propagation met a tree that is no circle-equivariant
+    plumbing (a branch point away from the centre) or a boundary action
+    that is not free (a fixed normal disk at a free pole)."""
 
 
 @record
@@ -196,6 +191,12 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     A node is a fixed sphere iff its base weight vanishes mod p (normal
     rotation c_F = fibre weight); junctions between two invariant spheres
     and free poles of invariant leaves are the isolated fixed points.
+
+    No node gets the pair (0, 0): a child's pair (b - w*a, -a) is a
+    determinant-1 linear map of its parent's (a, b), and each branch
+    starts at (1, 0) with p >= 3, so every pair is nonzero mod p.  In
+    particular a node below an invariant parent has fibre weight
+    -a_parent, which is not 0 mod p.
     """
     check_order(p)
     n = g.node_count
@@ -218,16 +219,12 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
                 f"node {v} has {len(children) + 1} junctions; only the "
                 "center of the tree can be a branch point")
         if a == 0:
-            if b == 0:
-                raise PropagationError(f"zero rotation pair at node {v}")
             kinds[v] = "fixed"
             c_f[v] = b
         else:
             kinds[v] = "invariant"
             if kinds[parent] == "invariant":
                 # Junction point between two rotated spheres.
-                if b == 0:
-                    raise PropagationError(f"zero rotation pair at node {v}")
                 isolated.append(canonical_pair(a, b, p))
             if not children:
                 if south[1] == 0:

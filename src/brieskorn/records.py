@@ -1,6 +1,8 @@
 """Frozen value records: the small part of ``dataclasses`` the pipeline's
-result classes use; and ``InputError``, the class of a refused user value.
-Every module of the pipeline imports this one, so each can raise it.
+result classes use; and the two failure classes the exit code is read
+from: ``InputError``, a refused user value (exit 1), and
+``InternalInvariantError``, a failed internal check (exit 2).  Every
+module of the pipeline imports this one, so each can raise either.
 
 A record is a class whose annotated names are its fields, in order.
 ``@record`` gives it
@@ -41,6 +43,13 @@ class InputError(ValueError):
     exits 1; any other exception out of a command is a broken invariant
     and exits 2.  Being a ValueError, it changes nothing for a library
     caller that catches ValueError."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An internal consistency check failed (a Lefschetz-type count, a
+    diagonalization identity, rotation propagation, a non-real eta, or a
+    markup that does not match its diagonalization); the CLI exits with
+    code 2 and prints the message as it is."""
 
 
 def _frozen_setattr(self, name, value):

@@ -91,10 +91,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
-from .plumbing import (EquivariantMarkup, InternalInvariantError,
-                       canonical_resolution, centered_residue,
-                       graph_signature, propagate_rotations)
-from .records import InputError, record
+from .plumbing import (EquivariantMarkup, canonical_resolution,
+                       centered_residue, graph_signature, propagate_rotations)
+from .records import InputError, InternalInvariantError, record
 from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 

@@ -897,6 +897,16 @@ def test_input_error_is_an_exported_value_error():
     assert issubclass(brieskorn.InputError, ValueError)
 
 
+def test_internal_invariant_error_lives_in_records():
+    # One class, one home: every stage raises the records class, and the
+    # plumbing name still resolves to it.
+    home = brieskorn.records.InternalInvariantError
+    assert brieskorn.InternalInvariantError is home
+    assert brieskorn.plumbing.InternalInvariantError is home
+    assert issubclass(brieskorn.PropagationError, home)
+    assert issubclass(brieskorn.ConstraintError, home)
+
+
 def _plant_wrong_hj_term(monkeypatch):
     """Every expansion of the resolution gets its last term one lower."""
     import brieskorn.plumbing
@@ -926,25 +936,43 @@ def _plant_non_integral_delta(monkeypatch):
     monkeypatch.setattr(seifert, "pow", lambda *args: 1, raising=False)
 
 
+def _plant_raise_in_seifert_invariants(error):
+    def plant(monkeypatch):
+        import brieskorn.report as report_module
+
+        def broken(triple):
+            raise error
+        monkeypatch.setattr(report_module, "seifert_invariants", broken)
+    return plant
+
+
 ANALYZE_ARGS = ["analyze", "3", "16", "113", "--p", "5", "--no-cache"]
 
 
 @pytest.mark.parametrize("plant, argv, message", [
     (_plant_wrong_hj_term, ANALYZE_ARGS,
-     "terms do not evaluate to numerator/denominator"),
+     "ValueError: terms do not evaluate to numerator/denominator"),
     (_plant_delta_one_too_small, ANALYZE_ARGS,
-     "form must have determinant +-1"),
+     "ValueError: form must have determinant +-1"),
     (_plant_non_integral_delta, ANALYZE_ARGS,
-     "central weight is not an integer: -14078/5424"),
+     "ArithmeticError: central weight is not an integer: -14078/5424"),
     # Not a skipped row: only an InputError skips a member.
     (_plant_wrong_hj_term,
      ["family", "stern", "--r", "3", "--s-range", "5..6", "--p", "7"],
-     "terms do not evaluate to numerator/denominator"),
-], ids=["hj-term", "delta-minus-one", "delta-not-integral", "family-hj-term"])
+     "ValueError: terms do not evaluate to numerator/denominator"),
+    (_plant_raise_in_seifert_invariants(KeyError("delta")), ANALYZE_ARGS,
+     "KeyError: 'delta'"),
+    # An empty message leaves the class alone on the line.
+    (_plant_raise_in_seifert_invariants(AssertionError()), ANALYZE_ARGS,
+     "AssertionError"),
+], ids=["hj-term", "delta-minus-one", "delta-not-integral", "family-hj-term",
+        "key-error", "bare-assertion"])
 def test_planted_fault_exits_2(plant, argv, message, tmp_cache, monkeypatch,
                                capsys):
-    # A ValueError or an ArithmeticError that no user value reaches is a
-    # broken invariant: one stderr line, no traceback, nothing on stdout.
+    # A failure that no user value reaches is a broken invariant: one
+    # stderr line that names its class, no traceback, nothing on stdout.
+    # An InternalInvariantError prints its message alone (see
+    # test_family_internal_error_still_exits_2).
     plant(monkeypatch)
     assert main(argv) == 2
     captured = capsys.readouterr()

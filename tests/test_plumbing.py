@@ -3,13 +3,14 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brieskorn import (BrieskornTriple, EquivariantMarkup,
                        InternalInvariantError, PlumbingGraph,
                        PropagationError, canonical_pair, canonical_resolution,
                        graph_signature, intersection_matrix,
                        propagate_rotations, seifert_invariants, star, to_dot, to_tgf)
-from brieskorn.arith import NODE_MAX
+from brieskorn.arith import NODE_MAX, is_prime
 from conftest import (PERM_3_16_113, REFERENCE_QX, fickle_graph,
                       gamma_k_graph, graphs_equivalent, permute_symmetric,
                       random_triples, spider_form)
@@ -207,12 +208,47 @@ class TestPropagation:
             canonical_pair(5, 1, 5)
 
 
+ODD_PRIMES = st.sampled_from([p for p in range(3, 102) if is_prime(p)])
+ANY_WEIGHTS = st.lists(st.integers(min_value=-60, max_value=60), min_size=1,
+                       max_size=25)
+
+
 class TestMarkupInvariant:
     def test_euler_identity_enforced(self):
         with pytest.raises(InternalInvariantError, match="Euler"):
             EquivariantMarkup(p=5, fixed_spheres=((0, -1, 1),),
                               isolated_points=(),
                               node_kinds=("fixed", "invariant"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ODD_PRIMES, ANY_WEIGHTS)
+    def test_no_zero_rotation_pair_on_any_chain(self, p, weights):
+        # propagate_rotations has no check for a (0, 0) pair: the child
+        # map (a, b) -> (b - w*a, -a) has determinant 1 and each branch
+        # starts at (1, 0), so no weight, zero and positive ones
+        # included, reaches (0, 0) mod p.
+        a, b = 1, 0
+        for w in weights:
+            assert (a % p, b % p) != (0, 0)
+            invariant = a % p != 0
+            a, b = b - w * a, -a
+            if invariant:   # the child's pair is a junction point
+                assert b % p != 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(ODD_PRIMES, st.integers(min_value=-60, max_value=60),
+           st.lists(ANY_WEIGHTS, max_size=4))
+    def test_star_markup_fails_only_at_a_free_pole(self, p, center,
+                                                   branches):
+        # On a star, with any weights, the only failure left is a fixed
+        # normal disk at the free pole of a leaf.
+        g = star(center, branches)
+        try:
+            markup = propagate_rotations(g, p)
+        except PropagationError as exc:
+            assert str(exc).startswith("fixed normal disk at the free pole")
+        else:
+            assert len(markup.node_kinds) == g.node_count
 
 
 class TestExport:
