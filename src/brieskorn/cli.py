@@ -25,6 +25,13 @@ path, before any command runs, then writes the payload to that path and
 the text to stdout when there is no path or `--text` is given.  A bad
 path is so refused before any work, and its error wins over every other.
 
+`analyze` with no `--json` path asks the analysis for its text alone
+(`cached_analysis(..., text=True)`), so a cache hit prints the text
+stored in the entry's header and decodes no report; `--json` and
+`family` get the report.  Both reach the cache through the name
+`cached_analysis` in this module, and `_analysis` alone picks it or,
+with `--no-cache`, `build_analysis`.
+
 `main` may be called many times in one process: the argparse parser is
 built on the first call and shared by every later one, and no call
 leaves state behind that changes what a later call prints.
@@ -104,15 +111,28 @@ def _write_json(path: str, payload) -> None:
             handle.write(data)
 
 
+def _uncached(a: int, b: int, c: int, p: Optional[int] = None, *,
+              text: bool = False):
+    """build_analysis, called as cached_analysis is: the report, or with
+    text its rendered text."""
+    report = build_analysis(a, b, c, p)
+    return render_text(report) if text else report
+
+
 def _analysis(args):
     """The cache policy of analyze and family: --no-cache builds every
     report, otherwise the file cache serves it.  The names are looked up
-    at call time, so a caller may replace either."""
-    return build_analysis if args.no_cache else cached_analysis
+    at call time, so a caller may replace any of them."""
+    return _uncached if args.no_cache else cached_analysis
 
 
 def cmd_analyze(args) -> _Output:
-    report = _analysis(args)(args.a, args.b, args.c, args.p)
+    analysis = _analysis(args)
+    if args.json is None:
+        # Text only: a cache hit prints the text stored in the entry's
+        # header and decodes no report.
+        return None, [analysis(args.a, args.b, args.c, args.p, text=True)]
+    report = analysis(args.a, args.b, args.c, args.p)
     # map() renders the text only if main writes it.
     return report, map(render_text, (report,))
 

@@ -11,7 +11,7 @@ import functools
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from . import __version__
 from .lattice import UnimodularForm, diagonalize
@@ -224,9 +224,10 @@ def render_text(report: Dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cache_dir() -> str:
-    return os.environ.get(
-        CACHE_ENV_VAR,
-        os.path.join(os.path.expanduser("~"), ".cache", "brieskorn"))
+    path = os.environ.get(CACHE_ENV_VAR)
+    if path is None:    # built only when unset: a hit pays nothing for it
+        path = os.path.join(os.path.expanduser("~"), ".cache", "brieskorn")
+    return path
 
 
 @functools.cache
@@ -245,47 +246,73 @@ def source_digest() -> str:
     return digest.hexdigest()[:16]
 
 
-def _cache_path(a: int, b: int, c: int, p: Optional[int]) -> str:
+def _cache_path(directory: str, a: int, b: int, c: int,
+                p: Optional[int]) -> str:
     key = f"analyze_{a}_{b}_{c}_p{p if p is not None else 'none'}" \
           f"_s{SCHEMA_VERSION}_src{source_digest()}.json"
-    return os.path.join(cache_dir(), key)
+    return os.path.join(directory, key)
 
 
-def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
+def _is_for(line, key: Dict) -> bool:
+    """Is a decoded entry line a JSON object of this schema for this input?"""
+    return (isinstance(line, dict)
+            and line.get("schema_version") == SCHEMA_VERSION
+            and line.get("input") == key)
+
+
+def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None, *,
+                    text: bool = False) -> Union[Dict, str]:
     """build_analysis with a transparent file cache keyed by the sorted
     triple, p, the schema version and the package's source_digest, so an
     entry written by other code is never read.  The input is validated
-    before the lookup, so a bad p is never served or cached.  An entry is
-    a hit only when it is a JSON object of this schema version for this
-    input; anything else is a miss and is rewritten.  An unusable cache
-    directory is a miss that is not cached: the report is still
-    returned."""
+    before the lookup, so a bad p is never served or cached.
+
+    An entry is two lines of compact JSON.  Line 1 is a header,
+    {"schema_version", "input", "text"}, whose text is render_text of the
+    report; line 2 is the report.  With text=True the result is that
+    text, and a hit reads line 1 alone, so the report is never decoded;
+    otherwise the result is the report, read from line 2.  A hit needs a
+    header that is a JSON object of this schema version for this input
+    with a str text, and, when the report is read, a line 2 that is such
+    an object too; anything else is a miss and the entry is rewritten.
+    A miss renders the text once, for the header and the result.  An
+    unusable cache directory is a miss that is not cached: the result is
+    still returned."""
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
         check_action(triple, p)
     a, b, c = triple.entries
-    path = _cache_path(a, b, c, p)
+    key = {"a": a, "b": b, "c": c, "p": p}
+    directory = cache_dir()
+    path = _cache_path(directory, a, b, c, p)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        if (isinstance(report, dict)
-                and report.get("schema_version") == SCHEMA_VERSION
-                and report.get("input") == {"a": a, "b": b, "c": c, "p": p}):
-            return report
+            header = json.loads(handle.readline())
+            if _is_for(header, key) and isinstance(header.get("text"), str):
+                if text:
+                    return header["text"]
+                report = json.loads(handle.read())
+                if _is_for(report, key):
+                    return report
     except (OSError, ValueError):  # ValueError: corrupt entry
         pass
     report = build_analysis(a, b, c, p)
+    rendered = render_text(report)
     try:
-        os.makedirs(cache_dir(), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir(), prefix=".analyze_",
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".analyze_",
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(report))   # compact: the C encoder
+                # compact, by the C encoder; neither line holds a newline
+                handle.write(json.dumps({"schema_version": SCHEMA_VERSION,
+                                         "input": key, "text": rendered}))
+                handle.write("\n")
+                handle.write(json.dumps(report))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError:
         pass   # not cached; the cache is an optimization only
-    return report
+    return rendered if text else report

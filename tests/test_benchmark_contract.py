@@ -1,9 +1,10 @@
 """The benchmark's traced run looks up pipeline names in brieskorn.report,
 brieskorn.spectral, brieskorn.cli, brieskorn.lattice and
 brieskorn.matrices.  This test loads perfbench/run.py (read only) and
-runs its wrapper installation, one traced request and its probes, and
-its discovery of the package's functools caches, so a renamed or removed
-name fails here and not only in perfbench/smoke.py."""
+runs its wrapper installation, one traced request and its probes, a
+traced CLI miss and hit, and its discovery of the package's functools
+caches, so a renamed or removed name fails here and not only in
+perfbench/smoke.py."""
 
 import importlib.util
 import pathlib
@@ -68,3 +69,31 @@ def test_nu_defect_cache_counters_reach_the_benchmark(monkeypatch):
     memos.clear()
     assert memos.misses["spectral.nu_defect"] > misses
     assert memos.hits["spectral.nu_defect"] > hits
+
+
+def test_traced_cli_run_tells_a_cache_hit_from_a_miss(monkeypatch, tmp_path,
+                                                      capsys):
+    # The traced repeat-cache run counts a report.cached_analysis span
+    # with a report.build_analysis child as a miss and one without as a
+    # hit.  analyze must reach the cache through the wrapped name
+    # cli.cached_analysis, or report.cache_hits would read 0.
+    run = load_run(monkeypatch)
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    tracer = run.Tracer()
+    run.install_wrappers(tracer, run.lens_pair_counter())
+    try:
+        for item in (0, 1):
+            with tracer.span("item", item):
+                assert brieskorn.cli.main(["analyze", "3", "16", "113",
+                                           "--p", "5"]) == 0
+    finally:
+        tracer.unwrap()
+    first, second = capsys.readouterr().out.split("analysis of ")[1:]
+    assert first == second
+    kids = tracer.children()
+    spans = [(tracer.items[idx], [tracer.names[k] for k in kids.get(idx, ())])
+             for idx, name in enumerate(tracer.names)
+             if name == "report.cached_analysis"]
+    assert [item for item, _ in spans] == [0, 1]
+    assert "report.build_analysis" in spans[0][1]
+    assert "report.build_analysis" not in spans[1][1]

@@ -1,14 +1,19 @@
 """Reports, cache, and the command-line interface."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import brieskorn
 from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
@@ -17,8 +22,16 @@ from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
 from brieskorn import cli
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
-from brieskorn.report import cached_analysis
+from brieskorn.report import SCHEMA_VERSION, cached_analysis
 from conftest import REFERENCE_QX
+
+
+def entry_of(report) -> str:
+    """The cache entry a miss writes for report: a compact header with the
+    rendered text, a newline, then the compact report."""
+    header = {"schema_version": SCHEMA_VERSION, "input": report["input"],
+              "text": render_text(report)}
+    return json.dumps(header) + "\n" + json.dumps(report)
 
 
 class TestReport:
@@ -172,15 +185,74 @@ class TestCache:
         report = build_analysis(2, 3, 7, 5)
         cached_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
-        good = json.dumps(report)
-        other = json.dumps(build_analysis(3, 16, 113, 5)).encode()
-        for bad in (b"", good[: len(good) // 2].encode(), b"\xff\xfe{",
-                    b"null\n", b"{}", other):
-            entry.write_bytes(bad)
-            assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
-            assert capsys.readouterr().out == render_text(report)
-            assert entry.read_text(encoding="utf-8") == good
+        good = entry_of(report)
+        header, line2 = good.split("\n")
+        head = json.loads(header)
+        other = entry_of(build_analysis(3, 16, 113, 5))
+
+        def with_header(**changes):
+            return json.dumps({**head, **changes}) + "\n" + line2
+
+        no_text = {k: v for k, v in head.items() if k != "text"}
+        for bad in (b"", good[: len(header) // 2].encode(), b"\xff\xfe{",
+                    b"null\n", b"{}", other.encode(),
+                    # a header of another input or schema, with no text,
+                    # with a text that is not a str, or not an object
+                    with_header(input={**head["input"], "p": 7}).encode(),
+                    with_header(schema_version=2).encode(),
+                    (json.dumps(no_text) + "\n" + line2).encode(),
+                    with_header(text=None).encode(),
+                    with_header(text=["analysis"]).encode(),
+                    ("[]\n" + line2).encode(),
+                    (json.dumps(head["text"]) + "\n" + line2).encode(),
+                    # an old one-line entry: the report alone
+                    line2.encode()):
+            for read in ("text", "report"):
+                entry.write_bytes(bad)
+                if read == "text":
+                    assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
+                    assert capsys.readouterr().out == render_text(report)
+                else:
+                    assert cached_analysis(2, 3, 7, 5) == report
+                assert entry.read_text(encoding="utf-8") == good
         assert [p.name for p in tmp_cache.iterdir()] == [entry.name]
+
+    @pytest.mark.parametrize("corrupt", ["", "{", "null", "[]", "{}", "half",
+                                         "other", "input"])
+    def test_valid_header_serves_the_text_but_not_the_report(
+            self, tmp_cache, capsys, corrupt):
+        # Text-only analyze trusts the header alone; a report read also
+        # checks line 2, and misses and rewrites the entry when it is bad.
+        # family stern --r 3 --s-range 5..5 is Sigma(3,16,113).
+        report = build_analysis(3, 16, 113, 5)
+        good = entry_of(report)
+        header = good.split("\n")[0]
+        line2 = {"half": json.dumps(report)[:len(json.dumps(report)) // 2],
+                 "other": json.dumps(build_analysis(2, 3, 7, 5)),
+                 "input": json.dumps({**report, "input": {**report["input"],
+                                                          "p": 7}}),
+                 }.get(corrupt, corrupt)
+        bad = header + "\n" + line2
+        family = ["family", "stern", "--r", "3", "--s-range", "5..5",
+                  "--p", "5"]
+        assert main(family + ["--no-cache"]) == 0
+        family_out = capsys.readouterr().out
+        cached_analysis(3, 16, 113, 5)
+        [entry] = tmp_cache.iterdir()
+        for argv, expected in (
+                (["analyze", "3", "16", "113", "--p", "5"], None),
+                (["analyze", "3", "16", "113", "--p", "5", "--json", "-"],
+                 render_json(report)),
+                (family, family_out)):
+            entry.write_text(bad, encoding="utf-8")
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if expected is None:
+                assert out == render_text(report)
+                assert entry.read_text(encoding="utf-8") == bad
+            else:
+                assert out == expected
+                assert entry.read_text(encoding="utf-8") == good
 
     def test_cache_dir_that_is_a_file_is_a_miss(self, tmp_cache, capsys):
         tmp_cache.write_text("not a directory\n")
@@ -219,34 +291,79 @@ class TestCache:
         import brieskorn.report as report_module
         second = []
 
-        def dumps_with_second_writer(report):
+        def dumps_with_second_writer(obj):
             # A second writer of the same entry runs while the first one
             # holds its temp file open.
             monkeypatch.setattr(report_module, "json", json)
             second.append(report_module.cached_analysis(2, 3, 7, 5))
-            return json.dumps(report)
+            return json.dumps(obj)
 
         monkeypatch.setattr(report_module, "json", types.SimpleNamespace(
-            load=json.load, dumps=dumps_with_second_writer))
+            loads=json.loads, dumps=dumps_with_second_writer))
         first = report_module.cached_analysis(2, 3, 7, 5)
         assert first == second[0] == build_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
-        assert entry.read_text(encoding="utf-8") == json.dumps(first)
+        assert entry.read_text(encoding="utf-8") == entry_of(first)
 
     @pytest.mark.parametrize("a, b, c, p", [(3, 16, 113, 5), (2, 7, 13, None),
                                             (2, 7, 31, 3)])
     def test_entry_is_compact_json_of_the_report(self, tmp_cache, a, b, c, p):
-        # The entry is written by the C encoder, with no indent; a hit
-        # loads a dict equal to the miss's, so it renders the same bytes.
+        # Two lines, each written by the C encoder with no indent: a header
+        # with the rendered text, then the report.  A hit loads a dict
+        # equal to the miss's, so it renders the same bytes.
         miss = cached_analysis(a, b, c, p)
         [entry] = tmp_cache.iterdir()
-        text = entry.read_text(encoding="utf-8")
-        assert "\n" not in text
-        assert json.loads(text) == miss
+        lines = entry.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 2
+        for line in lines:
+            assert line == json.dumps(json.loads(line))
+        header, line2 = lines
+        assert line2 == json.dumps(miss)
+        assert json.loads(header) == {"schema_version": SCHEMA_VERSION,
+                                      "input": miss["input"],
+                                      "text": render_text(miss)}
+        assert list(json.loads(header)) == ["schema_version", "input", "text"]
         hit = cached_analysis(a, b, c, p)
         assert hit == miss
         assert render_json(hit) == render_json(build_analysis(a, b, c, p))
         assert render_text(hit) == render_text(build_analysis(a, b, c, p))
+        assert cached_analysis(a, b, c, p, text=True) == render_text(miss)
+
+    def test_text_miss_writes_the_same_entry(self, tmp_cache):
+        # A miss asked for the text renders it once and writes the entry a
+        # report miss writes; the text it returns is the header's.
+        text = cached_analysis(3, 16, 113, 5, text=True)
+        [entry] = tmp_cache.iterdir()
+        report = build_analysis(3, 16, 113, 5)
+        assert text == render_text(report)
+        assert entry.read_text(encoding="utf-8") == entry_of(report)
+
+    def test_set_cache_dir_builds_no_default(self, tmp_cache, monkeypatch,
+                                             capsys):
+        def no_home(path):
+            raise AssertionError("the default cache dir was built")
+
+        monkeypatch.setattr(os.path, "expanduser", no_home)
+        argv = ["analyze", "2", "3", "7", "--p", "5"]
+        for _ in ("miss", "hit"):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == render_text(
+                build_analysis(2, 3, 7, 5))
+            assert cached_analysis(2, 3, 7, 5) == build_analysis(2, 3, 7, 5)
+        assert len(list(tmp_cache.iterdir())) == 1
+
+    def test_empty_cache_dir_caches_nothing(self, monkeypatch, tmp_path,
+                                            capsys):
+        # An empty value names no directory: makedirs("") fails, so every
+        # call is a miss that is not cached, and no home dir is looked up.
+        monkeypatch.setenv("BRIESKORN_CACHE_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os.path, "expanduser", None)
+        for _ in ("first", "second"):
+            assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
+            assert capsys.readouterr().out == render_text(
+                build_analysis(2, 3, 7, 5))
+        assert list(tmp_path.iterdir()) == []
 
     def test_entry_of_other_source_is_never_read(self, tmp_cache, monkeypatch):
         import brieskorn.report as report_module
@@ -273,6 +390,52 @@ class TestCache:
             [old.name, new])
         assert old.read_bytes() == old_bytes
         assert (tmp_cache / new).read_bytes() == old_bytes
+
+
+def printed(argv):
+    """(exit code, stdout, stderr) of one in-process main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def analyze_inputs(draw):
+    """A small pairwise coprime triple, in any order, and p: None or an
+    odd prime up to 31 that does not divide the product."""
+    a = draw(st.integers(min_value=2, max_value=7))
+    b = draw(st.sampled_from([b for b in range(2, 26) if math.gcd(a, b) == 1]))
+    c = draw(st.sampled_from([c for c in range(2, 61)
+                              if math.gcd(a * b, c) == 1]))
+    triple = draw(st.permutations((a, b, c)))
+    p = draw(st.one_of(st.none(), st.sampled_from(
+        [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if a * b * c % p])))
+    return tuple(triple), p
+
+
+@settings(max_examples=60, deadline=None, database=None)
+# Sigma(2,3,5) and Sigma(2,7,13) do not diagonalize.
+@example(((2, 3, 5), 7))
+@example(((13, 7, 2), None))
+@example(((3, 16, 113), 5))
+@given(analyze_inputs())
+def test_a_cache_hit_prints_what_a_miss_prints(drawn):
+    triple, p = drawn
+    argv = ["analyze", *map(str, triple)]
+    if p is not None:
+        argv += ["--p", str(p)]
+    with tempfile.TemporaryDirectory() as cache, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BRIESKORN_CACHE_DIR", cache)
+        miss, hit = printed(argv), printed(argv)
+        json_hit = printed(argv + ["--json", "-"])
+        assert len(os.listdir(cache)) == 1
+        fresh = printed(argv + ["--no-cache"])
+        json_fresh = printed(argv + ["--json", "-", "--no-cache"])
+    assert fresh[0] == 0 and fresh[2] == ""
+    assert miss == hit == fresh
+    assert json_hit == json_fresh
 
 
 class TestCLI:
