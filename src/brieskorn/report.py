@@ -246,13 +246,6 @@ def source_digest() -> str:
     return digest.hexdigest()[:16]
 
 
-def _cache_path(directory: str, a: int, b: int, c: int,
-                p: Optional[int]) -> str:
-    key = f"analyze_{a}_{b}_{c}_p{p if p is not None else 'none'}" \
-          f"_s{SCHEMA_VERSION}_src{source_digest()}.json"
-    return os.path.join(directory, key)
-
-
 def _is_for(line, key: Dict) -> bool:
     """Is a decoded entry line a JSON object of this schema for this input?"""
     return (isinstance(line, dict)
@@ -262,33 +255,36 @@ def _is_for(line, key: Dict) -> bool:
 
 def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None, *,
                     text: bool = False) -> Union[Dict, str]:
-    """build_analysis with a transparent file cache keyed by the sorted
-    triple, p, the schema version and the package's source_digest, so an
-    entry written by other code is never read.  The input is validated
-    before the lookup, so a bad p is never served or cached.
+    """build_analysis with a transparent file cache holding one entry per
+    input, analyze_{a}_{b}_{c}_p{p}.json for the sorted triple and p.  The
+    input is validated before the lookup, so a bad p is never served or
+    cached.
 
     An entry is two lines of compact JSON.  Line 1 is a header,
-    {"schema_version", "input", "text"}, whose text is render_text of the
-    report; line 2 is the report.  With text=True the result is that
-    text, and a hit reads line 1 alone, so the report is never decoded;
-    otherwise the result is the report, read from line 2.  A hit needs a
-    header that is a JSON object of this schema version for this input
-    with a str text, and, when the report is read, a line 2 that is such
-    an object too; anything else is a miss and the entry is rewritten.
-    A miss renders the text once, for the header and the result.  An
-    unusable cache directory is a miss that is not cached: the result is
-    still returned."""
+    {"schema_version", "source", "input", "text"}, whose source is the
+    writer's source_digest and whose text is render_text of the report;
+    line 2 is the report.  With text=True the result is that text, and a
+    hit reads line 1 alone, so the report is never decoded; otherwise the
+    result is the report, read from line 2.  A hit needs a header that is
+    a JSON object of this schema version, this package source and this
+    input with a str text, and, when the report is read, a line 2 that is
+    an object of this schema for this input too; anything else, an entry
+    written by other code included, is a miss, and the entry is rewritten
+    in place.  A miss renders the text once, for the header and the
+    result.  An unusable cache directory is a miss that is not cached:
+    the result is still returned."""
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
         check_action(triple, p)
     a, b, c = triple.entries
     key = {"a": a, "b": b, "c": c, "p": p}
     directory = cache_dir()
-    path = _cache_path(directory, a, b, c, p)
+    path = os.path.join(directory, f"analyze_{a}_{b}_{c}_p{p}.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())
-            if _is_for(header, key) and isinstance(header.get("text"), str):
+            if (_is_for(header, key) and isinstance(header.get("text"), str)
+                    and header.get("source") == source_digest()):
                 if text:
                     return header["text"]
                 report = json.loads(handle.read())
@@ -306,6 +302,7 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None, *,
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 # compact, by the C encoder; neither line holds a newline
                 handle.write(json.dumps({"schema_version": SCHEMA_VERSION,
+                                         "source": source_digest(),
                                          "input": key, "text": rendered}))
                 handle.write("\n")
                 handle.write(json.dumps(report))

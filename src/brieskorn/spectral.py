@@ -70,18 +70,20 @@ and the coefficient of zeta^j is
     N_j = p^2 [j = 0] + 2p (j a^-1 mod p) + 2p (j b^-1 mod p) + 4 T(j b^-1 mod p),
 
 where the cross term (A_a * A_b)[j] = sum_i A_a[i] A_b[j - i] becomes,
-with k = i a^-1 and d = a b^-1 mod p, the Dedekind-Rademacher sum
+with k = i a^-1 and d = a b^-1 mod p,
 
-    T(c) = sum_{k<p} k ((c - d k) mod p)
+    T(c) = sum_{k<p} k ((c - d k) mod p).
 
-(Rademacher-Grosswald, Dedekind Sums, 1972).  Its first difference is
-T(c+1) - T(c) = p(p-1)/2 - p k*, because raising c by one raises every
-residue (c - d k) mod p by one except the one at k* = (c+1) d^-1, which
-wraps from p - 1 to 0.  So T(0) = sum_{k>=1} k (p - (d k mod p)) is one
-sum and the other p - 1 values follow in O(p) integer steps, with no
-convolution.  eta, an integer combination of nu values and an integer,
-is an integer combination of their vectors plus p^2 times that integer
-at entry 0, and each rho value is one Fraction(int, p^2) read off it.
+Its first difference is T(c+1) - T(c) = p(p-1)/2 - p k*, because raising
+c by one raises every residue (c - d k) mod p by one except the one at
+k* = (c+1) d^-1, which wraps from p - 1 to 0.  The kernel walks c from
+T(0) := 0: that subtracts the constant 4 T(0) from every entry, which
+leaves the value unchanged, so all p entries follow in O(p) integer
+steps with no convolution and no sum for T(0).  Entry 0 of nu's vector
+is then p^2, as every other term vanishes at j = 0.  eta, an integer
+combination of nu values and an integer, is an integer combination of
+their vectors plus p^2 times that integer at entry 0, and each rho value
+is one Fraction(int, p^2) read off it.
 """
 
 from __future__ import annotations
@@ -109,20 +111,18 @@ def nu_defect(a: int, b: int, p: int) -> Vector:
     p^2 nu = (p + 2 A_a)(p + 2 A_b) in Z[x]/(x^p - 1), for A_m[i] =
     i m^-1 mod p.  Walking c = 0 .. p-1, the coefficient of zeta^(cb) is
     2p (c e mod p) + 2p c + 4 T(c), plus p^2 at c = 0, with e = b a^-1 and
-    the cross term T(c) = sum_k k ((c - d k) mod p), d = e^-1; T(0) is one
-    sum and T(c+1) = T(c) + p(p-1)/2 - p ((c+1) e mod p).  The result is
-    that product's p entries, the vector of nu.
+    T(c+1) = T(c) + p(p-1)/2 - p ((c+1) e mod p).  The walk starts at
+    T(0) := 0, so the result is that product's p entries less the
+    constant 4 T(0): the same value, normalized so that entry 0 is p^2.
     """
     check_order(p)
     a, b = a % p, b % p
     if a == 0 or b == 0:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
     e = b * pow(a, -1, p) % p
-    d = pow(e, -1, p)
     half, two_p = p * (p - 1) // 2, 2 * p
-    t = sum(k * (p - d * k % p) for k in range(1, p))  # T(0)
     out = [0] * p
-    u = j = 0  # c e mod p and c b mod p
+    u = j = t = 0  # c e mod p, c b mod p and the cross term
     for c in range(p):
         out[j] = 4 * t + two_p * (u + c)
         u += e

@@ -18,10 +18,12 @@ Galois-checked profile of a package vector.
 
 The kernels are the schoolbook integer convolution, the convolution path
 of nu (p^2 nu as the product of two integer coth vectors, in the
-package's vector format: the oracle for its recurrence), the
-dense-``Fraction`` version of the cyclotomic product, the Euclid-based
-inverse of zeta^m - 1, the three-product isolated-point defect, the
-fixed-sphere defect by Euclid division, eta evaluated separately at every
+package's vector format: the oracle for its recurrence, whose vector is
+this one less the constant 4 T(0), with T(0) summed by
+``cross_term_at_zero``), the dense-``Fraction`` version of the
+cyclotomic product, the Euclid-based inverse of zeta^m - 1, the
+three-product isolated-point defect, the fixed-sphere defect by Euclid
+division, eta evaluated separately at every
 zeta^j, the Galois-checked eta profile and its inverse transform, the
 Fourier and cotangent-sum rho transforms (integer vectors over a common
 denominator, each entry checked rational), and the lens search that
@@ -258,6 +260,15 @@ def nu_by_convolution(a: int, b: int, p: int):
     if a == 0 or b == 0:
         raise ValueError(f"rotation pair ({a},{b}) must be nonzero mod {p}")
     return tuple(convolve(p, coth_numerators(p, a), coth_numerators(p, b)))
+
+
+def cross_term_at_zero(a: int, b: int, p: int) -> int:
+    """T(0) = sum_{k>=1} k (p - (d k mod p)) for d = a b^-1 mod p: the
+    cross term (A_a * A_b)[0] of nu(a, b; zeta)'s product vector, by one
+    O(p) sum.  The package's kernel starts its walk at T(0) := 0, so its
+    vector is nu_by_convolution less 4 T(0) in every entry."""
+    d = a * pow(b, -1, p) % p
+    return sum(k * (p - d * k % p) for k in range(1, p))
 
 
 def inverse(x: Field) -> Field:

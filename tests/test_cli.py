@@ -22,15 +22,15 @@ from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
 from brieskorn import cli
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
-from brieskorn.report import SCHEMA_VERSION, cached_analysis
+from brieskorn.report import SCHEMA_VERSION, cached_analysis, source_digest
 from conftest import REFERENCE_QX
 
 
 def entry_of(report) -> str:
     """The cache entry a miss writes for report: a compact header with the
     rendered text, a newline, then the compact report."""
-    header = {"schema_version": SCHEMA_VERSION, "input": report["input"],
-              "text": render_text(report)}
+    header = {"schema_version": SCHEMA_VERSION, "source": source_digest(),
+              "input": report["input"], "text": render_text(report)}
     return json.dumps(header) + "\n" + json.dumps(report)
 
 
@@ -173,7 +173,6 @@ class TestCache:
         assert fresh == cached == uncached
 
     def test_cache_disabled_writes_nothing(self, tmp_cache, capsys):
-        from brieskorn.report import source_digest
         source_digest.cache_clear()
         assert main(["analyze", "2", "3", "7", "--no-cache"]) == 0
         assert capsys.readouterr().out == render_text(build_analysis(2, 3, 7))
@@ -193,14 +192,21 @@ class TestCache:
         def with_header(**changes):
             return json.dumps({**head, **changes}) + "\n" + line2
 
-        no_text = {k: v for k, v in head.items() if k != "text"}
+        def without(name):
+            return json.dumps({k: v for k, v in head.items() if k != name}) \
+                + "\n" + line2
+
         for bad in (b"", good[: len(header) // 2].encode(), b"\xff\xfe{",
                     b"null\n", b"{}", other.encode(),
-                    # a header of another input or schema, with no text,
-                    # with a text that is not a str, or not an object
+                    # a header of another input, schema or source, with
+                    # no text or no source (written before the source
+                    # moved into the header), with a text that is not a
+                    # str, or not an object
                     with_header(input={**head["input"], "p": 7}).encode(),
                     with_header(schema_version=2).encode(),
-                    (json.dumps(no_text) + "\n" + line2).encode(),
+                    with_header(source="0123456789abcdef").encode(),
+                    without("text").encode(),
+                    without("source").encode(),
                     with_header(text=None).encode(),
                     with_header(text=["analysis"]).encode(),
                     ("[]\n" + line2).encode(),
@@ -313,6 +319,7 @@ class TestCache:
         # equal to the miss's, so it renders the same bytes.
         miss = cached_analysis(a, b, c, p)
         [entry] = tmp_cache.iterdir()
+        assert entry.name == f"analyze_{a}_{b}_{c}_p{p}.json"
         lines = entry.read_text(encoding="utf-8").split("\n")
         assert len(lines) == 2
         for line in lines:
@@ -320,9 +327,11 @@ class TestCache:
         header, line2 = lines
         assert line2 == json.dumps(miss)
         assert json.loads(header) == {"schema_version": SCHEMA_VERSION,
+                                      "source": source_digest(),
                                       "input": miss["input"],
                                       "text": render_text(miss)}
-        assert list(json.loads(header)) == ["schema_version", "input", "text"]
+        assert list(json.loads(header)) == ["schema_version", "source",
+                                            "input", "text"]
         hit = cached_analysis(a, b, c, p)
         assert hit == miss
         assert render_json(hit) == render_json(build_analysis(a, b, c, p))
@@ -366,30 +375,36 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
 
     def test_entry_of_other_source_is_never_read(self, tmp_cache, monkeypatch):
+        # The entry's name holds only the input; the writer's source digest
+        # is in its header.  Code of another source misses on it and
+        # rewrites it in place, so the directory keeps one entry per input.
         import brieskorn.report as report_module
         report = cached_analysis(2, 3, 7, 5)
         [old] = tmp_cache.iterdir()
         old_bytes = old.read_bytes()
         digest = report_module.source_digest()
-        assert f"_src{digest}." in old.name
-        opened = []
+        assert old.name == "analyze_2_3_7_p5.json"
+        assert json.loads(old_bytes.split(b"\n")[0])["source"] == digest
+        built = []
 
-        def recording_open(path, *args, **kwargs):
-            opened.append(os.path.basename(path))
-            return open(path, *args, **kwargs)
+        def recording_build(*args):
+            built.append(args)
+            return build_analysis(*args)
 
-        monkeypatch.setattr(report_module, "open", recording_open,
-                            raising=False)
+        monkeypatch.setattr(report_module, "build_analysis", recording_build)
         monkeypatch.setattr(report_module, "source_digest",
                             lambda: "0123456789abcdef")
+        # The old entry is never served: the first read misses, builds and
+        # rewrites it, and the second read hits the rewritten entry.
         assert cached_analysis(2, 3, 7, 5) == report
-        new = old.name.replace(digest, "0123456789abcdef")
-        # The one lookup is of the new name; it misses and is written.
-        assert opened == [new]
-        assert sorted(p.name for p in tmp_cache.iterdir()) == sorted(
-            [old.name, new])
-        assert old.read_bytes() == old_bytes
-        assert (tmp_cache / new).read_bytes() == old_bytes
+        assert cached_analysis(2, 3, 7, 5, text=True) == render_text(report)
+        assert built == [(2, 3, 7, 5)]
+        [entry] = tmp_cache.iterdir()
+        assert entry.name == old.name
+        header = json.loads(entry.read_bytes().split(b"\n")[0])
+        assert header["source"] == "0123456789abcdef"
+        assert entry.read_bytes() == old_bytes.replace(
+            digest.encode(), b"0123456789abcdef")
 
 
 def printed(argv):

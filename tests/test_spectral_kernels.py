@@ -4,6 +4,9 @@ and the eta(zeta) read-offs (rho tables, lens
 matches, direct lens candidates) against the Fourier transforms and the
 pair scan they replace, on random inputs."""
 
+import hashlib
+import json
+import pathlib
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +24,7 @@ from brieskorn import (BrieskornTriple, FixedPointData,
                        rho_from_eta, rho_lens_table, seifert_invariants,
                        spectral, standard_action_valid)
 from brieskorn.arith import is_prime
+from brieskorn.cli import main
 from conftest import random_triples
 from spectral_oracle import Field, lift
 
@@ -50,6 +54,13 @@ def closed_form_inverse(p, m):
     return (coth - 1) * Fraction(1, 2)
 
 
+def convolution_less_constant(a, b, p):
+    """The convolution oracle's vector of nu(a, b; zeta) less 4 T(0) in
+    every entry: the same value in nu_defect's normalization."""
+    shift = 4 * oracle.cross_term_at_zero(a, b, p)
+    return tuple(n - shift for n in oracle.nu_by_convolution(a, b, p))
+
+
 def test_nu_cache_is_bounded():
     # A family sweep at large p meets more (a, b, p) keys than it reuses;
     # at p = 99991 an entry holds ~4 MB, so the cache keeps at most 128.
@@ -73,7 +84,7 @@ def test_inverse_matches_euclid(p, m):
 def test_nu_recurrence_matches_convolution_on_every_pair(p):
     for a in range(1, p):
         for b in range(1, p):
-            assert nu_defect(a, b, p) == oracle.nu_by_convolution(a, b, p)
+            assert nu_defect(a, b, p) == convolution_less_constant(a, b, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
@@ -81,7 +92,7 @@ def test_nu_recurrence_matches_convolution_on_special_pairs(p):
     # a = +-b (d = +-1), and a or b = +-1 (no scaling on one side).
     for x in (1, 2, p // 2, p - 2, p - 1):
         for a, b in ((x, x), (x, -x), (x, 1), (x, -1), (1, x), (-1, x)):
-            assert nu_defect(a, b, p) == oracle.nu_by_convolution(a, b, p)
+            assert nu_defect(a, b, p) == convolution_less_constant(a, b, p)
 
 
 LARGER_PRIMES = [p for p in range(3, 398) if is_prime(p)]
@@ -94,11 +105,88 @@ def test_nu_recurrence_matches_convolution_on_unreduced_input(p, data):
     rotation = st.integers(min_value=-5 * p, max_value=5 * p).filter(
         lambda x: x % p)
     a, b = data.draw(rotation), data.draw(rotation)
-    assert nu_defect(a, b, p) == oracle.nu_by_convolution(a, b, p)
+    assert nu_defect(a, b, p) == convolution_less_constant(a, b, p)
 
 
 def test_nu_recurrence_matches_convolution_at_p_1009():
-    assert nu_defect(3, 16, 1009) == oracle.nu_by_convolution(3, 16, 1009)
+    assert nu_defect(3, 16, 1009) == convolution_less_constant(3, 16, 1009)
+
+
+@given(st.sampled_from([p for p in range(3, 102) if is_prime(p)]),
+       st.data())
+def test_nu_vector_starts_at_p_squared(p, data):
+    # nu_defect's normalization: the cross term vanishes at c = 0, so
+    # entry 0 is p^2 alone.
+    rotation = st.integers(min_value=-3 * p, max_value=3 * p).filter(
+        lambda x: x % p)
+    a, b = data.draw(rotation), data.draw(rotation)
+    assert nu_defect(a, b, p)[0] == p * p
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                     / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+# Every golden member whose quotient matches a lens space's rho table.
+RHO_MATCH_KEYS = [
+    "2,101,507,5", "2,139,693,5", "2,29,31,7", "2,99,493,5", "3,121,848,5",
+    "3,13,14,5", "3,16,113,5", "3,91,638,5", "5,174,1913,7", "2,43,213,11",
+    "2,45,47,11", "3,32,223,11", "3,34,239,11", "3,37,38,13", "3,38,265,13",
+    "3,40,281,13", "5,18,19,17", "5,21,22,23", "5,54,593,11", "5,56,617,11",
+    "5,64,703,13", "5,66,727,13"]
+# The first two golden keys of each p, and the matching members.
+CONSTANT_KEYS = sorted(
+    {key for q in ("None", "5", "7", "11", "13", "17", "19", "23", "29", "31")
+     for key in sorted(k for k in GOLDEN if k.endswith("," + q))[:2]}
+    | set(RHO_MATCH_KEYS))
+
+
+def add_a_constant_per_call(monkeypatch):
+    """Patch spectral.nu_defect to add its own constant to every entry on
+    each call: the same value of nu, a different vector each time.  The
+    list returned records the constants drawn."""
+    exact, drawn = spectral.nu_defect, []
+
+    def shifted(a, b, p):
+        drawn.append(7919 * (len(drawn) + 1))
+        return tuple(n + drawn[-1] for n in exact(a, b, p))
+
+    monkeypatch.setattr(spectral, "nu_defect", shifted)
+    return drawn
+
+
+def render_key(key):
+    a, b, c, p = key.split(",")
+    report = build_analysis(int(a), int(b), int(c),
+                            None if p == "None" else int(p))
+    return render_json(report), render_text(report)
+
+
+@pytest.mark.parametrize("key", CONSTANT_KEYS)
+def test_no_report_reads_nu_constant(key, monkeypatch):
+    # Every reader of a spectral vector reads differences of its entries:
+    # the rho read-off, the lens match and the reality check.
+    expected = render_key(key)
+    assert hashlib.sha256(expected[0].encode()).hexdigest() == GOLDEN[key]
+    drawn = add_a_constant_per_call(monkeypatch)
+    shifted = render_key(key)
+    assert shifted == expected
+    report = json.loads(shifted[0])
+    assert bool(drawn) == ("locally_linear" in report)
+    if key in RHO_MATCH_KEYS:
+        assert any(cand["rho_match"]
+                   for cand in report["locally_linear"]["candidates"])
+
+
+@pytest.mark.parametrize("argv", [["eta", "3", "16", "113", "--p", "13"],
+                                  ["rho", "--lens", "13", "3", "8"]])
+def test_no_printed_table_reads_nu_constant(argv, monkeypatch, capsys):
+    # eta prints coefficients_at of eta(zeta); rho --lens reads the lens
+    # table off nu(r, s; zeta).
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    drawn = add_a_constant_per_call(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert drawn
 
 
 @st.composite
