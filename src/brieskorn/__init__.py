@@ -22,10 +22,9 @@ from .lattice import (Diagonalization, DiagonalizationFailure,
                       UnimodularForm, diagonalize, enumerate_roots)
 from .obstruction import (Certificate, ConstraintError, ConstraintSystem,
                           ObstructionVerdict, build_constraints, decide)
-from .spectral import (FixedPointData, LensCandidate, canonical_lens_pair,
-                       coefficients_at, eta_brieskorn, eta_from_fixed_data,
-                       fixed_point_data, ll_extension_search, nu_defect,
-                       rho_from_eta, rho_lens_table)
+from .spectral import (LensCandidate, canonical_lens_pair, coefficients_at,
+                       eta_brieskorn, eta_from_fixed_data, ll_extension_search,
+                       nu_defect, rho_from_eta, rho_lens_table)
 from .report import build_analysis, cached_analysis, render_json, render_text
 
 __all__ = [
@@ -41,9 +40,8 @@ __all__ = [
     "diagonalize", "enumerate_roots",
     "Certificate", "ConstraintError", "ConstraintSystem",
     "ObstructionVerdict", "build_constraints", "decide",
-    "FixedPointData", "LensCandidate", "canonical_lens_pair",
-    "coefficients_at", "eta_brieskorn", "eta_from_fixed_data",
-    "fixed_point_data", "ll_extension_search", "nu_defect", "rho_from_eta",
-    "rho_lens_table",
+    "LensCandidate", "canonical_lens_pair", "coefficients_at",
+    "eta_brieskorn", "eta_from_fixed_data", "ll_extension_search",
+    "nu_defect", "rho_from_eta", "rho_lens_table",
     "build_analysis", "cached_analysis", "render_json", "render_text",
 ]

@@ -22,7 +22,7 @@ the class body is no field: ``__init__``, ``==``, ``hash`` and ``repr``
 leave it out.
 
 Why not ``dataclasses``: importing it loads ``inspect`` (10-19 ms), and
-decorating the 14 result classes ``exec``s their generated methods
+decorating the 13 result classes ``exec``s their generated methods
 (about 12 ms), together about 70% of the package's cold import.  Here
 only ``__init__`` is generated, from a two- or three-line ``exec`` per
 class (about 0.1 ms); it fills the instance ``__dict__`` in one
@@ -30,8 +30,8 @@ class (about 0.1 ms); it fills the instance ``__dict__`` in one
 and keeps attribute reads as fast.  The other methods are closures over
 one ``operator.attrgetter`` of the fields.  That makes ``==`` and
 ``hash`` slower per call than inline tuples, but nothing hashes or
-compares records on a hot path: ``seifert_invariants`` hashes one
-triple per call.
+compares records on a hot path, and no cache of the package is keyed
+on a record.
 """
 
 from operator import attrgetter

@@ -20,8 +20,7 @@ from .obstruction import build_constraints, decide
 from .plumbing import (canonical_resolution, graph_signature,  # noqa: F401
                        intersection_matrix, propagate_rotations)
 from .seifert import BrieskornTriple, check_action, seifert_invariants
-from .spectral import (eta_from_fixed_data, fixed_point_data, ll_extension_search,
-                       rho_from_eta)
+from .spectral import eta_from_fixed_data, ll_extension_search, rho_from_eta
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "BRIESKORN_CACHE_DIR"
@@ -95,7 +94,6 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
 
     if p is not None and diag.found:
         markup = propagate_rotations(graph, p)
-        fd = fixed_point_data(markup, elim.signature)
         report["equivariant"] = {
             "p": p,
             "fixed_points": [list(pt) for pt in markup.isolated_points],
@@ -122,7 +120,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
                 "The orientation/sign constraint system is satisfiable; "
                 "this criterion does not obstruct a smooth extension.")
 
-        eta = eta_from_fixed_data(fd, p)
+        eta = eta_from_fixed_data(markup, elim.signature)
         rho = rho_from_eta(eta)
         candidates = ll_extension_search(triple, p, eta)
         report["locally_linear"] = {
@@ -271,15 +269,18 @@ def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None, *,
     an object of this schema for this input too; anything else, an entry
     written by other code included, is a miss, and the entry is rewritten
     in place.  A miss renders the text once, for the header and the
-    result.  An unusable cache directory is a miss that is not cached:
-    the result is still returned."""
+    result.  An unusable cache directory, an empty name included, is a
+    miss that is not cached: the result is still returned."""
     triple = BrieskornTriple.of(a, b, c)
     if p is not None:
         check_action(triple, p)
     a, b, c = triple.entries
     key = {"a": a, "b": b, "c": c, "p": p}
     directory = cache_dir()
-    path = os.path.join(directory, f"analyze_{a}_{b}_{c}_p{p}.json")
+    # An empty value names no directory, not the working one: the path is
+    # then "", which open and makedirs refuse, so nothing is read or written.
+    path = directory and os.path.join(directory,
+                                      f"analyze_{a}_{b}_{c}_p{p}.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())

@@ -13,7 +13,8 @@ module indexes the vectors.
 
 The boundary eta invariant of an equivariant 4-manifold with isolated
 fixed points (a_i, b_i), fixed spheres of self-intersection w and normal
-rotation c, and signature sigma is, at t = zeta^j != 1,
+rotation c, and signature sigma is, at t = zeta^j != 1 (for a plumbing,
+the points, the spheres and p are read off its EquivariantMarkup),
 
     eta(t) = sum_i nu(a_i, b_i; t) + sum_F w (-4 t^c) / (t^c - 1)^2 - sigma,
     nu(a, b; t) = (t^a + 1)(t^b + 1) / ((t^a - 1)(t^b - 1)).
@@ -57,6 +58,13 @@ The two rho tables agree exactly when eta = nu(r, s; zeta), that is when
 v_j - v_0 = n_j - n_0 for every j: nu is real, so its transform is even
 in l and equals rho_L, and the transform is injective (v_k - v_0 is
 p^2 rho(-k)).
+
+The lens search solves its congruences instead of scanning pairs.  A
+one-fixed-point extension with rotation data (r, s) needs {a1, a2, a3} =
+{1, r, s} (mod p) up to sign and a1 a2 a3 = r s (mod p).  With the
+entries' classes up to sign 1, u, v, the product P is +-uv, so s = P u^-1
+is +-v and (u, s) is the one pair up to the pair symmetries: at most one
+candidate, and one rho comparison.
 
 The kernel writes the integer entries directly, by two identities:
 1/(zeta^m - 1) = (1/p) sum_{k<p} k zeta^{mk} for m != 0 mod p (multiply
@@ -136,26 +144,10 @@ def nu_defect(a: int, b: int, p: int) -> Vector:
     return tuple(out)
 
 
-@record
-class FixedPointData:
-    """Fixed-set data of a bounding equivariant 4-manifold."""
-
-    isolated: Tuple[Tuple[int, int], ...]
-    spheres: Tuple[Tuple[int, int], ...]  # (self-intersection, normal rotation)
-    signature: int
-
-
-def fixed_point_data(markup: EquivariantMarkup, signature: int) -> FixedPointData:
-    """Assemble eta input from a plumbing tree's markup and signature."""
-    return FixedPointData(
-        isolated=markup.isolated_points,
-        spheres=tuple((w, c) for _, w, c in markup.fixed_spheres),
-        signature=signature,
-    )
-
-
-def eta_from_fixed_data(fd: FixedPointData, p: int) -> Vector:
-    """Boundary eta invariant eta(zeta) of the fixed-point data, exactly.
+def eta_from_fixed_data(markup: EquivariantMarkup, signature: int) -> Vector:
+    """Boundary eta invariant eta(zeta) of a plumbing's fixed set, read off
+    its Z/p markup (isolated points, spheres (w, c) and p), and its
+    signature, exactly.
 
     A sphere (w, c) adds w (1 - nu(c, c; zeta)), so eta is an integer
     combination of cached nu_defect values and an integer, summed as
@@ -163,11 +155,12 @@ def eta_from_fixed_data(fd: FixedPointData, p: int) -> Vector:
     that is not signals a broken defect kernel and raises
     InternalInvariantError.
     """
+    p = markup.p
     check_order(p)
-    terms = [(1, a, b) for a, b in fd.isolated]
-    terms += [(-w, c, c) for w, c in fd.spheres]
+    terms = [(1, a, b) for a, b in markup.isolated_points]
+    terms += [(-w, c, c) for _, w, c in markup.fixed_spheres]
     acc = [0] * p
-    acc[0] = p * p * (sum(w for w, _ in fd.spheres) - fd.signature)
+    acc[0] = p * p * (sum(w for _, w, _ in markup.fixed_spheres) - signature)
     for k, a, b in terms:
         acc = [s + k * n for s, n in zip(acc, nu_defect(a, b, p))]
     if acc[1:] != acc[:0:-1]:
@@ -197,9 +190,8 @@ def eta_brieskorn(triple: BrieskornTriple, p: int) -> Vector:
     canonical resolution with its equivariant markup."""
     check_action(triple, p)
     graph = canonical_resolution(seifert_invariants(triple))
-    markup = propagate_rotations(graph, p)
-    return eta_from_fixed_data(
-        fixed_point_data(markup, graph_signature(graph)[0]), p)
+    return eta_from_fixed_data(propagate_rotations(graph, p),
+                               graph_signature(graph)[0])
 
 
 def rho_from_eta(eta: Vector) -> Tuple[Fraction, ...]:
@@ -259,13 +251,16 @@ def _same_value(x: Vector, y: Vector) -> bool:
 
 def ll_extension_search(triple: BrieskornTriple, p: int, eta: Vector
                         ) -> Tuple[LensCandidate, ...]:
-    """All lens parameters (r, s) mod p compatible with a one-fixed-point
-    locally linear extension, with rho diagnostics.
+    """The one lens pair (r, s) mod p, if any, compatible with a
+    one-fixed-point locally linear extension, with its rho diagnostic.
 
     A candidate has {a1, a2, a3} == {r, s, 1} (mod p) as multisets up to
-    sign, so some a_i is +-1 and the other two are r, s up to sign, and
-    a1*a2*a3 == r*s (mod p) fixes the sign.  Its rho tables match exactly
-    when eta(zeta) = nu(r, s; zeta), for eta the quotient's eta(zeta).
+    sign, so some a_i is +-1 and the other two are u, v up to sign, and
+    a1*a2*a3 == r*s (mod p).  The product P = a1*a2*a3 is +-uv, so of the
+    pairs (u, +-v) exactly one has u*s == P: s = P u^-1 (p is odd, so
+    v != -v), and there is at most one candidate.  Its rho tables match
+    exactly when eta(zeta) = nu(r, s; zeta), for eta the quotient's
+    eta(zeta).
     """
     check_action(triple, p)
     if len(eta) != p:
@@ -277,11 +272,8 @@ def ll_extension_search(triple: BrieskornTriple, p: int, eta: Vector
                           for a in triple.entries))
     if target[0] != 1:  # no entry is +-1 mod p
         return ()
-    u, v = target[1:]
-    pairs = sorted({canonical_lens_pair(u, s, p) for s in (v, -v)
-                    if (u * s) % p == product_residue})
-    return tuple(
-        LensCandidate(p=p, r=r, s=s, product_residue=product_residue,
-                      rs_residue=(r * s) % p, multiset_residues=target,
-                      rho_match=_same_value(eta, nu_defect(r, s, p)))
-        for r, s in pairs)
+    u = target[1]
+    r, s = canonical_lens_pair(u, product_residue * pow(u, -1, p), p)
+    return (LensCandidate(p=p, r=r, s=s, product_residue=product_residue,
+                          rs_residue=(r * s) % p, multiset_residues=target,
+                          rho_match=_same_value(eta, nu_defect(r, s, p))),)

@@ -439,19 +439,21 @@ def sphere_defect(w: int, c: int, p: int, j: int = 1) -> Field:
                inverse(mul(zc - 1, zc - 1)))
 
 
-def eta_value(fd, p: int, j: int) -> Field:
-    """eta at zeta^j, summed term by term over Fraction."""
-    total = Field.from_rational(p, -fd.signature)
-    for a, b in fd.isolated:
+def eta_value(markup, signature: int, j: int) -> Field:
+    """eta at zeta^j of a markup's fixed set and a signature, summed term
+    by term over Fraction."""
+    p = markup.p
+    total = Field.from_rational(p, -signature)
+    for a, b in markup.isolated_points:
         total = total + nu_defect(a, b, p, j)
-    for w, c in fd.spheres:
+    for _, w, c in markup.fixed_spheres:
         total = total + sphere_defect(w, c, p, j)
     return total
 
 
-def eta_values(fd, p: int):
+def eta_values(markup, signature: int):
     """j -> eta at zeta^j, each evaluated on its own."""
-    return {j: eta_value(fd, p, j) for j in range(1, p)}
+    return {j: eta_value(markup, signature, j) for j in range(1, markup.p)}
 
 
 def _rotated(row, shift):

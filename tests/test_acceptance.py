@@ -12,10 +12,10 @@ from brieskorn import (BrieskornTriple, UnimodularForm,
                        build_constraints, canonical_lens_pair,
                        canonical_resolution, decide, diagonalize,
                        enumerate_roots, eta_from_fixed_data,
-                       eta_brieskorn, family, fixed_point_data,
-                       graph_signature, intersection_matrix, is_prime,
-                       ll_extension_search, nu_defect, propagate_rotations,
-                       rho_from_eta, rho_lens_table, seifert_invariants,
+                       eta_brieskorn, family, graph_signature,
+                       intersection_matrix, is_prime, ll_extension_search,
+                       nu_defect, propagate_rotations, rho_from_eta,
+                       rho_lens_table, seifert_invariants,
                        standard_action_valid)
 from brieskorn.matrices import transpose
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
@@ -194,8 +194,7 @@ def test_c07_bounding_family_eta_equality():
         s = k * p
         graph = fickle_graph(r, s, "+")
         markup = propagate_rotations(graph, p)
-        eta = eta_from_fixed_data(
-            fixed_point_data(markup, graph_signature(graph)[0]), p)
+        eta = eta_from_fixed_data(markup, graph_signature(graph)[0])
         assert lift(eta) == lift(nu_defect(r, 2 * r + 2, p))
         for j in range(1, p):
             assert lift(eta).galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
@@ -212,13 +211,12 @@ def test_c08_three_way_eta_consistency():
         [(1, 1), (1, 2), (1, 2), (1, 2), (1, 2), (2, 2)])
     assert sorted((w, c) for _, w, c in markup.fixed_spheres) == \
         [(-2, 3), (-2, 3), (-1, 1)]
-    fd = fixed_point_data(markup, graph_signature(g)[0])
-    assert fd.signature == -11
-    eta_res = eta_from_fixed_data(fd, 5)
+    signature = graph_signature(g)[0]
+    assert signature == -11
+    eta_res = eta_from_fixed_data(markup, signature)
     fick = fickle_graph(3, 5, "+")
-    eta_fick = eta_from_fixed_data(
-        fixed_point_data(propagate_rotations(fick, 5),
-                         graph_signature(fick)[0]), 5)
+    eta_fick = eta_from_fixed_data(propagate_rotations(fick, 5),
+                                   graph_signature(fick)[0])
     assert lift(eta_res) == lift(eta_fick) == lift(nu_defect(3, 8, 5))
     for j in range(1, 5):
         assert (lift(eta_res).galois(j) == lift(eta_fick).galois(j)

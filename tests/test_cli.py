@@ -363,16 +363,30 @@ class TestCache:
 
     def test_empty_cache_dir_caches_nothing(self, monkeypatch, tmp_path,
                                             capsys):
-        # An empty value names no directory: makedirs("") fails, so every
-        # call is a miss that is not cached, and no home dir is looked up.
+        # An empty value names no directory: every call is a miss that is
+        # not cached, and no home dir is looked up.  Nor is the working
+        # directory read: a valid entry planted there, with forged text and
+        # a forged report, is never served and never rewritten.
         monkeypatch.setenv("BRIESKORN_CACHE_DIR", "")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(os.path, "expanduser", None)
+        report = build_analysis(2, 3, 7, 5)
+        forged = {**report, "conclusions": ["FORGED REPORT"]}
+        header, line2 = entry_of(forged).split("\n")
+        planted = tmp_path / "analyze_2_3_7_p5.json"
+        planted_text = (json.dumps({**json.loads(header),
+                                    "text": "FORGED TEXT\n"})
+                        + "\n" + line2)
+        planted.write_text(planted_text, encoding="utf-8")
         for _ in ("first", "second"):
             assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
-            assert capsys.readouterr().out == render_text(
-                build_analysis(2, 3, 7, 5))
-        assert list(tmp_path.iterdir()) == []
+            assert capsys.readouterr().out == render_text(report)
+            assert main(["analyze", "2", "3", "7", "--p", "5",
+                         "--json", "-"]) == 0
+            assert capsys.readouterr().out == render_json(report)
+            assert cached_analysis(2, 3, 7, 5) == report
+        assert list(tmp_path.iterdir()) == [planted]
+        assert planted.read_text(encoding="utf-8") == planted_text
 
     def test_entry_of_other_source_is_never_read(self, tmp_cache, monkeypatch):
         # The entry's name holds only the input; the writer's source digest
@@ -913,12 +927,13 @@ class TestSharedParser:
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_module(args, cache_dir):
+def run_module(args, cache_dir, cwd=None):
     """`python -m brieskorn ARGS` in a fresh interpreter on this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, BRIESKORN_CACHE_DIR=str(cache_dir))
     return subprocess.run([sys.executable, "-m", "brieskorn", *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=300,
+                          cwd=cwd)
 
 
 class TestEntryPoint:
@@ -935,6 +950,23 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: p must be an odd prime >= 3, got 9\n"
+
+    def test_module_run_with_empty_cache_dir_reads_no_entry(self, tmp_path):
+        # BRIESKORN_CACHE_DIR= names no directory, not the working one.  The
+        # entry planted there is valid: named as the cache dir, it is served.
+        args = ["analyze", "3", "16", "113", "--p", "5"]
+        report = build_analysis(3, 16, 113, 5)
+        header, line2 = entry_of(report).split("\n")
+        planted = tmp_path / "analyze_3_16_113_p5.json"
+        planted_text = (json.dumps({**json.loads(header), "text": "PLANTED\n"})
+                        + "\n" + line2)
+        planted.write_text(planted_text, encoding="utf-8")
+        assert run_module(args, tmp_path).stdout == "PLANTED\n"
+        proc = run_module(args, "", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == render_text(report)
+        assert list(tmp_path.iterdir()) == [planted]
+        assert planted.read_text(encoding="utf-8") == planted_text
 
     def test_import_builds_no_parser_and_reads_no_source(self):
         # setup_s in the benchmark times the import and one parser build.

@@ -10,8 +10,8 @@ import pytest
 from brieskorn import (BrieskornTriple, ConstraintError, EquivariantMarkup,
                        InputError, PlumbingGraph, PropagationError,
                        SeifertData, UnimodularForm, build_constraints,
-                       coefficients_at, diagonalize, family,
-                       ll_extension_search, propagate_rotations,
+                       coefficients_at, diagonalize, eta_from_fixed_data,
+                       family, ll_extension_search, propagate_rotations,
                        standard_action_valid, star)
 from brieskorn.matrices import inverse_unimodular, parse_matrix_text
 
@@ -58,6 +58,13 @@ CASES = {
     "coefficients-at-a-multiple-of-p": (
         lambda: coefficients_at((0,) * 5, 10),
         ValueError, "10 is not invertible mod 5"),
+    # eta reads p from the markup, whose constructor does not check it;
+    # one isolated point and no node (1 + 2*0 == 1 + 0).
+    "eta-of-a-markup-with-p-not-prime": (
+        lambda: eta_from_fixed_data(
+            EquivariantMarkup(p=9, fixed_spheres=(),
+                              isolated_points=((1, 1),), node_kinds=()), 0),
+        InputError, "p must be an odd prime >= 3, got 9"),
     "lens-search-eta-of-another-p": (
         lambda: ll_extension_search(BrieskornTriple(3, 16, 113), 5, (0,) * 7),
         ValueError, "eta is for p=7, not p=5"),

@@ -28,7 +28,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from brieskorn import (BrieskornTriple, canonical_resolution,
-                       eta_from_fixed_data, fixed_point_data, graph_signature,
+                       eta_from_fixed_data, graph_signature,
                        propagate_rotations, rho_from_eta, seifert_invariants,
                        star)
 from brieskorn.arith import is_prime
@@ -89,8 +89,7 @@ def continuants(ts):
 def rho_of_star(center, chains, p):
     g = star(center, chains)
     markup = propagate_rotations(g, p)
-    eta = eta_from_fixed_data(
-        fixed_point_data(markup, graph_signature(g)[0]), p)
+    eta = eta_from_fixed_data(markup, graph_signature(g)[0])
     return rho_from_eta(eta)
 
 

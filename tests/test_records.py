@@ -13,7 +13,7 @@ import pytest
 
 from brieskorn import (BrieskornTriple, HJExpansion, UnimodularForm,
                        build_constraints, canonical_resolution, decide,
-                       diagonalize, eta_brieskorn, family, fixed_point_data,
+                       diagonalize, eta_brieskorn, family,
                        hj_expand, intersection_matrix, ll_extension_search,
                        propagate_rotations, seifert_invariants)
 from brieskorn.lattice import Diagonalization
@@ -24,7 +24,7 @@ RECORD_CLASSES = {
     "BrieskornTriple", "HJExpansion", "SeifertData", "PlumbingGraph",
     "EquivariantMarkup", "Elimination", "UnimodularForm", "Diagonalization",
     "DiagonalizationFailure", "ConstraintSystem", "Certificate",
-    "ObstructionVerdict", "FixedPointData", "LensCandidate",
+    "ObstructionVerdict", "LensCandidate",
 }
 
 
@@ -47,7 +47,7 @@ def _records():
     records = [triple, hj_expand(triple.a3, sd.b[2]), sd, graph, markup,
                form.elimination, form, diag, diagonalize(e8),
                build_constraints(markup, diag), verdict.certificate, verdict,
-               fixed_point_data(markup, form.elimination.signature), lens]
+               lens]
     return {type(r).__name__: r for r in records}
 
 

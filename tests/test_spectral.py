@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, FixedPointData,
+from brieskorn import (BrieskornTriple, EquivariantMarkup,
                        canonical_lens_pair, canonical_resolution,
-                       eta_brieskorn, eta_from_fixed_data,
-                       fixed_point_data, graph_signature,
+                       eta_brieskorn, eta_from_fixed_data, graph_signature,
                        ll_extension_search,
                        nu_defect, propagate_rotations, rho_from_eta,
                        rho_lens_table, seifert_invariants)
@@ -50,15 +49,20 @@ class TestCancellation:
     def test_sphere_defect_normalization(self):
         # a (-1)-sphere with normal rotation 1 contributes +4t/(t-1)^2
         for p in (5, 7):
-            sphere = eta_from_fixed_data(FixedPointData((), ((-1, 1),), 0), p)
+            # one fixed (-1)-sphere on one node (0 + 2*1 == 1 + 1)
+            sphere = eta_from_fixed_data(
+                EquivariantMarkup(p, ((0, -1, 1),), (), ("fixed",)), 0)
             for j in range(1, p):
                 z = oracle.zeta(p, j)
                 assert lift(sphere).galois(j) == oracle.div(4 * z, (z - 1) * (z - 1))
 
     @pytest.mark.parametrize("c", [0, 5, -10])
     def test_zero_normal_rotation_raises(self, c):
+        # one point and one sphere on two nodes (1 + 2*1 == 1 + 2)
+        markup = EquivariantMarkup(5, ((0, -2, c),), ((1, 2),),
+                                   ("fixed", "invariant"))
         with pytest.raises(ValueError):
-            eta_from_fixed_data(FixedPointData(((1, 2),), ((-2, c),), 0), 5)
+            eta_from_fixed_data(markup, 0)
 
 
 class TestEta:
@@ -66,9 +70,9 @@ class TestEta:
         for r, p in ((3, 5), (3, 7), (5, 7)):
             g = fickle_graph(r, p, "+")
             markup = propagate_rotations(g, p)
-            fd = fixed_point_data(markup, graph_signature(g)[0])
-            assert fd.signature == -2
-            eta = eta_from_fixed_data(fd, p)
+            signature = graph_signature(g)[0]
+            assert signature == -2
+            eta = eta_from_fixed_data(markup, signature)
             assert lift(eta) == lift(nu_defect(r, 2 * r + 2, p))
             for j in range(1, p):
                 assert lift(eta).galois(j) == oracle.nu_defect(r, 2 * r + 2, p, j)
@@ -77,14 +81,14 @@ class TestEta:
         t = BrieskornTriple.of(3, 16, 113)
         g = canonical_resolution(seifert_invariants(t))
         markup = propagate_rotations(g, 5)
-        fd = fixed_point_data(markup, graph_signature(g)[0])
-        assert fd.signature == -11
-        assert len(fd.isolated) == 6 and len(fd.spheres) == 3
-        eta_resolution = eta_from_fixed_data(fd, 5)
+        signature = graph_signature(g)[0]
+        assert signature == -11
+        assert len(markup.isolated_points) == 6
+        assert len(markup.fixed_spheres) == 3
+        eta_resolution = eta_from_fixed_data(markup, signature)
         fick = fickle_graph(3, 5, "+")
-        eta_bounding = eta_from_fixed_data(
-            fixed_point_data(propagate_rotations(fick, 5),
-                             graph_signature(fick)[0]), 5)
+        eta_bounding = eta_from_fixed_data(propagate_rotations(fick, 5),
+                                           graph_signature(fick)[0])
         for j in range(1, 5):
             assert lift(eta_resolution).galois(j) == oracle.nu_defect(3, 8, 5, j)
             assert lift(eta_bounding).galois(j) == oracle.nu_defect(3, 8, 5, j)
@@ -189,8 +193,10 @@ class TestLensSearch:
             ll_extension_search(BrieskornTriple.of(3, 16, 113), 3, (0,) * 3)
 
 
-class TestFixedPointDataValidation:
+class TestEtaInputValidation:
     def test_eta_rejects_zero_rotations(self):
-        fd = FixedPointData(isolated=((1, 5),), spheres=(), signature=0)
+        # one isolated point and no node (1 + 2*0 == 1 + 0)
+        markup = EquivariantMarkup(p=5, fixed_spheres=(),
+                                   isolated_points=((1, 5),), node_kinds=())
         with pytest.raises(ValueError):
-            eta_from_fixed_data(fd, 5)
+            eta_from_fixed_data(markup, 0)

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, FixedPointData,
+from brieskorn import (BrieskornTriple, EquivariantMarkup,
                        InternalInvariantError, build_analysis,
                        canonical_resolution, eta_brieskorn,
-                       eta_from_fixed_data, family,
-                       fixed_point_data, graph_signature,
+                       eta_from_fixed_data, family, graph_signature,
                        ll_extension_search, nu_defect,
                        propagate_rotations, render_json, render_text,
                        rho_from_eta, rho_lens_table, seifert_invariants,
@@ -221,10 +220,12 @@ def test_vectors_modulo_constants_are_the_field(case):
     assert constant == (fx == fy) == spectral._same_value(x, y)
     for j in range(1, p):
         assert spectral.coefficients_at(x, j) == fx.galois(j).coeffs
-    fd = FixedPointData(isolated=((1, 1),), spheres=(), signature=0)
+    # One isolated point and no node (1 + 2*0 == 1 + 0).
+    markup = EquivariantMarkup(p=p, fixed_spheres=(),
+                               isolated_points=((1, 1),), node_kinds=())
     with mock.patch.object(spectral, "nu_defect", lambda a, b, q: x):
         try:
-            real = eta_from_fixed_data(fd, p) == x
+            real = eta_from_fixed_data(markup, 0) == x
         except InternalInvariantError:
             real = False
     assert real == (fx.galois(p - 1) == fx)
@@ -275,9 +276,9 @@ def test_closed_form_inverse_times_zeta_power_minus_one_is_one():
 
 
 def quotient_data(triple, p):
+    """The markup and signature of the canonical resolution: eta's input."""
     graph = canonical_resolution(seifert_invariants(triple))
-    return fixed_point_data(propagate_rotations(graph, p),
-                            graph_signature(graph)[0])
+    return propagate_rotations(graph, p), graph_signature(graph)[0]
 
 
 @st.composite
@@ -300,9 +301,9 @@ def family_member(draw):
 @given(family_member())
 def test_eta_and_rho_match_fraction_oracles(member):
     triple, p = member
-    fd = quotient_data(triple, p)
-    eta = eta_from_fixed_data(fd, p)
-    expected = oracle.eta_values(fd, p)
+    data = quotient_data(triple, p)
+    eta = eta_from_fixed_data(*data)
+    expected = oracle.eta_values(*data)
     assert {j: lift(eta).galois(j) for j in range(1, p)} == expected
     rho = rho_from_eta(eta)
     assert len(rho) == p and rho[0] == 0
@@ -323,18 +324,22 @@ def triple_and_prime(draw):
 @given(triple_and_prime(), st.data())
 def test_rho_read_off_matches_fourier_transform(member, data):
     triple, p = member
-    fd = quotient_data(triple, p)
-    eta = eta_from_fixed_data(fd, p)
+    markup, signature = quotient_data(triple, p)
+    eta = eta_from_fixed_data(markup, signature)
     j = data.draw(st.integers(min_value=1, max_value=p - 1))
-    assert lift(eta).galois(j) == oracle.eta_value(fd, p, j)
+    assert lift(eta).galois(j) == oracle.eta_value(markup, signature, j)
     profile = oracle.profile(eta)
     assert rho_from_eta(eta) == oracle.rho_from_eta(profile.values, p)
 
 
 def assert_search_matches_scan(triple, p):
-    eta = eta_from_fixed_data(quotient_data(triple, p), p)
+    eta = eta_from_fixed_data(*quotient_data(triple, p))
     sigma_rho = oracle.rho_from_eta(oracle.profile(eta).values, p)
     expected = oracle.ll_extension_search(triple, p, sigma_rho)
+    # The scan over every canonical pair finds at most one: the product
+    # congruence picks one sign of the pair (u, +-v).
+    assert len(expected) <= 1
+    assert all(c.rs_residue == c.product_residue for c in expected)
     assert ll_extension_search(triple, p, eta) == expected
     assert ll_extension_search(triple, p, eta_brieskorn(triple, p)) == expected
     return expected
