@@ -14,21 +14,29 @@ The unknowns are one orientation sign per node sphere and one sign per
 diagonal basis vector.  Every nonzero coefficient then pins the product
 of two signs, so the whole system is a parity (2-coloring) problem; the
 solver 2-colors it in linear time, seeding each connected component once
-and propagating, with no backtracking.  Sphere i is read from its sparse
-coordinates (Diagonalization.coordinates), the nonzero (j, x) of column i
-of C^-1; a sphere of square w has at most |w|.  Every intersection number
-the system needs is an entry of Q: Diagonalization checks X^t X = -Q for
-X = C^-1 when it is built, so [F_i].[F_k] = Q[i][k], and the squares and
-couplings are read off Q's diagonal and the nonzeros of its rows.  Only
-Certificate.verify takes its own sparse dot products, so it re-checks a
-certificate independently of Q.  The tests check the solver against an
-exhaustive assignment oracle for small ranks, and the assembly against a
-dense one (tests/obstruction_oracle.py).
+and propagating, with no backtracking.  An infeasible system gets one of
+three certificates: a fixed sphere with a coefficient of size >= 2, the
+configuration of a fixed (-1)-sphere with two disjoint invariant
+neighbours when there is one, and otherwise the negative cycle that the
+2-coloring closed: the conflicting equation plus the two paths of the
+search forest to their first common variable.  Sphere i is read from its
+sparse coordinates (Diagonalization.coordinates), the nonzero (j, x) of
+column i of C^-1; a sphere of square w has at most |w|.  Every
+intersection number the system needs is an entry of Q: Diagonalization
+checks X^t X = -Q for X = C^-1 when it is built, so [F_i].[F_k] =
+Q[i][k], and the squares and couplings are read off Q's diagonal and the
+nonzeros of its rows.  Only Certificate.verify takes its own sparse dot
+products and reads a cycle's signs from the columns and couplings, so it
+re-checks a certificate independently of Q and of the solver.  The tests
+check the solver against an exhaustive assignment oracle for small
+ranks, and the assembly against a dense one
+(tests/obstruction_oracle.py).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import Diagonalization
@@ -103,17 +111,19 @@ def build_constraints(markup: EquivariantMarkup,
 class Certificate:
     """Witness of infeasibility.
 
-    kind "adjacent-branches" is the configuration of a fixed (-1)-sphere
-    with two disjoint invariant neighbours: orientation coupling forces
-    both neighbours to have coefficient 1 on the sphere's basis vector
-    while all their coefficients are >= 0, so 0 = [F].[G] = -(1 + sum of
-    products of nonnegative coefficients) < 0.  kind "parity-conflict"
-    names two spheres whose shared diagonal indices pin their relative
-    orientation in contradictory ways.  kind "fixed-coefficient" names a
-    fixed sphere with a coefficient of absolute value >= 2, which no
-    choice of signs puts in {0, 1}.  kind "search-refutation" is the
-    fallback when neither pattern is found; it names no witness, and
-    verify rejects it.
+    kind "fixed-coefficient" names a fixed sphere with a coefficient of
+    absolute value >= 2, which no choice of signs puts in {0, 1}.  kind
+    "adjacent-branches" is the configuration of a fixed (-1)-sphere with
+    two disjoint invariant neighbours: orientation coupling forces both
+    neighbours to have coefficient 1 on the sphere's basis vector while
+    all their coefficients are >= 0, so 0 = [F].[G] = -(1 + sum of
+    products of nonnegative coefficients) < 0.  kind "negative-cycle"
+    lists the variables (o_i = i, s_j = m + j, as in decide) of a cycle
+    of sign equations whose signs multiply to -1, which exists exactly
+    when the 2-coloring has no solution (Harary, Michigan Math. J. 2,
+    1953).  verify re-checks every kind from the system alone and returns
+    False on a certificate of the wrong arity or with an index out of
+    range.
     """
 
     kind: str
@@ -125,6 +135,13 @@ class Certificate:
 
     def verify(self, cs: ConstraintSystem) -> bool:
         """Re-check the integer identities the certificate rests on."""
+        m = len(cs.columns)
+        size, bound = {"adjacent-branches": (3, m), "fixed-coefficient": (1, m),
+                       "negative-cycle": (len(self.spheres), m + cs.n),
+                       }.get(self.kind, (0, 0))
+        if not 0 < len(self.spheres) == size or not all(
+                0 <= i < bound for i in self.spheres):
+            return False
         if self.kind == "adjacent-branches":
             s, f, g = self.spheres
             return (cs.kinds[s] == "fixed"
@@ -138,12 +155,17 @@ class Certificate:
             (s,) = self.spheres
             return (cs.kinds[s] == "fixed"
                     and any(abs(x) >= 2 for _, x in cs.columns[s]))
-        if self.kind == "parity-conflict":
-            f, g = self.spheres
-            products = {x * y for j, x in cs.columns[f]
-                        for l, y in cs.columns[g] if j == l}
-            return any(x > 0 for x in products) and any(x < 0 for x in products)
-        return False
+        # The signs of the equations on each pair of consecutive
+        # variables: a sphere-basis pair is read from cs.columns, a
+        # sphere-sphere pair from cs.couplings.  sum(s) is the pair's
+        # sign, or 0 for a pair carrying both signs, which is a
+        # contradiction on its own.
+        cycle = self.spheres
+        signs = [{1 if x > 0 else -1 for j, x in cs.columns[a] if m + j == b}
+                 if a < m <= b else {c for i, k, c in cs.couplings
+                                     if sorted((i, k)) == [a, b]}
+                 for a, b in map(sorted, zip(cycle, cycle[1:] + cycle[:1]))]
+        return all(signs) and prod(map(sum, signs)) < 1
 
 
 @record
@@ -170,7 +192,10 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
     two o's.  Each connected component is seeded once with +1, and each
     equation with one endpoint assigned pins the other.  Flipping a
     component's seed flips every sign in it and keeps every equation, so
-    one seed decides the component and nothing is ever undone.
+    one seed decides the component and nothing is ever undone.  Each
+    variable's parent (the variable that pinned it) is recorded, so an
+    equation that contradicts the assignment closes a negative cycle
+    through the spanning forest.
     """
     for i, col in enumerate(cs.columns):
         if cs.kinds[i] == "fixed" and any(abs(x) >= 2 for _, x in col):
@@ -190,7 +215,8 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
     for i, k, sign in cs.couplings:
         adjacent[i].append((k, sign))
         adjacent[k].append((i, sign))
-    value = [0] * (m + cs.n)          # 0: not yet assigned
+    # value 0: not yet assigned; parent None: a seed
+    value, parent = [0] * (m + cs.n), [None] * (m + cs.n)
     for seed in range(m + cs.n):
         if value[seed]:
             continue
@@ -201,14 +227,16 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
             for v, sign in adjacent[u]:
                 if not value[v]:
                     value[v] = value[u] * sign
+                    parent[v] = u
                     stack.append(v)
                 elif value[v] != value[u] * sign:
-                    return ObstructionVerdict(None, _certificate(cs))
+                    return ObstructionVerdict(None, _certificate(cs, parent, u, v))
     return ObstructionVerdict({"orientations": tuple(value[:m]),
                                "basis_signs": tuple(value[m:])}, None)
 
 
-def _certificate(cs: ConstraintSystem) -> Certificate:
+def _certificate(cs: ConstraintSystem, parent: List[Optional[int]],
+                 u: int, v: int) -> Certificate:
     # Preferred witness: fixed (-1)-sphere with two disjoint invariant
     # neighbours (always present for a central node of a resolution tree
     # with at least two branches).  A fixed (-1)-sphere's invariant
@@ -228,20 +256,16 @@ def _certificate(cs: ConstraintSystem) -> Certificate:
                     f"invariant neighbours {f} and {g}, whose coefficients "
                     f"are all >= 0, so 0 = [F{f}].[F{g}] = -1 - (sum of "
                     "products of nonnegative coefficients): impossible"))
-    # Fallback: the first two columns whose shared support pins o_f*o_g
-    # both ways; only spheres sharing a basis vector can qualify.
-    shared: Dict[int, List[int]] = {}
-    for f, col in enumerate(cs.columns):
-        for j, _ in col:
-            shared.setdefault(j, []).append(f)
-    for f, g in sorted({pair for nodes in shared.values()
-                        for pair in combinations(nodes, 2)}):
-        cert = Certificate(
-            kind="parity-conflict", spheres=(f, g),
-            detail=(f"spheres {f} and {g} share diagonal indices with "
-                    "both product signs; no sign assignment orients "
-                    "both columns consistently"))
-        if cert.verify(cs):
-            return cert
-    return Certificate(kind="search-refutation", spheres=(),
-                       detail="unit propagation derived a contradiction")
+    # Fallback: the conflicting equation u-v closes a cycle with the
+    # forest paths from u and from v up to their first common variable.
+    up, down = [u], [v]
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    depth = {x: t for t, x in enumerate(up)}
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    cycle = up[:depth[down[-1]]] + down[::-1]
+    names = [f"F{x}" if x < len(cs.columns) else f"e{x - len(cs.columns)}"
+             for x in cycle + cycle[:1]]
+    return Certificate("negative-cycle", tuple(cycle), detail=(
+        f"the sign equations around {' - '.join(names)} multiply to -1"))

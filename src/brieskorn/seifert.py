@@ -157,10 +157,14 @@ def family(kind: str, r: int, s: int, sign: str = "+") -> BrieskornTriple:
     casson-harer:
         r even, s odd:  (r, r*s - 1, r*s + 1)          (sign ignored)
         r odd,  any s:  (r, r*s +- 1, r*s +- 2)
-    stern (sphere bounds a contractible manifold; s = k*p gives the
-    locally-linear extension family):
+    stern (sphere bounds a contractible manifold):
         r even, s odd:  (r, r*s +- 1, 2r(r*s +- 1) + r*s -+ 1)
         r odd,  any s:  (r, r*s +- 1, 2r(r*s +- 1) + r*s +- 2)
+
+    The odd-r stern members with s = k*p form the locally-linear
+    extension family: the lens search finds the class of L(p; r, 2r+2),
+    and its rho invariants match.  An even-r member with p | s also gets
+    a lens candidate, but its rho invariants do not match.
 
     Degenerate parameters (an entry <= 1, or non-coprime entries) are
     rejected rather than silently normalized.

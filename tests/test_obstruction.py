@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
                        ConstraintSystem, Diagonalization, UnimodularForm,
@@ -297,7 +298,9 @@ ODD_CYCLE_AT_FIXED = system(
 class TestCertificateTiers:
     @pytest.mark.parametrize("cs, kind, spheres", [
         (ADJACENT, "adjacent-branches", (0, 1, 2)),
-        (CONFLICT, "parity-conflict", (0, 1)),
+        # F1 = e0 - e1 and F0 = e0 + e1: the cycle F1 - e1 - F0 - e0 - F1
+        # has signs -1, +1, +1, +1 (variables o_i = i, s_j = 2 + j).
+        (CONFLICT, "negative-cycle", (1, 3, 0, 2)),
     ])
     def test_checkable_tiers(self, cs, kind, spheres):
         verdict = decide(cs)
@@ -311,22 +314,46 @@ class TestCertificateTiers:
         assert detail.startswith("fixed sphere 0 of square -1 reduces to a "
                                  "diagonal basis vector e0;")
 
+    def test_negative_cycle_detail_names_the_variables(self):
+        assert decide(CONFLICT).certificate.render() == (
+            "infeasible (negative-cycle): the sign equations around "
+            "F1 - e1 - F0 - e0 - F1 multiply to -1")
+
     def test_neighbours_are_read_off_the_couplings(self):
         # Without its couplings the (-1)-sphere has no neighbours, and
-        # the pair f, g falls through to the parity-conflict tier.
+        # the pair f, g is refuted by the cycle through their shared
+        # basis vectors.
         uncoupled = system(ADJACENT.kinds, ADJACENT.columns, [], 2)
         cert = decide(uncoupled).certificate
-        assert (cert.kind, cert.spheres) == ("parity-conflict", (1, 2))
+        assert (cert.kind, cert.spheres) == ("negative-cycle", (4, 2, 3, 1))
         assert cert.verify(uncoupled)
 
     @pytest.mark.parametrize("cs", [ODD_CYCLE, ODD_CYCLE_AT_FIXED])
-    def test_coupling_only_odd_cycle_is_a_search_refutation(self, cs):
+    def test_coupling_only_odd_cycle_is_a_negative_cycle(self, cs):
         verdict = decide(cs)
         assert verdict.status == "infeasible" == brute_force_decide(cs)
         cert = verdict.certificate
-        assert (cert.kind, cert.spheres) == ("search-refutation", ())
-        # This tier names no witness, so there is nothing to re-check.
-        assert not cert.verify(cs)
+        assert (cert.kind, cert.spheres) == ("negative-cycle", (2, 0, 1))
+        assert cert.detail.endswith("around F2 - F0 - F1 - F2 multiply to -1")
+        assert cert.verify(cs)
+
+    def test_negative_cycle_reads_each_pair_from_the_system(self):
+        # Variables o_i = i and s_j = 3 + j.  The 2-cycle F0 - F1 runs
+        # over one pair twice, with sign +1 * +1; F1 has no coefficient
+        # on e0 (variable 3); e0 - e1 is no equation at all.
+        for cycle in ((0, 1), (0, 1, 3), (3, 4, 0)):
+            cert = Certificate("negative-cycle", cycle, "")
+            assert not cert.verify(ODD_CYCLE), cycle
+        # A pair carrying both signs is a contradiction on its own, and a
+        # negative self-coupling is a cycle of length one.
+        cs = system(ODD_CYCLE.kinds, ODD_CYCLE.columns,
+                    [(0, 1, 1), (1, 0, -1), (2, 2, -1)], 3)
+        assert decide(cs).status == "infeasible" == brute_force_decide(cs)
+        assert decide(cs).certificate.verify(cs)
+        for cycle, holds in (((0, 1), True), ((1, 0), True), ((2,), True),
+                             ((1,), False), ((0, 1, 2), False)):
+            cert = Certificate("negative-cycle", cycle, "")
+            assert cert.verify(cs) is holds, cycle
 
     def test_even_cycle_is_feasible(self):
         cs = system(ODD_CYCLE.kinds, ODD_CYCLE.columns,
@@ -338,3 +365,95 @@ class TestCertificateTiers:
         assert all(o[i] * o[k] == sign for i, k, sign in cs.couplings)
         assert all(o[i] * s[j] * x > 0
                    for i, col in enumerate(cs.columns) for j, x in col)
+
+
+class TestMalformedCertificates:
+    """verify answers False, and raises nothing, on a certificate of the
+    wrong arity or with an index out of range (negative included)."""
+
+    @pytest.mark.parametrize("spheres", [
+        (), (0,), (0, 1), (0, 1, 2, 2), (0, 1, 3), (-1, 1, 2), (0, 99, 2)])
+    def test_adjacent_branches(self, spheres):
+        assert not Certificate("adjacent-branches", spheres, "").verify(ADJACENT)
+
+    @pytest.mark.parametrize("spheres", [(), (0, 0), (3,), (99,), (-1,)])
+    def test_fixed_coefficient(self, spheres):
+        assert not Certificate("fixed-coefficient", spheres, "").verify(ADJACENT)
+
+    @pytest.mark.parametrize("spheres", [(), (5,), (1, 3, 0, 99), (-1, 3, 0, 2)])
+    def test_negative_cycle(self, spheres):
+        # CONFLICT has m = 2 spheres and n = 2 basis vectors: 4 variables
+        assert not Certificate("negative-cycle", spheres, "").verify(CONFLICT)
+
+    def test_unknown_kind(self):
+        for kind in ("parity-conflict", "search-refutation", ""):
+            assert not Certificate(kind, (0, 1), "").verify(CONFLICT)
+
+
+@st.composite
+def constraint_systems(draw):
+    """Small random systems: coefficients in -2..2, fixed and invariant
+    spheres, and couplings that may be self-loops or parallel."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    columns = [sorted(draw(st.dictionaries(
+        st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)),
+        max_size=n)).items()) for _ in range(m)]
+    kinds = [draw(st.sampled_from(("fixed", "invariant"))) for _ in range(m)]
+    couplings = draw(st.lists(st.tuples(
+        st.integers(0, m - 1), st.integers(0, m - 1), st.sampled_from((1, -1))),
+        max_size=5))
+    return system(kinds, columns, couplings, n)
+
+
+def equations(cs):
+    """pair of variables -> the signs of the equations on it (variables
+    o_i = i, s_j = m + j), read here apart from Certificate.verify."""
+    m = len(cs.columns)
+    signs = {}
+    for i, col in enumerate(cs.columns):
+        for j, x in col:
+            signs.setdefault(frozenset((i, m + j)), set()).add(1 if x > 0 else -1)
+    for i, k, sign in cs.couplings:
+        signs.setdefault(frozenset((i, k)), set()).add(sign)
+    return signs
+
+
+def flip(cs, pair):
+    """cs with the sign of every equation on the pair of variables negated."""
+    m = len(cs.columns)
+    columns = [[(j, -x if {i, m + j} == pair else x) for j, x in col]
+               for i, col in enumerate(cs.columns)]
+    couplings = [(i, k, -sign if {i, k} == pair else sign)
+                 for i, k, sign in cs.couplings]
+    return system(cs.kinds, columns, couplings, cs.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_systems())
+def test_decide_agrees_with_brute_force_and_certifies(cs):
+    verdict = decide(cs)
+    assert verdict.status == brute_force_decide(cs)
+    if verdict.feasible:
+        return
+    cert = verdict.certificate
+    assert cert.verify(cs)
+    if cert.kind != "negative-cycle":
+        return
+    cycle = cert.spheres
+    assert len(set(cycle)) == len(cycle)     # a simple cycle
+    signs = equations(cs)
+    pairs = [frozenset(pair) for pair in zip(cycle, cycle[1:] + cycle[:1])]
+    assert all(pair in signs for pair in pairs)
+    # Dropped variable: the new pair of neighbours is joined by no
+    # equation, so the shorter cycle is no witness.
+    for t in range(len(cycle)):
+        shorter = cycle[:t] + cycle[t + 1:]
+        if not shorter or frozenset(
+                (shorter[t - 1], shorter[t % len(shorter)])) not in signs:
+            assert not Certificate(cert.kind, shorter, "").verify(cs), t
+    # Flipped sign: with every pair single-signed the product is -1, and
+    # negating one pair's equations makes it +1.
+    if all(len(signs[pair]) == 1 for pair in pairs):
+        for pair in pairs:
+            assert not cert.verify(flip(cs, pair)), pair

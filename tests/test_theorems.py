@@ -1,0 +1,72 @@
+"""The paper's two theorems as verdict-level oracles on the generator
+families (PAPER.md).
+
+* Theorem A: the standard free Z/p action on a family member does not
+  extend smoothly.  Every member diagonalizes, the sign obstruction is
+  infeasible, and its certificate re-checks on the constraint system.
+* Theorem B: on the stern members with r odd and p | s the action extends
+  locally linearly with one fixed point.  The lens search yields exactly
+  one candidate, the class of L(p; r, 2r+2), and its rho invariants match.
+  For r even the same search yields one candidate whose rho invariants
+  do not match.
+
+Draws (kind, r, s, sign, p) with p | s forced in about half the draws.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from brieskorn import (UnimodularForm, build_constraints,
+                       canonical_resolution, decide, diagonalize, family,
+                       intersection_matrix, propagate_rotations,
+                       seifert_invariants, standard_action_valid)
+from brieskorn.records import InputError
+from brieskorn.spectral import (canonical_lens_pair, eta_from_fixed_data,
+                                ll_extension_search)
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def members(draw):
+    kind = draw(st.sampled_from(("stern", "casson-harer")))
+    r = draw(st.sampled_from((2, 3, 4, 5, 7, 9, 11)))
+    sign = draw(st.sampled_from("+-"))
+    p = draw(st.sampled_from(PRIMES))
+    if draw(st.booleans()):
+        s = p * draw(st.integers(1, max(1, 40 // p)))
+    else:
+        s = draw(st.integers(1, 29))
+    try:
+        triple = family(kind, r, s, sign)
+    except InputError:
+        assume(False)
+    assume(standard_action_valid(triple, p))
+    return kind, r, s, triple, p
+
+
+@settings(max_examples=250, deadline=None)
+@given(members())
+def test_family_members_obey_theorems_a_and_b(member):
+    kind, r, s, triple, p = member
+    graph = canonical_resolution(seifert_invariants(triple))
+    form = UnimodularForm.from_matrix(intersection_matrix(graph))
+    diag = diagonalize(form)
+    assert diag.found, triple
+
+    # Theorem A
+    markup = propagate_rotations(graph, p)
+    cs = build_constraints(markup, diag)
+    verdict = decide(cs)
+    assert verdict.status == "infeasible", (triple, p)
+    assert verdict.certificate.verify(cs), (triple, p)
+
+    if kind != "stern" or s % p:
+        return
+    # Theorem B for r odd; for r even the candidate's rho does not match
+    eta = eta_from_fixed_data(markup, form.elimination.signature)
+    (cand,) = ll_extension_search(triple, p, eta)
+    if r % 2:
+        assert (cand.r, cand.s) == canonical_lens_pair(r, 2 * r + 2, p)
+        assert cand.rho_match, (triple, p)
+    else:
+        assert not cand.rho_match, (triple, p)
