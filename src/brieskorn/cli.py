@@ -23,7 +23,9 @@ the object `--json` writes (None for rho, eta and graph) and the text
 chunks, lazy where the text is large.  `main` alone checks the `--json`
 path, before any command runs, then writes the payload to that path and
 the text to stdout when there is no path or `--text` is given.  A bad
-path is so refused before any work, and its error wins over every other.
+path (empty, a directory, or in a missing directory) is so refused
+before any work with the error `open()` would raise, and that error wins
+over every other but argparse's.
 
 `analyze` with no `--json` path asks the analysis for its text alone
 (`cached_analysis(..., text=True)`), so a cache hit prints the text
@@ -32,9 +34,14 @@ stored in the entry's header and decodes no report; `--json` and
 `cached_analysis` in this module, and `_analysis` alone picks it or,
 with `--no-cache`, `build_analysis`.
 
-`main` may be called many times in one process: the argparse parser is
-built on the first call and shared by every later one, and no call
-leaves state behind that changes what a later call prints.
+`main` may be called many times in one process: the argparse parsers
+are built on the first call and shared by every later one, and no call
+leaves state behind that changes what a later call prints.  When
+argv[0] names a command, `main` hands argv[1:] straight to that
+command's parser, which is what the top-level parser would do after
+scanning all of argv; the top-level parser reads argv only when argv[0]
+names no command (no argv, -h, --version or a typo), so help, version
+and every error text are argparse's own.
 """
 
 from __future__ import annotations
@@ -86,14 +93,17 @@ def _parse_range(text: str):
 
 
 def _check_json_dir(path: Optional[str]) -> None:
-    """Refuse an empty --json PATH, or one whose directory does not exist,
-    before any command runs.  The file itself is not opened here, so a
-    run that then fails on bad input leaves an existing file unchanged."""
+    """Refuse an empty --json PATH, a directory, or a path whose directory
+    does not exist, before any command runs.  The file itself is not
+    opened here, so a run that then fails on bad input leaves an existing
+    file unchanged."""
     if path is None or path == "-":
         return
     # The error is the one open() raises for the same path.
     if not path:
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         mode = os.stat(os.path.dirname(path) or ".").st_mode
         if not stat.S_ISDIR(mode):
@@ -307,13 +317,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_triple(p_gr)
     p_gr.add_argument("--format", choices=("dot", "json", "tgf"), default="tgf")
     p_gr.set_defaults(func=cmd_graph)
+    # main hands argv[1:] to the parser argv[0] names, as this one would.
+    parser.commands = {"analyze": p_an, "family": p_fam, "diagonalize": p_diag,
+                       "rho": p_rho, "eta": p_eta, "graph": p_gr}
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
         path = getattr(args, "json", None)
         _check_json_dir(path)
         payload, lines = args.func(args)

@@ -535,19 +535,24 @@ class TestCLI:
         # analyze and family refuse it before any member is analyzed.
         assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
 
-    @pytest.mark.parametrize("argv", JSON_COMMANDS)
-    def test_json_path_that_is_a_directory_fails_at_write(
+    @pytest.mark.parametrize("argv", JSON_COMMANDS + [
+        ["analyze", "2", "3", "5", "--p", "7", "--text"],
+        ["analyze", "1", "2", "3"],
+    ])
+    def test_json_path_that_is_a_directory_is_refused_before_any_work(
             self, tmp_cache, tmp_path, capsys, argv):
-        # The directory pre-check passes (the parent exists); open() then
-        # raises IsADirectoryError after the analysis.
+        # The error is the one open() raises, and it wins over a bad
+        # triple: nothing is analyzed, printed or cached.
         argv = self.with_matrix(argv, tmp_path)
         target = tmp_path / "out"
         target.mkdir()
         with pytest.raises(IsADirectoryError) as exc:
             open(target, "w")
+        assert str(exc.value) == f"[Errno 21] Is a directory: {str(target)!r}"
         assert main(argv + ["--json", str(target)]) == 1
         assert capsys.readouterr() == ("", f"error: {exc.value}\n")
         assert list(target.iterdir()) == []
+        assert not tmp_cache.exists()
 
     @pytest.mark.parametrize("argv", JSON_COMMANDS)
     def test_bad_json_path_is_refused_before_any_work(

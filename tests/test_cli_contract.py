@@ -20,9 +20,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from brieskorn.cli import FAMILY_MAX, main
+from brieskorn.cli import FAMILY_MAX, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -171,6 +171,106 @@ def test_exit_code_contract(workdir, argv):
     assert code in (None, 0, 1), (argv, code, err.getvalue())
     if code == 1:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+# Edge argv for the dispatch test: -h, --help and --version at both
+# levels, option prefixes, --opt=value, negative numbers, "--" around the
+# command, commands that are a prefix, an extension or a case change of
+# a real one, and a matrix file that exists or is missing.
+EDGE_ARGV = [line.split() for line in """\
+-h
+--help
+--version
+--vers
+analyze
+analyze -h
+analyze --help
+analyze --version
+analyze 3 16 113
+analyze 3 16 113 --p 5
+analyze 3 16 113 --p=5
+analyze 3 16 113 --p 5 --json -
+analyze 3 16 113 --p 5 --js -
+analyze 3 16 113 --p 5 --no-c
+analyze 3 16 113 --p 5 --no-cache --text --json -
+analyze -3 16 113
+analyze 3 16 113 --p -5
+analyze -- 3 16 113
+analyze 3 16 -- 113
+analyze 3 16 113 --
+analyze 1 2 3
+analyze 3 16 113 --p 9
+analyze 3 16 113 --bogus
+analyze 3 16 113 7
+analyze 3 16 x
+analyze 3 16 113 --p
+analyze 3 16 113 -h
+analyz 3 16 113
+anal 3 16 113
+analyzee 3 16 113
+ANALYZE 3 16 113
+-- analyze 3 16 113
+--version analyze 3 16 113
+-h analyze
+family stern --r 3 --s-range 5..6 --p 5
+family stern --r 3 --s-range=-2..2
+family stern --r 3 --s-range -2..2
+family stern --r 3 --s 5..6
+family stern --r 3 --s-range 5..6 --sign - --json -
+family other --r 3 --s-range 5..6
+family stern --s-range 5..6
+family -h
+fam stern --r 3 --s-range 5..6
+diagonalize
+diagonalize -h
+rho --lens 5 3 8
+rho --lens 5 3
+rho --lens 5 -3 8
+rho -h
+eta 3 16 113 --p 5
+eta 3 16 113
+eta -h
+graph 3 16 113
+graph 3 16 113 --format dot
+graph 3 16 113 --format png
+graph --help
+graph 3 16 113 --format=json --version
+""".splitlines()] + [
+    [], ["diagonalize", "--matrix", MatrixFile("-2 1\n1 -1\n")],
+    ["diagonalize", "--matrix", MatrixFile("-2 1\n1 -1\n"), "--json", "-"],
+    ["diagonalize", "--matrix", MatrixFile()]]
+
+
+def outcome(argv):
+    """(return code or ("SystemExit", code), stdout, stderr) of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_edge_examples(test):
+    """test with each EDGE_ARGV as an explicit example."""
+    for argv in EDGE_ARGV:
+        test = example(argv)(test)
+    return test
+
+
+@with_edge_examples
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argvs)
+def test_dispatch_prints_what_the_full_parse_prints(workdir, argv):
+    """main hands argv[1:] to the parser argv[0] names; with no command
+    parsers to dispatch to, the top-level parser reads all of argv.  Both
+    print the same bytes and end the same way."""
+    argv = written(argv, workdir)
+    dispatched = outcome(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build_parser(), "commands", {})
+        assert outcome(argv) == dispatched, argv
 
 
 def test_module_run_prints_no_traceback(tmp_path):
