@@ -22,9 +22,10 @@ Each `cmd_*` computes and writes nothing: it returns `(payload, lines)`,
 the object `--json` writes (None for rho, eta and graph) and the text
 chunks, lazy where the text is large.  `main` alone checks the `--json`
 path, before any command runs, then writes the payload to that path and
-the text to stdout when there is no path or `--text` is given.  A bad
-path (empty, a directory, or in a missing directory) is so refused
-before any work with the error `open()` would raise, and that error wins
+the text to stdout when there is no path or `--text` is given.  The
+check opens the path for appending and closes it, so a path `open()`
+refuses (empty, a directory, a name too long, a missing directory) is
+refused before any work with `open()`'s own error, and that error wins
 over every other but argparse's.
 
 `analyze` with no `--json` path asks the analysis for its text alone
@@ -47,11 +48,9 @@ and every error text are argparse's own.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import os
 import re
-import stat
 import sys
 from typing import Iterable, List, Optional, Tuple
 
@@ -92,24 +91,19 @@ def _parse_range(text: str):
         raise InputError(f"bad range {text!r}; expected LO..HI") from exc
 
 
-def _check_json_dir(path: Optional[str]) -> None:
-    """Refuse an empty --json PATH, a directory, or a path whose directory
-    does not exist, before any command runs.  The file itself is not
-    opened here, so a run that then fails on bad input leaves an existing
-    file unchanged."""
+def _check_json_path(path: Optional[str]) -> None:
+    """Refuse a --json PATH that open() would refuse, before any command
+    runs, by opening it: the error is open()'s own.  Append mode leaves an
+    existing file unchanged, and a file the open creates is removed, so a
+    run that then fails leaves nothing behind.  A dangling symlink counts
+    as existing, so such a run leaves an empty file at its target, the
+    file open(PATH, "w") would create."""
     if path is None or path == "-":
         return
-    # The error is the one open() raises for the same path.
-    if not path:
-        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if os.path.isdir(path):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    try:
-        mode = os.stat(os.path.dirname(path) or ".").st_mode
-        if not stat.S_ISDIR(mode):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(path: str, payload) -> None:
@@ -334,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = command.parse_args(argv[1:])
             args.command = argv[0]
         path = getattr(args, "json", None)
-        _check_json_dir(path)
+        _check_json_path(path)
         payload, lines = args.func(args)
         if path is not None:
             _write_json(path, payload)

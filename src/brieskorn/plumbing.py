@@ -138,15 +138,13 @@ def canonical_pair(a: int, b: int, p: int) -> Tuple[int, int]:
     the orientation-preserving equivalences of the tangential
     representation, and the moves that leave the eta defect unchanged).
     The representative has entries in (-p/2, p/2] and positive first entry.
+    p is odd, so negation maps (-p/2, p/2] to itself and misses 0: each
+    ordering has exactly one sign with a positive first entry.
     """
-    if a % p == 0 or b % p == 0:
+    x, y = centered_residue(a, p), centered_residue(b, p)
+    if x == 0 or y == 0:
         raise ValueError(f"degenerate rotation pair ({a},{b}) mod {p}")
-    variants = []
-    for x, y in ((a, b), (b, a), (-a, -b), (-b, -a)):
-        cx, cy = centered_residue(x, p), centered_residue(y, p)
-        if cx > 0:
-            variants.append((cx, cy))
-    return min(variants)
+    return min((abs(x), y if x > 0 else -y), (abs(y), x if y > 0 else -x))
 
 
 @record
@@ -201,12 +199,9 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     check_order(p)
     n = g.node_count
     adj = g.adjacency()
-    kinds: Dict[int, str] = {}
-    c_f: Dict[int, int] = {}
+    # The fixed spheres, node -> normal rotation c_F; the center is one.
+    c_f: Dict[int, int] = {g.center: 1}
     isolated: List[Tuple[int, int]] = []
-
-    kinds[g.center] = "fixed"
-    c_f[g.center] = 1
     # (node, parent, north pair); the center hands (fibre, 0) to each branch.
     stack = [(u, g.center, (1, 0)) for u in reversed(adj[g.center])]
     while stack:
@@ -219,11 +214,9 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
                 f"node {v} has {len(children) + 1} junctions; only the "
                 "center of the tree can be a branch point")
         if a == 0:
-            kinds[v] = "fixed"
             c_f[v] = b
         else:
-            kinds[v] = "invariant"
-            if kinds[parent] == "invariant":
+            if parent not in c_f:
                 # Junction point between two rotated spheres.
                 isolated.append(canonical_pair(a, b, p))
             if not children:
@@ -241,7 +234,8 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
         p=p,
         fixed_spheres=fixed,
         isolated_points=tuple(sorted(isolated)),
-        node_kinds=tuple(kinds[v] for v in range(n)),
+        node_kinds=tuple("fixed" if v in c_f else "invariant"
+                         for v in range(n)),
     )
 
 

@@ -512,16 +512,30 @@ class TestCLI:
     def test_json_dir_error_is_the_one_open_gives(self, tmp_cache, tmp_path,
                                                   capsys):
         blocker = tmp_path / "file"
-        blocker.write_text("")
-        for path in (tmp_path / "missing" / "x.json", blocker / "x.json",
-                     blocker / "sub" / "x.json"):
+        blocker.write_text("previous\n")
+        (tmp_path / "dir").mkdir()
+        paths = [tmp_path / "missing" / "x.json", blocker / "x.json",
+                 blocker / "sub" / "x.json",
+                 # A name too long for the file system, and three paths
+                 # whose trailing separator makes open() see a directory.
+                 tmp_path / ("x" * 300 + ".json"),
+                 f"{tmp_path / 'missing.json'}{os.sep}",
+                 f"{tmp_path / 'dir' / 'new.json'}{os.sep}",
+                 f"{blocker}{os.sep}"]
+        for path in map(str, paths):
             with pytest.raises(OSError) as exc:
                 open(path, "w")
-            for argv in (["analyze", "2", "3", "5", "--p", "7"],
-                         ["family", "stern", "--r", "3", "--s-range", "1..3"]):
-                assert main(argv + ["--json", str(path)]) == 1
+            for argv in [["analyze", "2", "3", "5", "--p", "7", "--text"],
+                         ["family", "stern", "--r", "3", "--s-range", "1..3"],
+                         *self.JSON_COMMANDS]:
+                argv = self.with_matrix(argv, tmp_path)
+                assert main(argv + ["--json", path]) == 1
                 assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        # Nothing is analyzed or cached, and no path is created or changed.
         assert not tmp_cache.exists()
+        assert sorted(os.listdir(tmp_path)) == ["dir", "file", "qx.txt"]
+        assert os.listdir(tmp_path / "dir") == []
+        assert blocker.read_text() == "previous\n"
 
     @pytest.mark.parametrize("argv", JSON_COMMANDS)
     def test_empty_json_path_is_refused(self, tmp_cache, tmp_path, capsys,
@@ -592,12 +606,15 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
+    # Runs that fail on bad input after the --json path check.
+    FAILED_RUNS = [
         "analyze 3 16 113 --p 9",
         "analyze 2 4 5",
         "family stern --r 3 --s-range 1..2 --p 9",
         "family stern --r 3 --s-range 1..x",
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", FAILED_RUNS)
     def test_failed_run_leaves_an_existing_json_file_unchanged(
             self, tmp_cache, tmp_path, capsys, argv):
         path = tmp_path / "out.json"
@@ -605,6 +622,15 @@ class TestCLI:
         assert main(argv.split() + ["--json", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert path.read_text() == "previous\n"
+
+    @pytest.mark.parametrize("argv", FAILED_RUNS)
+    def test_failed_run_leaves_no_file_at_a_fresh_json_path(
+            self, tmp_cache, tmp_path, capsys, argv):
+        # The path check creates the file to open it, and removes it again.
+        path = tmp_path / "new.json"
+        assert main(argv.split() + ["--json", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
 
     def test_analyze_rejects_dividing_p(self, tmp_cache, capsys):
         assert main(["analyze", "3", "16", "113", "--p", "3"]) == 1

@@ -1,11 +1,12 @@
 """The exit-code rule of cli.main, read from the sources with ``ast`` only.
 
 main has two except clauses.  The first catches exactly InputError and
-OSError and exits 1; each is raised by name, as ``raise X`` or
-``raise X(...)``, somewhere in src/brieskorn, so neither is a branch of
-the contract that nothing reaches.  The second is the ``Exception``
-catch-all and exits 2: a failure of any other class is a broken
-invariant, whether a check names it or not.
+OSError and exits 1; each is raised somewhere in src/brieskorn, by name
+as ``raise X`` or ``raise X(...)``, or (OSError) by a call of the
+builtin ``open``, so neither is a branch of the contract that nothing
+reaches.  The second is the ``Exception`` catch-all and exits 2: a
+failure of any other class is a broken invariant, whether a check names
+it or not.
 
 InputError alone marks bad input.  A handler that catches every
 ValueError and does not raise would turn a broken check into a result,
@@ -54,12 +55,16 @@ def caught_in(source: str, function: str = "main") -> list:
 
 
 def raised_in(source: str) -> set:
-    """The class names that source raises, as X, X(...) or m.X(...)."""
+    """The class names that source raises, as X, X(...) or m.X(...), and
+    OSError if it calls the builtin open, whose refusal is an OSError."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             names.add(_name(exc))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            names.add("OSError")
     return names
 
 
@@ -134,6 +139,16 @@ def test_detector_flags_a_caught_class_that_nothing_raises():
     assert caught_in(sources["cli.py"]) == [
         "ValueError", "KeyError", "Broken", "Bare", "Exception"]
     assert never_raised(sources) == ["KeyError"]
+    # A call of the builtin open counts as raising OSError.
+    catch_os_error = ("def main(path):\n"
+                      "    try:\n"
+                      "        {}\n"
+                      "    except OSError:\n"
+                      "        return 1\n")
+    assert never_raised(
+        {"cli.py": catch_os_error.format("return len(path)")}) == ["OSError"]
+    assert never_raised(
+        {"cli.py": catch_os_error.format("open(path).close()")}) == []
 
 
 def test_only_the_cache_read_drops_a_value_error():

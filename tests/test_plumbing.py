@@ -11,6 +11,7 @@ from brieskorn import (BrieskornTriple, EquivariantMarkup,
                        graph_signature, intersection_matrix,
                        propagate_rotations, seifert_invariants, star, to_dot, to_tgf)
 from brieskorn.arith import NODE_MAX, is_prime
+from brieskorn.plumbing import centered_residue
 from conftest import (PERM_3_16_113, REFERENCE_QX, fickle_graph,
                       gamma_k_graph, graphs_equivalent, permute_symmetric,
                       random_triples, spider_form)
@@ -19,6 +20,19 @@ from lattice_oracle import det, symmetric_signature
 
 def resolution(a, b, c):
     return canonical_resolution(seifert_invariants(BrieskornTriple.of(a, b, c)))
+
+
+def canonical_pair_oracle(a, b, p):
+    """canonical_pair by its definition: the least of the four orderings
+    and signs of (a, b), as centred residues, with positive first entry."""
+    if a % p == 0 or b % p == 0:
+        raise ValueError(f"degenerate rotation pair ({a},{b}) mod {p}")
+    variants = []
+    for x, y in ((a, b), (b, a), (-a, -b), (-b, -a)):
+        cx, cy = centered_residue(x, p), centered_residue(y, p)
+        if cx > 0:
+            variants.append((cx, cy))
+    return min(variants)
 
 
 class TestCanonicalResolution:
@@ -206,6 +220,16 @@ class TestPropagation:
         assert canonical_pair(-1, 2, 5) == (1, -2)
         with pytest.raises(ValueError):
             canonical_pair(5, 1, 5)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 97])
+    def test_canonical_pair_matches_the_four_variant_oracle(self, p):
+        grid = range(-2 * p, 2 * p)
+        pairs = [(a, b) for a in grid for b in grid if a % p and b % p]
+        assert ([canonical_pair(a, b, p) for a, b in pairs]
+                == [canonical_pair_oracle(a, b, p) for a, b in pairs])
+        for a, b in ((0, 1), (1, p), (-p, 2 * p)):
+            with pytest.raises(ValueError, match=r"^degenerate rotation pair"):
+                canonical_pair(a, b, p)
 
 
 ODD_PRIMES = st.sampled_from([p for p in range(3, 102) if is_prime(p)])
