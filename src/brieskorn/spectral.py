@@ -29,6 +29,11 @@ So both kinds of fixed point go through the one kernel nu:
 
     eta(t) = sum_i nu(a_i, b_i; t) - sum_F w nu(c, c; t) + (sum_F w - sigma).
 
+Many fixed points share a class: eta gathers the terms into one integer
+multiplicity per class (+1 on (a, b) per isolated point, -w on (c, c) per
+sphere) and adds k nu(a, b; zeta) once per class.  nu_defect keeps no
+memo, so a call holds O(p) ints at a time and nothing outlives it.
+
 Only eta = eta(zeta) is computed: eta(t) is a rational function of t
 over Q, so eta(zeta^j) is the image of eta(zeta) under zeta -> zeta^j, a
 permutation of the vector's entries (``coefficients_at``).  eta is real
@@ -96,8 +101,8 @@ is one Fraction(int, p^2) read off it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
@@ -111,7 +116,6 @@ from .seifert import (BrieskornTriple, check_action, check_order,
 Vector = Tuple[int, ...]   # sum_i v[i] zeta^i / p^2 for p = len(v)
 
 
-@lru_cache(maxsize=128)   # an entry holds p ints: ~4 MB at p = 99991
 def nu_defect(a: int, b: int, p: int) -> Vector:
     """Isolated fixed-point defect (t^a+1)(t^b+1)/((t^a-1)(t^b-1)) at t = zeta
     (with a = b = c, also the kernel of a fixed sphere's term).
@@ -150,18 +154,19 @@ def eta_from_fixed_data(markup: EquivariantMarkup, signature: int) -> Vector:
     signature, exactly.
 
     A sphere (w, c) adds w (1 - nu(c, c; zeta)), so eta is an integer
-    combination of cached nu_defect values and an integer, summed as
-    integer vectors.  eta is real by construction (v_j = v_{-j}); a value
-    that is not signals a broken defect kernel and raises
-    InternalInvariantError.
+    combination of nu_defect values and an integer, summed as integer
+    vectors with one nu_defect call per class (a, b).  eta is real by
+    construction (v_j = v_{-j}); a value that is not signals a broken
+    defect kernel and raises InternalInvariantError.
     """
     p = markup.p
     check_order(p)
-    terms = [(1, a, b) for a, b in markup.isolated_points]
-    terms += [(-w, c, c) for _, w, c in markup.fixed_spheres]
+    classes = Counter(markup.isolated_points)
+    for _, w, c in markup.fixed_spheres:
+        classes[c, c] -= w
     acc = [0] * p
     acc[0] = p * p * (sum(w for _, w, _ in markup.fixed_spheres) - signature)
-    for k, a, b in terms:
+    for (a, b), k in classes.items():
         acc = [s + k * n for s, n in zip(acc, nu_defect(a, b, p))]
     if acc[1:] != acc[:0:-1]:
         raise InternalInvariantError(

@@ -23,7 +23,8 @@ this one less the constant 4 T(0), with T(0) summed by
 ``cross_term_at_zero``), the dense-``Fraction`` version of the
 cyclotomic product, the Euclid-based inverse of zeta^m - 1, the
 three-product isolated-point defect, the fixed-sphere defect by Euclid
-division, eta evaluated separately at every
+division, eta(zeta) summed one package nu vector per fixed point (the
+oracle for the sum by class), eta evaluated separately at every
 zeta^j, the Galois-checked eta profile and its inverse transform, the
 Fourier and cotangent-sum rho transforms (integer vectors over a common
 denominator, each entry checked rational), and the lens search that
@@ -39,6 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Sequence, Union
 
+from brieskorn import spectral
 from brieskorn.arith import is_prime
 from brieskorn.seifert import check_order
 from brieskorn.spectral import LensCandidate, canonical_lens_pair
@@ -449,6 +451,21 @@ def eta_value(markup, signature: int, j: int) -> Field:
     for _, w, c in markup.fixed_spheres:
         total = total + sphere_defect(w, c, p, j)
     return total
+
+
+def eta_per_term(markup, signature: int):
+    """eta(zeta) in the package's vector format, summed term by term: one
+    package nu_defect vector per isolated point and per fixed sphere,
+    added in turn.  The oracle for eta_from_fixed_data, which adds one
+    vector per class (a, b) with its multiplicity."""
+    p = markup.p
+    terms = [(1, a, b) for a, b in markup.isolated_points]
+    terms += [(-w, c, c) for _, w, c in markup.fixed_spheres]
+    acc = [0] * p
+    acc[0] = p * p * (sum(w for _, w, _ in markup.fixed_spheres) - signature)
+    for k, a, b in terms:
+        acc = [s + k * n for s, n in zip(acc, spectral.nu_defect(a, b, p))]
+    return tuple(acc)
 
 
 def eta_values(markup, signature: int):

@@ -4,7 +4,10 @@ brieskorn.matrices.  This test loads perfbench/run.py (read only) and
 runs its wrapper installation, one traced request and its probes, a
 traced CLI miss and hit, and its discovery of the package's functools
 caches, so a renamed or removed name fails here and not only in
-perfbench/smoke.py."""
+perfbench/smoke.py.  spectral.nu_defect keeps no memo: the discovery
+finds none under its name, and the per-layer spectral.nu_cache_*
+metrics, which read its counts with a default of 0, still come out, as
+0."""
 
 import importlib.util
 import pathlib
@@ -56,19 +59,23 @@ def test_traced_names_resolve_and_probes_run(monkeypatch):
 
 def test_nu_defect_cache_counters_reach_the_benchmark(monkeypatch):
     # The benchmark finds the package's caches by cache_clear and reads
-    # spectral.nu_defect's hits and misses by that name; without
-    # cache_info its spectral.nu_cache_* metrics would read 0.
+    # spectral.nu_defect's hits and misses by that name.  nu_defect has no
+    # memo, so its spectral.nu_cache_* metrics must still be emitted, as 0.
     run = load_run(monkeypatch)
-    assert callable(getattr(brieskorn.spectral.nu_defect, "cache_info", None))
     memos = run.Memos()
-    assert "spectral.nu_defect" in memos.caches
+    assert "spectral.nu_defect" not in memos.caches
+    tracer = run.Tracer()
+    run.install_wrappers(tracer, run.lens_pair_counter())
+    try:
+        with tracer.span("item", 0):
+            brieskorn.report.build_analysis(3, 16, 113, 5)
+    finally:
+        tracer.unwrap()
     memos.clear()
-    hits, misses = memos.hits["spectral.nu_defect"], memos.misses["spectral.nu_defect"]
-    build_analysis(3, 16, 113, 5)
-    build_analysis(3, 16, 113, 5)
-    memos.clear()
-    assert memos.misses["spectral.nu_defect"] > misses
-    assert memos.hits["spectral.nu_defect"] > hits
+    metrics = run.layer_metrics(tracer, 1, {}, memos, 0.0)
+    names = ("spectral.nu_cache_hits", "spectral.nu_cache_misses",
+             "spectral.nu_cache_hit_ratio")
+    assert {name: metrics[name] for name in names} == dict.fromkeys(names, 0)
 
 
 def test_traced_cli_run_tells_a_cache_hit_from_a_miss(monkeypatch, tmp_path,

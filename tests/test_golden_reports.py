@@ -14,7 +14,6 @@ import pytest
 
 import brieskorn.arith
 from brieskorn import build_analysis, render_json
-from brieskorn.spectral import nu_defect
 
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent.parent
                      / "perfbench" / "golden.json").read_text(encoding="utf-8"))
@@ -43,5 +42,4 @@ def test_reports_need_no_field_product(key):
     assert "Cyclotomic" not in brieskorn.__all__
     assert not hasattr(brieskorn, "Cyclotomic")
     assert not hasattr(brieskorn.arith, "Cyclotomic")
-    nu_defect.cache_clear()
     test_report_matches_golden_digest(key)

@@ -4,14 +4,18 @@ and the eta(zeta) read-offs (rho tables, lens
 matches, direct lens candidates) against the Fourier transforms and the
 pair scan they replace, on random inputs."""
 
+import gc
 import hashlib
 import json
 import pathlib
+import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spectral_oracle as oracle
 from brieskorn import (BrieskornTriple, EquivariantMarkup,
@@ -61,16 +65,17 @@ def convolution_less_constant(a, b, p):
 
 
 def test_nu_cache_is_bounded():
-    # A family sweep at large p meets more (a, b, p) keys than it reuses;
-    # at p = 99991 an entry holds ~4 MB, so the cache keeps at most 128.
-    p = 331
-    for a in range(1, 140):
-        nu_defect(a, 1, p)
-    info = nu_defect.cache_info()
-    assert info.maxsize == 128
-    assert info.currsize <= 128
-    nu_defect(139, 1, p)
-    assert nu_defect.cache_info().hits == info.hits + 1
+    # nu_defect keeps no memo: a nu vector holds p ints, ~4 MB at
+    # p = 99991, and a memo of them would hold many.  Once its report is
+    # dropped, a build leaves no nu vector behind (one at p = 10007 is
+    # about 10^4 blocks).
+    gc.collect()
+    before = sys.getallocatedblocks()
+    report = build_analysis(3, 16, 113, 10007)
+    assert len(report["locally_linear"]["rho_quotient"]) == 10007
+    del report
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 1000
 
 
 @given(primes, units)
@@ -320,6 +325,98 @@ def triple_and_prime(draw):
     return triple, p
 
 
+def count_nu_calls(monkeypatch):
+    """Wrap spectral.nu_defect with a counter of its (a, b, p) calls."""
+    exact, calls = spectral.nu_defect, Counter()
+
+    def counted(a, b, p):
+        calls[a, b, p] += 1
+        return exact(a, b, p)
+
+    monkeypatch.setattr(spectral, "nu_defect", counted)
+    return calls
+
+
+def assert_eta_sums_each_class_once(markup, signature):
+    """eta_from_fixed_data equals the per-term sum exactly, with one
+    nu_defect call per class (a, b)."""
+    expected = oracle.eta_per_term(markup, signature)
+    classes = set(markup.isolated_points)
+    classes |= {(c, c) for _, _, c in markup.fixed_spheres}
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_nu_calls(patch)
+        assert eta_from_fixed_data(markup, signature) == expected
+    assert calls == Counter((a, b, markup.p) for a, b in classes)
+
+
+@st.composite
+def free_member(draw):
+    """A random pairwise-coprime triple and a prime p <= 101 whose
+    standard action on it is free."""
+    a = draw(st.integers(min_value=2, max_value=12))
+    b = draw(st.integers(min_value=a + 1, max_value=60))
+    c = draw(st.integers(min_value=b + 1, max_value=400))
+    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
+    triple = BrieskornTriple.of(a, b, c)
+    p = draw(st.sampled_from([q for q in range(3, 102) if is_prime(q)]).filter(
+        lambda q: standard_action_valid(triple, q)))
+    return triple, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_member())
+# Fixed spheres inside a branch: five (-2)-spheres with c = 1 join the
+# center's class (1, 1), and one sphere has c = 8.
+@example((BrieskornTriple(10, 33, 329), 61))
+@example((BrieskornTriple(7, 54, 311), 59))
+def test_eta_by_class_matches_per_term_sum(member):
+    assert_eta_sums_each_class_once(*quotient_data(*member))
+
+
+@st.composite
+def drawn_markup(draw):
+    """A markup with repeated classes, and a class (c, c) whose
+    multiplicity cancels to 0: k isolated points (c, c) and a sphere of
+    self-intersection k, which adds -k."""
+    p = draw(primes)
+    unit = st.integers(min_value=1, max_value=p - 1)
+    pairs = st.tuples(unit, unit)
+    points = draw(st.lists(st.sampled_from(draw(st.lists(pairs, min_size=1,
+                                                         max_size=3))),
+                           max_size=6))
+    spheres = [(node, draw(st.integers(min_value=-5, max_value=5)), c)
+               for node, c in enumerate(draw(st.lists(unit, max_size=4)))]
+    c, k = draw(unit), draw(st.integers(min_value=1, max_value=3))
+    points += [(c, c)] * k
+    spheres.append((len(spheres), k, c))
+    nodes = len(points) + 2 * len(spheres) - 1
+    return EquivariantMarkup(p=p, fixed_spheres=tuple(spheres),
+                             isolated_points=tuple(points),
+                             node_kinds=("invariant",) * nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_markup(), st.integers(min_value=-50, max_value=50))
+def test_eta_by_class_matches_per_term_sum_on_drawn_markups(markup,
+                                                            signature):
+    assert_eta_sums_each_class_once(markup, signature)
+
+
+def test_build_computes_each_nu_once(monkeypatch):
+    # Sigma(3,16,113) at p = 5 has the isolated point (1,2) four times;
+    # eta adds nu(1, 2) once with multiplicity 4.  The lens search takes
+    # one nu of its own, here (2, 2), which the sphere class (2, 2) of eta
+    # also takes.
+    calls = count_nu_calls(monkeypatch)
+    report = build_analysis(3, 16, 113, 5)
+    assert report["equivariant"]["fixed_points"].count([1, 2]) == 4
+    (candidate,) = report["locally_linear"]["candidates"]
+    lens = (candidate["r"], candidate["s"], 5)
+    assert calls[1, 2, 5] == 1
+    calls[lens] -= 1
+    assert set(calls.values()) == {1}
+
+
 @settings(max_examples=25, deadline=None)
 @given(triple_and_prime(), st.data())
 def test_rho_read_off_matches_fourier_transform(member, data):
@@ -371,7 +468,6 @@ def test_large_p_report_matches_schoolbook_convolution(p, monkeypatch):
     # The golden digests stop at p = 31; past it, the report of the
     # paper's example must not depend on how nu is computed.
     def build():
-        nu_defect.cache_clear()
         report = build_analysis(3, 16, 113, p)
         return render_json(report), render_text(report)
 
@@ -383,8 +479,5 @@ def test_large_p_report_matches_schoolbook_convolution(p, monkeypatch):
         return oracle.nu_by_convolution(a, b, q)
 
     monkeypatch.setattr(spectral, "nu_defect", by_convolution)
-    try:
-        assert build() == recurrence
-    finally:
-        nu_defect.cache_clear()
+    assert build() == recurrence
     assert calls and set(calls) == {p}
