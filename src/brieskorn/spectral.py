@@ -31,8 +31,12 @@ So both kinds of fixed point go through the one kernel nu:
 
 Many fixed points share a class: eta gathers the terms into one integer
 multiplicity per class (+1 on (a, b) per isolated point, -w on (c, c) per
-sphere) and adds k nu(a, b; zeta) once per class.  nu_defect keeps no
-memo, so a call holds O(p) ints at a time and nothing outlives it.
+sphere) and adds k nu(a, b; zeta) once per class.  Isolated points are
+canonical pairs, and a sphere's class is keyed by min(c, p - c): negating
+both rotations negates both factors of nu, so nu(c, c) and nu(-c, -c) are
+one value, and nu_defect's vectors, normalized to entry 0 = p^2, are
+equal.  nu_defect keeps no memo, so a call holds O(p) ints at a time and
+nothing outlives it.
 
 Only eta = eta(zeta) is computed: eta(t) is a rational function of t
 over Q, so eta(zeta^j) is the image of eta(zeta) under zeta -> zeta^j, a
@@ -155,7 +159,8 @@ def eta_from_fixed_data(markup: EquivariantMarkup, signature: int) -> Vector:
 
     A sphere (w, c) adds w (1 - nu(c, c; zeta)), so eta is an integer
     combination of nu_defect values and an integer, summed as integer
-    vectors with one nu_defect call per class (a, b).  eta is real by
+    vectors with one nu_defect call per class (a, b), a sphere's class
+    keyed by c up to sign.  eta is real by
     construction (v_j = v_{-j}); a value that is not signals a broken
     defect kernel and raises InternalInvariantError.
     """
@@ -163,6 +168,7 @@ def eta_from_fixed_data(markup: EquivariantMarkup, signature: int) -> Vector:
     check_order(p)
     classes = Counter(markup.isolated_points)
     for _, w, c in markup.fixed_spheres:
+        c = min(c, p - c)  # nu(c, c) = nu(-c, -c) as vectors
         classes[c, c] -= w
     acc = [0] * p
     acc[0] = p * p * (sum(w for _, w, _ in markup.fixed_spheres) - signature)

@@ -22,6 +22,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from brieskorn import build_analysis, render_text
+from brieskorn import cli, report
 from brieskorn.cli import FAMILY_MAX, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -106,12 +108,21 @@ def coprime_triples(draw):
     return a, b, c
 
 
+@st.composite
+def zero_padded(draw, parts):
+    """A drawn list of argv texts with up to two zeros put before each run
+    of digits (int() reads 003 as 3)."""
+    return ["0" * draw(st.integers(min_value=0, max_value=2)) + x
+            if x.isdigit() else x for x in draw(parts)]
+
+
 triple = st.one_of(st.tuples(ints, ints, ints), coprime_triples()).map(
     lambda t: [str(x) for x in t])
 json_out = either([], ["--json", "-"])
 argvs = argv_of(
     st.one_of(
-        argv_of(st.just(["analyze"]), triple, opt("--p", orders),
+        argv_of(st.just(["analyze"]), zero_padded(triple),
+                zero_padded(opt("--p", orders)),
                 either([], ["--text"]), either([], ["--no-cache"]), json_out),
         argv_of(st.just(["family"]),
                 either(["stern"], ["casson-harer"], ["other"]),
@@ -173,10 +184,21 @@ def test_exit_code_contract(workdir, argv):
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
 
 
+# A number of more digits than int() converts (4300 by default since
+# Python 3.11 and 3.10.7), in each place analyze reads a number, with the
+# argument argparse names in its error.
+BIG = "1" * 5000
+BIG_ARGV = [(["analyze", BIG, "2", "3"], "a"), (["analyze", "2", BIG, "3"], "b"),
+            (["analyze", "2", "3", BIG], "c"),
+            (["analyze", "3", "16", "113", "--p", BIG], "--p")]
+
 # Edge argv for the dispatch test: -h, --help and --version at both
 # levels, option prefixes, --opt=value, negative numbers, "--" around the
 # command, commands that are a prefix, an extension or a case change of
-# a real one, and a matrix file that exists or is missing.
+# a real one, and a matrix file that exists or is missing.  For the plain
+# analyze path: zero-padded, non-ASCII and superscript digits (int()
+# reads the Arabic-Indic 3 and refuses the superscript 2), a repeated or
+# misspelt --p, a number after the triple, an empty --p and BIG_ARGV.
 EDGE_ARGV = [line.split() for line in """\
 -h
 --help
@@ -205,6 +227,12 @@ analyze 3 16 113 7
 analyze 3 16 x
 analyze 3 16 113 --p
 analyze 3 16 113 -h
+analyze 003 16 113 --p 05
+analyze ٣ 16 113
+analyze ² 16 113
+analyze 3 16 113 --p 5 --p 7
+analyze 3 16 113 --P 5
+analyze 3 16 113 5 --p
 analyz 3 16 113
 anal 3 16 113
 analyzee 3 16 113
@@ -238,7 +266,8 @@ graph 3 16 113 --format=json --version
 """.splitlines()] + [
     [], ["diagonalize", "--matrix", MatrixFile("-2 1\n1 -1\n")],
     ["diagonalize", "--matrix", MatrixFile("-2 1\n1 -1\n"), "--json", "-"],
-    ["diagonalize", "--matrix", MatrixFile()]]
+    ["diagonalize", "--matrix", MatrixFile()],
+    ["analyze", "3", "16", "113", "--p", ""]] + [argv for argv, _ in BIG_ARGV]
 
 
 def outcome(argv):
@@ -263,14 +292,72 @@ def with_edge_examples(test):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(argvs)
 def test_dispatch_prints_what_the_full_parse_prints(workdir, argv):
-    """main hands argv[1:] to the parser argv[0] names; with no command
-    parsers to dispatch to, the top-level parser reads all of argv.  Both
-    print the same bytes and end the same way."""
+    """main reads a plain analyze argv itself and hands any other argv[1:]
+    to the parser argv[0] names; with neither shortcut, the top-level
+    parser reads all of argv.  Both print the same bytes and end the same
+    way."""
     argv = written(argv, workdir)
     dispatched = outcome(argv)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_plain_analyze", lambda argv: None)
         mp.setattr(build_parser(), "commands", {})
         assert outcome(argv) == dispatched, argv
+
+
+plain_argvs = argv_of(st.just(["analyze"]), zero_padded(triple),
+                      zero_padded(opt("--p", orders)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(plain_argvs)
+def test_plain_path_builds_the_namespace_the_analyze_parser_builds(argv):
+    """An argv of the plain shape whose numbers are all ASCII digits gets
+    the analyze parser's Namespace; one with a sign is left to argparse."""
+    args = cli._plain_analyze(argv)
+    if any(x.startswith("-") for x in argv if x != "--p"):
+        assert args is None, argv
+    else:
+        expected = build_parser().commands["analyze"].parse_args(argv[1:])
+        expected.command = "analyze"
+        assert args == expected, argv
+
+
+@pytest.mark.parametrize("argv, name", BIG_ARGV,
+                         ids=[name for _, name in BIG_ARGV])
+def test_a_number_int_refuses_gets_argparses_error(workdir, argv, name):
+    """The plain path hands a number int() refuses to argparse, which
+    reports it as bad input: exit 1, not an internal error."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() has no digit limit in this Python")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = outcome(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result == (1, "", f"error: argument {name}: invalid int value: "
+                             f"{BIG!r}\n")
+
+
+def test_plain_analyze_argv_skips_argparse(monkeypatch, tmp_path):
+    """With every parser's parse_args raising, a plain analyze argv still
+    prints the report's text, first on a miss and then on a hit."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    parser = build_parser()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser.commands["analyze"], "parse_args", refuse)
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    for argv, triple, p in [(["analyze", "3", "16", "113", "--p", "5"],
+                             (3, 16, 113), 5),
+                            (["analyze", "2", "3", "5"], (2, 3, 5), None)]:
+        text = render_text(build_analysis(*triple, p))
+        assert outcome(argv) == (0, text, ""), argv
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report, "build_analysis", refuse)
+            assert outcome(argv) == (0, text, ""), argv
+    assert len(os.listdir(tmp_path / "cache")) == 2
 
 
 def test_module_run_prints_no_traceback(tmp_path):

@@ -11,8 +11,10 @@ it or not.
 InputError alone marks bad input.  A handler that catches every
 ValueError and does not raise would turn a broken check into a result,
 as a skipped family row did, so every ``except`` in the package that
-names ValueError ends in a ``raise``.  The one exception is the cache's
-read of an entry: a corrupt entry is a miss.
+names ValueError ends in a ``raise``.  There are two exceptions.  The
+cache's read of an entry: a corrupt entry is a miss.  And the plain
+analyze path's ``int()`` of argv: a number it refuses sends the argv to
+argparse, which reports it as an InputError.
 """
 
 import ast
@@ -155,7 +157,7 @@ def test_only_the_cache_read_drops_a_value_error():
     dropped = {name: value_error_dropped_in(source)
                for name, source in package_sources().items()}
     assert {name: found for name, found in dropped.items() if found} == {
-        "report.py": ["cached_analysis"]}
+        "report.py": ["cached_analysis"], "cli.py": ["_plain_analyze"]}
 
 
 # cmd_family's loop before InputError: any ValueError raised while a member

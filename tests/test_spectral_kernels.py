@@ -339,14 +339,16 @@ def count_nu_calls(monkeypatch):
 
 def assert_eta_sums_each_class_once(markup, signature):
     """eta_from_fixed_data equals the per-term sum exactly, with one
-    nu_defect call per class (a, b)."""
+    nu_defect call per class (a, b); a sphere's class (c, c) is keyed by c
+    up to sign, min(c, p - c)."""
     expected = oracle.eta_per_term(markup, signature)
+    p = markup.p
     classes = set(markup.isolated_points)
-    classes |= {(c, c) for _, _, c in markup.fixed_spheres}
+    classes |= {(min(c, p - c),) * 2 for _, _, c in markup.fixed_spheres}
     with pytest.MonkeyPatch.context() as patch:
         calls = count_nu_calls(patch)
         assert eta_from_fixed_data(markup, signature) == expected
-    assert calls == Counter((a, b, markup.p) for a, b in classes)
+    assert calls == Counter((a, b, p) for a, b in classes)
 
 
 @st.composite
@@ -377,7 +379,8 @@ def test_eta_by_class_matches_per_term_sum(member):
 def drawn_markup(draw):
     """A markup with repeated classes, and a class (c, c) whose
     multiplicity cancels to 0: k isolated points (c, c) and a sphere of
-    self-intersection k, which adds -k."""
+    self-intersection k and rotation c or -c, which adds -k (c is the
+    smaller of the two, as eta keys the sphere's class)."""
     p = draw(primes)
     unit = st.integers(min_value=1, max_value=p - 1)
     pairs = st.tuples(unit, unit)
@@ -387,7 +390,7 @@ def drawn_markup(draw):
     spheres = [(node, draw(st.integers(min_value=-5, max_value=5)), c)
                for node, c in enumerate(draw(st.lists(unit, max_size=4)))]
     c, k = draw(unit), draw(st.integers(min_value=1, max_value=3))
-    points += [(c, c)] * k
+    points += [(min(c, p - c),) * 2] * k
     spheres.append((len(spheres), k, c))
     nodes = len(points) + 2 * len(spheres) - 1
     return EquivariantMarkup(p=p, fixed_spheres=tuple(spheres),
@@ -404,12 +407,14 @@ def test_eta_by_class_matches_per_term_sum_on_drawn_markups(markup,
 
 def test_build_computes_each_nu_once(monkeypatch):
     # Sigma(3,16,113) at p = 5 has the isolated point (1,2) four times;
-    # eta adds nu(1, 2) once with multiplicity 4.  The lens search takes
-    # one nu of its own, here (2, 2), which the sphere class (2, 2) of eta
-    # also takes.
+    # eta adds nu(1, 2) once with multiplicity 4.  Its two spheres of
+    # rotation 3 = -2 join the isolated point (2, 2) in the class (2, 2),
+    # so nu(3, 3) is never computed.  The lens search takes one nu of its
+    # own, here (2, 2), which that class of eta also takes.
     calls = count_nu_calls(monkeypatch)
     report = build_analysis(3, 16, 113, 5)
     assert report["equivariant"]["fixed_points"].count([1, 2]) == 4
+    assert (3, 3, 5) not in calls
     (candidate,) = report["locally_linear"]["candidates"]
     lens = (candidate["r"], candidate["s"], 5)
     assert calls[1, 2, 5] == 1
