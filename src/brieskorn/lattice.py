@@ -13,16 +13,17 @@ plumbing tree that always removes a leaf, so there is no fill-in and the
 centre of each coordinate depends on its parent's coordinate alone;
 other symmetric matrices work too, with some fill-in.  All pivots are
 negative exactly when the form is negative definite, so the same
-elimination is the definiteness check and gives det Q = prod d_j; on a
-definite form it never needs a zero-pivot repair, so it is a plain
-L D L^t.  Nothing between Q and C is a Fraction: the elimination keeps
-each row as integers over one positive scale and hands over each pivot
-as an integer numerator and denominator and each column of L as integer
-numerators over the pivot numerator; the search turns these into an
-integer centre numerator over g_j per column and integer weights over
-one common budget S.  It is one flat loop with an explicit stack, so no
-recursion limit bounds n; a path that has spent its budget walks its
-forced tail by one divmod per level, and each +- pair is found once.
+elimination is the definiteness check and gives det Q = prod d_j.  It is
+a plain L D L^t, which meets no zero pivot on a definite form and
+refuses a form on which it meets one.  Nothing between Q and C is a
+Fraction: the elimination keeps each row as integers over one positive
+scale and hands over each pivot as an integer numerator and denominator
+and each column of L as integer numerators over the pivot numerator;
+the search turns these into an integer centre numerator over g_j per
+column and integer weights over one common budget S.  It is one flat
+loop with an explicit stack, so no recursion limit bounds n; a path that
+has spent its budget walks its forced tail by one divmod per level, and
+each +- pair is found once.
 The n representatives are the columns of C.  X = -C^t Q is formed once
 from the nonzeros of Q: row k of -Q C is node k's coordinates, column k
 of X, with at most -Q[k][k] nonzeros.  Then X^t X = -Q, summed over the

@@ -3,11 +3,14 @@
 Everything works on plain nested sequences; no floating point anywhere.
 ``eliminate`` is the one symmetric elimination: signature, definiteness,
 determinant and the root-search factor of ``lattice`` are all read off it.
-It forms no ``Fraction``: each row still to be eliminated is a set of
-integer numerators over one positive scale, reduced by its content after
-every step, and each pivot and column of L is kept as integers over a
-shared denominator.  Only ``inverse_unimodular``, which the pipeline does
-not call, works over ``Fraction``.
+It is a plain L D L^t with no pivot repair, so it takes every definite
+form and refuses a form on which it meets a zero pivot; every resolution
+the pipeline builds is negative definite.  It forms no ``Fraction``:
+each row still to be eliminated is a set of integer numerators over one
+positive scale, reduced by its content after every step, and each pivot
+and column of L is kept as integers over a shared denominator.  Only
+``inverse_unimodular``, which the pipeline does not call, works over
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class Elimination:
     integers.
 
     order[j] is the j-th eliminated node k; its pivot is d_j = pivots[j] /
-    scales[j] with scales[j] > 0, and columns[j] lists (i, a) for the
+    scales[j] != 0 with scales[j] > 0, and columns[j] lists (i, a) for the
     nodes i eliminated later that are coupled to k, with L[i][k] =
     a / pivots[j].  determinant is prod d_j: every step is a congruence
     by a matrix of determinant +-1, so it is the determinant of the input.
@@ -88,7 +91,7 @@ class Elimination:
     @cached_property
     def definiteness(self) -> str:
         """One of "negative-definite", "indefinite" and "other" (positive
-        definite, or degenerate)."""
+        definite: no pivot is zero)."""
         signs = set(self.signs)
         if signs <= {-1}:
             return "negative-definite"
@@ -100,14 +103,12 @@ def eliminate(m) -> Elimination:
 
     Nodes are eliminated in minimum-degree order: fewest remaining
     couplings, ties broken by index.  On a tree that is always a leaf, so
-    there is no fill-in; other matrices get some.  A chosen node with a
-    zero diagonal but couplings left is passed over for the next node in
-    that order whose diagonal is nonzero.  When every remaining diagonal
-    is zero, row and column j (the least node coupled to k) are added to
-    row and column k, which puts 2 m_kj on k's diagonal.  A node with a
-    zero diagonal and no coupling is a zero pivot.  Neither repair fires
-    on a definite matrix, so there m = L D L^t exactly, with L read from
-    the columns.
+    there is no fill-in; other matrices get some.  Each pivot is a ratio
+    of principal minors, none of which is zero on a definite matrix, so
+    there m = L D L^t exactly, with L read from the columns.  A chosen
+    node whose diagonal is zero raises ValueError("zero pivot: the form
+    is not definite"); an indefinite matrix that meets no zero pivot in
+    this order is eliminated all the same.
 
     No Fraction is formed: each remaining row i is held as integers over
     one positive scale s_i.  Eliminating k, with pivot numerator D_k,
@@ -131,18 +132,9 @@ def eliminate(m) -> Elimination:
         degree, k = heapq.heappop(queue)
         if k not in remaining or degree != len(off[k]):
             continue
-        if not diag[k] and off[k]:
-            nonzero = [i for i in remaining if diag[i]]
-            if nonzero:
-                heapq.heappush(queue, (degree, k))
-                k = min(nonzero, key=lambda i: (len(off[i]), i))
-            else:
-                j = min(off[k])
-                _merge(diag, scale, off, k, j)
-                for i in off[j]:
-                    if i != k:
-                        heapq.heappush(queue, (len(off[i]), i))
         d = diag[k]
+        if not d:
+            raise ValueError("zero pivot: the form is not definite")
         remaining.discard(k)
         col = tuple(sorted(off[k].items()))
         e = abs(d)
@@ -169,28 +161,6 @@ def eliminate(m) -> Elimination:
         columns.append(col)
     return Elimination(tuple(order), tuple(pivots), tuple(scales),
                        tuple(columns), math.prod(pivots) // math.prod(scales))
-
-
-def _merge(diag, scale, off, k, j) -> None:
-    """Add row and column j to row and column k, whose diagonals are both
-    zero: k's diagonal becomes 2 a_kj.  Row k is brought to the scale
-    s_k s_j; every other row keeps its scale."""
-    s_k, s_j = scale[k], scale[j]
-    row = off[k]
-    for i in row:
-        row[i] *= s_j
-    diag[k] = 2 * row[j]
-    for i, a_ji in off[j].items():
-        if i != k:
-            x = row.get(i, 0) + a_ji * s_k
-            other = off[i]
-            y = other.get(k, 0) + other[j]
-            if x:
-                row[i], other[k] = x, y
-            else:
-                del row[i], other[k]
-    scale[k] = s_k * s_j
-    _divide_content(diag, scale, off, k)
 
 
 def _divide_content(diag, scale, off, i) -> None:

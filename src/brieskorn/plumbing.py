@@ -115,7 +115,10 @@ def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
     """(signature, definiteness) of the intersection form, from one exact
     congruence elimination (matrices.eliminate; leaf-first on a tree).
 
-    Definiteness is one of "negative-definite", "indefinite", "other".
+    Definiteness is one of "negative-definite", "indefinite", "other"
+    (positive definite).  A form whose elimination meets a zero pivot
+    raises ValueError; no resolution does, since each is negative
+    definite.
     """
     e = eliminate(intersection_matrix(g))
     return e.signature, e.definiteness

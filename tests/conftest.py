@@ -1,7 +1,7 @@
 """Shared fixtures: reference data for Sigma(3,16,113), the resolution
 trees of the family Sigma(3, 3s+1, 21s+8) and the indefinite bounding
-trees, and small helpers (matrix and graph comparisons used only by the
-tests).
+trees, triples with large entries and short resolutions, and small
+helpers (matrix and graph comparisons used only by the tests).
 
 Reference node order for Sigma(3,16,113): center, the [-3] branch, the
 [-3,-6,-4,-2] branch, then the [-4,-2,-2,-2,-2] branch (0-based ids).
@@ -171,6 +171,25 @@ def rho_float_oracle(p, r, s, ell):
         * (math.cos(math.pi * k * s / p) / math.sin(math.pi * k * s / p))
         * math.sin(math.pi * k * ell / p) ** 2
         for k in range(1, p))
+
+
+# Triples with entries up to 2*10^9 and short resolutions: (triple, n, R,
+# diagonalizable, p), where p is a small prime at which the standard
+# action fixes a sphere inside a branch (a node that is neither the
+# centre nor a leaf), or None.  Every stage costs a function of n, p and
+# the entries' bit length; a stage linear in an entry would take minutes.
+LARGE_ENTRIES = [
+    ((41, 2963, 146108), 13, -1, True, 7),
+    ((55, 1481, 9965646), 145, -1, True, 7),
+    ((317, 143002, 1024527679), 50, -1, True, 5),
+    ((193, 122771, 1897856947), 99, -1, True, 5),
+    ((479, 2854, 2945435), 18, -1, False, None),
+    ((409, 39394, 75962109), 48, 1, False, 5),
+    ((367, 68917, 393567851), 50, -1, False, 7),
+    ((557, 55483, 660067083), 58, -1, False, 5),
+    ((331, 173968, 1355050215), 57, -1, False, 7),
+    ((49, 78525, 26689588), 63, 1, False, None),
+]
 
 
 def random_triples(count, seed=20240817, max_entry=45):

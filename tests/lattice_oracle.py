@@ -10,15 +10,17 @@ coordinate and which walks both signs of every coordinate, a
 ``diagonalize`` that checks pairwise orthogonality of the roots (with
 the bilinear form ``evaluate``) and checks the derived C^-1 against
 Gauss-Jordan (``matrices.inverse_unimodular``), and the dense
-three-product check C^t Q C = -I (``check_identities``).  The package reads
-signature, definiteness, determinant and the search factor off one
-sparse elimination in integers (``matrices.eliminate``), walks an
-integer-scaled search that finds each +- pair once in one flat loop,
-forms C^-1 = -C^t Q once and checks both identities by the Gram identity
-X^t X = -Q with |det Q| = 1.  That elimination is also kept here as it
-was over Fraction (``fraction_eliminate``), with ``fraction_view`` to read
-the integer one the same way, and that walk in its earlier recursive
-form with a separate forced tail (``forced_tail_roots``).  The tests in
+three-product check C^t Q C = -I (``check_identities``).  The package
+reads signature, definiteness, determinant and the search factor off one
+sparse elimination in integers (``matrices.eliminate``), which takes
+definite forms and refuses a zero pivot, walks an integer-scaled search
+that finds each +- pair once in one flat loop, forms C^-1 = -C^t Q once
+and checks both identities by the Gram identity X^t X = -Q with
+|det Q| = 1.  That elimination is also kept here as it was over Fraction,
+with both zero-pivot repairs or, on request, none
+(``fraction_eliminate``), with ``fraction_view`` to read the integer one
+the same way, and that walk in its earlier recursive form with a
+separate forced tail (``forced_tail_roots``).  The tests in
 ``test_lattice_kernels.py`` check that all paths agree exactly.
 """
 
@@ -233,9 +235,17 @@ def fraction_view(e: Elimination) -> FractionElimination:
         e.determinant)
 
 
-def fraction_eliminate(m) -> FractionElimination:
+def fraction_eliminate(m, repair: bool = True) -> FractionElimination:
     """matrices.eliminate as it was over Fraction: the same minimum-degree
-    order and zero-pivot repairs, with every remaining entry a Fraction."""
+    order, with every remaining entry a Fraction, and the two zero-pivot
+    repairs it dropped.  A chosen node with a zero diagonal but couplings
+    left is passed over for the next node in that order whose diagonal is
+    nonzero; when every remaining diagonal is zero, row and column j (the
+    least node coupled to k) are added to row and column k, which puts
+    2 m_kj on k's diagonal.  A node with a zero diagonal and no coupling
+    is a zero pivot.  With repair=False it is the plain L D L^t of
+    matrices.eliminate: it stops at the first zero pivot, which it records
+    as its last pivot, with an empty column."""
     n = len(m)
     diag = [Fraction(m[i][i]) for i in range(n)]
     off = [{j: x for j, x in enumerate(row) if x and j != i}
@@ -256,6 +266,11 @@ def fraction_eliminate(m) -> FractionElimination:
         degree, k = heapq.heappop(queue)
         if k not in remaining or degree != len(off[k]):
             continue
+        if not (diag[k] or repair):
+            order.append(k)
+            pivots.append(diag[k])
+            columns.append(())
+            break
         if not diag[k] and off[k]:
             nonzero = [i for i in remaining if diag[i]]
             if nonzero:

@@ -868,6 +868,14 @@ class TestCLI:
         ("-1 2\n3 -1\n", "form matrix must be symmetric n x n"),
         ("-2 1\n1 -2\n", "form must have determinant +-1"),   # det 3
         ("-1 0\n0 1\n", "root enumeration requires a negative definite form"),
+        # A zero pivot: a hyperbolic pair, a zero 1 x 1 form, and a
+        # hyperbolic pair beside a positive path, whose zero-diagonal
+        # nodes come first in the elimination order.
+        ("0 1\n1 0\n", "zero pivot: the form is not definite"),
+        ("0\n", "zero pivot: the form is not definite"),
+        ("0 1 0 0 0 0\n1 0 0 0 0 0\n0 0 2 1 0 0\n"
+         "0 0 1 2 1 0\n0 0 0 1 2 1\n0 0 0 0 1 2\n",
+         "zero pivot: the form is not definite"),
     ])
     def test_bad_form_in_matrix_file_is_input_error(
             self, tmp_path, capsys, data, message):

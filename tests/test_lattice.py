@@ -26,10 +26,17 @@ def minus_identity(n):
 
 class TestMatrices:
     def test_bareiss_determinant(self):
-        for m, expected in ((((2, 1), (1, 1)), 1), (REFERENCE_QX, -1),
-                            (((0, 1), (1, 0)), -1)):
+        for m, expected in ((((2, 1), (1, 1)), 1), (REFERENCE_QX, -1)):
             assert det(m) == expected
             assert eliminate(m).determinant == expected
+        # A hyperbolic pair: eliminate refuses its zero pivot, and the
+        # Fraction oracle's merge repair still finds the determinant.
+        hyperbolic = ((0, 1), (1, 0))
+        assert det(hyperbolic) == -1
+        assert oracle.fraction_eliminate(hyperbolic).determinant == -1
+        with pytest.raises(ValueError,
+                           match=r"^zero pivot: the form is not definite$"):
+            eliminate(hyperbolic)
 
     def test_inverse_unimodular(self):
         m = ((2, 1), (1, 1))
@@ -157,11 +164,13 @@ class TestDiagonalize:
 
     def test_gram_check_needs_a_unimodular_form(self):
         # X = -C^t Q = (0) passes X^t X = -Q; only |det Q| = 1 rules it
-        # out.
-        from brieskorn import InternalInvariantError
+        # out.  Any Q that passes the Gram identity with |det Q| != 1 is
+        # singular, so its elimination meets a zero pivot and refuses it
+        # before the Gram check runs.
         from brieskorn.lattice import Diagonalization
         form = UnimodularForm.from_matrix(((0,),))
-        with pytest.raises(InternalInvariantError, match=r"C\^t Q C != -I"):
+        with pytest.raises(ValueError,
+                           match=r"^zero pivot: the form is not definite$"):
             Diagonalization(form, ((1,),))
 
     def test_inverse_is_minus_c_transpose_q(self):

@@ -10,11 +10,14 @@ congruence elimination (matrices.eliminate) is checked against the Bareiss
 determinant, the dense congruence signature, the leading-minor
 definiteness test and the leaf-pivoting tree signature, on symmetric
 matrices with zero diagonals, singular and indefinite ones, random
-plumbing trees and the indefinite bounding graphs.  Its order, pivots,
-columns and determinant are checked exactly against the Fraction
-elimination it replaced, on matrices that fire both zero-pivot repairs
-and on resolution trees.  At n = 406 the root search is checked against
-the recursive walk."""
+plumbing trees and the indefinite bounding graphs.  It refuses exactly
+the matrices on which the plain L D L^t in its order meets a zero pivot,
+and each refusal is certified by a zero principal minor.  Its order,
+pivots, columns and determinant are checked exactly against the Fraction
+elimination it replaced, on resolution trees and on every matrix it does
+not refuse; where it refuses, that elimination's two zero-pivot repairs
+are checked against the Bareiss determinant and the dense signature.  At
+n = 406 the root search is checked against the recursive walk."""
 
 import contextlib
 import hashlib
@@ -39,9 +42,21 @@ from brieskorn.matrices import (eliminate, freeze, is_negative_definite,
 from conftest import fickle_graph, permute_symmetric
 from lattice_oracle import mat_mul
 
+ZERO_PIVOT = r"^zero pivot: the form is not definite$"
+
+# A hyperbolic pair (nodes 0, 1) beside a path with nonzero diagonal.
+PASSED_OVER = ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 2, 1, 0, 0),
+               (0, 0, 1, 2, 1, 0), (0, 0, 0, 1, 2, 1), (0, 0, 0, 0, 1, 2))
+
 TRIPLES = [(a, b, c) for a in range(2, 8) for b in range(a + 1, 31)
            for c in range(b + 1, 71)
            if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1]
+
+
+def meets_zero_pivot(q) -> bool:
+    """Whether the plain L D L^t of q in minimum-degree order meets a zero
+    pivot."""
+    return 0 in oracle.fraction_eliminate(q, repair=False).pivots
 
 
 def tree_form(triple):
@@ -128,6 +143,14 @@ def test_pivots_agree_with_leading_minors_on_symmetric_matrices(entries):
     q = tuple(tuple(entries[min(i, j) * n + max(i, j)] for j in range(n))
               for i in range(n))
     form = UnimodularForm.from_matrix(q)
+    if meets_zero_pivot(q):
+        # Refused, and no leading-minor test finds q definite either.
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            form.determinant
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            form.is_negative_definite
+        assert not oracle.is_negative_definite(q)
+        return
     assert form.is_negative_definite == oracle.is_negative_definite(q)
     assert form.determinant == oracle.det(q)
     if not form.is_negative_definite:
@@ -135,37 +158,48 @@ def test_pivots_agree_with_leading_minors_on_symmetric_matrices(entries):
             enumerate_roots(form)
 
 
-def assert_elimination_matches_oracles(q):
+def assert_elimination_matches_oracles(q) -> bool:
     """Signature, definiteness and determinant of eliminate(q) against the
-    dense oracles; on a definite q the factor must rebuild q exactly."""
+    dense oracles, and the factor must rebuild q exactly.  A q on which
+    the plain L D L^t meets a zero pivot must be refused, and the dense
+    oracles must find it singular or indefinite.  Returns whether q was
+    refused."""
     n = len(q)
-    e = eliminate(q)
     pos, neg, zero = oracle.symmetric_signature(q)
+    if meets_zero_pivot(q):
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            eliminate(q)
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            is_negative_definite(q)
+        assert zero or (pos and neg)
+        assert not oracle.is_negative_definite(q)
+        return True
+    e = eliminate(q)
     assert sorted(e.order) == list(range(n))
-    assert (e.signature, sum(d == 0 for d in e.pivots)) == (pos - neg, zero)
+    assert (e.signature, zero) == (pos - neg, 0)
     assert e.determinant == oracle.det(q)
-    kind = ("other" if zero else "negative-definite" if neg == n
+    kind = ("negative-definite" if neg == n
             else "indefinite" if pos and neg else "other")
     assert e.definiteness == kind
     assert is_negative_definite(q) == oracle.is_negative_definite(q) == (
         kind == "negative-definite")
-    if kind == "negative-definite" or neg == 0 == zero:
-        # L[order[j]][j] = 1, L[i][j] from columns[j]; q = L D L^t.
-        rebuilt = [[0] * n for _ in range(n)]
-        f = oracle.fraction_view(e)
-        for node, d, col in zip(f.order, f.pivots, f.columns):
-            entries = ((node, 1),) + col
-            for a, la in entries:
-                for b, lb in entries:
-                    rebuilt[a][b] += la * d * lb
-        assert rebuilt == [list(row) for row in q]
+    # L[order[j]][j] = 1, L[i][j] from columns[j]; q = L D L^t.
+    rebuilt = [[0] * n for _ in range(n)]
+    f = oracle.fraction_view(e)
+    for node, d, col in zip(f.order, f.pivots, f.columns):
+        entries = ((node, 1),) + col
+        for a, la in entries:
+            for b, lb in entries:
+                rebuilt[a][b] += la * d * lb
+    assert rebuilt == [list(row) for row in q]
+    return False
 
 
 @st.composite
 def symmetric_matrices(draw):
     """Random symmetric integer matrices; on request the diagonal is zero
-    (so the zero-pivot repairs fire) or the last node repeats node 0 (so
-    the matrix is singular)."""
+    (so eliminate refuses them) or the last node repeats node 0 (so the
+    matrix is singular)."""
     n = draw(st.integers(min_value=1, max_value=6))
     entries = draw(st.lists(st.integers(min_value=-3, max_value=3),
                             min_size=n * n, max_size=n * n))
@@ -198,15 +232,30 @@ def test_elimination_matches_oracles_on_symmetric_matrices(q):
 @settings(max_examples=200, deadline=None)
 @given(plumbing_trees())
 def test_elimination_matches_oracles_on_random_trees(g):
-    assert_elimination_matches_oracles(intersection_matrix(g))
-    assert graph_signature(g) == oracle.graph_signature(g)
+    if assert_elimination_matches_oracles(intersection_matrix(g)):
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            graph_signature(g)
+        assert oracle.graph_signature(g)[1] != "negative-definite"
+    else:
+        assert graph_signature(g) == oracle.graph_signature(g)
 
 
 def assert_elimination_matches_fraction_oracle(q):
     """eliminate(q), read as Fractions, equals the Fraction elimination it
     replaced: the same order, pivots, columns of L and determinant, and so
-    the same signature and definiteness; every row scale is positive."""
-    e, f = eliminate(q), oracle.fraction_eliminate(q)
+    the same signature and definiteness; every row scale is positive.
+    Where eliminate refuses q, that elimination repairs the zero pivot,
+    and its determinant and signature must be the dense oracles'."""
+    f = oracle.fraction_eliminate(q)
+    try:
+        e = eliminate(q)
+    except ValueError as exc:
+        assert str(exc) == "zero pivot: the form is not definite"
+        pos, neg, zero = oracle.symmetric_signature(q)
+        zeros = sum(d == 0 for d in f.pivots)
+        assert (f.signature, zeros) == (pos - neg, zero)
+        assert f.determinant == oracle.det(q)
+        return
     assert oracle.fraction_view(e) == f
     assert (e.signature, e.definiteness) == (f.signature, f.definiteness)
     assert all(s > 0 for s in e.scales)
@@ -215,9 +264,10 @@ def assert_elimination_matches_fraction_oracle(q):
 @st.composite
 def repair_matrices(draw):
     """Random symmetric integer matrices whose diagonal entries are each
-    zero on request, so that a zero-diagonal node is passed over or, once
-    every remaining diagonal is zero, merged; the last node repeats node 0
-    on request (a singular matrix).  Most are indefinite."""
+    zero on request, so that eliminate refuses many of them and the
+    Fraction oracle passes a zero-diagonal node over or, once every
+    remaining diagonal is zero, merges it; the last node repeats node 0 on
+    request (a singular matrix).  Most are indefinite."""
     n = draw(st.integers(min_value=1, max_value=7))
     entries = draw(st.lists(st.integers(min_value=-4, max_value=4),
                             min_size=n * n, max_size=n * n))
@@ -230,9 +280,9 @@ def repair_matrices(draw):
         for j in range(n)) for i in range(n))
 
 
-# Every diagonal is zero, so the merge fires on nodes 3 and 0, both at
-# scale 1; once nodes 3 and 0 are gone it fires again on node 1 (scale 1)
-# and node 2 (scale 3), and row 1 is brought to scale 3.
+# Every diagonal is zero, so eliminate refuses it and the oracle's merge
+# fires on nodes 3 and 0; once nodes 3 and 0 are gone it fires again on
+# nodes 1 and 2.
 @example(((0, -3, -1, 3, 0), (-3, 0, 3, 0, -2), (-1, 3, 0, 0, 2),
           (3, 0, 0, 0, -2), (0, -2, 2, -2, 0)))
 @example(((0, 1), (1, 0)))
@@ -249,14 +299,38 @@ def test_integer_elimination_matches_fraction_oracle_on_trees(triple):
 
 
 def test_elimination_returns_to_passed_over_nodes():
-    # A hyperbolic pair (nodes 0, 1) beside a path with nonzero diagonal:
-    # both zero-diagonal nodes come first in minimum-degree order and are
-    # passed over, and must still be eliminated (by the row+column merge)
-    # once the path is gone.
-    q = ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 2, 1, 0, 0),
-         (0, 0, 1, 2, 1, 0), (0, 0, 0, 1, 2, 1), (0, 0, 0, 0, 1, 2))
-    assert_elimination_matches_oracles(q)
-    assert eliminate(q).order[:2] == (2, 3)
+    # Both zero-diagonal nodes of PASSED_OVER come first in minimum-degree
+    # order.  eliminate refuses the form at node 0.  The Fraction oracle
+    # passes both over, and must still eliminate them (by the row+column
+    # merge) once the path is gone.
+    assert assert_elimination_matches_oracles(PASSED_OVER)
+    assert oracle.fraction_eliminate(PASSED_OVER, repair=False).order == (0,)
+    f = oracle.fraction_eliminate(PASSED_OVER)
+    assert f.order == (2, 3, 4, 5, 0, 1)
+    assert f.pivots[4:] == (2, Fraction(-1, 2))
+    assert_elimination_matches_fraction_oracle(PASSED_OVER)
+
+
+@example(((0,),))
+@example(((0, 1), (1, 0)))
+@example(PASSED_OVER)
+@settings(max_examples=300, deadline=None)
+@given(repair_matrices())
+def test_eliminate_refuses_exactly_at_an_unrepaired_zero_pivot(q):
+    # eliminate refuses q exactly when the plain L D L^t in minimum-degree
+    # order meets a zero pivot, and otherwise is that L D L^t.  A refusal
+    # is certified: the principal minor on the nodes eliminated up to the
+    # zero pivot is 0, so neither q nor -q is negative definite.
+    plain = oracle.fraction_eliminate(q, repair=False)
+    if 0 in plain.pivots:
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            eliminate(q)
+        nodes = plain.order
+        assert oracle.det([[q[i][j] for j in nodes] for i in nodes]) == 0
+        assert not oracle.is_negative_definite(q)
+        assert not oracle.is_negative_definite([[-x for x in r] for r in q])
+    else:
+        assert oracle.fraction_view(eliminate(q)) == plain
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -264,7 +338,8 @@ def test_elimination_matches_oracles_on_fickle_graphs(sign):
     for r in (3, 5, 7, 9):
         for s in range(1, 12):
             g = fickle_graph(r, s, sign)
-            assert_elimination_matches_oracles(intersection_matrix(g))
+            q = intersection_matrix(g)
+            assert not assert_elimination_matches_oracles(q)
             assert graph_signature(g) == oracle.graph_signature(g) == (
                 -2, "indefinite")
 

@@ -16,6 +16,9 @@ from conftest import (PERM_3_16_113, REFERENCE_QX, fickle_graph,
                       gamma_k_graph, graphs_equivalent, permute_symmetric,
                       random_triples, spider_form)
 from lattice_oracle import det, symmetric_signature
+from lattice_oracle import graph_signature as oracle_graph_signature
+
+ZERO_PIVOT = r"^zero pivot: the form is not definite$"
 
 
 def resolution(a, b, c):
@@ -109,14 +112,21 @@ class TestGraphSignature:
             assert graph_signature(g)[0] == pos - neg
 
     def test_zero_pivot_falls_back(self):
-        # zero-weight leaf forces the generic-elimination fallback
+        # A zero-weight leaf is a zero pivot: the package refuses it, and
+        # the leaf-pivoting oracle falls back to generic elimination.
         g = star(-2, [[0], [3]])
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            graph_signature(g)
         pos, neg, zero = symmetric_signature(intersection_matrix(g))
-        assert graph_signature(g)[0] == pos - neg
+        assert oracle_graph_signature(g) == (pos - neg, "indefinite")
 
     def test_zero_final_pivot_classified_other(self):
-        g = star(0, [[1], [-1]])   # singular form
-        assert graph_signature(g)[1] == "other"
+        # A singular form: its last pivot is zero.  The package refuses
+        # it; the oracle classifies it "other".
+        g = star(0, [[1], [-1]])
+        with pytest.raises(ValueError, match=ZERO_PIVOT):
+            graph_signature(g)
+        assert oracle_graph_signature(g) == (0, "other")
 
 
 class TestGammaFamily:
@@ -152,6 +162,15 @@ class TestFickleGraph:
         g = fickle_graph(3, 5, "-")
         assert graph_signature(g) == (-2, "indefinite")
         assert abs(det(intersection_matrix(g))) == 1
+
+    def test_no_bounding_tree_meets_a_zero_pivot(self):
+        # eliminate refuses a zero pivot; none of these 1200 indefinite
+        # bounding trees (odd r <= 21, s <= 60, both signs) meets one.
+        for r in range(3, 22, 2):
+            for s in range(1, 61):
+                for sign in "+-":
+                    assert graph_signature(fickle_graph(r, s, sign)) == (
+                        -2, "indefinite")
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

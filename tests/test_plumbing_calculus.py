@@ -7,7 +7,10 @@ instead:
 
 - *R-invariant.*  The Fintushel-Stern cotangent sum for R(a1, a2, a3),
   in floats, lies within 1e-6 of ``SeifertData.r_invariant`` (Fintushel
-  and Stern, "Pseudofree orbifolds", Ann. of Math. 122 (1985)).
+  and Stern, "Pseudofree orbifolds", Ann. of Math. 122 (1985)).  Each
+  branch's term also has an exact closed form, a sawtooth value, which
+  the float sum checks on small entries and which gives R exactly on
+  entries up to 2*10^9, where the float sum would take minutes.
 - *Branch continuants.*  Read off the graph alone, branch i has
   continuant +-a_i, and the branch without its first node +-|b_i|; the
   centre weight is delta, and delta = -1/P - sum |b_i|/a_i for
@@ -19,19 +22,23 @@ instead:
   a wrong signature term, is invisible to rho.
 
 Each is checked under ``hypothesis`` on random pairwise-coprime triples,
-and free primes p < 40 for the blow-ups.
+and free primes p < 40 for the blow-ups.  The first two also run on
+``LARGE_ENTRIES``, whose resolutions are short but whose entries are up
+to 2*10^9.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brieskorn import (BrieskornTriple, canonical_resolution,
-                       eta_from_fixed_data, graph_signature,
-                       propagate_rotations, rho_from_eta, seifert_invariants,
-                       star)
+from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
+                       diagonalize, eta_from_fixed_data, graph_signature,
+                       intersection_matrix, propagate_rotations,
+                       rho_from_eta, seifert_invariants, star)
 from brieskorn.arith import is_prime
+from conftest import LARGE_ENTRIES
 
 
 @st.composite
@@ -45,19 +52,33 @@ def coprime_triples(draw, a_max=9, b_max=60, c_max=200):
     return BrieskornTriple.of(a, b, c)
 
 
+def fintushel_stern_term(a, ai):
+    """Branch a_i's term of the Fintushel-Stern sum, in floats:
+    (2/a_i) sum_{k=1}^{a_i - 1}
+    cot(pi a k / a_i^2) cot(pi k / a_i) sin^2(pi k / a_i)."""
+    # a k / a_i^2 is reduced exactly before it meets a float.
+    return 2 / ai * sum(
+        math.sin(math.pi * k / ai) ** 2
+        / math.tan(math.pi * (a * k % ai ** 2) / ai ** 2)
+        / math.tan(math.pi * k / ai)
+        for k in range(1, ai))
+
+
 def fintushel_stern_r(triple):
-    """R = 2/a + sum_i (2/a_i) sum_{k=1}^{a_i - 1}
-    cot(pi a k / a_i^2) cot(pi k / a_i) sin^2(pi k / a_i), a = a1 a2 a3."""
+    """R = 2/a + sum_i fintushel_stern_term(a, a_i), a = a1 a2 a3."""
     a = triple.product
-    total = 2 / a
-    for ai in triple.entries:
-        # a k / a_i^2 is reduced exactly before it meets a float.
-        total += 2 / ai * sum(
-            math.sin(math.pi * k / ai) ** 2
-            / math.tan(math.pi * (a * k % ai ** 2) / ai ** 2)
-            / math.tan(math.pi * k / ai)
-            for k in range(1, ai))
-    return total
+    return 2 / a + sum(fintushel_stern_term(a, ai) for ai in triple.entries)
+
+
+def sawtooth_term(a, ai):
+    """fintushel_stern_term(a, a_i) exactly, in O(log a_i) steps:
+    -2((h'/a_i)) = 1 - 2h'/a_i, where h' in 1..a_i-1 is the inverse of
+    h = a/a_i mod a_i and ((x)) = x - floor(x) - 1/2.  Since
+    sin^2(x) cot(x) = sin(2x)/2 and a k / a_i^2 = h k / a_i, putting
+    j = h k mod a_i into Eisenstein's finite Fourier series
+    sum_{j=1}^{c-1} cot(pi j / c) sin(2 pi j x / c) = -2c ((x/c))
+    gives the term."""
+    return 1 - Fraction(2 * pow(a // ai, -1, ai), ai)
 
 
 def branches(g):
@@ -101,9 +122,23 @@ def test_r_invariant_is_the_fintushel_stern_sum(triple):
     assert abs(fintushel_stern_r(triple) - r) < 1e-6
 
 
+@settings(max_examples=100, deadline=None)
+@given(coprime_triples())
+def test_sawtooth_terms_are_the_fintushel_stern_terms(triple):
+    a = triple.product
+    for ai in triple.entries:
+        assert abs(fintushel_stern_term(a, ai) - sawtooth_term(a, ai)) < 1e-6
+
+
 @settings(max_examples=150, deadline=None)
 @given(coprime_triples())
 def test_branch_continuants_recover_the_seifert_data(triple):
+    assert_continuants_recover(triple)
+
+
+def assert_continuants_recover(triple):
+    """The branches of the resolution give back each a_i and |b_i|, and
+    the centre weight is delta; returns the resolution."""
     sd = seifert_invariants(triple)
     g = canonical_resolution(sd)
     read = {}
@@ -115,6 +150,35 @@ def test_branch_continuants_recover_the_seifert_data(triple):
     assert center == sd.delta
     assert center == -Fraction(1, triple.product) - sum(
         Fraction(b, a) for a, b in read.items())
+    return g
+
+
+@pytest.mark.parametrize(
+    "triple, n, r, diagonalizable, p", LARGE_ENTRIES,
+    ids=["Sigma(%d,%d,%d)" % entry[0] for entry in LARGE_ENTRIES])
+def test_large_entries_resolve_exactly(triple, n, r, diagonalizable, p):
+    # The checks above on entries up to 2*10^9.  The float sum is O(a_i),
+    # so it checks the sawtooth terms only where a_i <= 10^4; the
+    # sawtooth terms give R on every branch.  The form is negative
+    # definite, so its elimination meets no zero pivot, and at p the
+    # action fixes a sphere inside a branch.
+    t = BrieskornTriple.of(*triple)
+    g = assert_continuants_recover(t)
+    assert g.node_count == n
+    a = t.product
+    assert seifert_invariants(t).r_invariant == r == Fraction(2, a) + sum(
+        sawtooth_term(a, ai) for ai in t.entries)
+    for ai in t.entries:
+        if ai <= 10 ** 4:
+            float_term = fintushel_stern_term(a, ai)
+            assert abs(float_term - sawtooth_term(a, ai)) < 1e-6
+    assert graph_signature(g) == (-n, "negative-definite")
+    form = UnimodularForm.from_matrix(intersection_matrix(g))
+    assert diagonalize(form).found is diagonalizable
+    if p is not None:
+        adj = g.adjacency()
+        assert any(v != g.center and len(adj[v]) == 2 for v, _, _ in
+                   propagate_rotations(g, p).fixed_spheres)
 
 
 @st.composite
