@@ -28,30 +28,25 @@ refuses (empty, a directory, a name too long, a missing directory) is
 refused before any work with `open()`'s own error, and that error wins
 over every other but argparse's.
 
-`analyze` with no `--json` path asks the analysis for its text alone
+`analyze` with no `--json` path asks the cache for its text alone
 (`cached_analysis(..., text=True)`), so a cache hit prints the text
 stored in the entry's header and decodes no report; `--json` and
-`family` get the report.  Both reach the cache through the name
-`cached_analysis` in this module, and `_analysis` alone picks it or,
-with `--no-cache`, `build_analysis`.
+`family` get the report.  With `--no-cache` both call `build_analysis`.
+Both names are looked up in this module at call time, so a caller may
+replace either.
 
 `main` may be called many times in one process: the argparse parsers
-are built on the first call and shared by every later one, and no call
-leaves state behind that changes what a later call prints.  When
-argv[0] names a command, `main` hands argv[1:] straight to that
-command's parser, which is what the top-level parser would do after
-scanning all of argv; the top-level parser reads argv only when argv[0]
-names no command (no argv, -h, --version or a typo), so help, version
-and every error text are argparse's own.
-
-Before either parser, `main` reads the plainest analyze argv itself,
-`analyze A B C` or `analyze A B C --p P` with each number a run of ASCII
-digits (`_plain_analyze`).  It builds the Namespace the analyze parser
-would, without argparse, which was about half of an in-process text
-cache hit.  Any other argv (`--p=5`, `--json`, `--no-cache`, `-h`, a
-repeated option, a sign, `_` or a non-ASCII digit) and a number `int()`
-refuses (more digits than its limit) go to argparse as before, so the
-plain path never prints anything argparse would not.
+are built on the first call that needs them and shared by every later
+one, and no call leaves state behind that changes what a later call
+prints.  `main` reads the plainest analyze argv itself, `analyze A B C`
+or `analyze A B C --p P` with each number a run of ASCII digits
+(`_plain_analyze`).  It builds the Namespace the parser would, without
+argparse, which was about half of an in-process text cache hit.  Any
+other argv (`--p=5`, `--json`, `--no-cache`, `-h`, a repeated option, a
+sign, `_` or a non-ASCII digit) and a number `int()` refuses (more
+digits than its limit) go to the parser, so help, version and every
+error text are argparse's own, and the plain path never prints anything
+argparse would not.
 """
 
 from __future__ import annotations
@@ -124,28 +119,16 @@ def _write_json(path: str, payload) -> None:
             handle.write(data)
 
 
-def _uncached(a: int, b: int, c: int, p: Optional[int] = None, *,
-              text: bool = False):
-    """build_analysis, called as cached_analysis is: the report, or with
-    text its rendered text."""
-    report = build_analysis(a, b, c, p)
-    return render_text(report) if text else report
-
-
-def _analysis(args):
-    """The cache policy of analyze and family: --no-cache builds every
-    report, otherwise the file cache serves it.  The names are looked up
-    at call time, so a caller may replace any of them."""
-    return _uncached if args.no_cache else cached_analysis
-
-
 def cmd_analyze(args) -> _Output:
-    analysis = _analysis(args)
-    if args.json is None:
+    request = args.a, args.b, args.c, args.p
+    if args.no_cache:
+        report = build_analysis(*request)
+    elif args.json is None:
         # Text only: a cache hit prints the text stored in the entry's
         # header and decodes no report.
-        return None, [analysis(args.a, args.b, args.c, args.p, text=True)]
-    report = analysis(args.a, args.b, args.c, args.p)
+        return None, [cached_analysis(*request, text=True)]
+    else:
+        report = cached_analysis(*request)
     # map() renders the text only if main writes it.
     return report, map(render_text, (report,))
 
@@ -175,7 +158,7 @@ def cmd_family(args) -> _Output:
                          f"more than FAMILY_MAX = {FAMILY_MAX}")
     if args.p is not None:
         check_order(args.p)
-    analysis = _analysis(args)
+    analysis = build_analysis if args.no_cache else cached_analysis
     rows = []
     for s in range(lo, hi + 1):
         # An InputError, from the family rule or from the analysis (the
@@ -339,24 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_triple(p_gr)
     p_gr.add_argument("--format", choices=("dot", "json", "tgf"), default="tgf")
     p_gr.set_defaults(func=cmd_graph)
-    # main hands argv[1:] to the parser argv[0] names, as this one would.
-    parser.commands = {"analyze": p_an, "family": p_fam, "diagonalize": p_diag,
-                       "rho": p_rho, "eta": p_eta, "graph": p_gr}
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain_analyze(argv)
-        if args is None:
-            command = parser.commands.get(argv[0]) if argv else None
-            if command is None:
-                args = parser.parse_args(argv)
-            else:
-                args = command.parse_args(argv[1:])
-                args.command = argv[0]
+        args = _plain_analyze(argv) or build_parser().parse_args(argv)
         path = getattr(args, "json", None)
         _check_json_path(path)
         payload, lines = args.func(args)

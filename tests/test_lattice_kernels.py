@@ -9,10 +9,11 @@ against the three-product oracle on tampered diagonalizations.  The one
 congruence elimination (matrices.eliminate) is checked against the Bareiss
 determinant, the dense congruence signature, the leading-minor
 definiteness test and the leaf-pivoting tree signature, on symmetric
-matrices with zero diagonals, singular and indefinite ones, random
-plumbing trees and the indefinite bounding graphs.  It refuses exactly
-the matrices on which the plain L D L^t in its order meets a zero pivot,
-and each refusal is certified by a zero principal minor.  Its order,
+matrices (about half of them definite forms -A^t A, the others with
+zero diagonals, singular or indefinite), random plumbing trees and the
+indefinite bounding graphs.  It refuses exactly the matrices on which
+the plain L D L^t in its order meets a zero pivot, and each refusal is
+certified by a zero principal minor.  Its order,
 pivots, columns and determinant are checked exactly against the Fraction
 elimination it replaced, on resolution trees and on every matrix it does
 not refuse; where it refuses, that elimination's two zero-pivot repairs
@@ -197,12 +198,22 @@ def assert_elimination_matches_oracles(q) -> bool:
 
 @st.composite
 def symmetric_matrices(draw):
-    """Random symmetric integer matrices; on request the diagonal is zero
-    (so eliminate refuses them) or the last node repeats node 0 (so the
-    matrix is singular)."""
+    """Random symmetric integer matrices.  About half are -A^t A for a
+    nonsingular A = L U (L unit lower triangular, U upper triangular with
+    a nonzero diagonal), so negative definite.  The others have random
+    entries; on request the diagonal is zero (so eliminate refuses them)
+    or the last node repeats node 0 (so the matrix is singular)."""
     n = draw(st.integers(min_value=1, max_value=6))
     entries = draw(st.lists(st.integers(min_value=-3, max_value=3),
                             min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):
+        diagonal = draw(st.lists(st.sampled_from([-2, -1, 1, 2]),
+                                 min_size=n, max_size=n))
+        lower = [[entries[i * n + j] if j < i else int(i == j)
+                  for j in range(n)] for i in range(n)]
+        upper = [[entries[i * n + j] if j > i else diagonal[i] if i == j
+                  else 0 for j in range(n)] for i in range(n)]
+        return negated_gram(mat_mul(lower, upper))
     zero_diagonal, singular = draw(st.booleans()), draw(st.booleans())
     source = [0 if singular and i == n - 1 else i for i in range(n)]
     return tuple(tuple(
