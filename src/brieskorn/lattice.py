@@ -67,13 +67,6 @@ class UnimodularForm:
         """The congruence elimination of Q (matrices.eliminate)."""
         return eliminate(self.q)
 
-    determinant = property(lambda self: self.elimination.determinant,
-                           doc="det Q, the product of the pivots.")
-
-    @property
-    def is_negative_definite(self) -> bool:
-        return self.elimination.definiteness == "negative-definite"
-
 
 def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     """All integer vectors v with v^t Q v = -1, for negative definite Q.
@@ -105,9 +98,9 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     The output is closed under negation, duplicate-free, and sorted
     lexicographically.
     """
-    if not form.is_negative_definite:
-        raise ValueError("root enumeration requires a negative definite form")
     e = form.elimination
+    if e.definiteness != "negative-definite":
+        raise ValueError("root enumeration requires a negative definite form")
     steps = []
     for node, d, s, col in zip(e.order, e.pivots, e.scales, e.columns):
         h = math.gcd(d, *(a for _, a in col))      # d < 0
@@ -181,7 +174,8 @@ class Diagonalization:
         n, q, c = self.form.n, self.form.q, self.c
         if len(c) != n or any(len(row) != n for row in c):
             raise InternalInvariantError(f"C must be {n} x {n}")
-        if abs(self.form.determinant) != 1:   # then no row of Q is zero
+        # Past this check |det Q| = 1, so no row of Q is zero.
+        if abs(self.form.elimination.determinant) != 1:
             raise InternalInvariantError("C^t Q C != -I")
         gram, rows = {}, []   # Q + X^t X, and the rows of -Q C
         for k, q_row in enumerate(q):
@@ -236,7 +230,7 @@ def diagonalize(form: UnimodularForm) -> Union[Diagonalization, DiagonalizationF
     pairs; representatives are the pair members with positive leading
     entry, in lexicographic order, which makes the output canonical.
     """
-    if abs(form.determinant) != 1:
+    if abs(form.elimination.determinant) != 1:
         raise ValueError("form must have determinant +-1")
     roots = enumerate_roots(form)
     # Sorted and sign-closed: the upper half has positive leading entries.

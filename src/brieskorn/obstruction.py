@@ -174,12 +174,8 @@ class ObstructionVerdict:
     certificate: Optional[Certificate]
 
     @property
-    def feasible(self) -> bool:
-        return self.certificate is None
-
-    @property
     def status(self) -> str:
-        return "feasible" if self.feasible else "infeasible"
+        return "feasible" if self.certificate is None else "infeasible"
 
 
 def decide(cs: ConstraintSystem) -> ObstructionVerdict:

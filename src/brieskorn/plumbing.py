@@ -5,9 +5,9 @@ Signatures, definiteness and determinants are read off the one
 congruence elimination, ``matrices.eliminate``.
 
 Node convention: nodes are 0..n-1 with integer weights; edges are
-unordered index pairs; the designated center is node 0 for the graphs
-built here.  Canonical node order is center first, then the branches in
-input order, each walked outward.
+unordered index pairs; the center is node 0, so ``PlumbingGraph`` has
+no field for it.  Canonical node order is center first, then the
+branches in input order, each walked outward.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ class PropagationError(InternalInvariantError):
 class PlumbingGraph:
     weights: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
-    center: int = 0
 
     def __post_init__(self):
         n = len(self.weights)
-        if not 0 <= self.center < n:
-            raise ValueError(f"center {self.center} out of range")
         seen = set()
         for i, j in self.edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -58,10 +55,6 @@ class PlumbingGraph:
                     stack.append(u)
         return len(seen) == len(self.weights)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.weights)
-
     def adjacency(self) -> Dict[int, List[int]]:
         adj: Dict[int, List[int]] = {i: [] for i in range(len(self.weights))}
         for i, j in self.edges:
@@ -80,7 +73,7 @@ def star(center_weight: int, branches: Sequence[Sequence[int]]) -> PlumbingGraph
             weights.append(w)
             edges.append((prev, len(weights) - 1))
             prev = len(weights) - 1
-    return PlumbingGraph(tuple(weights), tuple(edges), center=0)
+    return PlumbingGraph(tuple(weights), tuple(edges))
 
 
 def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
@@ -101,7 +94,7 @@ def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
 
 def intersection_matrix(g: PlumbingGraph) -> Tuple[Tuple[int, ...], ...]:
     """Diagonal = node weights; entry 1 for each edge, 0 otherwise."""
-    n = g.node_count
+    n = len(g.weights)
     m = [[0] * n for _ in range(n)]
     for i, w in enumerate(g.weights):
         m[i][i] = w
@@ -200,13 +193,13 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     -a_parent, which is not 0 mod p.
     """
     check_order(p)
-    n = g.node_count
+    n = len(g.weights)
     adj = g.adjacency()
-    # The fixed spheres, node -> normal rotation c_F; the center is one.
-    c_f: Dict[int, int] = {g.center: 1}
+    # The fixed spheres, node -> normal rotation c_F; the center, node 0, is one.
+    c_f: Dict[int, int] = {0: 1}
     isolated: List[Tuple[int, int]] = []
     # (node, parent, north pair); the center hands (fibre, 0) to each branch.
-    stack = [(u, g.center, (1, 0)) for u in reversed(adj[g.center])]
+    stack = [(u, 0, (1, 0)) for u in reversed(adj[0])]
     while stack:
         v, parent, (a, b) = stack.pop()
         w = g.weights[v]
@@ -257,7 +250,7 @@ def to_tgf(g: PlumbingGraph) -> str:
 def to_dot(g: PlumbingGraph) -> str:
     lines = ["graph plumbing {"]
     for i, w in enumerate(g.weights):
-        marker = " (center)" if i == g.center else ""
+        marker = " (center)" if i == 0 else ""
         lines.append(f'  n{i} [label="{i}: {w}{marker}"];')
     for i, j in sorted(g.edges):
         lines.append(f"  n{i} -- n{j};")

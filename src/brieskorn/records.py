@@ -7,9 +7,9 @@ module of the pipeline imports this one, so each can raise either.
 A record is a class whose annotated names are its fields, in order.
 ``@record`` gives it
 
-- an ``__init__`` taking the fields, positionally or by keyword, with the
-  class-body values as defaults, that then calls ``__post_init__`` when
-  the class defines one;
+- an ``__init__`` taking every field, positionally or by keyword, with
+  no defaults, that then calls ``__post_init__`` when the class defines
+  one;
 - ``__eq__``, ``__hash__`` and ``__repr__`` over the fields, comparing
   field tuples of records of the same class;
 - ``__setattr__`` and ``__delattr__`` that raise ``AttributeError``.
@@ -63,14 +63,11 @@ def _frozen_delattr(self, name):
 def record(cls):
     """Make cls a frozen record of its annotated fields."""
     fields = list(cls.__annotations__)
-    defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
-    params = "".join(f", {n}=_d[{n!r}]" if n in defaults else f", {n}"
-                     for n in fields)
-    lines = [f"def __init__(self{params}):",
+    lines = [f"def __init__(self, {', '.join(fields)}):",
              f" self.__dict__.update({', '.join(f'{n}={n}' for n in fields)})"]
     if hasattr(cls, "__post_init__"):
         lines.append(" self.__post_init__()")
-    namespace = {"_d": defaults}
+    namespace = {}
     exec("\n".join(lines), namespace)
 
     def __repr__(self):

@@ -55,7 +55,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
         "graph": graph_section(graph),
         "form": {
             "matrix": [list(row) for row in q],
-            "determinant": form.determinant,
+            "determinant": elim.determinant,
             "signature": elim.signature,
             "definiteness": elim.definiteness,
         },
@@ -163,7 +163,7 @@ def graph_section(graph) -> Dict:
     with the intersection matrix added."""
     return {"weights": list(graph.weights),
             "edges": [list(e) for e in sorted(graph.edges)],
-            "center": graph.center}
+            "center": 0}
 
 
 def render_json(report: Dict) -> str:

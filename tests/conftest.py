@@ -67,7 +67,8 @@ def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
     """The indefinite 10-node bounding tree for Sigma(r, rs+-1, 2r(rs+-1)+rs+-2).
 
     Top chain [(r-1)/2, -2, -1, -2, (r-1)/2, -sign*s, -r, 2] with a branch
-    [-r, sign*s] hanging from the central -1 node.  Construction is
+    [-r, sign*s] hanging from the central -1 node.  Built with star, so
+    the central node is node 0.  Construction is
     validated by signature == -2 and |det| == 1 (the boundary is an
     integral homology sphere); parameters failing validation are rejected.
     """
@@ -79,10 +80,7 @@ def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     e = 1 if sign == "+" else -1
     half = (r - 1) // 2
-    weights = (half, -2, -1, -2, half, -e * s, -r, 2, -r, e * s)
-    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
-             (2, 8), (8, 9))
-    graph = PlumbingGraph(weights, edges, center=2)
+    graph = star(-1, [[-2, half], [-2, half, -e * s, -r, 2], [-r, e * s]])
     e = eliminate(intersection_matrix(graph))
     if e.signature != -2 or e.definiteness != "indefinite":
         raise ValueError(
@@ -144,9 +142,9 @@ def spider_form(g):
     tree; raises for trees with a branch point away from the center."""
     adj = g.adjacency()
     branches = []
-    for start in adj[g.center]:
+    for start in adj[0]:
         chain = []
-        prev, cur = g.center, start
+        prev, cur = 0, start
         while True:
             chain.append(g.weights[cur])
             nxt = [u for u in adj[cur] if u != prev]
@@ -156,7 +154,7 @@ def spider_form(g):
                 raise ValueError("tree has a branch point away from the center")
             prev, cur = cur, nxt[0]
         branches.append(tuple(chain))
-    return g.weights[g.center], tuple(sorted(branches))
+    return g.weights[0], tuple(sorted(branches))
 
 
 def graphs_equivalent(g1, g2):

@@ -168,7 +168,7 @@ def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
     generic symmetric congruence elimination of the full matrix.
     Definiteness is one of "negative-definite", "indefinite", "other".
     """
-    n = g.node_count
+    n = len(g.weights)
     weight = {i: Fraction(w) for i, w in enumerate(g.weights)}
     adj = {i: set(nbrs) for i, nbrs in g.adjacency().items()}
     pivots: List[Fraction] = []
@@ -360,7 +360,7 @@ def forced_tail_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     once a path has spent its budget, a separate loop over the forced tail
     v_j = -c_j that dies at the first coordinate that is not an integer
     and clears the coordinates it wrote.  Each +- pair is found once."""
-    if not form.is_negative_definite:
+    if form.elimination.definiteness != "negative-definite":
         raise ValueError("root enumeration requires a negative definite form")
     e = fraction_view(form.elimination)
     steps = []

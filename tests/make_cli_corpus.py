@@ -81,6 +81,9 @@ OTHER_ARGV = [
     "analyze 3 16 113 --p 5 --json out.json",
     "analyze 3 16 113 --p 5 --json out.json --text",
     "analyze 2 3 5 --json out.json",
+    # A fixed-coefficient certificate: fixed sphere 4 of Sigma(2,7,31) at
+    # p = 3 has a coefficient of absolute value 2.
+    "analyze 2 7 31 --p 3", "analyze 2 7 31 --p 3 --json -",
     # family, both kinds; a member the action is not free on is analyzed
     # without p, and a member the family rule refuses is a skipped row.
     "family stern --r 3 --s-range 4..6 --p 5",

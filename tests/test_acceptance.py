@@ -117,10 +117,10 @@ def test_c03_obstruction_infeasible_with_pattern_certificates():
         assert verdict.status == "infeasible"
         cert = verdict.certificate
         assert cert.kind == "adjacent-branches"
-        assert graph.center in cert.spheres
+        assert 0 in cert.spheres
         assert cert.verify(cs)
         assert "-1 - (sum of products of nonnegative coefficients)" in cert.detail
-        if graph.node_count <= 12:
+        if len(graph.weights) <= 12:
             assert brute_force_decide(cs) == "infeasible"
             brute_checked += 1
     assert brute_checked >= 5
@@ -268,11 +268,11 @@ def test_c11_structural_invariants():
         q = intersection_matrix(g)
         assert abs(det(q)) == 1, t
         sig, kind = graph_signature(g)
-        assert kind == "negative-definite" and sig == -g.node_count
+        assert kind == "negative-definite" and sig == -len(g.weights)
         p = smallest_valid_primes(t, 1)[0]
         markup = propagate_rotations(g, p)
         assert (len(markup.isolated_points)
-                + 2 * len(markup.fixed_spheres)) == 1 + g.node_count
+                + 2 * len(markup.fixed_spheres)) == 1 + len(g.weights)
     e8 = UnimodularForm.from_matrix(intersection_matrix(resolution(2, 3, 5)))
     assert enumerate_roots(e8) == ()
     failure = diagonalize(e8)

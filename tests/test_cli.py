@@ -361,6 +361,21 @@ class TestCache:
             assert cached_analysis(2, 3, 7, 5) == build_analysis(2, 3, 7, 5)
         assert len(list(tmp_cache.iterdir())) == 1
 
+    def test_default_cache_dir_is_under_home(self, monkeypatch, tmp_path,
+                                             capsys):
+        # With BRIESKORN_CACHE_DIR unset the cache is ~/.cache/brieskorn.
+        from brieskorn.report import cache_dir
+        monkeypatch.delenv("BRIESKORN_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        default = tmp_path / ".cache" / "brieskorn"
+        assert cache_dir() == str(default)
+        assert main(["analyze", "3", "16", "113", "--p", "5"]) == 0
+        report = build_analysis(3, 16, 113, 5)
+        assert capsys.readouterr().out == render_text(report)
+        [entry] = default.iterdir()
+        assert entry.name == "analyze_3_16_113_p5.json"
+        assert entry.read_text(encoding="utf-8") == entry_of(report)
+
     def test_empty_cache_dir_caches_nothing(self, monkeypatch, tmp_path,
                                             capsys):
         # An empty value names no directory: every call is a miss that is

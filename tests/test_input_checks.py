@@ -19,9 +19,6 @@ T235 = BrieskornTriple(2, 3, 5)   # its Seifert data: b = (-1, -2, -4), delta = 
 
 
 CASES = {
-    "graph-center-out-of-range": (
-        lambda: PlumbingGraph((-1, -2), ((0, 1),), center=2),
-        ValueError, "center 2 out of range"),
     "graph-edge-to-a-missing-node": (
         lambda: PlumbingGraph((-1, -2), ((0, 2),)),
         ValueError, "bad edge (0,2)"),

@@ -173,6 +173,20 @@ class TestDiagonalize:
                            match=r"^zero pivot: the form is not definite$"):
             Diagonalization(form, ((1,),))
 
+    @pytest.mark.parametrize("q,c", [
+        (((-2,),), ((1,),)),
+        (((-2, 1), (1, -2)), ((1, 0), (0, 1))),   # definite, det Q = 3
+    ])
+    def test_refuses_a_form_of_determinant_other_than_one(self, q, c):
+        from brieskorn import InternalInvariantError
+        from brieskorn.lattice import Diagonalization
+        form = UnimodularForm.from_matrix(q)
+        assert form.elimination.definiteness == "negative-definite"
+        assert abs(form.elimination.determinant) != 1
+        with pytest.raises(InternalInvariantError) as info:
+            Diagonalization(form, c)
+        assert str(info.value) == "C^t Q C != -I"
+
     def test_inverse_is_minus_c_transpose_q(self):
         form = form_of(3, 16, 113)
         d = diagonalize(form)
@@ -212,8 +226,9 @@ class TestFormValidation:
     def test_definiteness_and_unimodularity_random(self):
         for (a, b, c) in random_triples(10, seed=41):
             form = form_of(a, b, c)
-            assert form.is_negative_definite
-            assert abs(form.determinant) == 1
+            e = form.elimination
+            assert e.definiteness == "negative-definite"
+            assert abs(e.determinant) == 1
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

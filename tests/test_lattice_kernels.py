@@ -71,12 +71,14 @@ def negated_gram(a):
 
 
 def assert_matches_oracle(form):
-    assert form.determinant == oracle.det(form.q)
-    assert form.is_negative_definite == oracle.is_negative_definite(form.q)
+    e = form.elimination
+    assert e.determinant == oracle.det(form.q)
+    assert ((e.definiteness == "negative-definite")
+            == oracle.is_negative_definite(form.q))
     roots = enumerate_roots(form)
     assert roots == oracle.enumerate_roots(form)
     assert roots == oracle.forced_tail_roots(form)
-    if abs(form.determinant) == 1:
+    if abs(e.determinant) == 1:
         assert diagonalize(form) == oracle.diagonalize(form)
     else:
         with pytest.raises(ValueError):
@@ -131,7 +133,7 @@ def test_non_tree_unimodular_forms_match_oracle(u):
 @given(nonsingular())
 def test_definite_forms_match_oracle(a):
     form = UnimodularForm.from_matrix(negated_gram(a))
-    assert form.is_negative_definite
+    assert is_negative_definite(form.q)
     assert_matches_oracle(form)
 
 
@@ -147,14 +149,13 @@ def test_pivots_agree_with_leading_minors_on_symmetric_matrices(entries):
     if meets_zero_pivot(q):
         # Refused, and no leading-minor test finds q definite either.
         with pytest.raises(ValueError, match=ZERO_PIVOT):
-            form.determinant
-        with pytest.raises(ValueError, match=ZERO_PIVOT):
-            form.is_negative_definite
+            form.elimination
         assert not oracle.is_negative_definite(q)
         return
-    assert form.is_negative_definite == oracle.is_negative_definite(q)
-    assert form.determinant == oracle.det(q)
-    if not form.is_negative_definite:
+    definite = form.elimination.definiteness == "negative-definite"
+    assert definite == oracle.is_negative_definite(q)
+    assert form.elimination.determinant == oracle.det(q)
+    if not definite:
         with pytest.raises(ValueError, match="negative definite"):
             enumerate_roots(form)
 
@@ -474,7 +475,9 @@ def tampered_diagonalizations(draw):
     shift, a negation or i = j leaves it valid."""
     if draw(st.booleans()):
         form = tree_form(draw(st.sampled_from(TRIPLES)))
-        assume(form.is_negative_definite and abs(form.determinant) == 1)
+        e = form.elimination
+        assume(e.definiteness == "negative-definite"
+               and abs(e.determinant) == 1)
     else:
         form = UnimodularForm.from_matrix(negated_gram(draw(unimodular())))
     d = diagonalize(form)

@@ -54,7 +54,7 @@ class TestBuildConstraints:
         g = star(-1, [])
         cs, _, _ = pipeline(g, 5)
         verdict = decide(cs)
-        assert verdict.feasible and verdict.status == "feasible"
+        assert verdict.certificate is None and verdict.status == "feasible"
         assert verdict.certificate is None
         assert verdict.assignment["orientations"] in ((1,), (-1,))
 
@@ -66,7 +66,7 @@ class TestBuildConstraints:
         assert cs.couplings  # the (-1)-sphere couples to its neighbour
         assert all({i, k} == {0, 1} for i, k, _ in cs.couplings)
         verdict = decide(cs)
-        assert verdict.feasible
+        assert verdict.certificate is None
         o = verdict.assignment["orientations"]
         for i, k, sign in cs.couplings:
             assert o[i] * o[k] == sign
@@ -173,7 +173,7 @@ class TestDecide:
             assert verdict.status == "infeasible", (s, p)
             assert verdict.certificate.kind == "adjacent-branches"
             assert verdict.certificate.verify(cs)
-            if graph.node_count <= 12:
+            if len(graph.weights) <= 12:
                 assert brute_force_decide(cs) == "infeasible"
 
     def test_casson_harer_sweep_infeasible(self):
@@ -229,7 +229,7 @@ class TestDecide:
             cs, _, _ = pipeline(g, 7)
             verdict = decide(cs)
             assert verdict.status == brute_force_decide(cs)
-            if not verdict.feasible:
+            if verdict.certificate is not None:
                 continue
             feasible_seen += 1
             o = verdict.assignment["orientations"]
@@ -434,7 +434,7 @@ def flip(cs, pair):
 def test_decide_agrees_with_brute_force_and_certifies(cs):
     verdict = decide(cs)
     assert verdict.status == brute_force_decide(cs)
-    if verdict.feasible:
+    if verdict.certificate is None:
         return
     cert = verdict.certificate
     assert cert.verify(cs)
@@ -457,3 +457,58 @@ def test_decide_agrees_with_brute_force_and_certifies(cs):
     if all(len(signs[pair]) == 1 for pair in pairs):
         for pair in pairs:
             assert not cert.verify(flip(cs, pair)), pair
+
+
+@st.composite
+def planted_adjacent_branches(draw):
+    """(system, (s, f, g)): a random constraint system with three spheres
+    planted at random places, such that Certificate("adjacent-branches",
+    (s, f, g)) verifies once s is coupled to f and g.  S = +-e_j0 is
+    fixed; F and G are invariant, carry +-1 on e_j0 and have [F].[G] = 0,
+    which a coefficient of G on some e_k, k != j0, is solved for.  The
+    system comes without the two couplings; they are (f, s, sign) and
+    (g, s, sign) with the sign build_constraints gives."""
+    base = draw(constraint_systems())
+    n = max(base.n, 2)
+    j0, k = draw(st.permutations(range(n)))[:2]
+    coefficient = st.sampled_from((-2, -1, 0, 1, 2))
+    unit = st.sampled_from((-1, 1))
+    s_col = {j0: draw(unit)}
+    f_col = {j: draw(coefficient) for j in range(n)}
+    g_col = {j: draw(coefficient) for j in range(n)}
+    f_col[j0], g_col[j0], f_col[k] = draw(unit), draw(unit), draw(unit)
+    g_col[k] = 0
+    g_col[k] = -sum(f_col[j] * g_col[j] for j in range(n)) * f_col[k]
+    m = len(base.columns)
+    where = draw(st.permutations(range(m + 3)))   # old index -> new index
+    columns = [None] * (m + 3)
+    kinds = [None] * (m + 3)
+    for i, col, kind in zip(where, [*base.columns, s_col.items(),
+                                    f_col.items(), g_col.items()],
+                            [*base.kinds, "fixed", "invariant", "invariant"]):
+        columns[i] = sorted((j, x) for j, x in col if x)
+        kinds[i] = kind
+    couplings = [(where[i], where[l], sign) for i, l, sign in base.couplings]
+    s, f, g = where[m:]
+    cs = system(kinds, columns, couplings, n)
+    return cs, (s, f, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_adjacent_branches())
+def test_a_verified_adjacent_branches_witness_closes_a_negative_cycle(drawn):
+    # S = +-e_j0, F and G carry +-1 on e_j0 and [F].[G] = 0, so some other
+    # shared e_k has the opposite product sign: the signs around
+    # F - e_j0 - G - e_k - F multiply to -1, with or without the couplings.
+    cs, (s, f, g) = drawn
+    j0 = cs.columns[s][0][0]
+    coupled = system(cs.kinds, cs.columns, [
+        *cs.couplings, (f, s, -cs.intersection(f, s)),
+        (g, s, -cs.intersection(g, s))], cs.n)
+    assert Certificate("adjacent-branches", (s, f, g), "").verify(coupled)
+    assert dict(cs.columns[f])[j0] ** 2 == dict(cs.columns[g])[j0] ** 2 == 1
+    for each in (cs, coupled):
+        verdict = decide(each)
+        assert verdict.status == "infeasible" == brute_force_decide(each)
+        assert verdict.certificate.verify(each)
+    assert decide(coupled).certificate.kind != "negative-cycle"

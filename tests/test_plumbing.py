@@ -41,7 +41,7 @@ def canonical_pair_oracle(a, b, p):
 class TestCanonicalResolution:
     def test_sigma_3_16_113(self):
         g = resolution(3, 16, 113)
-        assert g.node_count == 11
+        assert len(g.weights) == 11
         center, branches = spider_form(g)
         assert center == -1
         assert sorted(branches) == sorted([
@@ -66,11 +66,11 @@ class TestCanonicalResolution:
         for (a, b, c) in random_triples(25, seed=3):
             sd = seifert_invariants(BrieskornTriple.of(a, b, c))
             g = canonical_resolution(sd)
-            assert g.weights[g.center] == sd.delta
+            assert g.weights[0] == sd.delta
             assert abs(det(intersection_matrix(g))) == 1
             sig, kind = graph_signature(g)
             assert kind == "negative-definite"
-            assert sig == -g.node_count
+            assert sig == -len(g.weights)
 
     def test_node_ceiling(self):
         # Casson-Harer r = 3: Sigma(3, 3s+1, 3s+2) has branches of 1, s and
@@ -78,8 +78,8 @@ class TestCanonicalResolution:
         # s = 1197 only the total crosses it.  Sigma(300, 899, 3599) has
         # two long branches, of 299 and 898 terms.
         assert NODE_MAX == 1200
-        assert resolution(3, 3589, 3590).node_count == NODE_MAX
-        assert resolution(300, 899, 3599).node_count == NODE_MAX
+        assert len(resolution(3, 3589, 3590).weights) == NODE_MAX
+        assert len(resolution(300, 899, 3599).weights) == NODE_MAX
         with pytest.raises(ValueError) as info:
             resolution(3, 3592, 3593)
         assert str(info.value) == ("the resolution tree has 1201 nodes, "
@@ -138,7 +138,7 @@ class TestGammaFamily:
 
     def test_s2_shape(self):
         g = gamma_k_graph(2)
-        assert g.node_count == 8
+        assert len(g.weights) == 8
         center, branches = spider_form(g)
         assert center == -1
         assert sorted(branches) == sorted([(-3,), (-4, -2), (-3, -3, -4, -2)])
@@ -187,10 +187,10 @@ class TestPropagation:
             [(1, 1), (1, 2), (1, 2), (1, 2), (1, 2), (2, 2)])
         data = sorted((w, cf) for _, w, cf in markup.fixed_spheres)
         assert data == [(-2, 3), (-2, 3), (-1, 1)]
-        assert markup.node_kinds[g.center] == "fixed"
+        assert markup.node_kinds[0] == "fixed"
         fixed = {node for node, _, _ in markup.fixed_spheres}
         assert markup.invariant_nodes == tuple(
-            v for v in range(g.node_count) if v not in fixed)
+            v for v in range(len(g.weights)) if v not in fixed)
 
     def test_fickle_rotation_numbers(self):
         for r, p in ((3, 5), (3, 7), (5, 7)):
@@ -212,7 +212,7 @@ class TestPropagation:
                     continue
                 markup = propagate_rotations(g, p)
                 assert (len(markup.isolated_points)
-                        + 2 * len(markup.fixed_spheres)) == 1 + g.node_count
+                        + 2 * len(markup.fixed_spheres)) == 1 + len(g.weights)
                 break
 
     def test_rejects_bad_seed(self):
@@ -227,8 +227,8 @@ class TestPropagation:
             propagate_rotations(g, 2)
 
     def test_rejects_branch_point_away_from_center(self):
-        # center at a leaf: the degree-3 node is then mid-branch
-        g = PlumbingGraph((-1, -2, -2, -2), ((0, 1), (1, 2), (1, 3)), center=0)
+        # the center, node 0, is a leaf: the degree-3 node is then mid-branch
+        g = PlumbingGraph((-1, -2, -2, -2), ((0, 1), (1, 2), (1, 3)))
         with pytest.raises(PropagationError):
             propagate_rotations(g, 5)
 
@@ -291,7 +291,7 @@ class TestMarkupInvariant:
         except PropagationError as exc:
             assert str(exc).startswith("fixed normal disk at the free pole")
         else:
-            assert len(markup.node_kinds) == g.node_count
+            assert len(markup.node_kinds) == len(g.weights)
 
 
 class TestExport:

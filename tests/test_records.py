@@ -17,6 +17,7 @@ from brieskorn import (BrieskornTriple, HJExpansion, UnimodularForm,
                        hj_expand, intersection_matrix, ll_extension_search,
                        propagate_rotations, seifert_invariants)
 from brieskorn.lattice import Diagonalization
+from brieskorn.records import record
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -133,8 +134,19 @@ def test_coordinates_take_no_part_in_equality():
 
 
 def test_defaults_and_cached_properties():
-    graph = RECORDS["PlumbingGraph"]
-    assert type(graph)(graph.weights, graph.edges) == graph
+    # No record takes a default, not even for a field with a class-body
+    # value: every field is a required argument.
+    for r in RECORDS.values():
+        assert type(r).__init__.__defaults__ is None
+
+    @record
+    class Point:
+        x: int
+        y: int = 0
+
+    assert Point(1, 2).y == 2
+    with pytest.raises(TypeError):
+        Point(1)
     form = UnimodularForm(RECORDS["UnimodularForm"].q)
     elimination = form.elimination
     assert form.elimination is elimination

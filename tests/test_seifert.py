@@ -264,6 +264,15 @@ def test_public_names_resolve_and_exclude_test_helpers():
     assert not hasattr(brieskorn, "r_invariant")
     assert not hasattr(brieskorn.seifert, "r_invariant")
     assert not hasattr(brieskorn.UnimodularForm, "is_unimodular")
+    # det Q and definiteness are read off form.elimination, the node count
+    # is len(g.weights), the centre is node 0, and a verdict is feasible
+    # exactly when it has no certificate.
+    for cls, name in ((brieskorn.UnimodularForm, "determinant"),
+                      (brieskorn.UnimodularForm, "is_negative_definite"),
+                      (brieskorn.PlumbingGraph, "node_count"),
+                      (brieskorn.PlumbingGraph, "center"),
+                      (brieskorn.ObstructionVerdict, "feasible")):
+        assert not hasattr(cls, name), name
     assert not hasattr(brieskorn.matrices, "is_symmetric")
     assert "use_cache" not in inspect.signature(
         brieskorn.cached_analysis).parameters

@@ -13,15 +13,19 @@ families (PAPER.md).
 Draws (kind, r, s, sign, p) with p | s forced in about half the draws.
 """
 
+import json
+import pathlib
+
 from hypothesis import assume, given, settings, strategies as st
 
-from brieskorn import (UnimodularForm, build_constraints,
+from brieskorn import (BrieskornTriple, UnimodularForm, build_constraints,
                        canonical_resolution, decide, diagonalize, family,
                        intersection_matrix, propagate_rotations,
                        seifert_invariants, standard_action_valid)
 from brieskorn.records import InputError
 from brieskorn.spectral import (canonical_lens_pair, eta_from_fixed_data,
                                 ll_extension_search)
+from conftest import LARGE_ENTRIES
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -70,3 +74,45 @@ def test_family_members_obey_theorems_a_and_b(member):
         assert cand.rho_match, (triple, p)
     else:
         assert not cand.rho_match, (triple, p)
+
+
+def _golden_and_large_entry_inputs():
+    """(triple, p): each golden key with a p, and each LARGE_ENTRIES triple
+    with its p; the ones whose form does not diagonalize are dropped
+    below."""
+    golden = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                         / "perfbench" / "golden.json").read_text(
+                             encoding="utf-8"))
+    for key in sorted(golden):
+        *triple, p = key.split(",")
+        if p != "None":
+            yield tuple(map(int, triple)), int(p)
+    for triple, _, _, _, p in LARGE_ENTRIES:
+        if p is not None:
+            yield triple, p
+
+
+def test_no_known_input_reaches_a_satisfiable_sign_system():
+    # The report's "satisfiable" conclusion needs a feasible verdict.  No
+    # diagonalizable golden or large-entry input at its p gets one: each
+    # has delta = -1, so the central node is a fixed (-1)-sphere, and its
+    # verdict is fixed-coefficient or adjacent-branches.
+    diagonals, kinds = {}, set()
+    for triple, p in _golden_and_large_entry_inputs():
+        if triple not in diagonals:
+            sd = seifert_invariants(BrieskornTriple.of(*triple))
+            graph = canonical_resolution(sd)
+            diag = diagonalize(UnimodularForm.from_matrix(
+                intersection_matrix(graph)))
+            diagonals[triple] = sd, graph, diag
+        sd, graph, diag = diagonals[triple]
+        if not diag.found:
+            continue
+        assert sd.delta == -1, triple
+        cs = build_constraints(propagate_rotations(graph, p), diag)
+        cert = decide(cs).certificate
+        assert cert.kind in ("fixed-coefficient", "adjacent-branches"), (
+            triple, p)
+        assert cert.verify(cs)
+        kinds.add(cert.kind)
+    assert kinds == {"fixed-coefficient", "adjacent-branches"}
