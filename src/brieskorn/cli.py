@@ -30,8 +30,8 @@ over every other but argparse's.
 
 `analyze` with no `--json` path asks the cache for its text alone
 (`cached_analysis(..., text=True)`), so a cache hit prints the text
-stored in the entry's header and decodes no report; `--json` and
-`family` get the report.  With `--no-cache` both call `build_analysis`.
+stored in the entry after its stamp line and reads no report; `--json`
+and `family` get the report.  With `--no-cache` both call `build_analysis`.
 Both names are looked up in this module at call time, so a caller may
 replace either.
 
@@ -124,8 +124,8 @@ def cmd_analyze(args) -> _Output:
     if args.no_cache:
         report = build_analysis(*request)
     elif args.json is None:
-        # Text only: a cache hit prints the text stored in the entry's
-        # header and decodes no report.
+        # Text only: a cache hit prints the text stored in the entry and
+        # reads no report.
         return None, [cached_analysis(*request, text=True)]
     else:
         report = cached_analysis(*request)

@@ -26,12 +26,17 @@ from brieskorn.report import SCHEMA_VERSION, cached_analysis, source_digest
 from conftest import REFERENCE_QX
 
 
-def entry_of(report) -> str:
-    """The cache entry a miss writes for report: a compact header with the
-    rendered text, a newline, then the compact report."""
-    header = {"schema_version": SCHEMA_VERSION, "source": source_digest(),
-              "input": report["input"], "text": render_text(report)}
-    return json.dumps(header) + "\n" + json.dumps(report)
+def entry_of(report, text=None, **stamp) -> bytes:
+    """The cache entry a miss writes for report: the stamp line, "brieskorn
+    <schema> <source> <a> <b> <c> <p> <n>", then the n bytes of the
+    rendered text (or of text, when given) and a newline, then the compact
+    report.  A keyword replaces that field of the stamp."""
+    data = render_text(report).encode() if text is None else text
+    fields = {"magic": "brieskorn", "schema": SCHEMA_VERSION,
+              "source": source_digest(), **report["input"], "n": len(data),
+              **stamp}
+    return (" ".join(map(str, fields.values())).encode() + b"\n" + data
+            + b"\n" + json.dumps(report).encode())
 
 
 class TestReport:
@@ -185,60 +190,118 @@ class TestCache:
         cached_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
         good = entry_of(report)
-        header, line2 = good.split("\n")
-        head = json.loads(header)
-        other = entry_of(build_analysis(3, 16, 113, 5))
-
-        def with_header(**changes):
-            return json.dumps({**head, **changes}) + "\n" + line2
-
-        def without(name):
-            return json.dumps({k: v for k, v in head.items() if k != name}) \
-                + "\n" + line2
-
-        for bad in (b"", good[: len(header) // 2].encode(), b"\xff\xfe{",
-                    b"null\n", b"{}", other.encode(),
-                    # a header of another input, schema or source, with
-                    # no text or no source (written before the source
-                    # moved into the header), with a text that is not a
-                    # str, or not an object
-                    with_header(input={**head["input"], "p": 7}).encode(),
-                    with_header(schema_version=2).encode(),
-                    with_header(source="0123456789abcdef").encode(),
-                    without("text").encode(),
-                    without("source").encode(),
-                    with_header(text=None).encode(),
-                    with_header(text=["analysis"]).encode(),
-                    ("[]\n" + line2).encode(),
-                    (json.dumps(head["text"]) + "\n" + line2).encode(),
+        stamp = good.split(b"\n", 1)[0]
+        text = render_text(report)
+        n = len(text.encode())
+        for bad in (b"", stamp[: len(stamp) // 2], b"\xff\xfe{", b"null\n",
+                    b"{}", entry_of(build_analysis(3, 16, 113, 5)),
+                    # a stamp of another input, schema, source or program
+                    entry_of(report, p=7), entry_of(report, a=3),
+                    entry_of(report, schema=2),
+                    entry_of(report, source="0123456789abcdef"),
+                    entry_of(report, magic="brieskorn2"),
+                    # a length that is negative, not a run of ASCII digits,
+                    # over-long, or past the text's newline or the file's end
+                    entry_of(report, n=-n), entry_of(report, n=f"+{n}"),
+                    entry_of(report, n=f" {n}"), entry_of(report, n=""),
+                    entry_of(report, n=f"{n // 10}_{n % 10}"),
+                    entry_of(report, n="\u0661\u0662"),
+                    entry_of(report, n="0" * 40 + str(n)),
+                    entry_of(report, n=n + 1), entry_of(report, n=len(good)),
+                    # the text without its trailing newline, with the
+                    # report, another byte or nothing after it
+                    good.replace(text.encode() + b"\n", text.encode()),
+                    good.replace(text.encode() + b"\n", text.encode() + b" "),
+                    stamp + b"\n" + text.encode(),
+                    # the stamp line alone, without or with its newline
+                    stamp, stamp + b"\n",
                     # an old one-line entry: the report alone
-                    line2.encode()):
+                    json.dumps(report).encode()):
             for read in ("text", "report"):
                 entry.write_bytes(bad)
                 if read == "text":
                     assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
-                    assert capsys.readouterr().out == render_text(report)
+                    assert capsys.readouterr().out == text
                 else:
                     assert cached_analysis(2, 3, 7, 5) == report
-                assert entry.read_text(encoding="utf-8") == good
+                assert entry.read_bytes() == good
         assert [p.name for p in tmp_cache.iterdir()] == [entry.name]
+
+    def test_length_past_the_file_reads_and_allocates_nothing(
+            self, tmp_cache, monkeypatch):
+        # A stamp that claims 10^12 text bytes: a plain read(n) would ask
+        # for that much memory.  The length is checked against the file's
+        # size first, so the entry is a miss, rewritten in place.
+        import tracemalloc
+        import brieskorn.report as report_module
+        report = cached_analysis(2, 3, 7, 5)
+        [entry] = tmp_cache.iterdir()
+        monkeypatch.setattr(report_module, "build_analysis",
+                            lambda *args: report)
+        for read in ("text", "report"):
+            entry.write_bytes(entry_of(report, n=10 ** 12))
+            tracemalloc.start()
+            try:
+                cached_analysis(2, 3, 7, 5, text=read == "text")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert entry.read_bytes() == entry_of(report)
+
+    def test_text_that_is_not_utf8_is_a_text_miss_only(self, tmp_cache,
+                                                       capsys):
+        # A text read decodes the text and misses on bytes that are not
+        # UTF-8; a report read skips the text by its length and is served.
+        report = cached_analysis(2, 3, 7, 5)
+        [entry] = tmp_cache.iterdir()
+        bad = entry_of(report, text=b"analysis \xff\xfe\n")
+        entry.write_bytes(bad)
+        assert cached_analysis(2, 3, 7, 5) == report
+        assert entry.read_bytes() == bad
+        assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
+        assert capsys.readouterr().out == render_text(report)
+        assert entry.read_bytes() == entry_of(report)
+
+    def test_entry_in_the_json_header_layout_is_rewritten_in_place(
+            self, tmp_cache, capsys):
+        # An entry in the previous layout, a JSON header holding the text
+        # and then the report, under the same file name and with this
+        # source's digest, is a miss: its text is never printed, and the
+        # entry is rewritten in place, one file per input.
+        report = build_analysis(3, 16, 113, 5)
+        header = {"schema_version": SCHEMA_VERSION, "source": source_digest(),
+                  "input": report["input"], "text": "OLD LAYOUT\n"}
+        tmp_cache.mkdir()
+        entry = tmp_cache / "analyze_3_16_113_p5.json"
+        argv = ["analyze", "3", "16", "113", "--p", "5"]
+        for argv, expected in ((argv, render_text(report)),
+                               (argv + ["--json", "-"], render_json(report))):
+            entry.write_text(json.dumps(header) + "\n" + json.dumps(report),
+                             encoding="utf-8")
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+            assert list(tmp_cache.iterdir()) == [entry]
+            assert entry.read_bytes() == entry_of(report)
 
     @pytest.mark.parametrize("corrupt", ["", "{", "null", "[]", "{}", "half",
                                          "other", "input"])
     def test_valid_header_serves_the_text_but_not_the_report(
             self, tmp_cache, capsys, corrupt):
-        # Text-only analyze trusts the header alone; a report read also
-        # checks line 2, and misses and rewrites the entry when it is bad.
+        # Text-only analyze trusts the stamp and the text alone; a report
+        # read also checks the report line, and misses and rewrites the
+        # entry when it is bad.
         # family stern --r 3 --s-range 5..5 is Sigma(3,16,113).
         report = build_analysis(3, 16, 113, 5)
         good = entry_of(report)
-        header = good.split("\n")[0]
-        line2 = {"half": json.dumps(report)[:len(json.dumps(report)) // 2],
+        head = good[: good.rindex(b"\n") + 1]
+        line3 = json.dumps(report)
+        line3 = {"half": line3[:len(line3) // 2],
                  "other": json.dumps(build_analysis(2, 3, 7, 5)),
                  "input": json.dumps({**report, "input": {**report["input"],
                                                           "p": 7}}),
                  }.get(corrupt, corrupt)
-        bad = header + "\n" + line2
+        bad = head + line3.encode()
         family = ["family", "stern", "--r", "3", "--s-range", "5..5",
                   "--p", "5"]
         assert main(family + ["--no-cache"]) == 0
@@ -250,15 +313,15 @@ class TestCache:
                 (["analyze", "3", "16", "113", "--p", "5", "--json", "-"],
                  render_json(report)),
                 (family, family_out)):
-            entry.write_text(bad, encoding="utf-8")
+            entry.write_bytes(bad)
             assert main(argv) == 0
             out = capsys.readouterr().out
             if expected is None:
                 assert out == render_text(report)
-                assert entry.read_text(encoding="utf-8") == bad
+                assert entry.read_bytes() == bad
             else:
                 assert out == expected
-                assert entry.read_text(encoding="utf-8") == good
+                assert entry.read_bytes() == good
 
     def test_cache_dir_that_is_a_file_is_a_miss(self, tmp_cache, capsys):
         tmp_cache.write_text("not a directory\n")
@@ -309,29 +372,26 @@ class TestCache:
         first = report_module.cached_analysis(2, 3, 7, 5)
         assert first == second[0] == build_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
-        assert entry.read_text(encoding="utf-8") == entry_of(first)
+        assert entry.read_bytes() == entry_of(first)
 
     @pytest.mark.parametrize("a, b, c, p", [(3, 16, 113, 5), (2, 7, 13, None),
                                             (2, 7, 31, 3)])
     def test_entry_is_compact_json_of_the_report(self, tmp_cache, a, b, c, p):
-        # Two lines, each written by the C encoder with no indent: a header
-        # with the rendered text, then the report.  A hit loads a dict
-        # equal to the miss's, so it renders the same bytes.
+        # A stamp line, the rendered text and a newline, then the report
+        # on one line, written by the C encoder with no indent.  A hit
+        # loads a dict equal to the miss's, so it renders the same bytes.
         miss = cached_analysis(a, b, c, p)
         [entry] = tmp_cache.iterdir()
         assert entry.name == f"analyze_{a}_{b}_{c}_p{p}.json"
-        lines = entry.read_text(encoding="utf-8").split("\n")
-        assert len(lines) == 2
-        for line in lines:
-            assert line == json.dumps(json.loads(line))
-        header, line2 = lines
-        assert line2 == json.dumps(miss)
-        assert json.loads(header) == {"schema_version": SCHEMA_VERSION,
-                                      "source": source_digest(),
-                                      "input": miss["input"],
-                                      "text": render_text(miss)}
-        assert list(json.loads(header)) == ["schema_version", "source",
-                                            "input", "text"]
+        stamp, rest = entry.read_bytes().split(b"\n", 1)
+        text = render_text(miss).encode()
+        assert stamp.decode().split(" ") == [
+            "brieskorn", str(SCHEMA_VERSION), source_digest(), str(a), str(b),
+            str(c), str(p), str(len(text))]
+        assert rest[:len(text) + 1] == text + b"\n"
+        line3 = rest[len(text) + 1:].decode("ascii")
+        assert line3 == json.dumps(miss) == json.dumps(json.loads(line3))
+        assert "\n" not in line3
         hit = cached_analysis(a, b, c, p)
         assert hit == miss
         assert render_json(hit) == render_json(build_analysis(a, b, c, p))
@@ -340,12 +400,12 @@ class TestCache:
 
     def test_text_miss_writes_the_same_entry(self, tmp_cache):
         # A miss asked for the text renders it once and writes the entry a
-        # report miss writes; the text it returns is the header's.
+        # report miss writes; the text it returns is the entry's.
         text = cached_analysis(3, 16, 113, 5, text=True)
         [entry] = tmp_cache.iterdir()
         report = build_analysis(3, 16, 113, 5)
         assert text == render_text(report)
-        assert entry.read_text(encoding="utf-8") == entry_of(report)
+        assert entry.read_bytes() == entry_of(report)
 
     def test_set_cache_dir_builds_no_default(self, tmp_cache, monkeypatch,
                                              capsys):
@@ -374,7 +434,7 @@ class TestCache:
         assert capsys.readouterr().out == render_text(report)
         [entry] = default.iterdir()
         assert entry.name == "analyze_3_16_113_p5.json"
-        assert entry.read_text(encoding="utf-8") == entry_of(report)
+        assert entry.read_bytes() == entry_of(report)
 
     def test_empty_cache_dir_caches_nothing(self, monkeypatch, tmp_path,
                                             capsys):
@@ -387,12 +447,9 @@ class TestCache:
         monkeypatch.setattr(os.path, "expanduser", None)
         report = build_analysis(2, 3, 7, 5)
         forged = {**report, "conclusions": ["FORGED REPORT"]}
-        header, line2 = entry_of(forged).split("\n")
         planted = tmp_path / "analyze_2_3_7_p5.json"
-        planted_text = (json.dumps({**json.loads(header),
-                                    "text": "FORGED TEXT\n"})
-                        + "\n" + line2)
-        planted.write_text(planted_text, encoding="utf-8")
+        planted_bytes = entry_of(forged, text=b"FORGED TEXT\n")
+        planted.write_bytes(planted_bytes)
         for _ in ("first", "second"):
             assert main(["analyze", "2", "3", "7", "--p", "5"]) == 0
             assert capsys.readouterr().out == render_text(report)
@@ -401,11 +458,11 @@ class TestCache:
             assert capsys.readouterr().out == render_json(report)
             assert cached_analysis(2, 3, 7, 5) == report
         assert list(tmp_path.iterdir()) == [planted]
-        assert planted.read_text(encoding="utf-8") == planted_text
+        assert planted.read_bytes() == planted_bytes
 
     def test_entry_of_other_source_is_never_read(self, tmp_cache, monkeypatch):
         # The entry's name holds only the input; the writer's source digest
-        # is in its header.  Code of another source misses on it and
+        # is in its stamp.  Code of another source misses on it and
         # rewrites it in place, so the directory keeps one entry per input.
         import brieskorn.report as report_module
         report = cached_analysis(2, 3, 7, 5)
@@ -413,7 +470,7 @@ class TestCache:
         old_bytes = old.read_bytes()
         digest = report_module.source_digest()
         assert old.name == "analyze_2_3_7_p5.json"
-        assert json.loads(old_bytes.split(b"\n")[0])["source"] == digest
+        assert old_bytes.split(b" ", 3)[2].decode() == digest
         built = []
 
         def recording_build(*args):
@@ -430,8 +487,7 @@ class TestCache:
         assert built == [(2, 3, 7, 5)]
         [entry] = tmp_cache.iterdir()
         assert entry.name == old.name
-        header = json.loads(entry.read_bytes().split(b"\n")[0])
-        assert header["source"] == "0123456789abcdef"
+        assert entry.read_bytes().split(b" ", 3)[2] == b"0123456789abcdef"
         assert entry.read_bytes() == old_bytes.replace(
             digest.encode(), b"0123456789abcdef")
 
@@ -1010,17 +1066,15 @@ class TestEntryPoint:
         # entry planted there is valid: named as the cache dir, it is served.
         args = ["analyze", "3", "16", "113", "--p", "5"]
         report = build_analysis(3, 16, 113, 5)
-        header, line2 = entry_of(report).split("\n")
         planted = tmp_path / "analyze_3_16_113_p5.json"
-        planted_text = (json.dumps({**json.loads(header), "text": "PLANTED\n"})
-                        + "\n" + line2)
-        planted.write_text(planted_text, encoding="utf-8")
+        planted_bytes = entry_of(report, text=b"PLANTED\n")
+        planted.write_bytes(planted_bytes)
         assert run_module(args, tmp_path).stdout == "PLANTED\n"
         proc = run_module(args, "", cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == render_text(report)
         assert list(tmp_path.iterdir()) == [planted]
-        assert planted.read_text(encoding="utf-8") == planted_text
+        assert planted.read_bytes() == planted_bytes
 
     def test_import_builds_no_parser_and_reads_no_source(self):
         # setup_s in the benchmark times the import and one parser build.
