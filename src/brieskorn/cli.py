@@ -32,8 +32,13 @@ over every other but argparse's.
 (`cached_analysis(..., text=True)`), so a cache hit prints the text
 stored in the entry after its stamp line and reads no report; `--json`
 and `family` get the report.  With `--no-cache` both call `build_analysis`.
-Both names are looked up in this module at call time, so a caller may
-replace either.
+`cached_analysis` and `render_text` are globals of this module, read at
+call time, so a caller may replace either.  A command imports the
+pipeline modules it needs (`lattice`, `matrices`, `plumbing`, `spectral`,
+`report`) when it runs, and reads their names then: `build_analysis` and
+`graph_section` from `report`, `diagonalize` from `lattice`.  So this
+module's import, and a cache hit, load no more of the package than
+`records`, `arith`, `seifert` and `cache`.
 
 `main` may be called many times in one process: the argparse parsers
 are built on the first call that needs them and shared by every later
@@ -59,15 +64,10 @@ import sys
 from typing import Iterable, List, Optional, Tuple
 
 from . import __version__
-from .lattice import UnimodularForm, diagonalize
-from .matrices import parse_matrix_text, render_matrix_text
-from .plumbing import canonical_resolution, intersection_matrix, to_dot, to_tgf
+from .cache import SCHEMA_VERSION, cached_analysis, render_json, render_text
 from .records import InputError, InternalInvariantError
-from .report import (SCHEMA_VERSION, build_analysis, cached_analysis,
-                     graph_section, render_json, render_text)
 from .seifert import (FAMILY_KINDS, BrieskornTriple, check_order, family,
                       seifert_invariants, standard_action_valid)
-from .spectral import coefficients_at, eta_brieskorn, rho_lens_table
 
 
 # What a command returns for main to write: the --json payload and the text.
@@ -122,6 +122,7 @@ def _write_json(path: str, payload) -> None:
 def cmd_analyze(args) -> _Output:
     request = args.a, args.b, args.c, args.p
     if args.no_cache:
+        from .report import build_analysis
         report = build_analysis(*request)
     elif args.json is None:
         # Text only: a cache hit prints the text stored in the entry and
@@ -158,7 +159,10 @@ def cmd_family(args) -> _Output:
                          f"more than FAMILY_MAX = {FAMILY_MAX}")
     if args.p is not None:
         check_order(args.p)
-    analysis = build_analysis if args.no_cache else cached_analysis
+    if args.no_cache:
+        from .report import build_analysis as analysis
+    else:
+        analysis = cached_analysis
     rows = []
     for s in range(lo, hi + 1):
         # An InputError, from the family rule or from the analysis (the
@@ -197,6 +201,8 @@ def cmd_family(args) -> _Output:
 
 
 def cmd_diagonalize(args) -> _Output:
+    from .lattice import UnimodularForm, diagonalize
+    from .matrices import parse_matrix_text, render_matrix_text
     with open(args.matrix, "r", encoding="utf-8") as handle:
         try:
             rows = parse_matrix_text(handle.read())
@@ -220,6 +226,7 @@ def cmd_diagonalize(args) -> _Output:
 
 
 def cmd_rho(args) -> _Output:
+    from .spectral import rho_lens_table
     p, r, s = args.lens
     return None, (f"rho({ell}) = {value}\n"
                   for ell, value in enumerate(rho_lens_table(p, r, s)))
@@ -233,6 +240,7 @@ ETA_TABLE_P_MAX = 1000
 
 
 def cmd_eta(args) -> _Output:
+    from .spectral import coefficients_at, eta_brieskorn
     check_order(args.p)
     if args.p > ETA_TABLE_P_MAX:
         raise InputError(f"eta prints (p-1)^2 coefficients: p must be at "
@@ -244,6 +252,8 @@ def cmd_eta(args) -> _Output:
 
 
 def cmd_graph(args) -> _Output:
+    from .plumbing import canonical_resolution, intersection_matrix, to_dot, to_tgf
+    from .report import graph_section
     triple = BrieskornTriple.of(args.a, args.b, args.c)
     graph = canonical_resolution(seifert_invariants(triple))
     if args.format == "json":

@@ -1,19 +1,19 @@
-"""Analysis reports: the full pipeline for one triple, exact JSON
-serialization, deterministic text rendering, and a result cache.
+"""Analysis reports: the full pipeline for one triple.
 
-Numbers are serialized exactly: integers as JSON integers and rationals
-as "num/den" strings.  No floats appear anywhere in a report.
+`build_analysis` reads every stage function from this module's globals
+at call time, so a caller may replace any of them (the benchmark's
+tracer wraps them here).  The renderings and the file cache live in
+`cache`, which loads this module on a cache miss only;
+`cached_analysis`, `render_json` and `render_text` are re-exported here.
 """
 
 from __future__ import annotations
 
-import functools
-import json
-import os
-import tempfile
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from . import __version__
+from .cache import SCHEMA_VERSION
+from .cache import cached_analysis, render_json, render_text  # noqa: F401
 from .lattice import UnimodularForm, diagonalize
 from .obstruction import build_constraints, decide
 # graph_signature is not called here; perfbench's tracer wraps it by name.
@@ -21,9 +21,6 @@ from .plumbing import (canonical_resolution, graph_signature,  # noqa: F401
                        intersection_matrix, propagate_rotations)
 from .seifert import BrieskornTriple, check_action, seifert_invariants
 from .spectral import eta_from_fixed_data, ll_extension_search, rho_from_eta
-
-SCHEMA_VERSION = 1
-CACHE_ENV_VAR = "BRIESKORN_CACHE_DIR"
 
 
 def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
@@ -164,188 +161,3 @@ def graph_section(graph) -> Dict:
     return {"weights": list(graph.weights),
             "edges": [list(e) for e in sorted(graph.edges)],
             "center": 0}
-
-
-def render_json(report: Dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def render_text(report: Dict) -> str:
-    inp = report["input"]
-    lines = []
-    name = f"Sigma({inp['a']},{inp['b']},{inp['c']})"
-    lines.append(f"analysis of {name}" + (f" with p = {inp['p']}" if inp["p"] else ""))
-    sf = report["seifert"]
-    lines.append(f"  seifert: b = {tuple(sf['b'])}, delta = {sf['delta']}, "
-                 f"R = {sf['r_invariant']}")
-    g = report["graph"]
-    lines.append(f"  graph: {len(g['weights'])} nodes, weights {g['weights']}")
-    f = report["form"]
-    lines.append(f"  form: det = {f['determinant']}, signature = {f['signature']}"
-                 f" ({f['definiteness']})")
-    d = report["diagonalization"]
-    if d["found"]:
-        lines.append(f"  diagonalization: found ({d['root_pairs']} root pairs)")
-    else:
-        lines.append(f"  diagonalization: failed ({d['certificate']})")
-    if "equivariant" in report:
-        eq = report["equivariant"]
-        pts = ", ".join(f"({a},{b})" for a, b in eq["fixed_points"])
-        lines.append(f"  fixed points: {pts}")
-        spheres = ", ".join(
-            f"node {s['node']} (square {s['self_intersection']}, c_F = "
-            f"{s['normal_rotation']})" for s in eq["fixed_spheres"])
-        lines.append(f"  fixed spheres: {spheres}")
-    if "obstruction" in report:
-        ob = report["obstruction"]
-        lines.append(f"  obstruction: {ob['status']}")
-        if ob["certificate"]:
-            lines.append(f"    {ob['certificate']}")
-    if "locally_linear" in report:
-        ll = report["locally_linear"]
-        lines.append(f"  rho of quotient: {ll['rho_quotient']}")
-        for cand in ll["candidates"]:
-            lines.append(
-                f"  lens candidate ({cand['r']},{cand['s']}): product "
-                f"{cand['product_mod_p']} = rs {cand['rs_mod_p']} (mod p), "
-                f"rho match: {cand['rho_match']}")
-        if not ll["candidates"]:
-            lines.append("  lens candidates: none")
-    lines.append("conclusions:")
-    for sentence in report["conclusions"]:
-        lines.append(f"  - {sentence}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Cache (an optimization only; verdicts never depend on it)
-# ---------------------------------------------------------------------------
-
-def cache_dir() -> str:
-    path = os.environ.get(CACHE_ENV_VAR)
-    if path is None:    # built only when unset: a hit pays nothing for it
-        path = os.path.join(os.path.expanduser("~"), ".cache", "brieskorn")
-    return path
-
-
-@functools.cache
-def source_digest() -> str:
-    """The first 16 hex digits of the sha256 of this package's *.py files,
-    by sorted name: each name, then the file's bytes.  Computed on first
-    use, once per process, so importing the package reads no file."""
-    import hashlib      # not at import: loading OpenSSL would slow start-up
-    package = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
-    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
-        with open(os.path.join(package, name), "rb") as handle:
-            data = handle.read()
-        digest.update(f"{name}\0{len(data)}\0".encode())
-        digest.update(data)
-    return digest.hexdigest()[:16]
-
-
-def _stamp(a: int, b: int, c: int, p: Optional[int]) -> bytes:
-    """An entry's first line up to its text length: the schema version,
-    the writer's source_digest and the input."""
-    return (f"brieskorn {SCHEMA_VERSION} {source_digest()} {a} {b} {c} {p} "
-            .encode())
-
-
-def _read_entry(path: str, a: int, b: int, c: int, p: Optional[int],
-                text: bool) -> Union[Dict, str, None]:
-    """The text (or, text=False, the report) that the entry at path holds
-    for this input, or None; OSError when there is no readable file, and
-    ValueError when the text or the report does not decode.  The reads are
-    raw os.read calls: through a buffered file object the same reads took
-    8.5 us against 6.6 us for Sigma(3,16,113) at p = 5, and a whole
-    cached_analysis text hit 14.5 us against 12.4 us."""
-    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
-    try:
-        stamp = _stamp(a, b, c, p)
-        line = os.read(fd, len(stamp) + 21)
-        line = line[:line.find(b"\n") + 1]
-        n = line[len(stamp):-1]
-        # bytes.isdigit is ASCII only: no sign, space or "_", which int()
-        # would take.  The text and its newline must fit in the file, so a
-        # forged n reads and allocates nothing more.
-        size = os.fstat(fd).st_size
-        if not (line.startswith(stamp) and n.isdigit()
-                and len(line) + int(n) < size):
-            return None
-        n = int(n)
-        os.lseek(fd, len(line), os.SEEK_SET)
-        body = os.read(fd, n + 1 if text else size)
-        if body[n:n + 1] != b"\n":
-            return None
-        if text:
-            return body[:n].decode("utf-8")
-        report = json.loads(body[n + 1:].decode("utf-8"))
-        if (isinstance(report, dict)
-                and report.get("schema_version") == SCHEMA_VERSION
-                and report.get("input") == {"a": a, "b": b, "c": c, "p": p}):
-            return report
-        return None
-    finally:
-        os.close(fd)
-
-
-def cached_analysis(a: int, b: int, c: int, p: Optional[int] = None, *,
-                    text: bool = False) -> Union[Dict, str]:
-    """build_analysis with a transparent file cache holding one entry per
-    input, analyze_{a}_{b}_{c}_p{p}.json for the sorted triple and p.  The
-    input is validated before the lookup, so a bad p is never served or
-    cached.
-
-    An entry has three parts: a stamp line, "brieskorn <SCHEMA_VERSION>
-    <source_digest> <a> <b> <c> <p> <n>", where n is the byte length of
-    the rendered text; the text's n UTF-8 bytes and a newline; then the
-    report as one line of compact JSON.  A hit needs a first line that
-    starts with the stamp this code would write for this input and ends
-    in an n that is a run of at most 20 ASCII digits and leaves room in
-    the file for the text and its newline; the check reads at most the
-    stamp line's length, so a forged n reads and allocates nothing more.
-    With text=True the result is the text, and a hit reads and decodes
-    its n bytes alone, so the report is never read; otherwise a hit slices
-    past the text by its length, without decoding it, and decodes the
-    report, which must be an object of this schema for this input too.  Anything else, an entry
-    written by other code or in another layout included, is a miss, and
-    the entry is rewritten in place.  A miss renders the text once, for
-    the entry and the result.  The stamp, and so the source digest, is
-    built only once an entry is opened or written: an unusable cache
-    directory, an empty name included, is a miss that is not cached and
-    hashes no source, and the result is still returned."""
-    triple = BrieskornTriple.of(a, b, c)
-    if p is not None:
-        check_action(triple, p)
-    a, b, c = triple.entries
-    directory = cache_dir()
-    # An empty value names no directory, not the working one: the path is
-    # then "", which open and makedirs refuse, so nothing is read or written.
-    path = directory and os.path.join(directory,
-                                      f"analyze_{a}_{b}_{c}_p{p}.json")
-    try:
-        hit = _read_entry(path, a, b, c, p, text)
-        if hit is not None:
-            return hit
-    except (OSError, ValueError):  # ValueError: corrupt entry
-        pass
-    report = build_analysis(a, b, c, p)
-    rendered = render_text(report)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".analyze_",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                data = rendered.encode("utf-8")
-                handle.write(b"%s%d\n%s\n" % (_stamp(a, b, c, p), len(data),
-                                               data))
-                # compact, by the C encoder: one ASCII line
-                handle.write(json.dumps(report).encode("ascii"))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        pass   # not cached; the cache is an optimization only
-    return rendered if text else report

@@ -31,7 +31,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from brieskorn import cli  # noqa: E402
-from brieskorn.report import CACHE_ENV_VAR  # noqa: E402
+from brieskorn.cache import CACHE_ENV_VAR  # noqa: E402
 
 CORPUS = os.path.join(HERE, "cli_corpus.json")
 # The --json file an argv may name; it is hashed and removed after each run.

@@ -22,7 +22,7 @@ from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
 from brieskorn import cli
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
-from brieskorn.report import SCHEMA_VERSION, cached_analysis, source_digest
+from brieskorn.cache import SCHEMA_VERSION, cached_analysis, source_digest
 from conftest import REFERENCE_QX
 
 
@@ -357,19 +357,19 @@ class TestCache:
                                                          monkeypatch):
         import types
 
-        import brieskorn.report as report_module
+        import brieskorn.cache as cache_module
         second = []
 
         def dumps_with_second_writer(obj):
             # A second writer of the same entry runs while the first one
             # holds its temp file open.
-            monkeypatch.setattr(report_module, "json", json)
-            second.append(report_module.cached_analysis(2, 3, 7, 5))
+            monkeypatch.setattr(cache_module, "json", json)
+            second.append(cache_module.cached_analysis(2, 3, 7, 5))
             return json.dumps(obj)
 
-        monkeypatch.setattr(report_module, "json", types.SimpleNamespace(
+        monkeypatch.setattr(cache_module, "json", types.SimpleNamespace(
             loads=json.loads, dumps=dumps_with_second_writer))
-        first = report_module.cached_analysis(2, 3, 7, 5)
+        first = cache_module.cached_analysis(2, 3, 7, 5)
         assert first == second[0] == build_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
         assert entry.read_bytes() == entry_of(first)
@@ -424,7 +424,7 @@ class TestCache:
     def test_default_cache_dir_is_under_home(self, monkeypatch, tmp_path,
                                              capsys):
         # With BRIESKORN_CACHE_DIR unset the cache is ~/.cache/brieskorn.
-        from brieskorn.report import cache_dir
+        from brieskorn.cache import cache_dir
         monkeypatch.delenv("BRIESKORN_CACHE_DIR", raising=False)
         monkeypatch.setenv("HOME", str(tmp_path))
         default = tmp_path / ".cache" / "brieskorn"
@@ -464,11 +464,12 @@ class TestCache:
         # The entry's name holds only the input; the writer's source digest
         # is in its stamp.  Code of another source misses on it and
         # rewrites it in place, so the directory keeps one entry per input.
+        import brieskorn.cache as cache_module
         import brieskorn.report as report_module
         report = cached_analysis(2, 3, 7, 5)
         [old] = tmp_cache.iterdir()
         old_bytes = old.read_bytes()
-        digest = report_module.source_digest()
+        digest = cache_module.source_digest()
         assert old.name == "analyze_2_3_7_p5.json"
         assert old_bytes.split(b" ", 3)[2].decode() == digest
         built = []
@@ -478,7 +479,7 @@ class TestCache:
             return build_analysis(*args)
 
         monkeypatch.setattr(report_module, "build_analysis", recording_build)
-        monkeypatch.setattr(report_module, "source_digest",
+        monkeypatch.setattr(cache_module, "source_digest",
                             lambda: "0123456789abcdef")
         # The old entry is never served: the first read misses, builds and
         # rewrites it, and the second read hits the rewritten entry.
@@ -645,8 +646,12 @@ class TestCLI:
         def computed(*args, **kwargs):
             raise AssertionError("computed before the --json path check")
 
-        for name in ("diagonalize", "cached_analysis", "build_analysis"):
-            monkeypatch.setattr(cli, name, computed)
+        import brieskorn.lattice
+        import brieskorn.report
+        # Each name where the command looks it up when it runs.
+        monkeypatch.setattr(brieskorn.lattice, "diagonalize", computed)
+        monkeypatch.setattr(cli, "cached_analysis", computed)
+        monkeypatch.setattr(brieskorn.report, "build_analysis", computed)
         argv = self.with_matrix(argv, tmp_path)
         missing = tmp_path / "missing" / "x.json"
         with pytest.raises(OSError) as exc:
@@ -1078,7 +1083,7 @@ class TestEntryPoint:
 
     def test_import_builds_no_parser_and_reads_no_source(self):
         # setup_s in the benchmark times the import and one parser build.
-        code = ("import brieskorn.cli as cli, brieskorn.report as r\n"
+        code = ("import brieskorn.cli as cli, brieskorn.cache as r\n"
                 "print(cli.build_parser.cache_info().currsize,"
                 " r.source_digest.cache_info().currsize)\n")
         path = os.pathsep.join(filter(None, [str(SRC),
@@ -1094,7 +1099,7 @@ class TestEntryPoint:
         def digest(src):
             proc = subprocess.run(
                 [sys.executable, "-c",
-                 "import brieskorn.report as r; print(r.source_digest())"],
+                 "import brieskorn.cache as r; print(r.source_digest())"],
                 capture_output=True, text=True, timeout=60,
                 env=dict(os.environ, PYTHONPATH=str(src)))
             assert proc.returncode == 0, proc.stderr
@@ -1200,9 +1205,11 @@ def test_family_internal_error_still_exits_2(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ConstraintError("planted")
 
-    # FAMILY_ARGS has --no-cache, which skips cached_analysis.
+    import brieskorn.report
+    # FAMILY_ARGS has --no-cache, which skips cached_analysis and imports
+    # build_analysis from report when the command runs.
     monkeypatch.setattr(cli, "cached_analysis", broken)
-    monkeypatch.setattr(cli, "build_analysis", broken)
+    monkeypatch.setattr(brieskorn.report, "build_analysis", broken)
     assert main(FAMILY_ARGS) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

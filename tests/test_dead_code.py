@@ -3,8 +3,10 @@
 A definition is used when the package names it outside its own body (as
 a ``Name``, as the attribute of ``module.name``, or in an import), when
 ``brieskorn.__all__`` exports it, or when ``perfbench/run.py`` calls it.
-A function whose only caller is itself is not used.  The check reads the
-sources with ``ast`` only; ``perfbench/run.py`` is read, not imported.
+A module's ``__getattr__`` and ``__dir__`` (PEP 562) are used: the
+interpreter calls them.  A function whose only caller is itself is not
+used.  The check reads the sources with ``ast`` only;
+``perfbench/run.py`` is read, not imported.
 """
 
 import ast
@@ -17,6 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "brieskorn"
 BENCHMARK = ROOT / "perfbench" / "run.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def names_in(node) -> collections.Counter:
@@ -58,7 +61,8 @@ def dead_definitions(sources, exported, called):
             if not isinstance(node, DEFINITIONS):
                 continue
             outside = uses[node.name] - names_in(node)[node.name]
-            if not (outside or node.name in exported or node.name in called):
+            if not (outside or node.name in exported or node.name in called
+                    or node.name in MODULE_HOOKS):
                 dead.append((module, node.name))
     return dead
 
@@ -86,7 +90,11 @@ def test_detector_flags_unused_definitions():
                  "def benchmarked():\n"
                  "    pass\n"
                  "class Attribute:\n"
-                 "    pass\n"),
+                 "    pass\n"
+                 "def __getattr__(name):\n"
+                 "    raise AttributeError(name)\n"
+                 "def __repr__():\n"
+                 "    return 'a'\n"),
         "b.py": ("from .a import used\n"
                  "from . import a\n"
                  "def _local():\n"
@@ -96,4 +104,4 @@ def test_detector_flags_unused_definitions():
     called = called_in("import brieskorn\nbrieskorn.a.benchmarked()\n")
     assert called == {"benchmarked"}
     assert dead_definitions(sources, {"Exported"}, called) == [
-        ("a.py", "dead"), ("a.py", "recursive")]
+        ("a.py", "dead"), ("a.py", "recursive"), ("a.py", "__repr__")]

@@ -157,7 +157,7 @@ def test_only_the_cache_read_drops_a_value_error():
     dropped = {name: value_error_dropped_in(source)
                for name, source in package_sources().items()}
     assert {name: found for name, found in dropped.items() if found} == {
-        "report.py": ["cached_analysis"], "cli.py": ["_plain_analyze"]}
+        "cache.py": ["cached_analysis"], "cli.py": ["_plain_analyze"]}
 
 
 # cmd_family's loop before InputError: any ValueError raised while a member
