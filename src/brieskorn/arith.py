@@ -4,7 +4,6 @@ Hirzebruch-Jung continued fractions."""
 from __future__ import annotations
 
 from math import gcd
-from typing import Tuple
 
 from .records import InputError, record
 
@@ -43,7 +42,7 @@ class HJExpansion:
 
     numerator: int
     denominator: int
-    terms: Tuple[int, ...]
+    terms: tuple[int, ...]
 
     def __post_init__(self):
         if not self.terms:

@@ -45,46 +45,28 @@ are built on the first call that needs them and shared by every later
 one, and no call leaves state behind that changes what a later call
 prints.  `main` reads the plainest analyze argv itself, `analyze A B C`
 or `analyze A B C --p P` with each number a run of ASCII digits
-(`_plain_analyze`).  It builds the Namespace the parser would, without
-argparse, which was about half of an in-process text cache hit.  Any
-other argv (`--p=5`, `--json`, `--no-cache`, `-h`, a repeated option, a
-sign, `_` or a non-ASCII digit) and a number `int()` refuses (more
-digits than its limit) go to the parser, so help, version and every
-error text are argparse's own, and the plain path never prints anything
-argparse would not.
+(`_plain_analyze` gives the parser's `(a, b, c, p)`), and writes
+`cached_analysis(a, b, c, p, text=True)` as `cmd_analyze` would, with
+no parser and no Namespace: argparse was about half of an in-process
+text cache hit, and it is imported only when `build_parser` first runs,
+so such an argv loads none of it.  Any other argv (`--p=5`, `--json`,
+`--no-cache`, `-h`, a repeated option, a sign, `_` or a non-ASCII
+digit) and a number `int()` refuses (more digits than its limit) go to
+the parser, so help, version and every error text are argparse's own,
+and the plain path never prints anything argparse would not.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
-import re
 import sys
-from typing import Iterable, List, Optional, Tuple
 
 from . import __version__
 from .cache import SCHEMA_VERSION, cached_analysis, render_json, render_text
 from .records import InputError, InternalInvariantError
 from .seifert import (FAMILY_KINDS, BrieskornTriple, check_order, family,
                       seifert_invariants, standard_action_valid)
-
-
-# What a command returns for main to write: the --json payload and the text.
-_Output = Tuple[Optional[dict], Iterable[str]]
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse reads a value that starts with "-" as a flag unless it
-        # looks like a negative number; a LO..HI range such as -2..2 is
-        # read as a value too.  Subparsers are built by this class.
-        self._negative_number_matcher = re.compile(
-            self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
-
-    def error(self, message):
-        raise InputError(message)
 
 
 def _parse_range(text: str):
@@ -95,7 +77,7 @@ def _parse_range(text: str):
         raise InputError(f"bad range {text!r}; expected LO..HI") from exc
 
 
-def _check_json_path(path: Optional[str]) -> None:
+def _check_json_path(path: str | None) -> None:
     """Refuse a --json PATH that open() would refuse, before any command
     runs, by opening it: the error is open()'s own.  Append mode leaves an
     existing file unchanged, and a file the open creates is removed, so a
@@ -119,7 +101,9 @@ def _write_json(path: str, payload) -> None:
             handle.write(data)
 
 
-def cmd_analyze(args) -> _Output:
+# Each cmd_* returns (payload, lines).  Annotations are never evaluated
+# (PEP 563), so they name `Iterable` (collections.abc) with no import.
+def cmd_analyze(args) -> tuple[dict | None, Iterable[str]]:
     request = args.a, args.b, args.c, args.p
     if args.no_cache:
         from .report import build_analysis
@@ -152,7 +136,7 @@ def _family_line(row) -> str:
     return "  ".join(parts) + "\n"
 
 
-def cmd_family(args) -> _Output:
+def cmd_family(args) -> tuple[dict | None, Iterable[str]]:
     lo, hi = _parse_range(args.s_range)
     if hi - lo + 1 > FAMILY_MAX:
         raise InputError(f"the range {lo}..{hi} has {hi - lo + 1} members, "
@@ -200,7 +184,7 @@ def cmd_family(args) -> _Output:
     return batch, map(_family_line, rows)
 
 
-def cmd_diagonalize(args) -> _Output:
+def cmd_diagonalize(args) -> tuple[dict | None, Iterable[str]]:
     from .lattice import UnimodularForm, diagonalize
     from .matrices import parse_matrix_text, render_matrix_text
     with open(args.matrix, "r", encoding="utf-8") as handle:
@@ -225,7 +209,7 @@ def cmd_diagonalize(args) -> _Output:
             [f"not diagonalizable: {result.message}\n"])
 
 
-def cmd_rho(args) -> _Output:
+def cmd_rho(args) -> tuple[dict | None, Iterable[str]]:
     from .spectral import rho_lens_table
     p, r, s = args.lens
     return None, (f"rho({ell}) = {value}\n"
@@ -239,7 +223,7 @@ FAMILY_MAX = 1000
 ETA_TABLE_P_MAX = 1000
 
 
-def cmd_eta(args) -> _Output:
+def cmd_eta(args) -> tuple[dict | None, Iterable[str]]:
     from .spectral import coefficients_at, eta_brieskorn
     check_order(args.p)
     if args.p > ETA_TABLE_P_MAX:
@@ -251,7 +235,7 @@ def cmd_eta(args) -> _Output:
                   for j in range(1, args.p))
 
 
-def cmd_graph(args) -> _Output:
+def cmd_graph(args) -> tuple[dict | None, Iterable[str]]:
     from .plumbing import canonical_resolution, intersection_matrix, to_dot, to_tgf
     from .report import graph_section
     triple = BrieskornTriple.of(args.a, args.b, args.c)
@@ -263,23 +247,24 @@ def cmd_graph(args) -> _Output:
     return None, [to_dot(graph) if args.format == "dot" else to_tgf(graph)]
 
 
-def _plain_analyze(argv: List[str]) -> Optional[argparse.Namespace]:
-    """The Namespace the analyze parser builds from ["analyze", A, B, C]
-    or ["analyze", A, B, C, "--p", P] when each number is a run of ASCII
-    digits; None for any other argv, or for a number int() refuses (more
-    digits than its limit), which argparse then parses and reports."""
+def _plain_analyze(
+        argv: list[str]) -> tuple[int, int, int, int | None] | None:
+    """The (a, b, c, p) the analyze parser reads from ["analyze", A, B, C]
+    (p None) or ["analyze", A, B, C, "--p", P] when each number is a run
+    of ASCII digits; None for any other argv, or for a number int()
+    refuses (more digits than its limit), which argparse then parses and
+    reports."""
     numbers = argv[1:4] + argv[5:]
+    digits = "".join(numbers)   # an empty number is int()'s ValueError
     if (len(argv) not in (4, 6) or argv[0] != "analyze"
             or argv[4:5] not in ([], ["--p"])
-            or not all(x.isascii() and x.isdigit() for x in numbers)):
+            or not (digits.isascii() and digits.isdigit())):
         return None
     try:
         a, b, c, *p = map(int, numbers)
     except ValueError:
         return None
-    return argparse.Namespace(a=a, b=b, c=c, p=(p or [None])[0], json=None,
-                              text=False, no_cache=False, func=cmd_analyze,
-                              command="analyze")
+    return a, b, c, (p or [None])[0]
 
 
 def _add_triple(parser) -> None:
@@ -288,7 +273,25 @@ def _add_triple(parser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level argparse parser, built on the first call; argparse
+    is imported then, so a plain analyze argv never loads it."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # argparse reads a value that starts with "-" as a flag unless
+            # it looks like a negative number; a LO..HI range such as
+            # -2..2 is read as a value too.  Subparsers are built by this
+            # class.
+            self._negative_number_matcher = re.compile(
+                self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
+
+        def error(self, message):
+            raise InputError(message)
+
     parser = _Parser(prog="brieskorn",
                      description="Exact extension obstructions for cyclic "
                                  "actions on Brieskorn sphere fillings")
@@ -335,10 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain_analyze(argv) or build_parser().parse_args(argv)
+        plain = _plain_analyze(argv)
+        if plain is not None:
+            # What cmd_analyze returns for this argv, written as main
+            # would write it.
+            sys.stdout.write(cached_analysis(*plain, text=True))
+            return 0
+        args = build_parser().parse_args(argv)
         path = getattr(args, "json", None)
         _check_json_path(path)
         payload, lines = args.func(args)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from functools import total_ordering
 from math import gcd
-from typing import Tuple
 
 from .arith import is_prime
 from .records import InputError, record
@@ -37,16 +36,13 @@ class BrieskornTriple:
     a3: int
 
     def __post_init__(self):
-        entries = (self.a1, self.a2, self.a3)
-        if any(a < 2 for a in entries):
+        a1, a2, a3 = entries = (self.a1, self.a2, self.a3)
+        if min(entries) < 2:
             raise InputError(f"entries must all be >= 2, got {entries}")
-        if not (self.a1 <= self.a2 <= self.a3):
+        if not (a1 <= a2 <= a3):
             raise InputError(f"entries must be sorted ascending, got {entries}")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if gcd(entries[i], entries[j]) != 1:
-                    raise InputError(
-                        f"entries must be pairwise coprime, got {entries}")
+        if gcd(a1, a2) != 1 or gcd(a1, a3) != 1 or gcd(a2, a3) != 1:
+            raise InputError(f"entries must be pairwise coprime, got {entries}")
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -59,7 +55,7 @@ class BrieskornTriple:
         return cls(x, y, z)
 
     @property
-    def entries(self) -> Tuple[int, int, int]:
+    def entries(self) -> tuple[int, int, int]:
         return (self.a1, self.a2, self.a3)
 
     @property
@@ -73,7 +69,7 @@ class BrieskornTriple:
 @record
 class SeifertData:
     triple: BrieskornTriple
-    b: Tuple[int, int, int]
+    b: tuple[int, int, int]
     delta: int
 
     def __post_init__(self):

@@ -355,20 +355,20 @@ class TestCache:
 
     def test_interleaved_writers_use_separate_temp_files(self, tmp_cache,
                                                          monkeypatch):
-        import types
-
         import brieskorn.cache as cache_module
         second = []
+        dumps = json.dumps
 
         def dumps_with_second_writer(obj):
             # A second writer of the same entry runs while the first one
             # holds its temp file open.
-            monkeypatch.setattr(cache_module, "json", json)
+            monkeypatch.setattr(json, "dumps", dumps)
             second.append(cache_module.cached_analysis(2, 3, 7, 5))
-            return json.dumps(obj)
+            return dumps(obj)
 
-        monkeypatch.setattr(cache_module, "json", types.SimpleNamespace(
-            loads=json.loads, dumps=dumps_with_second_writer))
+        # The miss write imports json when it runs, so the patch is on the
+        # json module itself; json.loads is left as it is.
+        monkeypatch.setattr(json, "dumps", dumps_with_second_writer)
         first = cache_module.cached_analysis(2, 3, 7, 5)
         assert first == second[0] == build_analysis(2, 3, 7, 5)
         [entry] = tmp_cache.iterdir()
@@ -980,14 +980,17 @@ class TestSharedParser:
 
     def test_many_commands_build_one_parser(self, tmp_cache, monkeypatch,
                                             capsys):
+        import argparse
         built = []
-        real_init = cli._Parser.__init__
+        real_init = argparse.ArgumentParser.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             real_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        # build_parser defines its parser class, a subclass of
+        # ArgumentParser that calls this __init__, when it runs.
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         cli.build_parser.cache_clear()
         for argv in ("analyze 3 16 113 --p 5",
                      "analyze 3 16 113 --p 5",

@@ -310,12 +310,19 @@ plain_argvs = argv_of(st.just(["analyze"]), zero_padded(triple),
 @given(plain_argvs)
 def test_plain_path_builds_the_namespace_the_analyze_parser_builds(argv):
     """An argv of the plain shape whose numbers are all ASCII digits gets
-    the analyze parser's Namespace; one with a sign is left to argparse."""
-    args = cli._plain_analyze(argv)
+    the analyze parser's (a, b, c, p), and the parser's other fields are
+    the ones the plain path writes for: no --json path, no --text, the
+    cache on, cmd_analyze.  One with a sign is left to argparse."""
+    plain = cli._plain_analyze(argv)
     if any(x.startswith("-") for x in argv if x != "--p"):
-        assert args is None, argv
+        assert plain is None, argv
     else:
-        assert args == build_parser().parse_args(argv), argv
+        args = build_parser().parse_args(argv)
+        assert plain == (args.a, args.b, args.c, args.p), argv
+        assert vars(args) == {"a": args.a, "b": args.b, "c": args.c,
+                              "p": args.p, "json": None, "text": False,
+                              "no_cache": False, "func": cli.cmd_analyze,
+                              "command": "analyze"}, argv
 
 
 @pytest.mark.parametrize("argv, name", BIG_ARGV,

@@ -1,7 +1,9 @@
 """What start-up loads: `import brieskorn.cli` and an `analyze` text
 cache hit load the six modules a hit runs, and none of the pipeline; the
 package's exported names are imported from their modules on first use
-(PEP 562)."""
+(PEP 562).  The import loads no `argparse`, and a hit none of
+`argparse`, `gettext` or `json`, nor `typing` when `site` does not load
+it first (`python -S`)."""
 
 import os
 import pathlib
@@ -22,12 +24,15 @@ LOADED = ("import sys\n"
           " sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
 
 
-def run_fresh(code, **env):
-    """The stdout of code run in a fresh interpreter, then the package
-    modules and the two number modules it loaded."""
+UNUSED_BY_A_HIT = ["argparse", "gettext", "json"]
+
+
+def run_fresh(code, *flags, **env):
+    """The stdout of code run in a fresh interpreter with flags, then the
+    package modules and the two number modules it loaded."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code + LOADED],
+    proc = subprocess.run([sys.executable, *flags, "-c", code + LOADED],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=path, **env))
     assert proc.returncode == 0, proc.stderr
@@ -48,6 +53,29 @@ def test_text_cache_hit_loads_only_the_hit_modules(tmp_cache):
     out = run_fresh(code, BRIESKORN_CACHE_DIR=str(tmp_cache))
     assert out == text + f"{HIT_MODULES} []\n"
     assert entry.read_bytes() == before         # served, not rewritten
+
+
+def loaded_among(names):
+    """Code that prints which of names the interpreter has loaded."""
+    return f"import sys\nprint(sorted(set({names!r}) & set(sys.modules)))\n"
+
+
+def test_import_loads_no_argparse():
+    out = run_fresh("import brieskorn.cli\n" + loaded_among(["argparse"]))
+    assert out == f"[]\n{HIT_MODULES} []\n"
+
+
+@pytest.mark.parametrize("flags, unused", [
+    ((), UNUSED_BY_A_HIT), (("-S",), [*UNUSED_BY_A_HIT, "typing"])],
+    ids=["site", "no-site"])
+def test_text_cache_hit_loads_no_argparse_json_or_typing(tmp_cache, flags,
+                                                         unused):
+    text = cached_analysis(3, 16, 113, 5, text=True)
+    code = ("from brieskorn.cli import main\n"
+            "assert main(['analyze', '3', '16', '113', '--p', '5']) == 0\n"
+            + loaded_among(unused))
+    out = run_fresh(code, *flags, BRIESKORN_CACHE_DIR=str(tmp_cache))
+    assert out == text + f"[]\n{HIT_MODULES} []\n"
 
 
 @pytest.mark.parametrize("name", brieskorn.__all__)
