@@ -58,8 +58,7 @@ def render_text(report: dict) -> str:
     if "obstruction" in report:
         ob = report["obstruction"]
         lines.append(f"  obstruction: {ob['status']}")
-        if ob["certificate"]:
-            lines.append(f"    {ob['certificate']}")
+        lines.append(f"    {ob['certificate']}")
     if "locally_linear" in report:
         ll = report["locally_linear"]
         lines.append(f"  rho of quotient: {ll['rho_quotient']}")

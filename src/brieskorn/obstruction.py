@@ -12,32 +12,34 @@ action, where (in a standard diagonal basis, suitably oriented)
 
 The unknowns are one orientation sign per node sphere and one sign per
 diagonal basis vector.  Every nonzero coefficient then pins the product
-of two signs, so the whole system is a parity (2-coloring) problem; the
-solver 2-colors it in linear time, seeding each connected component once
-and propagating, with no backtracking.  An infeasible system gets one of
-three certificates: a fixed sphere with a coefficient of size >= 2, the
-configuration of a fixed (-1)-sphere with two disjoint invariant
-neighbours when there is one, and otherwise the negative cycle that the
-2-coloring closed: the conflicting equation plus the two paths of the
-search forest to their first common variable.  Sphere i is read from its
-sparse coordinates (Diagonalization.coordinates), the nonzero (j, x) of
-column i of C^-1; a sphere of square w has at most |w|.  Every
-intersection number the system needs is an entry of Q: Diagonalization
-checks X^t X = -Q for X = C^-1 when it is built, so [F_i].[F_k] =
-Q[i][k], and the squares and couplings are read off Q's diagonal and the
-nonzeros of its rows.  Only Certificate.verify takes its own sparse dot
-products and reads a cycle's signs from the columns and couplings, so it
-re-checks a certificate independently of Q and of the solver.  The tests
-check the solver against an exhaustive assignment oracle for small
-ranks, and the assembly against a dense one
-(tests/obstruction_oracle.py).
+of two signs.  decide does not solve that parity system in general: it
+returns one of the two configurations the paper's argument rests on,
+each of which refutes the system whatever its other equations are.  A
+fixed sphere with a coefficient of size >= 2 cannot have coefficients in
+{0, 1}.  A fixed (-1)-sphere with two disjoint invariant neighbours
+forces 0 = [F].[G] < 0.  Every diagonalizable input met so far has
+delta = -1, so its central node is a fixed (-1)-sphere and one of the
+two applies.  A system with neither witness is refused as a broken
+invariant (exit 2), not decided.  The general decision, a parity
+2-coloring whose conflicts close negative cycles, is the test oracle in
+tests/obstruction_oracle.py, with the report's conclusion for a
+satisfiable system.  Sphere i is read from its sparse coordinates
+(Diagonalization.coordinates), the nonzero (j, x) of column i of C^-1; a
+sphere of square w has at most |w|.  Every intersection number the
+system needs is an entry of Q: Diagonalization checks X^t X = -Q for X =
+C^-1 when it is built, so [F_i].[F_k] = Q[i][k], and the squares and
+couplings are read off Q's diagonal and the nonzeros of its rows.  Only
+Certificate.verify takes its own sparse dot products, so it re-checks a
+certificate independently of Q.  The tests check decide against the
+2-coloring on random systems and pipeline inputs, the 2-coloring against
+an exhaustive assignment oracle for small ranks, and the assembly
+against a dense one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
-from math import prod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .lattice import Diagonalization
 from .plumbing import EquivariantMarkup
@@ -117,13 +119,9 @@ class Certificate:
     two disjoint invariant neighbours: orientation coupling forces both
     neighbours to have coefficient 1 on the sphere's basis vector while
     all their coefficients are >= 0, so 0 = [F].[G] = -(1 + sum of
-    products of nonnegative coefficients) < 0.  kind "negative-cycle"
-    lists the variables (o_i = i, s_j = m + j, as in decide) of a cycle
-    of sign equations whose signs multiply to -1, which exists exactly
-    when the 2-coloring has no solution (Harary, Michigan Math. J. 2,
-    1953).  verify re-checks every kind from the system alone and returns
-    False on a certificate of the wrong arity or with an index out of
-    range.
+    products of nonnegative coefficients) < 0.  verify re-checks either
+    kind from the system alone and returns False on any other kind, on a
+    certificate of the wrong arity or with an index out of range.
     """
 
     kind: str
@@ -135,133 +133,68 @@ class Certificate:
 
     def verify(self, cs: ConstraintSystem) -> bool:
         """Re-check the integer identities the certificate rests on."""
-        m = len(cs.columns)
-        size, bound = {"adjacent-branches": (3, m), "fixed-coefficient": (1, m),
-                       "negative-cycle": (len(self.spheres), m + cs.n),
-                       }.get(self.kind, (0, 0))
-        if not 0 < len(self.spheres) == size or not all(
-                0 <= i < bound for i in self.spheres):
+        size = {"adjacent-branches": 3, "fixed-coefficient": 1}.get(self.kind)
+        if len(self.spheres) != size or not all(
+                0 <= i < len(cs.columns) for i in self.spheres):
             return False
-        if self.kind == "adjacent-branches":
-            s, f, g = self.spheres
-            return (cs.kinds[s] == "fixed"
-                    and cs.kinds[f] == "invariant"
-                    and cs.kinds[g] == "invariant"
-                    and cs.intersection(s, s) == -1
-                    and abs(cs.intersection(f, s)) == 1
-                    and abs(cs.intersection(g, s)) == 1
-                    and cs.intersection(f, g) == 0)
         if self.kind == "fixed-coefficient":
             (s,) = self.spheres
             return (cs.kinds[s] == "fixed"
                     and any(abs(x) >= 2 for _, x in cs.columns[s]))
-        # The signs of the equations on each pair of consecutive
-        # variables: a sphere-basis pair is read from cs.columns, a
-        # sphere-sphere pair from cs.couplings.  sum(s) is the pair's
-        # sign, or 0 for a pair carrying both signs, which is a
-        # contradiction on its own.
-        cycle = self.spheres
-        signs = [{1 if x > 0 else -1 for j, x in cs.columns[a] if m + j == b}
-                 if a < m <= b else {c for i, k, c in cs.couplings
-                                     if sorted((i, k)) == [a, b]}
-                 for a, b in map(sorted, zip(cycle, cycle[1:] + cycle[:1]))]
-        return all(signs) and prod(map(sum, signs)) < 1
+        s, f, g = self.spheres
+        return (cs.kinds[s] == "fixed"
+                and cs.kinds[f] == "invariant"
+                and cs.kinds[g] == "invariant"
+                and cs.intersection(s, s) == -1
+                and abs(cs.intersection(f, s)) == 1
+                and abs(cs.intersection(g, s)) == 1
+                and cs.intersection(f, g) == 0)
 
 
 @record
 class ObstructionVerdict:
-    assignment: Optional[Dict[str, Tuple[int, ...]]]
-    certificate: Optional[Certificate]
+    """An infeasible sign system and its verified certificate.  decide
+    returns no other verdict, so status is always "infeasible"."""
 
-    @property
-    def status(self) -> str:
-        return "feasible" if self.certificate is None else "infeasible"
+    certificate: Certificate
+    status = "infeasible"
 
 
 def decide(cs: ConstraintSystem) -> ObstructionVerdict:
-    """Admissible signs, or a certificate on infeasibility.
+    """The verified witness that the sign system is infeasible.
 
-    A linear-time parity 2-coloring over the integer variables o_i = i
-    and s_j = m + j (m node spheres).  A nonzero coefficient c of an
-    invariant sphere needs o*s*c > 0 and of a fixed sphere o*s*c in
-    {0, 1}, both of which force o_i * s_j = sign(c); a coupling relates
-    two o's.  Each connected component is seeded once with +1, and each
-    equation with one endpoint assigned pins the other.  Flipping a
-    component's seed flips every sign in it and keeps every equation, so
-    one seed decides the component and nothing is ever undone.  Each
-    variable's parent (the variable that pinned it) is recorded, so an
-    equation that contradicts the assignment closes a negative cycle
-    through the spanning forest.
+    First a fixed sphere with a coefficient of absolute value >= 2, by
+    increasing index.  Then a fixed (-1)-sphere s with two disjoint
+    invariant neighbours f, g: s's invariant neighbours are the spheres
+    coupled to it, and s is tried by increasing index, each pair in the
+    order of the couplings, until one passes Certificate.verify.  Each
+    witness makes the system infeasible whatever its other equations
+    are.  A system with neither is refused with InternalInvariantError:
+    deciding it needs the general 2-coloring, which no pipeline input is
+    known to reach.
     """
     for i, col in enumerate(cs.columns):
         if cs.kinds[i] == "fixed" and any(abs(x) >= 2 for _, x in col):
-            return ObstructionVerdict(None, Certificate(
+            return ObstructionVerdict(Certificate(
                 kind="fixed-coefficient", spheres=(i,),
                 detail=(f"fixed sphere {i} has a coefficient of absolute "
                         "value >= 2; no signs put its class in {0,1} "
                         "coordinates")))
-
-    m = len(cs.columns)
-    adjacent: List[List[Tuple[int, int]]] = [[] for _ in range(m + cs.n)]
-    for i, col in enumerate(cs.columns):
-        for j, x in col:
-            sign = 1 if x > 0 else -1
-            adjacent[i].append((m + j, sign))
-            adjacent[m + j].append((i, sign))
-    for i, k, sign in cs.couplings:
-        adjacent[i].append((k, sign))
-        adjacent[k].append((i, sign))
-    # value 0: not yet assigned; parent None: a seed
-    value, parent = [0] * (m + cs.n), [None] * (m + cs.n)
-    for seed in range(m + cs.n):
-        if value[seed]:
-            continue
-        value[seed] = 1
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v, sign in adjacent[u]:
-                if not value[v]:
-                    value[v] = value[u] * sign
-                    parent[v] = u
-                    stack.append(v)
-                elif value[v] != value[u] * sign:
-                    return ObstructionVerdict(None, _certificate(cs, parent, u, v))
-    return ObstructionVerdict({"orientations": tuple(value[:m]),
-                               "basis_signs": tuple(value[m:])}, None)
-
-
-def _certificate(cs: ConstraintSystem, parent: List[Optional[int]],
-                 u: int, v: int) -> Certificate:
-    # Preferred witness: fixed (-1)-sphere with two disjoint invariant
-    # neighbours (always present for a central node of a resolution tree
-    # with at least two branches).  A fixed (-1)-sphere's invariant
-    # neighbours are exactly the spheres coupled to it.
     neighbours: Dict[int, List[int]] = {}
     for f, s, _ in cs.couplings:
         neighbours.setdefault(s, []).append(f)
     for s in sorted(neighbours):
         for f, g in combinations(neighbours[s], 2):
-            cert = Certificate("adjacent-branches", (s, f, g), "")
-            if cert.verify(cs):
+            if Certificate("adjacent-branches", (s, f, g), "").verify(cs):
                 (j0, _), = cs.columns[s]    # a (-1)-sphere is +-e_j0
-                return Certificate(cert.kind, cert.spheres, detail=(
+                return ObstructionVerdict(Certificate(
+                    kind="adjacent-branches", spheres=(s, f, g), detail=(
                     f"fixed sphere {s} of square -1 reduces to a diagonal "
                     f"basis vector e{j0}; orientation coupling then forces "
                     f"coefficient 1 on e{j0} in the standardly oriented "
                     f"invariant neighbours {f} and {g}, whose coefficients "
                     f"are all >= 0, so 0 = [F{f}].[F{g}] = -1 - (sum of "
-                    "products of nonnegative coefficients): impossible"))
-    # Fallback: the conflicting equation u-v closes a cycle with the
-    # forest paths from u and from v up to their first common variable.
-    up, down = [u], [v]
-    while parent[up[-1]] is not None:
-        up.append(parent[up[-1]])
-    depth = {x: t for t, x in enumerate(up)}
-    while down[-1] not in depth:
-        down.append(parent[down[-1]])
-    cycle = up[:depth[down[-1]]] + down[::-1]
-    names = [f"F{x}" if x < len(cs.columns) else f"e{x - len(cs.columns)}"
-             for x in cycle + cycle[:1]]
-    return Certificate("negative-cycle", tuple(cycle), detail=(
-        f"the sign equations around {' - '.join(names)} multiply to -1"))
+                    "products of nonnegative coefficients): impossible")))
+    raise InternalInvariantError(
+        "no fixed-coefficient or adjacent-branches witness for the sign "
+        f"system {cs!r}")

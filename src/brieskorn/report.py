@@ -103,19 +103,14 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
         verdict = decide(build_constraints(markup, diag))
         report["obstruction"] = {
             "status": verdict.status,
-            "certificate": verdict.certificate.render() if verdict.certificate else None,
+            "certificate": verdict.certificate.render(),
         }
-        if verdict.status == "infeasible":
-            conclusions.append(
-                f"If {name} bounds a smooth acyclic 4-manifold W whose "
-                "fundamental group is normally generated by the image of "
-                "the boundary's, then the standard free Z/"
-                f"{p}-action on {name} does not extend to a smooth action "
-                "on any such W (in particular not over a contractible one).")
-        else:
-            conclusions.append(
-                "The orientation/sign constraint system is satisfiable; "
-                "this criterion does not obstruct a smooth extension.")
+        conclusions.append(
+            f"If {name} bounds a smooth acyclic 4-manifold W whose "
+            "fundamental group is normally generated by the image of "
+            "the boundary's, then the standard free Z/"
+            f"{p}-action on {name} does not extend to a smooth action "
+            "on any such W (in particular not over a contractible one).")
 
         eta = eta_from_fixed_data(markup, elim.signature)
         rho = rho_from_eta(eta)

@@ -59,36 +59,27 @@ class TestReport:
         assert any("does not extend to a smooth action"
                    in c for c in report["conclusions"])
 
-    def test_feasible_verdict_does_not_obstruct(self, monkeypatch):
-        # No analysis on record has a feasible verdict, so one is planted.
-        import brieskorn.report as report_module
-        from brieskorn import ObstructionVerdict
-        actual = build_analysis(3, 16, 113, 5)
-        monkeypatch.setattr(report_module, "decide", lambda cs: (
-            ObstructionVerdict({"orientations": (), "basis_signs": ()}, None)))
-        planted = build_analysis(3, 16, 113, 5)
-
-        assert planted["obstruction"] == {"status": "feasible",
-                                          "certificate": None}
-        smooth = [c for c in actual["conclusions"]
-                  if "does not extend to a smooth action" in c]
-        feasible = ("The orientation/sign constraint system is satisfiable; "
-                    "this criterion does not obstruct a smooth extension.")
-        assert len(smooth) == 1
-        assert planted["conclusions"] == [
-            feasible if c in smooth else c for c in actual["conclusions"]]
-        rest = ("obstruction", "conclusions")
-        assert ({k: v for k, v in planted.items() if k not in rest}
-                == {k: v for k, v in actual.items() if k not in rest})
-
-        # Text: one obstruction line with no certificate line under it, and
-        # the feasible conclusion in place of the smooth obstruction.
-        lines = render_text(actual).splitlines()
-        at = lines.index("  obstruction: infeasible")
-        assert lines[at + 1].startswith("    infeasible (")
-        lines[at:at + 2] = ["  obstruction: feasible"]
-        lines[lines.index(f"  - {smooth[0]}")] = f"  - {feasible}"
-        assert render_text(planted).splitlines() == lines
+    @pytest.mark.parametrize("a, b, c, p", [
+        (3, 16, 113, 5), (2, 7, 31, 3), (3, 22, 155, 7)])
+    def test_obstruction_section_matches_the_two_coloring(self, a, b, c, p):
+        # The section and the smooth conclusion are what the general
+        # 2-coloring's verdict gives; decide returned the same witness.
+        import obstruction_oracle
+        from brieskorn.lattice import UnimodularForm, diagonalize
+        from brieskorn.obstruction import build_constraints
+        from brieskorn.plumbing import (canonical_resolution,
+                                        intersection_matrix,
+                                        propagate_rotations)
+        from brieskorn.seifert import seifert_invariants
+        triple = BrieskornTriple.of(a, b, c)
+        graph = canonical_resolution(seifert_invariants(triple))
+        diag = diagonalize(UnimodularForm(intersection_matrix(graph)))
+        cs = build_constraints(propagate_rotations(graph, p), diag)
+        section, conclusion = obstruction_oracle.obstruction_section(
+            cs, str(triple), p)
+        report = build_analysis(a, b, c, p)
+        assert report["obstruction"] == section
+        assert report["conclusions"][1] == conclusion
 
     def test_json_roundtrip_and_recompute(self):
         report = build_analysis(3, 16, 113, 5)

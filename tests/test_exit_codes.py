@@ -15,10 +15,18 @@ names ValueError ends in a ``raise``.  There are two exceptions.  The
 cache's read of an entry: a corrupt entry is a miss.  And the plain
 analyze path's ``int()`` of argv: a number it refuses sends the argv to
 argparse, which reports it as an InputError.
+
+One rule is also run end to end: a sign system that ``decide`` has no
+witness for exits 2 from ``analyze``, with no verdict printed or cached.
 """
 
 import ast
 import pathlib
+
+# Two invariant spheres e0 + e1 and e0 - e1: the signs around the cycle
+# F1 - e1 - F0 - e0 multiply to -1, and no fixed sphere gives decide a
+# witness.
+from test_obstruction import CONFLICT
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "brieskorn"
 CATCH_ALL = "Exception"
@@ -201,3 +209,18 @@ def test_detector_flags_a_handler_that_drops_a_value_error():
               "except (ImportError, ValueError):\n"
               "    fast = None\n")
     assert value_error_dropped_in(source) == ["inner", None]
+
+
+def test_a_sign_system_with_no_witness_exits_2(monkeypatch, tmp_cache,
+                                               capsys):
+    import brieskorn.report as report
+    from brieskorn.cli import main
+    monkeypatch.setattr(report, "build_constraints",
+                        lambda markup, diag: CONFLICT)
+    refusal = ("internal invariant violation: no fixed-coefficient or "
+               f"adjacent-branches witness for the sign system {CONFLICT!r}\n")
+    for argv in (["analyze", "3", "16", "113", "--p", "5"],
+                 ["analyze", "3", "16", "113", "--p", "5", "--no-cache"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", refusal), argv
+        assert not tmp_cache.exists() or not any(tmp_cache.iterdir()), argv

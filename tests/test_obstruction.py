@@ -1,9 +1,14 @@
-"""Sign-obstruction constraint systems and the decision procedure."""
+"""Sign-obstruction constraint systems and the decision procedure.
+
+decide returns a witness or refuses the system; the general 2-coloring
+of tests/obstruction_oracle.py decides every system, and oracle_verdict
+checks the one against the other wherever a test decides a system."""
 
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
                        ConstraintSystem, Diagonalization, UnimodularForm,
@@ -13,6 +18,7 @@ from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
                        standard_action_valid, star)
 from brieskorn.matrices import transpose
 from brieskorn.plumbing import EquivariantMarkup
+from brieskorn.records import InternalInvariantError
 from conftest import gamma_k_graph
 import obstruction_oracle as oracle
 from lattice_oracle import mat_mul
@@ -25,6 +31,24 @@ def pipeline(graph, p):
     diag = diagonalize(form)
     assert diag.found
     return build_constraints(markup, diag), diag, markup
+
+
+def oracle_verdict(cs):
+    """The 2-coloring's verdict on cs, once decide is checked against it:
+    where the 2-coloring's certificate is a fixed-coefficient or
+    adjacent-branches witness, decide returns that certificate; where it
+    is a negative cycle, or the system is satisfiable, decide refuses the
+    system and names it."""
+    verdict = oracle.decide(cs)
+    cert = verdict.certificate
+    if cert is None or cert.kind == "negative-cycle":
+        with pytest.raises(InternalInvariantError) as refusal:
+            decide(cs)
+        assert repr(cs) in str(refusal.value)
+    else:
+        assert decide(cs).certificate == cert
+        assert cert.verify(cs)
+    return verdict
 
 
 def smallest_valid_primes(triple, count=3):
@@ -53,10 +77,13 @@ class TestBuildConstraints:
     def test_single_fixed_node_feasible(self):
         g = star(-1, [])
         cs, _, _ = pipeline(g, 5)
-        verdict = decide(cs)
+        verdict = oracle_verdict(cs)
         assert verdict.certificate is None and verdict.status == "feasible"
-        assert verdict.certificate is None
         assert verdict.assignment["orientations"] in ((1,), (-1,))
+        section, conclusion = oracle.obstruction_section(cs, "Sigma", 5)
+        assert section == {"status": "feasible", "certificate": None}
+        assert conclusion.startswith("The orientation/sign constraint "
+                                     "system is satisfiable;")
 
     def test_coupling_for_adjacent_invariant(self):
         # center -1 (fixed) with one invariant branch node: satisfiable,
@@ -65,7 +92,7 @@ class TestBuildConstraints:
         cs, _, _ = pipeline(g, 5)
         assert cs.couplings  # the (-1)-sphere couples to its neighbour
         assert all({i, k} == {0, 1} for i, k, _ in cs.couplings)
-        verdict = decide(cs)
+        verdict = oracle_verdict(cs)
         assert verdict.certificate is None
         o = verdict.assignment["orientations"]
         for i, k, sign in cs.couplings:
@@ -206,7 +233,8 @@ class TestDecide:
             markup = propagate_rotations(graph, p)
             form = UnimodularForm.from_matrix(intersection_matrix(graph))
             diag = diagonalize(form)
-            assert decide(build_constraints(markup, diag)).status == expected
+            assert oracle_verdict(
+                build_constraints(markup, diag)).status == expected
             n = form.n
             for _ in range(4):
                 perm = list(range(n))
@@ -220,14 +248,14 @@ class TestDecide:
                 assert twisted.c_inv == cinv2
                 cs = build_constraints(markup, twisted)
                 assert cs == oracle.build_constraints(markup, twisted)
-                assert decide(cs).status == expected
+                assert oracle_verdict(cs).status == expected
                 assert brute_force_decide(cs) == expected
 
     def test_feasible_assignment_satisfies_all_constraints(self):
         feasible_seen = 0
         for g in (star(-1, []), star(-1, [[-2]]), star(-1, [[-2, -2]])):
             cs, _, _ = pipeline(g, 7)
-            verdict = decide(cs)
+            verdict = oracle_verdict(cs)
             assert verdict.status == brute_force_decide(cs)
             if verdict.certificate is not None:
                 continue
@@ -268,7 +296,7 @@ class TestDecide:
                 cs = build_constraints(markup, diag)
             except ConstraintError:
                 continue
-            assert decide(cs).status == brute_force_decide(cs)
+            assert oracle_verdict(cs).status == brute_force_decide(cs)
 
 
 def system(kinds, columns, couplings, n):
@@ -303,11 +331,11 @@ class TestCertificateTiers:
         (CONFLICT, "negative-cycle", (1, 3, 0, 2)),
     ])
     def test_checkable_tiers(self, cs, kind, spheres):
-        verdict = decide(cs)
+        verdict = oracle_verdict(cs)
         assert verdict.status == "infeasible" == brute_force_decide(cs)
         cert = verdict.certificate
         assert (cert.kind, cert.spheres) == (kind, spheres)
-        assert cert.verify(cs)
+        assert oracle.verify(cert, cs)
 
     def test_adjacent_branches_detail_names_the_basis_vector(self):
         detail = decide(ADJACENT).certificate.detail
@@ -315,7 +343,7 @@ class TestCertificateTiers:
                                  "diagonal basis vector e0;")
 
     def test_negative_cycle_detail_names_the_variables(self):
-        assert decide(CONFLICT).certificate.render() == (
+        assert oracle_verdict(CONFLICT).certificate.render() == (
             "infeasible (negative-cycle): the sign equations around "
             "F1 - e1 - F0 - e0 - F1 multiply to -1")
 
@@ -324,18 +352,18 @@ class TestCertificateTiers:
         # the pair f, g is refuted by the cycle through their shared
         # basis vectors.
         uncoupled = system(ADJACENT.kinds, ADJACENT.columns, [], 2)
-        cert = decide(uncoupled).certificate
+        cert = oracle_verdict(uncoupled).certificate
         assert (cert.kind, cert.spheres) == ("negative-cycle", (4, 2, 3, 1))
-        assert cert.verify(uncoupled)
+        assert oracle.verify(cert, uncoupled)
 
     @pytest.mark.parametrize("cs", [ODD_CYCLE, ODD_CYCLE_AT_FIXED])
     def test_coupling_only_odd_cycle_is_a_negative_cycle(self, cs):
-        verdict = decide(cs)
+        verdict = oracle_verdict(cs)
         assert verdict.status == "infeasible" == brute_force_decide(cs)
         cert = verdict.certificate
         assert (cert.kind, cert.spheres) == ("negative-cycle", (2, 0, 1))
         assert cert.detail.endswith("around F2 - F0 - F1 - F2 multiply to -1")
-        assert cert.verify(cs)
+        assert oracle.verify(cert, cs)
 
     def test_negative_cycle_reads_each_pair_from_the_system(self):
         # Variables o_i = i and s_j = 3 + j.  The 2-cycle F0 - F1 runs
@@ -343,22 +371,23 @@ class TestCertificateTiers:
         # on e0 (variable 3); e0 - e1 is no equation at all.
         for cycle in ((0, 1), (0, 1, 3), (3, 4, 0)):
             cert = Certificate("negative-cycle", cycle, "")
-            assert not cert.verify(ODD_CYCLE), cycle
+            assert not oracle.verify(cert, ODD_CYCLE), cycle
         # A pair carrying both signs is a contradiction on its own, and a
         # negative self-coupling is a cycle of length one.
         cs = system(ODD_CYCLE.kinds, ODD_CYCLE.columns,
                     [(0, 1, 1), (1, 0, -1), (2, 2, -1)], 3)
-        assert decide(cs).status == "infeasible" == brute_force_decide(cs)
-        assert decide(cs).certificate.verify(cs)
+        verdict = oracle_verdict(cs)
+        assert verdict.status == "infeasible" == brute_force_decide(cs)
+        assert oracle.verify(verdict.certificate, cs)
         for cycle, holds in (((0, 1), True), ((1, 0), True), ((2,), True),
                              ((1,), False), ((0, 1, 2), False)):
             cert = Certificate("negative-cycle", cycle, "")
-            assert cert.verify(cs) is holds, cycle
+            assert oracle.verify(cert, cs) is holds, cycle
 
     def test_even_cycle_is_feasible(self):
         cs = system(ODD_CYCLE.kinds, ODD_CYCLE.columns,
                     [(0, 1, 1), (1, 2, -1), (2, 0, -1)], 3)
-        verdict = decide(cs)
+        verdict = oracle_verdict(cs)
         assert verdict.status == "feasible" == brute_force_decide(cs)
         o = verdict.assignment["orientations"]
         s = verdict.assignment["basis_signs"]
@@ -383,11 +412,16 @@ class TestMalformedCertificates:
     @pytest.mark.parametrize("spheres", [(), (5,), (1, 3, 0, 99), (-1, 3, 0, 2)])
     def test_negative_cycle(self, spheres):
         # CONFLICT has m = 2 spheres and n = 2 basis vectors: 4 variables
-        assert not Certificate("negative-cycle", spheres, "").verify(CONFLICT)
+        assert not oracle.verify(
+            Certificate("negative-cycle", spheres, ""), CONFLICT)
 
     def test_unknown_kind(self):
         for kind in ("parity-conflict", "search-refutation", ""):
             assert not Certificate(kind, (0, 1), "").verify(CONFLICT)
+        # The package checks no negative cycle, not even one that holds.
+        cycle = Certificate("negative-cycle", (1, 3, 0, 2), "")
+        assert oracle.verify(cycle, CONFLICT)
+        assert not cycle.verify(CONFLICT)
 
 
 @st.composite
@@ -432,12 +466,12 @@ def flip(cs, pair):
 @settings(max_examples=200, deadline=None)
 @given(constraint_systems())
 def test_decide_agrees_with_brute_force_and_certifies(cs):
-    verdict = decide(cs)
+    verdict = oracle_verdict(cs)
     assert verdict.status == brute_force_decide(cs)
     if verdict.certificate is None:
         return
     cert = verdict.certificate
-    assert cert.verify(cs)
+    assert oracle.verify(cert, cs)
     if cert.kind != "negative-cycle":
         return
     cycle = cert.spheres
@@ -451,12 +485,12 @@ def test_decide_agrees_with_brute_force_and_certifies(cs):
         shorter = cycle[:t] + cycle[t + 1:]
         if not shorter or frozenset(
                 (shorter[t - 1], shorter[t % len(shorter)])) not in signs:
-            assert not Certificate(cert.kind, shorter, "").verify(cs), t
+            assert not oracle.verify(Certificate(cert.kind, shorter, ""), cs), t
     # Flipped sign: with every pair single-signed the product is -1, and
     # negating one pair's equations makes it +1.
     if all(len(signs[pair]) == 1 for pair in pairs):
         for pair in pairs:
-            assert not cert.verify(flip(cs, pair)), pair
+            assert not oracle.verify(cert, flip(cs, pair)), pair
 
 
 @st.composite
@@ -508,7 +542,41 @@ def test_a_verified_adjacent_branches_witness_closes_a_negative_cycle(drawn):
     assert Certificate("adjacent-branches", (s, f, g), "").verify(coupled)
     assert dict(cs.columns[f])[j0] ** 2 == dict(cs.columns[g])[j0] ** 2 == 1
     for each in (cs, coupled):
-        verdict = decide(each)
+        verdict = oracle_verdict(each)
         assert verdict.status == "infeasible" == brute_force_decide(each)
-        assert verdict.certificate.verify(each)
-    assert decide(coupled).certificate.kind != "negative-cycle"
+        assert oracle.verify(verdict.certificate, each)
+    # so decide returns a witness on the coupled system
+    assert oracle_verdict(coupled).certificate.kind != "negative-cycle"
+
+
+@st.composite
+def diagonalizable_members(draw):
+    """A random pairwise-coprime triple whose canonical plumbing has at
+    most 16 nodes and diagonalizes, its graph and diagonalization, and a
+    prime p <= 101 at which its standard action is free.  About half the
+    triples drawn with n <= 16 diagonalize."""
+    a = draw(st.integers(min_value=2, max_value=7))
+    b = draw(st.sampled_from([x for x in range(a + 1, 41) if gcd(a, x) == 1]))
+    c = draw(st.sampled_from([x for x in range(b + 1, 251)
+                              if gcd(a * b, x) == 1]))
+    triple = BrieskornTriple.of(a, b, c)
+    graph = canonical_resolution(seifert_invariants(triple))
+    assume(len(graph.weights) <= 16)
+    diag = diagonalize(UnimodularForm.from_matrix(intersection_matrix(graph)))
+    assume(diag.found)
+    p = draw(st.sampled_from([q for q in range(3, 102) if is_prime(q)
+                              and standard_action_valid(triple, q)]))
+    return graph, diag, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonalizable_members())
+def test_decide_returns_the_two_colorings_certificate_on_pipeline_inputs(
+        member):
+    graph, diag, p = member
+    cs = build_constraints(propagate_rotations(graph, p), diag)
+    verdict = oracle.decide(cs)
+    assert decide(cs).certificate == verdict.certificate
+    assert verdict.certificate.verify(cs)
+    if len(graph.weights) <= 10:
+        assert brute_force_decide(cs) == "infeasible"

@@ -26,6 +26,7 @@ from brieskorn.records import InputError
 from brieskorn.spectral import (canonical_lens_pair, eta_from_fixed_data,
                                 ll_extension_search)
 from conftest import LARGE_ENTRIES
+import obstruction_oracle
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -93,10 +94,11 @@ def _golden_and_large_entry_inputs():
 
 
 def test_no_known_input_reaches_a_satisfiable_sign_system():
-    # The report's "satisfiable" conclusion needs a feasible verdict.  No
-    # diagonalizable golden or large-entry input at its p gets one: each
-    # has delta = -1, so the central node is a fixed (-1)-sphere, and its
-    # verdict is fixed-coefficient or adjacent-branches.
+    # decide refuses a satisfiable system, or one whose only witness is a
+    # negative cycle.  No diagonalizable golden or large-entry input at
+    # its p gives one: each has delta = -1, so the central node is a
+    # fixed (-1)-sphere, and its verdict is fixed-coefficient or
+    # adjacent-branches, the general 2-coloring's certificate.
     diagonals, kinds = {}, set()
     for triple, p in _golden_and_large_entry_inputs():
         if triple not in diagonals:
@@ -114,5 +116,6 @@ def test_no_known_input_reaches_a_satisfiable_sign_system():
         assert cert.kind in ("fixed-coefficient", "adjacent-branches"), (
             triple, p)
         assert cert.verify(cs)
+        assert cert == obstruction_oracle.decide(cs).certificate, (triple, p)
         kinds.add(cert.kind)
     assert kinds == {"fixed-coefficient", "adjacent-branches"}
