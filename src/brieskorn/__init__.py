@@ -7,8 +7,21 @@ obstruction (smooth case) and eta/rho comparison with lens spaces
 (locally linear case).  Everything is computed in exact integer, rational
 and cyclotomic arithmetic.
 
+The package exports the pipeline and nothing else:
+
+- ``build_analysis(a, b, c, p)``, the report of one run (``report``);
+- ``cached_analysis``, the same report through the file cache, and its
+  two renderings ``render_json`` and ``render_text`` (``cache``);
+- ``BrieskornTriple`` and ``family``, the inputs (``seifert``);
+- ``InputError`` (exit 1) and ``InternalInvariantError`` (exit 2), the
+  two failures (``records``).
+
+Each stage is imported from the module that defines it, for example
+``from brieskorn.lattice import diagonalize``.
+
 Each name of ``__all__`` is imported from its module on first use (PEP
-562), so ``import brieskorn.cli`` loads only the modules a cache hit
+562).  ``build_analysis`` stays lazy because ``report`` imports every
+stage: ``import brieskorn.cli`` then loads only the modules a cache hit
 runs, not the whole pipeline.
 """
 
@@ -17,20 +30,7 @@ __version__ = "1.0.0"
 # Each exported name, by the module that defines it.
 _HOME = {name: module for module, names in {
     "records": ("InputError", "InternalInvariantError"),
-    "arith": ("HJExpansion", "hj_expand", "is_prime"),
-    "seifert": ("BrieskornTriple", "SeifertData", "check_action", "check_order",
-                "family", "seifert_invariants", "standard_action_valid"),
-    "plumbing": ("EquivariantMarkup", "PlumbingGraph", "PropagationError",
-                 "canonical_pair", "canonical_resolution", "graph_signature",
-                 "intersection_matrix", "propagate_rotations", "star",
-                 "to_dot", "to_tgf"),
-    "lattice": ("Diagonalization", "DiagonalizationFailure", "UnimodularForm",
-                "diagonalize", "enumerate_roots"),
-    "obstruction": ("Certificate", "ConstraintError", "ConstraintSystem",
-                    "ObstructionVerdict", "build_constraints", "decide"),
-    "spectral": ("LensCandidate", "canonical_lens_pair", "coefficients_at",
-                 "eta_brieskorn", "eta_from_fixed_data", "ll_extension_search",
-                 "nu_defect", "rho_from_eta", "rho_lens_table"),
+    "seifert": ("BrieskornTriple", "family"),
     "cache": ("cached_analysis", "render_json", "render_text"),
     "report": ("build_analysis",),
 }.items() for name in names}

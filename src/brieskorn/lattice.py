@@ -39,7 +39,6 @@ import math
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul, neg
-from typing import List, Tuple, Union
 
 from .matrices import Elimination, IntMatrix, eliminate, freeze, transpose
 from .records import InternalInvariantError, record
@@ -68,7 +67,7 @@ class UnimodularForm:
         return eliminate(self.q)
 
 
-def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
+def enumerate_roots(form: UnimodularForm) -> tuple[tuple[int, ...], ...]:
     """All integer vectors v with v^t Q v = -1, for negative definite Q.
 
     Complete by construction: -v^t Q v = sum_j |d_j| (v_j + c_j)^2 with c_j
@@ -112,7 +111,7 @@ def enumerate_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     steps = [(node, g, num * (scale // den), coupling)
              for node, g, num, den, coupling in reversed(steps)]
     n = form.n
-    roots: List[Tuple[int, ...]] = []
+    roots: list[tuple[int, ...]] = []
     v = [0] * n          # written at each level before a later one reads it
     stack = []           # (level, next m, high, budget, centre) per open range
     level, budget = 0, scale
@@ -222,7 +221,7 @@ class DiagonalizationFailure:
                 "no integral diagonalization exists")
 
 
-def diagonalize(form: UnimodularForm) -> Union[Diagonalization, DiagonalizationFailure]:
+def diagonalize(form: UnimodularForm) -> Diagonalization | DiagonalizationFailure:
     """Donaldson-style diagonalization, or a root-count certificate.
 
     Requires a negative definite unimodular form.  Success needs one

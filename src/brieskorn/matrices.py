@@ -20,11 +20,10 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Tuple
 
 from .records import InputError, record
 
-IntMatrix = Tuple[Tuple[int, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows) -> IntMatrix:
@@ -73,14 +72,14 @@ class Elimination:
     by a matrix of determinant +-1, so it is the determinant of the input.
     """
 
-    order: Tuple[int, ...]
-    pivots: Tuple[int, ...]
-    scales: Tuple[int, ...]
-    columns: Tuple[Tuple[Tuple[int, int], ...], ...]
+    order: tuple[int, ...]
+    pivots: tuple[int, ...]
+    scales: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
     determinant: int
 
     @cached_property
-    def signs(self) -> Tuple[int, ...]:
+    def signs(self) -> tuple[int, ...]:
         """The sign of each pivot d_j."""
         return tuple((d > 0) - (d < 0) for d in self.pivots)
 

@@ -39,7 +39,6 @@ against a dense one.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from typing import Dict, List, Tuple
 
 from .lattice import Diagonalization
 from .plumbing import EquivariantMarkup
@@ -61,9 +60,9 @@ class ConstraintSystem:
     """
 
     n: int
-    columns: Tuple[Tuple[Tuple[int, int], ...], ...]
-    kinds: Tuple[str, ...]
-    couplings: Tuple[Tuple[int, int, int], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    kinds: tuple[str, ...]
+    couplings: tuple[tuple[int, int, int], ...]
 
     def intersection(self, i: int, k: int) -> int:
         """[F_i].[F_k], from the diagonal coordinates (e_j.e_j = -1)."""
@@ -125,7 +124,7 @@ class Certificate:
     """
 
     kind: str
-    spheres: Tuple[int, ...]
+    spheres: tuple[int, ...]
     detail: str
 
     def render(self) -> str:
@@ -180,7 +179,7 @@ def decide(cs: ConstraintSystem) -> ObstructionVerdict:
                 detail=(f"fixed sphere {i} has a coefficient of absolute "
                         "value >= 2; no signs put its class in {0,1} "
                         "coordinates")))
-    neighbours: Dict[int, List[int]] = {}
+    neighbours: dict[int, list[int]] = {}
     for f, s, _ in cs.couplings:
         neighbours.setdefault(s, []).append(f)
     for s in sorted(neighbours):

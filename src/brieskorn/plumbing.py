@@ -12,8 +12,6 @@ branches in input order, each walked outward.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
 from .arith import NODE_MAX, hj_expand
 from .matrices import eliminate
 from .records import InputError, InternalInvariantError, record
@@ -28,8 +26,8 @@ class PropagationError(InternalInvariantError):
 
 @record
 class PlumbingGraph:
-    weights: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
+    weights: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         n = len(self.weights)
@@ -55,14 +53,16 @@ class PlumbingGraph:
                     stack.append(u)
         return len(seen) == len(self.weights)
 
-    def adjacency(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {i: [] for i in range(len(self.weights))}
+    def adjacency(self) -> dict[int, list[int]]:
+        adj: dict[int, list[int]] = {i: [] for i in range(len(self.weights))}
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
         return {i: sorted(nbrs) for i, nbrs in adj.items()}
 
 
+# Annotations are never evaluated (PEP 563), so `Sequence`
+# (collections.abc) needs no import.
 def star(center_weight: int, branches: Sequence[Sequence[int]]) -> PlumbingGraph:
     """Star-shaped tree: a center and linear branches walked outward."""
     weights = [center_weight]
@@ -92,7 +92,7 @@ def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
     return star(sd.delta, branches)
 
 
-def intersection_matrix(g: PlumbingGraph) -> Tuple[Tuple[int, ...], ...]:
+def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
     """Diagonal = node weights; entry 1 for each edge, 0 otherwise."""
     n = len(g.weights)
     m = [[0] * n for _ in range(n)]
@@ -104,7 +104,7 @@ def intersection_matrix(g: PlumbingGraph) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
+def graph_signature(g: PlumbingGraph) -> tuple[int, str]:
     """(signature, definiteness) of the intersection form, from one exact
     congruence elimination (matrices.eliminate; leaf-first on a tree).
 
@@ -127,7 +127,7 @@ def centered_residue(x: int, p: int) -> int:
     return r - p if r > p // 2 else r
 
 
-def canonical_pair(a: int, b: int, p: int) -> Tuple[int, int]:
+def canonical_pair(a: int, b: int, p: int) -> tuple[int, int]:
     """Canonical form of a rotation pair mod p.
 
     Pairs are unordered and defined up to simultaneous negation (these are
@@ -153,9 +153,9 @@ class EquivariantMarkup:
     """
 
     p: int
-    fixed_spheres: Tuple[Tuple[int, int, int], ...]
-    isolated_points: Tuple[Tuple[int, int], ...]
-    node_kinds: Tuple[str, ...]
+    fixed_spheres: tuple[tuple[int, int, int], ...]
+    isolated_points: tuple[tuple[int, int], ...]
+    node_kinds: tuple[str, ...]
 
     def __post_init__(self):
         points = len(self.isolated_points)
@@ -166,7 +166,7 @@ class EquivariantMarkup:
                 f"2*{len(self.fixed_spheres)} spheres != 1 + {nodes} nodes")
 
     @property
-    def invariant_nodes(self) -> Tuple[int, ...]:
+    def invariant_nodes(self) -> tuple[int, ...]:
         return tuple(v for v, kind in enumerate(self.node_kinds)
                      if kind == "invariant")
 
@@ -196,8 +196,8 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     n = len(g.weights)
     adj = g.adjacency()
     # The fixed spheres, node -> normal rotation c_F; the center, node 0, is one.
-    c_f: Dict[int, int] = {0: 1}
-    isolated: List[Tuple[int, int]] = []
+    c_f: dict[int, int] = {0: 1}
+    isolated: list[tuple[int, int]] = []
     # (node, parent, north pair); the center hands (fibre, 0) to each branch.
     stack = [(u, 0, (1, 0)) for u in reversed(adj[0])]
     while stack:

@@ -9,8 +9,6 @@ tracer wraps them here).  The renderings and the file cache live in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from . import __version__
 from .cache import SCHEMA_VERSION
 from .cache import cached_analysis, render_json, render_text  # noqa: F401
@@ -23,7 +21,7 @@ from .seifert import BrieskornTriple, check_action, seifert_invariants
 from .spectral import eta_from_fixed_data, ll_extension_search, rho_from_eta
 
 
-def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
+def build_analysis(a: int, b: int, c: int, p: int | None = None) -> dict:
     """Run the full pipeline on Sigma(a,b,c), optionally with a Z/p action.
 
     Sections without p (Seifert data, graph, form, diagonalization) are
@@ -40,7 +38,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
     diag = diagonalize(form)
     elim = form.elimination  # computed once, inside diagonalize
 
-    report: Dict = {
+    report: dict = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "input": {"a": triple.a1, "b": triple.a2, "c": triple.a3, "p": p},
@@ -72,7 +70,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
             "certificate": diag.message,
         }
 
-    conclusions: List[str] = []
+    conclusions: list[str] = []
     name = str(triple)
     if sd.r_invariant == -1:
         conclusions.append(
@@ -150,7 +148,7 @@ def build_analysis(a: int, b: int, c: int, p: Optional[int] = None) -> Dict:
     return report
 
 
-def graph_section(graph) -> Dict:
+def graph_section(graph) -> dict:
     """The report's "graph" section, which `graph --format json` prints
     with the intersection matrix added."""
     return {"weights": list(graph.weights),

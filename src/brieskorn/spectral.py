@@ -108,7 +108,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
 
 from .plumbing import (EquivariantMarkup, canonical_resolution,
                        centered_residue, graph_signature, propagate_rotations)
@@ -117,7 +116,7 @@ from .seifert import (BrieskornTriple, check_action, check_order,
                       seifert_invariants)
 
 
-Vector = Tuple[int, ...]   # sum_i v[i] zeta^i / p^2 for p = len(v)
+Vector = tuple[int, ...]   # sum_i v[i] zeta^i / p^2 for p = len(v)
 
 
 def nu_defect(a: int, b: int, p: int) -> Vector:
@@ -180,7 +179,7 @@ def eta_from_fixed_data(markup: EquivariantMarkup, signature: int) -> Vector:
     return tuple(acc)
 
 
-def coefficients_at(value: Vector, j: int) -> Tuple[Fraction, ...]:
+def coefficients_at(value: Vector, j: int) -> tuple[Fraction, ...]:
     """The coefficients of the value at t = zeta^j over 1, zeta, ...,
     zeta^(p-2), for j coprime to p.
 
@@ -205,7 +204,7 @@ def eta_brieskorn(triple: BrieskornTriple, p: int) -> Vector:
                                graph_signature(graph)[0])
 
 
-def rho_from_eta(eta: Vector) -> Tuple[Fraction, ...]:
+def rho_from_eta(eta: Vector) -> tuple[Fraction, ...]:
     """rho(l) for l = 0 .. p-1: (v_{-l mod p} - v_0)/p^2 for v the vector
     of eta(zeta) (the Fourier transform, read off)."""
     p, v0 = len(eta), eta[0]
@@ -213,7 +212,7 @@ def rho_from_eta(eta: Vector) -> Tuple[Fraction, ...]:
     return tuple(Fraction(eta[-ell] - v0, den) for ell in range(p))
 
 
-def rho_lens_table(p: int, r: int, s: int) -> Tuple[Fraction, ...]:
+def rho_lens_table(p: int, r: int, s: int) -> tuple[Fraction, ...]:
     """Exact rho invariants of the lens space L(p; r, s), l = 0 .. p-1,
     read off the vector n of nu(r, s; zeta) (the cotangent sum) by
     rho_from_eta.  nu is real, so n_l = n_{-l}, and the symmetrized
@@ -242,11 +241,11 @@ class LensCandidate:
     s: int
     product_residue: int     # a1*a2*a3 mod p
     rs_residue: int          # r*s mod p
-    multiset_residues: Tuple[int, int, int]  # classes of (a1,a2,a3) up to sign
+    multiset_residues: tuple[int, int, int]  # classes of (a1,a2,a3) up to sign
     rho_match: bool
 
 
-def canonical_lens_pair(r: int, s: int, p: int) -> Tuple[int, int]:
+def canonical_lens_pair(r: int, s: int, p: int) -> tuple[int, int]:
     """Canonical representative of (r, s) modulo the pair symmetries."""
     r, s = r % p, s % p
     variants = [tuple(sorted(v)) for v in ((r, s), (p - r, p - s))]
@@ -261,7 +260,7 @@ def _same_value(x: Vector, y: Vector) -> bool:
 
 
 def ll_extension_search(triple: BrieskornTriple, p: int, eta: Vector
-                        ) -> Tuple[LensCandidate, ...]:
+                        ) -> tuple[LensCandidate, ...]:
     """The one lens pair (r, s) mod p, if any, compatible with a
     one-fixed-point locally linear extension, with its rho diagnostic.
 

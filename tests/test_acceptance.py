@@ -8,16 +8,17 @@ floating-point cross-checks, whose tolerance is 1e-9.
 from collections import Counter
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, UnimodularForm,
-                       build_constraints, canonical_lens_pair,
-                       canonical_resolution, decide, diagonalize,
-                       enumerate_roots, eta_from_fixed_data,
-                       eta_brieskorn, family, graph_signature,
-                       intersection_matrix, is_prime, ll_extension_search,
-                       nu_defect, propagate_rotations, rho_from_eta,
-                       rho_lens_table, seifert_invariants,
-                       standard_action_valid)
+from brieskorn.arith import is_prime
+from brieskorn.lattice import UnimodularForm, diagonalize, enumerate_roots
 from brieskorn.matrices import transpose
+from brieskorn.obstruction import build_constraints, decide
+from brieskorn.plumbing import (canonical_resolution, graph_signature,
+                                intersection_matrix, propagate_rotations)
+from brieskorn.seifert import (BrieskornTriple, family, seifert_invariants,
+                               standard_action_valid)
+from brieskorn.spectral import (canonical_lens_pair, eta_brieskorn,
+                                eta_from_fixed_data, ll_extension_search,
+                                nu_defect, rho_from_eta, rho_lens_table)
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       fickle_graph, gamma_k_graph, permute_columns,
                       permute_symmetric, random_triples, rho_float_oracle,

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import HJExpansion, hj_expand, is_prime
-from brieskorn.arith import NODE_MAX
+from brieskorn.arith import HJExpansion, NODE_MAX, hj_expand, is_prime
 from spectral_oracle import Field
 
 

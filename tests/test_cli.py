@@ -16,13 +16,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brieskorn
-from brieskorn import (BrieskornTriple, ConstraintError, PropagationError,
-                       build_analysis, eta_brieskorn, ll_extension_search,
-                       render_json, render_text)
 from brieskorn import cli
+from brieskorn.cache import (SCHEMA_VERSION, cached_analysis, render_json,
+                             render_text, source_digest)
 from brieskorn.cli import main
 from brieskorn.matrices import render_matrix_text
-from brieskorn.cache import SCHEMA_VERSION, cached_analysis, source_digest
+from brieskorn.obstruction import ConstraintError
+from brieskorn.plumbing import PropagationError
+from brieskorn.report import build_analysis
+from brieskorn.seifert import BrieskornTriple
+from brieskorn.spectral import eta_brieskorn, ll_extension_search
 from conftest import REFERENCE_QX
 
 
@@ -780,8 +783,9 @@ class TestCLI:
                                         axis="row")
 
     def test_diagonalize_e8_certificate(self, tmp_path, capsys):
-        from brieskorn import (BrieskornTriple, canonical_resolution,
-                               intersection_matrix, seifert_invariants)
+        from brieskorn.plumbing import (canonical_resolution,
+                                        intersection_matrix)
+        from brieskorn.seifert import BrieskornTriple, seifert_invariants
         g = canonical_resolution(seifert_invariants(BrieskornTriple.of(2, 3, 5)))
         path = tmp_path / "e8.txt"
         path.write_text(render_matrix_text(intersection_matrix(g)) + "\n")
@@ -1222,14 +1226,14 @@ def test_internal_invariant_error_lives_in_records():
     home = brieskorn.records.InternalInvariantError
     assert brieskorn.InternalInvariantError is home
     assert brieskorn.plumbing.InternalInvariantError is home
-    assert issubclass(brieskorn.PropagationError, home)
-    assert issubclass(brieskorn.ConstraintError, home)
+    assert issubclass(brieskorn.plumbing.PropagationError, home)
+    assert issubclass(brieskorn.obstruction.ConstraintError, home)
 
 
 def _plant_wrong_hj_term(monkeypatch):
     """Every expansion of the resolution gets its last term one lower."""
     import brieskorn.plumbing
-    from brieskorn import HJExpansion
+    from brieskorn.arith import HJExpansion
 
     def wrong(a, b):
         terms = real(a, b).terms
@@ -1240,7 +1244,7 @@ def _plant_wrong_hj_term(monkeypatch):
 
 def _plant_delta_one_too_small(monkeypatch):
     import brieskorn.report as report_module
-    from brieskorn import SeifertData
+    from brieskorn.seifert import SeifertData
 
     def wrong(triple):
         sd = real(triple)

@@ -7,13 +7,16 @@ message.
 
 import pytest
 
-from brieskorn import (BrieskornTriple, ConstraintError, EquivariantMarkup,
-                       InputError, PlumbingGraph, PropagationError,
-                       SeifertData, UnimodularForm, build_constraints,
-                       coefficients_at, diagonalize, eta_from_fixed_data,
-                       family, ll_extension_search, propagate_rotations,
-                       standard_action_valid, star)
+from brieskorn.lattice import UnimodularForm, diagonalize
 from brieskorn.matrices import inverse_unimodular, parse_matrix_text
+from brieskorn.obstruction import ConstraintError, build_constraints
+from brieskorn.plumbing import (EquivariantMarkup, PlumbingGraph,
+                                PropagationError, propagate_rotations, star)
+from brieskorn.records import InputError
+from brieskorn.seifert import (BrieskornTriple, SeifertData, family,
+                               standard_action_valid)
+from brieskorn.spectral import (coefficients_at, eta_from_fixed_data,
+                                ll_extension_search)
 
 T235 = BrieskornTriple(2, 3, 5)   # its Seifert data: b = (-1, -2, -4), delta = -2
 

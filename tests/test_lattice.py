@@ -2,12 +2,12 @@
 
 import pytest
 
-from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
-                       diagonalize, enumerate_roots, intersection_matrix,
-                       seifert_invariants)
+from brieskorn.lattice import UnimodularForm, diagonalize, enumerate_roots
 from brieskorn.matrices import (eliminate, inverse_unimodular,
                                 parse_matrix_text, render_matrix_text,
                                 transpose)
+from brieskorn.plumbing import canonical_resolution, intersection_matrix
+from brieskorn.seifert import BrieskornTriple, seifert_invariants
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       permute_columns, random_triples,
                       signed_permutation_equal)
@@ -143,7 +143,7 @@ class TestDiagonalize:
 
     def test_succeeds_on_small_contractible_boundaries(self):
         for (r, s, sign) in [(3, 1, "+"), (2, 3, "+"), (3, 2, "-"), (5, 1, "+")]:
-            from brieskorn import family
+            from brieskorn.seifert import family
             t = family("casson-harer", r, s, sign)
             form = form_of(*t.entries)
             assert diagonalize(form).found, t
@@ -153,7 +153,7 @@ class TestDiagonalize:
             diagonalize(UnimodularForm.from_matrix(((-2, 0), (0, -1))))
 
     def test_failed_identities_are_internal_errors(self):
-        from brieskorn import InternalInvariantError
+        from brieskorn.records import InternalInvariantError
         from brieskorn.lattice import Diagonalization
         form = form_of(3, 16, 113)
         d = diagonalize(form)
@@ -178,7 +178,7 @@ class TestDiagonalize:
         (((-2, 1), (1, -2)), ((1, 0), (0, 1))),   # definite, det Q = 3
     ])
     def test_refuses_a_form_of_determinant_other_than_one(self, q, c):
-        from brieskorn import InternalInvariantError
+        from brieskorn.records import InternalInvariantError
         from brieskorn.lattice import Diagonalization
         form = UnimodularForm.from_matrix(q)
         assert form.elimination.definiteness == "negative-definite"

@@ -32,14 +32,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import lattice_oracle as oracle
-from brieskorn import (BrieskornTriple, InternalInvariantError, PlumbingGraph,
-                       UnimodularForm, canonical_resolution, diagonalize,
-                       enumerate_roots, graph_signature, intersection_matrix,
-                       seifert_invariants)
 from brieskorn.cli import main
-from brieskorn.lattice import Diagonalization
+from brieskorn.lattice import (Diagonalization, UnimodularForm, diagonalize,
+                               enumerate_roots)
 from brieskorn.matrices import (eliminate, freeze, is_negative_definite,
                                 render_matrix_text, transpose)
+from brieskorn.plumbing import (PlumbingGraph, canonical_resolution,
+                                graph_signature, intersection_matrix)
+from brieskorn.records import InternalInvariantError
+from brieskorn.seifert import BrieskornTriple, seifert_invariants
 from conftest import fickle_graph, permute_symmetric
 from lattice_oracle import mat_mul
 

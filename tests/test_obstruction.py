@@ -10,15 +10,16 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brieskorn import (BrieskornTriple, Certificate, ConstraintError,
-                       ConstraintSystem, Diagonalization, UnimodularForm,
-                       build_constraints, canonical_resolution, decide,
-                       diagonalize, family, intersection_matrix, is_prime,
-                       propagate_rotations, seifert_invariants,
-                       standard_action_valid, star)
+from brieskorn.arith import is_prime
+from brieskorn.lattice import Diagonalization, UnimodularForm, diagonalize
 from brieskorn.matrices import transpose
-from brieskorn.plumbing import EquivariantMarkup
+from brieskorn.obstruction import (Certificate, ConstraintError,
+                                   ConstraintSystem, build_constraints, decide)
+from brieskorn.plumbing import (EquivariantMarkup, canonical_resolution,
+                                intersection_matrix, propagate_rotations, star)
 from brieskorn.records import InternalInvariantError
+from brieskorn.seifert import (BrieskornTriple, family, seifert_invariants,
+                               standard_action_valid)
 from conftest import gamma_k_graph
 import obstruction_oracle as oracle
 from lattice_oracle import mat_mul

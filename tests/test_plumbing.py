@@ -5,13 +5,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brieskorn import (BrieskornTriple, EquivariantMarkup,
-                       InternalInvariantError, PlumbingGraph,
-                       PropagationError, canonical_pair, canonical_resolution,
-                       graph_signature, intersection_matrix,
-                       propagate_rotations, seifert_invariants, star, to_dot, to_tgf)
 from brieskorn.arith import NODE_MAX, is_prime
-from brieskorn.plumbing import centered_residue
+from brieskorn.plumbing import (EquivariantMarkup, PlumbingGraph,
+                                PropagationError, canonical_pair,
+                                canonical_resolution, centered_residue,
+                                graph_signature, intersection_matrix,
+                                propagate_rotations, star, to_dot, to_tgf)
+from brieskorn.records import InternalInvariantError
+from brieskorn.seifert import BrieskornTriple, seifert_invariants
 from conftest import (PERM_3_16_113, REFERENCE_QX, fickle_graph,
                       gamma_k_graph, graphs_equivalent, permute_symmetric,
                       random_triples, spider_form)

@@ -33,11 +33,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brieskorn import (BrieskornTriple, UnimodularForm, canonical_resolution,
-                       diagonalize, eta_from_fixed_data, graph_signature,
-                       intersection_matrix, propagate_rotations,
-                       rho_from_eta, seifert_invariants, star)
 from brieskorn.arith import is_prime
+from brieskorn.lattice import UnimodularForm, diagonalize
+from brieskorn.plumbing import (canonical_resolution, graph_signature,
+                                intersection_matrix, propagate_rotations, star)
+from brieskorn.seifert import BrieskornTriple, seifert_invariants
+from brieskorn.spectral import eta_from_fixed_data, rho_from_eta
 from conftest import LARGE_ENTRIES
 
 

@@ -11,13 +11,14 @@ import sys
 
 import pytest
 
-from brieskorn import (BrieskornTriple, HJExpansion, UnimodularForm,
-                       build_constraints, canonical_resolution, decide,
-                       diagonalize, eta_brieskorn, family,
-                       hj_expand, intersection_matrix, ll_extension_search,
-                       propagate_rotations, seifert_invariants)
-from brieskorn.lattice import Diagonalization
+from brieskorn.arith import HJExpansion, hj_expand
+from brieskorn.lattice import Diagonalization, UnimodularForm, diagonalize
+from brieskorn.obstruction import build_constraints, decide
+from brieskorn.plumbing import (canonical_resolution, intersection_matrix,
+                                propagate_rotations)
 from brieskorn.records import record
+from brieskorn.seifert import BrieskornTriple, family, seifert_invariants
+from brieskorn.spectral import eta_brieskorn, ll_extension_search
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import brieskorn
-from brieskorn import (BrieskornTriple, check_action, check_order, family,
-                       seifert_invariants, standard_action_valid)
-from brieskorn.seifert import FAMILY_KINDS, P_MAX
+from brieskorn import (arith, lattice, matrices, obstruction, plumbing,
+                       spectral)
+from brieskorn.seifert import (BrieskornTriple, FAMILY_KINDS, P_MAX,
+                               check_action, check_order, family,
+                               seifert_invariants, standard_action_valid)
 from conftest import random_triples
 
 
@@ -244,17 +246,17 @@ def test_public_names_resolve_and_exclude_test_helpers():
     for name in ("torsion_lens", "gamma_k_graph", "fickle_graph"):
         assert name not in brieskorn.__all__
         assert not hasattr(brieskorn, name)
-    assert not hasattr(brieskorn.UnimodularForm, "evaluate")
+    assert not hasattr(lattice.UnimodularForm, "evaluate")
     assert not hasattr(brieskorn, "sphere_defect")
-    assert not hasattr(brieskorn.spectral, "sphere_defect")
-    assert not hasattr(brieskorn.LensCandidate, "congruence_ok")
+    assert not hasattr(spectral, "sphere_defect")
+    assert not hasattr(spectral.LensCandidate, "congruence_ok")
     # Spectral values are plain int vectors; the field Q(zeta_p) lives
     # only in the reference field of tests/spectral_oracle.py.
     assert "Cyclotomic" not in brieskorn.__all__
     for name in ("Cyclotomic", "convolve", "_canonical", "_fold",
                  "hj_evaluate", "_as_fraction"):
         assert not hasattr(brieskorn, name), name
-        assert not hasattr(brieskorn.arith, name), name
+        assert not hasattr(arith, name), name
     assert "hj_evaluate" not in brieskorn.__all__
     assert not hasattr(brieskorn, "hj_evaluate")
     # One source each: the R-invariant is SeifertData.r_invariant, the
@@ -263,20 +265,20 @@ def test_public_names_resolve_and_exclude_test_helpers():
     assert "r_invariant" not in brieskorn.__all__
     assert not hasattr(brieskorn, "r_invariant")
     assert not hasattr(brieskorn.seifert, "r_invariant")
-    assert not hasattr(brieskorn.UnimodularForm, "is_unimodular")
+    assert not hasattr(lattice.UnimodularForm, "is_unimodular")
     # det Q and definiteness are read off form.elimination, the node count
     # is len(g.weights), the centre is node 0, and a verdict is feasible
     # exactly when it has no certificate.
-    for cls, name in ((brieskorn.UnimodularForm, "determinant"),
-                      (brieskorn.UnimodularForm, "is_negative_definite"),
-                      (brieskorn.PlumbingGraph, "node_count"),
-                      (brieskorn.PlumbingGraph, "center"),
-                      (brieskorn.ObstructionVerdict, "feasible")):
+    for cls, name in ((lattice.UnimodularForm, "determinant"),
+                      (lattice.UnimodularForm, "is_negative_definite"),
+                      (plumbing.PlumbingGraph, "node_count"),
+                      (plumbing.PlumbingGraph, "center"),
+                      (obstruction.ObstructionVerdict, "feasible")):
         assert not hasattr(cls, name), name
-    assert not hasattr(brieskorn.matrices, "is_symmetric")
+    assert not hasattr(matrices, "is_symmetric")
     assert "use_cache" not in inspect.signature(
         brieskorn.cached_analysis).parameters
-    form = brieskorn.UnimodularForm.from_matrix(((-1,),))
-    diag = brieskorn.diagonalize(form)
+    form = lattice.UnimodularForm.from_matrix(((-1,),))
+    diag = lattice.diagonalize(form)
     with pytest.raises(TypeError):
-        brieskorn.Diagonalization(diag.form, diag.c, diag.c_inv)
+        lattice.Diagonalization(diag.form, diag.c, diag.c_inv)

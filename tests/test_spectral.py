@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, EquivariantMarkup,
-                       canonical_lens_pair, canonical_resolution,
-                       eta_brieskorn, eta_from_fixed_data, graph_signature,
-                       ll_extension_search,
-                       nu_defect, propagate_rotations, rho_from_eta,
-                       rho_lens_table, seifert_invariants)
+from brieskorn.plumbing import (EquivariantMarkup, canonical_resolution,
+                                graph_signature, propagate_rotations)
+from brieskorn.seifert import BrieskornTriple, seifert_invariants
+from brieskorn.spectral import (canonical_lens_pair, eta_brieskorn,
+                                eta_from_fixed_data, ll_extension_search,
+                                nu_defect, rho_from_eta, rho_lens_table)
 from conftest import fickle_graph, rho_float_oracle
 from spectral_oracle import lift, torsion_lens
 

@@ -18,16 +18,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn import (BrieskornTriple, EquivariantMarkup,
-                       InternalInvariantError, build_analysis,
-                       canonical_resolution, eta_brieskorn,
-                       eta_from_fixed_data, family, graph_signature,
-                       ll_extension_search, nu_defect,
-                       propagate_rotations, render_json, render_text,
-                       rho_from_eta, rho_lens_table, seifert_invariants,
-                       spectral, standard_action_valid)
+from brieskorn import spectral
 from brieskorn.arith import is_prime
+from brieskorn.cache import render_json, render_text
 from brieskorn.cli import main
+from brieskorn.plumbing import (EquivariantMarkup, canonical_resolution,
+                                graph_signature, propagate_rotations)
+from brieskorn.records import InternalInvariantError
+from brieskorn.report import build_analysis
+from brieskorn.seifert import (BrieskornTriple, family, seifert_invariants,
+                               standard_action_valid)
+from brieskorn.spectral import (eta_brieskorn, eta_from_fixed_data,
+                                ll_extension_search, nu_defect, rho_from_eta,
+                                rho_lens_table)
 from conftest import random_triples
 from spectral_oracle import Field, lift
 

@@ -1,10 +1,13 @@
 """What start-up loads: `import brieskorn.cli` and an `analyze` text
 cache hit load the six modules a hit runs, and none of the pipeline; the
-package's exported names are imported from their modules on first use
-(PEP 562).  The import loads no `argparse`, and a hit none of
-`argparse`, `gettext` or `json`, nor `typing` when `site` does not load
-it first (`python -S`)."""
+package exports the pipeline's eight names, each imported from its
+module on first use (PEP 562), and every name it exported before that
+cut resolves in its module alone.  The import loads no `argparse`, a hit
+none of `argparse`, `gettext` or `json`, and neither a hit nor an
+uncached run loads `typing` when `site` does not load it first
+(`python -S`)."""
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -25,6 +28,27 @@ LOADED = ("import sys\n"
 
 
 UNUSED_BY_A_HIT = ["argparse", "gettext", "json"]
+PIPELINE = ["BrieskornTriple", "InputError", "InternalInvariantError",
+            "build_analysis", "cached_analysis", "family", "render_json",
+            "render_text"]
+# The names the package root exported before it was cut to the pipeline,
+# by the module that defines each.
+FORMER_EXPORTS = {name: module for module, names in {
+    "arith": ("HJExpansion", "hj_expand", "is_prime"),
+    "seifert": ("SeifertData", "check_action", "check_order",
+                "seifert_invariants", "standard_action_valid"),
+    "plumbing": ("EquivariantMarkup", "PlumbingGraph", "PropagationError",
+                 "canonical_pair", "canonical_resolution", "graph_signature",
+                 "intersection_matrix", "propagate_rotations", "star",
+                 "to_dot", "to_tgf"),
+    "lattice": ("Diagonalization", "DiagonalizationFailure", "UnimodularForm",
+                "diagonalize", "enumerate_roots"),
+    "obstruction": ("Certificate", "ConstraintError", "ConstraintSystem",
+                    "ObstructionVerdict", "build_constraints", "decide"),
+    "spectral": ("LensCandidate", "canonical_lens_pair", "coefficients_at",
+                 "eta_brieskorn", "eta_from_fixed_data", "ll_extension_search",
+                 "nu_defect", "rho_from_eta", "rho_lens_table"),
+}.items() for name in names}
 
 
 def run_fresh(code, *flags, **env):
@@ -78,8 +102,33 @@ def test_text_cache_hit_loads_no_argparse_json_or_typing(tmp_cache, flags,
     assert out == text + f"[]\n{HIT_MODULES} []\n"
 
 
-@pytest.mark.parametrize("name", brieskorn.__all__)
+def test_an_uncached_analysis_loads_no_typing(tmp_cache):
+    text = cached_analysis(3, 16, 113, 5, text=True)
+    code = ("from brieskorn.cli import main\n"
+            "assert main(['analyze', '3', '16', '113', '--p', '5',"
+            " '--no-cache']) == 0\n" + loaded_among(["typing"]))
+    out = run_fresh(code, "-S", BRIESKORN_CACHE_DIR=str(tmp_cache))
+    assert out.startswith(text + "[]\n")
+
+
+def test_the_package_exports_the_pipeline():
+    assert sorted(brieskorn.__all__) == sorted(["__version__", *PIPELINE])
+
+
+@pytest.mark.parametrize("name", [*brieskorn.__all__, *FORMER_EXPORTS])
 def test_exported_name_resolves_to_its_home(monkeypatch, name):
+    if name in FORMER_EXPORTS:
+        # A stage the package root once exported resolves in its module
+        # alone.
+        with pytest.raises(AttributeError):
+            getattr(brieskorn, name)
+        assert name not in dir(brieskorn)
+        namespace = {}
+        exec("from brieskorn import *", namespace)
+        assert name not in namespace
+        home = importlib.import_module(f"brieskorn.{FORMER_EXPORTS[name]}")
+        assert getattr(home, name).__module__ == home.__name__
+        return
     # Forget any earlier lookup, so dir() and the read go through
     # __dir__ and __getattr__.
     if name != "__version__":

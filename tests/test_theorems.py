@@ -18,11 +18,13 @@ import pathlib
 
 from hypothesis import assume, given, settings, strategies as st
 
-from brieskorn import (BrieskornTriple, UnimodularForm, build_constraints,
-                       canonical_resolution, decide, diagonalize, family,
-                       intersection_matrix, propagate_rotations,
-                       seifert_invariants, standard_action_valid)
+from brieskorn.lattice import UnimodularForm, diagonalize
+from brieskorn.obstruction import build_constraints, decide
+from brieskorn.plumbing import (canonical_resolution, intersection_matrix,
+                                propagate_rotations)
 from brieskorn.records import InputError
+from brieskorn.seifert import (BrieskornTriple, family, seifert_invariants,
+                               standard_action_valid)
 from brieskorn.spectral import (canonical_lens_pair, eta_from_fixed_data,
                                 ll_extension_search)
 from conftest import LARGE_ENTRIES
