@@ -4,10 +4,14 @@ signatures, and equivariant rotation-number propagation.
 Signatures, definiteness and determinants are read off the one
 congruence elimination, ``matrices.eliminate``.
 
-Node convention: nodes are 0..n-1 with integer weights; edges are
-unordered index pairs; the center is node 0, so ``PlumbingGraph`` has
-no field for it.  Canonical node order is center first, then the
-branches in input order, each walked outward.
+The resolution of a Brieskorn sphere is a star: a central node and
+linear branches (the continued fractions of a_i / b_i), so
+``PlumbingGraph`` holds the centre weight and the branches' weights and
+nothing else.  Its ``weights`` and ``edges`` number the nodes 0..n-1:
+the center is node 0, then each branch in input order, walked outward.
+Rotation data is propagated outward along each branch (W. Neumann, "A
+calculus for plumbing...", Trans. AMS 268 (1981)), so the markup comes
+out in node order.
 """
 
 from __future__ import annotations
@@ -19,61 +23,33 @@ from .seifert import SeifertData, check_order
 
 
 class PropagationError(InternalInvariantError):
-    """Rotation propagation met a tree that is no circle-equivariant
-    plumbing (a branch point away from the centre) or a boundary action
-    that is not free (a fixed normal disk at a free pole)."""
+    """Rotation propagation met a boundary action that is not free: a
+    fixed normal disk at the free pole of a leaf."""
 
 
 @record
 class PlumbingGraph:
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    """A star: the centre weight and its linear branches, each walked
+    outward from the centre."""
 
-    def __post_init__(self):
-        n = len(self.weights)
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"bad edge ({i},{j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add(key)
-        if len(self.edges) != n - 1 or not self._connected():
-            raise ValueError("graph is not a tree")
+    center: int
+    branches: tuple[tuple[int, ...], ...]
 
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.weights)
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """Node weights in node order: the centre, then each branch."""
+        return (self.center, *(w for branch in self.branches for w in branch))
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.weights))}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return {i: sorted(nbrs) for i, nbrs in adj.items()}
-
-
-# Annotations are never evaluated (PEP 563), so `Sequence`
-# (collections.abc) needs no import.
-def star(center_weight: int, branches: Sequence[Sequence[int]]) -> PlumbingGraph:
-    """Star-shaped tree: a center and linear branches walked outward."""
-    weights = [center_weight]
-    edges = []
-    for branch in branches:
-        prev = 0
-        for w in branch:
-            weights.append(w)
-            edges.append((prev, len(weights) - 1))
-            prev = len(weights) - 1
-    return PlumbingGraph(tuple(weights), tuple(edges))
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(inner, outer) node pairs; node k > 0 is the end of edge k - 1."""
+        edges = []
+        for branch in self.branches:
+            inner = 0
+            for _ in branch:
+                edges.append((inner, len(edges) + 1))
+                inner = len(edges)
+        return tuple(edges)
 
 
 def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
@@ -83,13 +59,13 @@ def canonical_resolution(sd: SeifertData) -> PlumbingGraph:
     of a_i / b_i, walked outward from the center.  A tree of more than
     NODE_MAX nodes is refused before it is built.
     """
-    branches = [hj_expand(ai, bi).terms
-                for ai, bi in zip(sd.triple.entries, sd.b)]
+    branches = tuple(hj_expand(ai, bi).terms
+                     for ai, bi in zip(sd.triple.entries, sd.b))
     n = 1 + sum(map(len, branches))
     if n > NODE_MAX:
         raise InputError(f"the resolution tree has {n} nodes, more than "
                          f"NODE_MAX = {NODE_MAX}")
-    return star(sd.delta, branches)
+    return PlumbingGraph(sd.delta, branches)
 
 
 def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
@@ -172,7 +148,9 @@ class EquivariantMarkup:
 
 
 def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
-    """Propagate circle-action rotation weights over the tree, mod p.
+    """Propagate circle-action rotation weights outward along each branch,
+    mod p, in one pass per branch; the nodes are met in node order, so
+    the fixed spheres and node kinds come out in that order.
 
     Each node sphere carries a (base, fibre) weight pair at its inward
     pole.  Over a sphere of self-intersection w the pair (a, b) becomes
@@ -193,45 +171,37 @@ def propagate_rotations(g: PlumbingGraph, p: int) -> EquivariantMarkup:
     -a_parent, which is not 0 mod p.
     """
     check_order(p)
-    n = len(g.weights)
-    adj = g.adjacency()
-    # The fixed spheres, node -> normal rotation c_F; the center, node 0, is one.
-    c_f: dict[int, int] = {0: 1}
+    fixed = [(0, g.center, 1)]
+    kinds = ["fixed"]
     isolated: list[tuple[int, int]] = []
-    # (node, parent, north pair); the center hands (fibre, 0) to each branch.
-    stack = [(u, 0, (1, 0)) for u in reversed(adj[0])]
-    while stack:
-        v, parent, (a, b) = stack.pop()
-        w = g.weights[v]
-        south = ((-a) % p, (b - w * a) % p)
-        children = [u for u in adj[v] if u != parent]
-        if len(children) > 1:
-            raise PropagationError(
-                f"node {v} has {len(children) + 1} junctions; only the "
-                "center of the tree can be a branch point")
-        if a == 0:
-            c_f[v] = b
-        else:
-            if parent not in c_f:
+    v = 0
+    for branch in g.branches:
+        # (a, b) is the pair at the inward pole of node v; the center
+        # hands (fibre, 0) to each branch.
+        a, b, inner_fixed = 1, 0, True
+        for w in branch:
+            v += 1
+            if a == 0:
+                fixed.append((v, w, b))
+            elif not inner_fixed:
                 # Junction point between two rotated spheres.
                 isolated.append(canonical_pair(a, b, p))
-            if not children:
-                if south[1] == 0:
-                    raise PropagationError(
-                        f"fixed normal disk at the free pole of node {v}: "
-                        "the boundary action is not free")
-                isolated.append(canonical_pair(south[0], south[1], p))
-        for u in children:
-            stack.append((u, v, (south[1], south[0])))
-
-    fixed = tuple((v, g.weights[v], c_f[v] % p)  # normal rotations as 1..p-1
-                  for v in sorted(c_f))
+            kinds.append("fixed" if a == 0 else "invariant")
+            inner_fixed = a == 0
+            # (-a, b - w*a) at the outward pole, swapped onto the next node.
+            a, b = (b - w * a) % p, (-a) % p
+        if not inner_fixed:
+            # The free pole of an invariant leaf, its pair (b, a).
+            if a == 0:
+                raise PropagationError(
+                    f"fixed normal disk at the free pole of node {v}: "
+                    "the boundary action is not free")
+            isolated.append(canonical_pair(b, a, p))
     return EquivariantMarkup(
         p=p,
-        fixed_spheres=fixed,
+        fixed_spheres=tuple(fixed),
         isolated_points=tuple(sorted(isolated)),
-        node_kinds=tuple("fixed" if v in c_f else "invariant"
-                         for v in range(n)),
+        node_kinds=tuple(kinds),
     )
 
 

@@ -47,9 +47,10 @@ class InputError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed (a Lefschetz-type count, a
-    diagonalization identity, rotation propagation, a non-real eta, or a
-    markup that does not match its diagonalization); the CLI exits with
-    code 2 and prints the message as it is."""
+    diagonalization identity, a fixed normal disk at a free pole in
+    rotation propagation, a non-real eta, or a markup that does not match
+    its diagonalization); the CLI exits with code 2 and prints the message
+    as it is."""
 
 
 def _frozen_setattr(self, name, value):

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from brieskorn.matrices import eliminate, freeze, transpose
-from brieskorn.plumbing import PlumbingGraph, intersection_matrix, star
+from brieskorn.plumbing import PlumbingGraph, intersection_matrix
 
 REFERENCE_QX = freeze([
     [-1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0],
@@ -60,15 +60,16 @@ def gamma_k_graph(s: int) -> PlumbingGraph:
     """
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
-    return star(-1, [[-3], [-4] + [-2] * (s - 1), [-3, -(s + 1), -4, -2]])
+    return PlumbingGraph(-1, ((-3,), (-4,) + (-2,) * (s - 1),
+                              (-3, -(s + 1), -4, -2)))
 
 
 def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
     """The indefinite 10-node bounding tree for Sigma(r, rs+-1, 2r(rs+-1)+rs+-2).
 
     Top chain [(r-1)/2, -2, -1, -2, (r-1)/2, -sign*s, -r, 2] with a branch
-    [-r, sign*s] hanging from the central -1 node.  Built with star, so
-    the central node is node 0.  Construction is
+    [-r, sign*s] hanging from the central -1 node, the star's centre, so
+    node 0.  Construction is
     validated by signature == -2 and |det| == 1 (the boundary is an
     integral homology sphere); parameters failing validation are rejected.
     """
@@ -80,7 +81,8 @@ def fickle_graph(r: int, s: int, sign: str = "+") -> PlumbingGraph:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     e = 1 if sign == "+" else -1
     half = (r - 1) // 2
-    graph = star(-1, [[-2, half], [-2, half, -e * s, -r, 2], [-r, e * s]])
+    graph = PlumbingGraph(-1, ((-2, half), (-2, half, -e * s, -r, 2),
+                               (-r, e * s)))
     e = eliminate(intersection_matrix(graph))
     if e.signature != -2 or e.definiteness != "indefinite":
         raise ValueError(
@@ -137,29 +139,9 @@ def signed_permutation_equal(a, b, axis="col"):
     return canonical_columns(a) == canonical_columns(b)
 
 
-def spider_form(g):
-    """(center weight, sorted branch weight tuples) of a center-plus-chains
-    tree; raises for trees with a branch point away from the center."""
-    adj = g.adjacency()
-    branches = []
-    for start in adj[0]:
-        chain = []
-        prev, cur = 0, start
-        while True:
-            chain.append(g.weights[cur])
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise ValueError("tree has a branch point away from the center")
-            prev, cur = cur, nxt[0]
-        branches.append(tuple(chain))
-    return g.weights[0], tuple(sorted(branches))
-
-
 def graphs_equivalent(g1, g2):
-    """Equality up to node relabeling, for center-plus-chains trees."""
-    return spider_form(g1) == spider_form(g2)
+    """Equality up to the order of the branches."""
+    return (g1.center, sorted(g1.branches)) == (g2.center, sorted(g2.branches))
 
 
 def rho_float_oracle(p, r, s, ell):

@@ -161,7 +161,8 @@ def is_negative_definite(m) -> bool:
 
 
 def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
-    """(signature, definiteness) by exact rational elimination on the tree.
+    """(signature, definiteness) by exact rational elimination on the tree
+    of g.weights and g.edges, a star or (``plumbing_oracle``) any tree.
 
     Leaves are pivoted out first; on a definite tree no zero pivot ever
     appears.  A zero pivot (possible on indefinite trees) falls back to
@@ -170,7 +171,10 @@ def graph_signature(g: PlumbingGraph) -> Tuple[int, str]:
     """
     n = len(g.weights)
     weight = {i: Fraction(w) for i, w in enumerate(g.weights)}
-    adj = {i: set(nbrs) for i, nbrs in g.adjacency().items()}
+    adj = {i: set() for i in range(n)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     pivots: List[Fraction] = []
     remaining = set(range(n))
     while len(remaining) > 1:

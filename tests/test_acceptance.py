@@ -22,7 +22,7 @@ from brieskorn.spectral import (canonical_lens_pair, eta_brieskorn,
 from conftest import (PERM_3_16_113, REFERENCE_CINV, REFERENCE_QX,
                       fickle_graph, gamma_k_graph, permute_columns,
                       permute_symmetric, random_triples, rho_float_oracle,
-                      signed_permutation_equal, spider_form)
+                      signed_permutation_equal)
 from lattice_oracle import det, identity, mat_mul
 from obstruction_oracle import brute_force_decide
 from spectral_oracle import lift
@@ -78,9 +78,8 @@ def gamma_perm(s):
 
 def test_c01_canonical_resolution_of_sigma_3_16_113():
     g = resolution(3, 16, 113)
-    center, branches = spider_form(g)
-    assert center == -1
-    assert sorted(branches) == sorted(
+    assert g.center == -1
+    assert sorted(g.branches) == sorted(
         [(-3,), (-3, -6, -4, -2), (-4, -2, -2, -2, -2)])
     q = intersection_matrix(g)
     assert permute_symmetric(q, PERM_3_16_113) == REFERENCE_QX

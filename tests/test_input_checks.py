@@ -11,7 +11,7 @@ from brieskorn.lattice import UnimodularForm, diagonalize
 from brieskorn.matrices import inverse_unimodular, parse_matrix_text
 from brieskorn.obstruction import ConstraintError, build_constraints
 from brieskorn.plumbing import (EquivariantMarkup, PlumbingGraph,
-                                PropagationError, propagate_rotations, star)
+                                PropagationError, propagate_rotations)
 from brieskorn.records import InputError
 from brieskorn.seifert import (BrieskornTriple, SeifertData, family,
                                standard_action_valid)
@@ -22,21 +22,6 @@ T235 = BrieskornTriple(2, 3, 5)   # its Seifert data: b = (-1, -2, -4), delta = 
 
 
 CASES = {
-    "graph-edge-to-a-missing-node": (
-        lambda: PlumbingGraph((-1, -2), ((0, 2),)),
-        ValueError, "bad edge (0,2)"),
-    "graph-loop": (
-        lambda: PlumbingGraph((-1, -2), ((1, 1),)),
-        ValueError, "bad edge (1,1)"),
-    "graph-duplicate-edge": (
-        lambda: PlumbingGraph((-1, -2, -2), ((0, 1), (1, 0))),
-        ValueError, "duplicate edge (1,0)"),
-    "graph-too-few-edges": (
-        lambda: PlumbingGraph((-1, -2, -2), ((0, 1),)),
-        ValueError, "graph is not a tree"),
-    "graph-cycle-and-isolated-node": (
-        lambda: PlumbingGraph((-1, -2, -2, -2), ((0, 1), (1, 2), (2, 0))),
-        ValueError, "graph is not a tree"),
     "seifert-b-out-of-range": (
         lambda: SeifertData(T235, (0, -2, -4), -2),
         ValueError, "b=(0, -2, -4) out of range for (2, 3, 5)"),
@@ -85,7 +70,7 @@ CASES = {
     # The center hands (1, 0) to the branch; over the -5-sphere it becomes
     # (-1, 5) = (4, 0) mod 5 at the free pole, a fixed normal direction.
     "propagation-fixed-normal-disk-at-a-free-pole": (
-        lambda: propagate_rotations(star(-1, [[-5]]), 5),
+        lambda: propagate_rotations(PlumbingGraph(-1, ((-5,),)), 5),
         PropagationError, "fixed normal disk at the free pole of node 1: "
                           "the boundary action is not free"),
 }

@@ -37,12 +37,13 @@ from brieskorn.lattice import (Diagonalization, UnimodularForm, diagonalize,
                                enumerate_roots)
 from brieskorn.matrices import (eliminate, freeze, is_negative_definite,
                                 render_matrix_text, transpose)
-from brieskorn.plumbing import (PlumbingGraph, canonical_resolution,
-                                graph_signature, intersection_matrix)
+from brieskorn.plumbing import (canonical_resolution, graph_signature,
+                                intersection_matrix)
 from brieskorn.records import InternalInvariantError
 from brieskorn.seifert import BrieskornTriple, seifert_invariants
 from conftest import fickle_graph, permute_symmetric
 from lattice_oracle import mat_mul
+from plumbing_oracle import PlumbingGraph
 
 ZERO_PIVOT = r"^zero pivot: the form is not definite$"
 
@@ -227,7 +228,9 @@ def symmetric_matrices(draw):
 @st.composite
 def plumbing_trees(draw):
     """A random tree on 1..10 nodes (node i > 0 hangs from a lower node)
-    with weights in -3..3."""
+    with weights in -3..3, in the general-tree layout of the oracle: the
+    package's PlumbingGraph is a star, and `diagonalize --matrix` takes
+    the form of any tree."""
     n = draw(st.integers(min_value=1, max_value=10))
     weights = draw(st.lists(st.integers(min_value=-3, max_value=3),
                             min_size=n, max_size=n))
@@ -245,12 +248,17 @@ def test_elimination_matches_oracles_on_symmetric_matrices(q):
 @settings(max_examples=200, deadline=None)
 @given(plumbing_trees())
 def test_elimination_matches_oracles_on_random_trees(g):
-    if assert_elimination_matches_oracles(intersection_matrix(g)):
+    edges = set(g.edges)
+    q = tuple(tuple(w if i == j else int((min(i, j), max(i, j)) in edges)
+                    for j in range(len(g.weights)))
+              for i, w in enumerate(g.weights))
+    if assert_elimination_matches_oracles(q):
         with pytest.raises(ValueError, match=ZERO_PIVOT):
-            graph_signature(g)
+            eliminate(q)
         assert oracle.graph_signature(g)[1] != "negative-definite"
     else:
-        assert graph_signature(g) == oracle.graph_signature(g)
+        e = eliminate(q)
+        assert (e.signature, e.definiteness) == oracle.graph_signature(g)
 
 
 def assert_elimination_matches_fraction_oracle(q):

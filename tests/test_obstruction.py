@@ -15,8 +15,9 @@ from brieskorn.lattice import Diagonalization, UnimodularForm, diagonalize
 from brieskorn.matrices import transpose
 from brieskorn.obstruction import (Certificate, ConstraintError,
                                    ConstraintSystem, build_constraints, decide)
-from brieskorn.plumbing import (EquivariantMarkup, canonical_resolution,
-                                intersection_matrix, propagate_rotations, star)
+from brieskorn.plumbing import (EquivariantMarkup, PlumbingGraph,
+                                canonical_resolution, intersection_matrix,
+                                propagate_rotations)
 from brieskorn.records import InternalInvariantError
 from brieskorn.seifert import (BrieskornTriple, family, seifert_invariants,
                                standard_action_valid)
@@ -76,7 +77,7 @@ class TestBuildConstraints:
         assert squares == [-2, -2, -1]
 
     def test_single_fixed_node_feasible(self):
-        g = star(-1, [])
+        g = PlumbingGraph(-1, ())
         cs, _, _ = pipeline(g, 5)
         verdict = oracle_verdict(cs)
         assert verdict.certificate is None and verdict.status == "feasible"
@@ -89,7 +90,7 @@ class TestBuildConstraints:
     def test_coupling_for_adjacent_invariant(self):
         # center -1 (fixed) with one invariant branch node: satisfiable,
         # with the coupling pinning the relative orientation.
-        g = star(-1, [[-2]])
+        g = PlumbingGraph(-1, ((-2,),))
         cs, _, _ = pipeline(g, 5)
         assert cs.couplings  # the (-1)-sphere couples to its neighbour
         assert all({i, k} == {0, 1} for i, k, _ in cs.couplings)
@@ -100,7 +101,7 @@ class TestBuildConstraints:
             assert o[i] * o[k] == sign
 
     def test_square_mismatch_raises(self):
-        g = star(-1, [[-2]])
+        g = PlumbingGraph(-1, ((-2,),))
         _, diag, markup = pipeline(g, 5)
         bad = EquivariantMarkup(
             p=5,
@@ -226,7 +227,7 @@ class TestDecide:
     def test_status_invariant_under_signed_permutation(self):
         rng = random.Random(23)
         cases = [
-            (star(-1, [[-2]]), 5, "feasible"),
+            (PlumbingGraph(-1, ((-2,),)), 5, "feasible"),
             (canonical_resolution(seifert_invariants(
                 BrieskornTriple.of(3, 4, 5))), 7, "infeasible"),
         ]
@@ -254,7 +255,8 @@ class TestDecide:
 
     def test_feasible_assignment_satisfies_all_constraints(self):
         feasible_seen = 0
-        for g in (star(-1, []), star(-1, [[-2]]), star(-1, [[-2, -2]])):
+        for g in (PlumbingGraph(-1, ()), PlumbingGraph(-1, ((-2,),)),
+                  PlumbingGraph(-1, ((-2, -2),))):
             cs, _, _ = pipeline(g, 7)
             verdict = oracle_verdict(cs)
             assert verdict.status == brute_force_decide(cs)

@@ -1,5 +1,7 @@
 """Plumbing trees: resolutions, signatures, and rotation propagation."""
 
+import json
+import pathlib
 from collections import Counter
 
 import pytest
@@ -10,12 +12,13 @@ from brieskorn.plumbing import (EquivariantMarkup, PlumbingGraph,
                                 PropagationError, canonical_pair,
                                 canonical_resolution, centered_residue,
                                 graph_signature, intersection_matrix,
-                                propagate_rotations, star, to_dot, to_tgf)
+                                propagate_rotations, to_dot, to_tgf)
 from brieskorn.records import InternalInvariantError
 from brieskorn.seifert import BrieskornTriple, seifert_invariants
-from conftest import (PERM_3_16_113, REFERENCE_QX, fickle_graph,
+import plumbing_oracle
+from conftest import (LARGE_ENTRIES, PERM_3_16_113, REFERENCE_QX, fickle_graph,
                       gamma_k_graph, graphs_equivalent, permute_symmetric,
-                      random_triples, spider_form)
+                      random_triples)
 from lattice_oracle import det, symmetric_signature
 from lattice_oracle import graph_signature as oracle_graph_signature
 
@@ -43,25 +46,23 @@ class TestCanonicalResolution:
     def test_sigma_3_16_113(self):
         g = resolution(3, 16, 113)
         assert len(g.weights) == 11
-        center, branches = spider_form(g)
-        assert center == -1
-        assert sorted(branches) == sorted([
+        assert g.center == -1
+        assert sorted(g.branches) == sorted([
             (-3,), (-3, -6, -4, -2), (-4, -2, -2, -2, -2)])
         assert permute_symmetric(intersection_matrix(g), PERM_3_16_113) == REFERENCE_QX
 
     def test_sigma_2_3_5_is_e8(self):
         g = resolution(2, 3, 5)
-        center, branches = spider_form(g)
-        assert center == -2
-        assert sorted(branches) == [(-2,), (-2, -2), (-2, -2, -2, -2)]
+        assert g.center == -2
+        assert sorted(g.branches) == [(-2,), (-2, -2), (-2, -2, -2, -2)]
         q = intersection_matrix(g)
         assert det(q) == 1
         assert graph_signature(g) == (-8, "negative-definite")
 
     def test_sigma_2_3_7(self):
-        center, branches = spider_form(resolution(2, 3, 7))
-        assert center == -1
-        assert sorted(branches) == sorted([(-2,), (-3,), (-7,)])
+        g = resolution(2, 3, 7)
+        assert g.center == -1
+        assert sorted(g.branches) == sorted([(-2,), (-3,), (-7,)])
 
     def test_central_weight_is_delta_and_unimodular(self):
         for (a, b, c) in random_triples(25, seed=3):
@@ -89,23 +90,23 @@ class TestCanonicalResolution:
 
 class TestIntersectionMatrix:
     def test_single_node(self):
-        g = PlumbingGraph((-7,), ())
+        g = PlumbingGraph(-7, ())
         assert intersection_matrix(g) == ((-7,),)
 
     def test_diagonal_and_edges(self):
-        g = star(-1, [[-2, -3]])
+        g = PlumbingGraph(-1, ((-2, -3),))
         assert intersection_matrix(g) == ((-1, 1, 0), (1, -2, 1), (0, 1, -3))
 
 
 class TestGraphSignature:
     def test_single_node(self):
-        assert graph_signature(PlumbingGraph((-1,), ())) == (-1, "negative-definite")
-        assert graph_signature(PlumbingGraph((3,), ())) == (1, "other")
+        assert graph_signature(PlumbingGraph(-1, ())) == (-1, "negative-definite")
+        assert graph_signature(PlumbingGraph(3, ())) == (1, "other")
 
     def test_matches_generic_elimination(self):
         graphs = [resolution(3, 16, 113), resolution(2, 3, 5),
                   fickle_graph(3, 5), fickle_graph(5, 1),
-                  star(0, [[2, -2], [-3]])]
+                  PlumbingGraph(0, ((2, -2), (-3,)))]
         for (a, b, c) in random_triples(12, seed=21):
             graphs.append(resolution(a, b, c))
         for g in graphs:
@@ -115,7 +116,7 @@ class TestGraphSignature:
     def test_zero_pivot_falls_back(self):
         # A zero-weight leaf is a zero pivot: the package refuses it, and
         # the leaf-pivoting oracle falls back to generic elimination.
-        g = star(-2, [[0], [3]])
+        g = PlumbingGraph(-2, ((0,), (3,)))
         with pytest.raises(ValueError, match=ZERO_PIVOT):
             graph_signature(g)
         pos, neg, zero = symmetric_signature(intersection_matrix(g))
@@ -124,7 +125,7 @@ class TestGraphSignature:
     def test_zero_final_pivot_classified_other(self):
         # A singular form: its last pivot is zero.  The package refuses
         # it; the oracle classifies it "other".
-        g = star(0, [[1], [-1]])
+        g = PlumbingGraph(0, ((1,), (-1,)))
         with pytest.raises(ValueError, match=ZERO_PIVOT):
             graph_signature(g)
         assert oracle_graph_signature(g) == (0, "other")
@@ -140,9 +141,8 @@ class TestGammaFamily:
     def test_s2_shape(self):
         g = gamma_k_graph(2)
         assert len(g.weights) == 8
-        center, branches = spider_form(g)
-        assert center == -1
-        assert sorted(branches) == sorted([(-3,), (-4, -2), (-3, -3, -4, -2)])
+        assert g.center == -1
+        assert sorted(g.branches) == sorted([(-3,), (-4, -2), (-3, -3, -4, -2)])
 
     def test_s3_is_sigma_3_10_71(self):
         assert graphs_equivalent(gamma_k_graph(3), resolution(3, 10, 71))
@@ -227,12 +227,6 @@ class TestPropagation:
                            match=r"^p must be an odd prime >= 3, got 2$"):
             propagate_rotations(g, 2)
 
-    def test_rejects_branch_point_away_from_center(self):
-        # the center, node 0, is a leaf: the degree-3 node is then mid-branch
-        g = PlumbingGraph((-1, -2, -2, -2), ((0, 1), (1, 2), (1, 3)))
-        with pytest.raises(PropagationError):
-            propagate_rotations(g, 5)
-
     def test_canonical_pair_normalization(self):
         assert canonical_pair(-1, 4, 5) == (1, 1)
         assert canonical_pair(-13, 16, 5) == (1, 2)
@@ -286,7 +280,7 @@ class TestMarkupInvariant:
                                                    branches):
         # On a star, with any weights, the only failure left is a fixed
         # normal disk at the free pole of a leaf.
-        g = star(center, branches)
+        g = PlumbingGraph(center, tuple(map(tuple, branches)))
         try:
             markup = propagate_rotations(g, p)
         except PropagationError as exc:
@@ -295,9 +289,48 @@ class TestMarkupInvariant:
             assert len(markup.node_kinds) == len(g.weights)
 
 
+def outcome(walk, g, p):
+    """walk(g, p), or the message of the PropagationError it raises."""
+    try:
+        return walk(g, p)
+    except PropagationError as exc:
+        return str(exc)
+
+
+def assert_matches_the_oracle(g, p):
+    """g's node order, edges and matrix are the general-tree layout's, and
+    at p (unless None) its markup, or its refusal, is the stack walk's."""
+    old = plumbing_oracle.star(g.center, g.branches)
+    assert (g.weights, g.edges) == (old.weights, old.edges)
+    assert intersection_matrix(g) == intersection_matrix(old)
+    if p is not None:
+        assert (outcome(propagate_rotations, g, p)
+                == outcome(plumbing_oracle.propagate_rotations, old, p))
+
+
+class TestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ODD_PRIMES, st.integers(min_value=-6, max_value=-1),
+           st.lists(st.lists(st.integers(min_value=-6, max_value=-1),
+                             max_size=8).map(tuple), max_size=4).map(tuple))
+    def test_random_stars(self, p, center, branches):
+        assert_matches_the_oracle(PlumbingGraph(center, branches), p)
+
+    def test_every_golden_key_and_large_entry(self):
+        golden = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                             / "perfbench" / "golden.json").read_text(
+                                 encoding="utf-8"))
+        inputs = [(tuple(map(int, triple)), None if p == "None" else int(p))
+                  for *triple, p in (key.split(",") for key in golden)]
+        inputs += [(triple, p) for triple, _, _, _, p in LARGE_ENTRIES]
+        assert len(inputs) == 369
+        for triple, p in inputs:
+            assert_matches_the_oracle(resolution(*triple), p)
+
+
 class TestExport:
     def test_tgf(self):
-        g = star(-1, [[-2]])
+        g = PlumbingGraph(-1, ((-2,),))
         assert to_tgf(g) == "0 -1\n1 -2\n#\n0 1\n"
 
     def test_dot_contains_nodes_and_edges(self):

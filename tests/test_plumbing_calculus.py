@@ -28,6 +28,7 @@ to 2*10^9.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from brieskorn.arith import is_prime
 from brieskorn.lattice import UnimodularForm, diagonalize
-from brieskorn.plumbing import (canonical_resolution, graph_signature,
-                                intersection_matrix, propagate_rotations, star)
+from brieskorn.plumbing import (PlumbingGraph, canonical_resolution,
+                                graph_signature, intersection_matrix,
+                                propagate_rotations)
 from brieskorn.seifert import BrieskornTriple, seifert_invariants
 from brieskorn.spectral import eta_from_fixed_data, rho_from_eta
 from conftest import LARGE_ENTRIES
@@ -82,23 +84,6 @@ def sawtooth_term(a, ai):
     return 1 - Fraction(2 * pow(a // ai, -1, ai), ai)
 
 
-def branches(g):
-    """The weights of each branch, walked outward from the centre."""
-    adj = g.adjacency()
-    out = []
-    for start in adj[0]:
-        chain, prev, cur = [], 0, start
-        while True:
-            chain.append(g.weights[cur])
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                break
-            assert len(nxt) == 1, "a branch point away from the centre"
-            prev, cur = cur, nxt[0]
-        out.append(chain)
-    return out
-
-
 def continuants(ts):
     """(K(t_1, ..., t_m), K(t_2, ..., t_m)) for K() = 1 and
     K(t_1, ..., t_m) = t_1 K(t_2, ..., t_m) - K(t_3, ..., t_m)."""
@@ -109,7 +94,7 @@ def continuants(ts):
 
 
 def rho_of_star(center, chains, p):
-    g = star(center, chains)
+    g = PlumbingGraph(center, tuple(map(tuple, chains)))
     markup = propagate_rotations(g, p)
     eta = eta_from_fixed_data(markup, graph_signature(g)[0])
     return rho_from_eta(eta)
@@ -143,11 +128,11 @@ def assert_continuants_recover(triple):
     sd = seifert_invariants(triple)
     g = canonical_resolution(sd)
     read = {}
-    for chain in branches(g):
+    for chain in g.branches:
         k, k_rest = continuants(chain)
         read[abs(k)] = abs(k_rest)
     assert read == {ai: abs(bi) for ai, bi in zip(triple.entries, sd.b)}
-    center = g.weights[0]
+    center = g.center
     assert center == sd.delta
     assert center == -Fraction(1, triple.product) - sum(
         Fraction(b, a) for a, b in read.items())
@@ -177,8 +162,8 @@ def test_large_entries_resolve_exactly(triple, n, r, diagonalizable, p):
     form = UnimodularForm.from_matrix(intersection_matrix(g))
     assert diagonalize(form).found is diagonalizable
     if p is not None:
-        adj = g.adjacency()
-        assert any(v != 0 and len(adj[v]) == 2 for v, _, _ in
+        degree = Counter(v for edge in g.edges for v in edge)
+        assert any(v != 0 and degree[v] == 2 for v, _, _ in
                    propagate_rotations(g, p).fixed_spheres)
 
 
@@ -200,7 +185,7 @@ def blow_up_cases(draw):
 def test_blow_ups_keep_rho(case):
     triple, p, moves = case
     g = canonical_resolution(seifert_invariants(triple))
-    center, chains = g.weights[0], branches(g)
+    center, chains = g.center, [list(chain) for chain in g.branches]
     expected = rho_of_star(center, chains, p)
     for i, j in moves:
         chain = chains[i]

@@ -267,15 +267,17 @@ def test_public_names_resolve_and_exclude_test_helpers():
     assert not hasattr(brieskorn.seifert, "r_invariant")
     assert not hasattr(lattice.UnimodularForm, "is_unimodular")
     # det Q and definiteness are read off form.elimination, the node count
-    # is len(g.weights), the centre is node 0, and a verdict is feasible
-    # exactly when it has no certificate.
+    # is len(g.weights), a graph is its centre weight and branches and
+    # walks no adjacency map, and a verdict is feasible exactly when it
+    # has no certificate.
     for cls, name in ((lattice.UnimodularForm, "determinant"),
                       (lattice.UnimodularForm, "is_negative_definite"),
                       (plumbing.PlumbingGraph, "node_count"),
-                      (plumbing.PlumbingGraph, "center"),
+                      (plumbing.PlumbingGraph, "adjacency"),
                       (obstruction.ObstructionVerdict, "feasible")):
         assert not hasattr(cls, name), name
     assert not hasattr(matrices, "is_symmetric")
+    assert not hasattr(plumbing, "star")
     assert "use_cache" not in inspect.signature(
         brieskorn.cached_analysis).parameters
     form = lattice.UnimodularForm.from_matrix(((-1,),))

@@ -32,15 +32,16 @@ PIPELINE = ["BrieskornTriple", "InputError", "InternalInvariantError",
             "build_analysis", "cached_analysis", "family", "render_json",
             "render_text"]
 # The names the package root exported before it was cut to the pipeline,
-# by the module that defines each.
+# by the module that defines each; `plumbing.star`, since deleted, is left
+# out.
 FORMER_EXPORTS = {name: module for module, names in {
     "arith": ("HJExpansion", "hj_expand", "is_prime"),
     "seifert": ("SeifertData", "check_action", "check_order",
                 "seifert_invariants", "standard_action_valid"),
     "plumbing": ("EquivariantMarkup", "PlumbingGraph", "PropagationError",
                  "canonical_pair", "canonical_resolution", "graph_signature",
-                 "intersection_matrix", "propagate_rotations", "star",
-                 "to_dot", "to_tgf"),
+                 "intersection_matrix", "propagate_rotations", "to_dot",
+                 "to_tgf"),
     "lattice": ("Diagonalization", "DiagonalizationFailure", "UnimodularForm",
                 "diagonalize", "enumerate_roots"),
     "obstruction": ("Certificate", "ConstraintError", "ConstraintSystem",
