@@ -8,17 +8,21 @@ This module imports only `records`, `arith` and `seifert`, so a hit
 loads none of the pipeline.  A miss imports `report` and reads
 `report.build_analysis` at call time, so a caller that replaces that
 name (a test, or the benchmark's tracer) is seen.  `_stamp` reads
-`source_digest` from this module's globals at call time.  `json` is
+`source_digest` from this module's globals at call time, and builds the
+stamp's head once per digest it returns.  A hit checks its input on
+plain ints and builds no `BrieskornTriple`, and its path is a prefix
+built once per cache directory plus the entry's name.  `json` is
 imported where a report is rendered, read or written, so a text hit
-loads none of it.
+loads none of it, and the source is hashed without loading `hashlib`.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import sys
 
-from .seifert import BrieskornTriple, check_action
+from .seifert import check_entries, check_free
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "BRIESKORN_CACHE_DIR"
@@ -90,10 +94,23 @@ def cache_dir() -> str:
 def source_digest() -> str:
     """The first 16 hex digits of the sha256 of this package's *.py files,
     by sorted name: each name, then the file's bytes.  Computed on first
-    use, once per process, so importing the package reads no file."""
-    import hashlib      # not at import: loading OpenSSL would slow start-up
+    use, once per process, so importing the package reads no file.
+
+    The sha256 is hashlib's (OpenSSL's) when some import has loaded
+    hashlib; otherwise the interpreter's own module (_sha256 before 3.12,
+    _sha2 since), which loads in about 0.3 ms where hashlib loads OpenSSL
+    in about 3 ms, but hashes the source in about 0.6 ms where OpenSSL
+    takes 0.07 ms.  hashlib is loaded for it only when the interpreter
+    was built without that module.  Each gives the same digest."""
+    sha256 = getattr(sys.modules.get("hashlib"), "sha256", None)
+    if sha256 is None:
+        try:
+            sha256 = __import__("_sha2" if sys.version_info >= (3, 12)
+                                else "_sha256").sha256
+        except ImportError:
+            from hashlib import sha256
     package = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
+    digest = sha256()
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name), "rb") as handle:
             data = handle.read()
@@ -102,16 +119,35 @@ def source_digest() -> str:
     return digest.hexdigest()[:16]
 
 
+# Bounded, since a process may name many cache directories (a test suite
+# names one per test) or, by replacing source_digest, many digests.
+@functools.lru_cache(maxsize=16)
+def _prefix(directory: str) -> str:
+    """os.path.join(directory, name) less the name, for any name with no
+    separator or drive: a one-letter name joined, then cut off.  Joining
+    "" instead adds no separator to a Windows share such as //host/dir."""
+    return os.path.join(directory, "_")[:-1]
+
+
+@functools.lru_cache(maxsize=16)
+def _stamp_head(digest: str) -> bytes:
+    return f"brieskorn {SCHEMA_VERSION} {digest} ".encode()
+
+
 def _stamp(a: int, b: int, c: int, p: int | None) -> bytes:
     """An entry's first line up to its text length: the schema version,
-    the writer's source_digest and the input."""
-    return (f"brieskorn {SCHEMA_VERSION} {source_digest()} {a} {b} {c} {p} "
-            .encode())
+    the writer's source_digest and the input.  The head is built once per
+    digest, keyed on the value source_digest returns, so a caller that
+    replaces source_digest is seen."""
+    return _stamp_head(source_digest()) + f"{a} {b} {c} {p} ".encode()
 
 
 # The bytes the first read of an entry asks for.  A text hit whose stamp
 # line, text and newline fit in them is served by that read alone.
 _CHUNK = 8192
+# Computed once: getattr on a name the module lacks (O_BINARY, outside
+# Windows) builds and drops an AttributeError, about 0.7 us a call.
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
 def _read_entry(path: str, a: int, b: int, c: int, p: int | None,
@@ -125,7 +161,7 @@ def _read_entry(path: str, a: int, b: int, c: int, p: int | None,
     os.read calls: through a buffered file object the same reads took
     8.5 us against 6.6 us for Sigma(3,16,113) at p = 5, and a whole
     cached_analysis text hit 14.5 us against 12.4 us."""
-    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    fd = os.open(path, _OPEN_FLAGS)
     try:
         stamp = _stamp(a, b, c, p)
         # Enough for the stamp line even when the stamp itself is longer
@@ -166,7 +202,8 @@ def cached_analysis(a: int, b: int, c: int, p: int | None = None, *,
     """build_analysis with a transparent file cache holding one entry per
     input, analyze_{a}_{b}_{c}_p{p}.json for the sorted triple and p.  The
     input is validated before the lookup, so a bad p is never served or
-    cached.
+    cached: by check_entries and check_free on the sorted ints, the
+    checks of BrieskornTriple.of and check_action with no record built.
 
     An entry has three parts: a stamp line, "brieskorn <SCHEMA_VERSION>
     <source_digest> <a> <b> <c> <p> <n>", where n is the byte length of
@@ -187,15 +224,14 @@ def cached_analysis(a: int, b: int, c: int, p: int | None = None, *,
     built only once an entry is opened or written: an unusable cache
     directory, an empty name included, is a miss that is not cached and
     hashes no source, and the result is still returned."""
-    triple = BrieskornTriple.of(a, b, c)
+    a, b, c = sorted((a, b, c))
+    check_entries(a, b, c)
     if p is not None:
-        check_action(triple, p)
-    a, b, c = triple.entries
+        check_free(p, a * b * c)
     directory = cache_dir()
     # An empty value names no directory, not the working one: the path is
     # then "", which open and makedirs refuse, so nothing is read or written.
-    path = directory and os.path.join(directory,
-                                      f"analyze_{a}_{b}_{c}_p{p}.json")
+    path = directory and _prefix(directory) + f"analyze_{a}_{b}_{c}_p{p}.json"
     try:
         hit = _read_entry(path, a, b, c, p, text)
         if hit is not None:

@@ -254,17 +254,17 @@ def _plain_analyze(
     of ASCII digits; None for any other argv, or for a number int()
     refuses (more digits than its limit), which argparse then parses and
     reports."""
+    n = len(argv)
+    if not ((n == 4 or n == 6 and argv[4] == "--p") and argv[0] == "analyze"):
+        return None
     numbers = argv[1:4] + argv[5:]
     digits = "".join(numbers)   # an empty number is int()'s ValueError
-    if (len(argv) not in (4, 6) or argv[0] != "analyze"
-            or argv[4:5] not in ([], ["--p"])
-            or not (digits.isascii() and digits.isdigit())):
+    if not (digits.isascii() and digits.isdigit()):
         return None
     try:
-        a, b, c, *p = map(int, numbers)
+        return (*map(int, numbers), None)[:4]
     except ValueError:
         return None
-    return a, b, c, (p or [None])[0]
 
 
 def _add_triple(parser) -> None:

@@ -25,6 +25,19 @@ from .arith import is_prime
 from .records import InputError, record
 
 
+def check_entries(a1: int, a2: int, a3: int) -> None:
+    """The rules of a triple's entries: each >= 2, sorted ascending and
+    pairwise coprime.  BrieskornTriple checks itself with this, and a
+    cache hit checks its sorted ints with it, building no record."""
+    entries = (a1, a2, a3)
+    if min(entries) < 2:
+        raise InputError(f"entries must all be >= 2, got {entries}")
+    if not (a1 <= a2 <= a3):
+        raise InputError(f"entries must be sorted ascending, got {entries}")
+    if gcd(a1, a2) != 1 or gcd(a1, a3) != 1 or gcd(a2, a3) != 1:
+        raise InputError(f"entries must be pairwise coprime, got {entries}")
+
+
 @total_ordering
 @record
 class BrieskornTriple:
@@ -36,13 +49,7 @@ class BrieskornTriple:
     a3: int
 
     def __post_init__(self):
-        a1, a2, a3 = entries = (self.a1, self.a2, self.a3)
-        if min(entries) < 2:
-            raise InputError(f"entries must all be >= 2, got {entries}")
-        if not (a1 <= a2 <= a3):
-            raise InputError(f"entries must be sorted ascending, got {entries}")
-        if gcd(a1, a2) != 1 or gcd(a1, a3) != 1 or gcd(a2, a3) != 1:
-            raise InputError(f"entries must be pairwise coprime, got {entries}")
+        check_entries(self.a1, self.a2, self.a3)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -138,9 +145,15 @@ def check_order(p: int) -> None:
 
 def check_action(triple: BrieskornTriple, p: int) -> None:
     """The order rule, then freeness of the standard Z/p action."""
+    check_free(p, triple.product)
+
+
+def check_free(p: int, product: int) -> None:
+    """check_action on the product of a triple's entries, for a caller
+    that holds them as ints."""
     check_order(p)
-    if not standard_action_valid(triple, p):
-        raise InputError(f"p = {p} divides {triple.product}: the standard "
+    if gcd(p, product) != 1:
+        raise InputError(f"p = {p} divides {product}: the standard "
                          "action is not free")
 
 
