@@ -8,10 +8,8 @@ This module imports only `records`, `arith` and `seifert`, so a hit
 loads none of the pipeline.  A miss imports `report` and reads
 `report.build_analysis` at call time, so a caller that replaces that
 name (a test, or the benchmark's tracer) is seen.  `_stamp` reads
-`source_digest` from this module's globals at call time, and builds the
-stamp's head once per digest it returns.  A hit checks its input on
-plain ints and builds no `BrieskornTriple`, and its path is a prefix
-built once per cache directory plus the entry's name.  `json` is
+`source_digest` from this module's globals at call time.  A hit checks
+its input on plain ints and builds no `BrieskornTriple`.  `json` is
 imported where a report is rendered, read or written, so a text hit
 loads none of it, and the source is hashed without loading `hashlib`.
 """
@@ -96,19 +94,15 @@ def source_digest() -> str:
     by sorted name: each name, then the file's bytes.  Computed on first
     use, once per process, so importing the package reads no file.
 
-    The sha256 is hashlib's (OpenSSL's) when some import has loaded
-    hashlib; otherwise the interpreter's own module (_sha256 before 3.12,
+    The sha256 is the interpreter's own module (_sha256 before 3.12,
     _sha2 since), which loads in about 0.3 ms where hashlib loads OpenSSL
-    in about 3 ms, but hashes the source in about 0.6 ms where OpenSSL
-    takes 0.07 ms.  hashlib is loaded for it only when the interpreter
-    was built without that module.  Each gives the same digest."""
-    sha256 = getattr(sys.modules.get("hashlib"), "sha256", None)
-    if sha256 is None:
-        try:
-            sha256 = __import__("_sha2" if sys.version_info >= (3, 12)
-                                else "_sha256").sha256
-        except ImportError:
-            from hashlib import sha256
+    in about 3 ms; hashlib is loaded only when the interpreter was built
+    without that module.  Both give the same digest."""
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12)
+                            else "_sha256").sha256
+    except ImportError:
+        from hashlib import sha256
     package = os.path.dirname(os.path.abspath(__file__))
     digest = sha256()
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
@@ -119,27 +113,11 @@ def source_digest() -> str:
     return digest.hexdigest()[:16]
 
 
-# Bounded, since a process may name many cache directories (a test suite
-# names one per test) or, by replacing source_digest, many digests.
-@functools.lru_cache(maxsize=16)
-def _prefix(directory: str) -> str:
-    """os.path.join(directory, name) less the name, for any name with no
-    separator or drive: a one-letter name joined, then cut off.  Joining
-    "" instead adds no separator to a Windows share such as //host/dir."""
-    return os.path.join(directory, "_")[:-1]
-
-
-@functools.lru_cache(maxsize=16)
-def _stamp_head(digest: str) -> bytes:
-    return f"brieskorn {SCHEMA_VERSION} {digest} ".encode()
-
-
 def _stamp(a: int, b: int, c: int, p: int | None) -> bytes:
     """An entry's first line up to its text length: the schema version,
-    the writer's source_digest and the input.  The head is built once per
-    digest, keyed on the value source_digest returns, so a caller that
-    replaces source_digest is seen."""
-    return _stamp_head(source_digest()) + f"{a} {b} {c} {p} ".encode()
+    the writer's source_digest and the input."""
+    return (f"brieskorn {SCHEMA_VERSION} {source_digest()} {a} {b} {c} {p} "
+            .encode())
 
 
 # The bytes the first read of an entry asks for.  A text hit whose stamp
@@ -231,7 +209,8 @@ def cached_analysis(a: int, b: int, c: int, p: int | None = None, *,
     directory = cache_dir()
     # An empty value names no directory, not the working one: the path is
     # then "", which open and makedirs refuse, so nothing is read or written.
-    path = directory and _prefix(directory) + f"analyze_{a}_{b}_{c}_p{p}.json"
+    path = directory and os.path.join(directory,
+                                      f"analyze_{a}_{b}_{c}_p{p}.json")
     try:
         hit = _read_entry(path, a, b, c, p, text)
         if hit is not None:

@@ -262,9 +262,10 @@ def _plain_analyze(
     if not (digits.isascii() and digits.isdigit()):
         return None
     try:
-        return (*map(int, numbers), None)[:4]
+        a, b, c, *p = map(int, numbers)
     except ValueError:
         return None
+    return a, b, c, (p or [None])[0]
 
 
 def _add_triple(parser) -> None:

@@ -114,6 +114,11 @@ def seifert_invariants(triple: BrieskornTriple) -> SeifertData:
     return SeifertData(triple, tuple(b), delta)
 
 
+def _acts_freely(p: int, product: int) -> bool:
+    """The freeness rule of standard_action_valid, on the product."""
+    return gcd(p, product) == 1
+
+
 def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     """Is the restriction of the circle action to Z/p free on the sphere?
 
@@ -121,7 +126,7 @@ def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     """
     if p < 2:
         raise InputError(f"group order must be >= 2, got {p}")
-    return gcd(p, triple.product) == 1
+    return _acts_freely(p, triple.product)
 
 
 # The largest group order accepted.  The spectral stage is the only one
@@ -152,7 +157,7 @@ def check_free(p: int, product: int) -> None:
     """check_action on the product of a triple's entries, for a caller
     that holds them as ints."""
     check_order(p)
-    if gcd(p, product) != 1:
+    if not _acts_freely(p, product):
         raise InputError(f"p = {p} divides {product}: the standard "
                          "action is not free")
 

@@ -1,33 +1,27 @@
-"""The input check, path and stamp of a cache lookup against the code
-they replaced.
+"""The input check, path and source digest of a cache lookup against the
+code they replaced.
 
 `cached_analysis` checks (a, b, c, p) on plain ints and builds no
 `BrieskornTriple` before the lookup.  The check it replaced,
 `BrieskornTriple.of` then `check_action`, is the oracle: under
 `hypothesis` both must accept the same inputs, the lookup must see the
 record's sorted entries, and both must refuse the rest with the same
-`InputError` text.  The entry path is a per-directory prefix plus the
-name, and must be the string `os.path.join(directory, name)` gives, on
-POSIX and Windows paths alike.  The stamp's head is built once per
-source digest, so a replaced `source_digest` still names the entries
-that are read and written.  `source_digest` hashes with hashlib's
-sha256 when hashlib is loaded and with the interpreter's own module
-otherwise, and either must equal `hashlib.sha256` over the same bytes.
+`InputError` text.  The entry path must be the string
+`os.path.join(directory, name)` gives.  `source_digest` hashes with the
+interpreter's own sha256 module, which must equal `hashlib.sha256` over
+the same bytes.
 """
 
 import hashlib
-import ntpath
 import os
-import posixpath
 import sys
-import types
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brieskorn.cache as cache
-from brieskorn.cache import _prefix, _stamp, cached_analysis
+from brieskorn.cache import _stamp, cached_analysis
 from brieskorn.cli import main
 from brieskorn.records import InputError
 from brieskorn.seifert import P_MAX, BrieskornTriple, check_action
@@ -114,30 +108,6 @@ def test_lookup_path_is_the_joined_path(directory):
         os.path.join(directory, name_of(2, 3, 7, 5)), 2, 3, 7, 5))
 
 
-@settings(max_examples=300, deadline=None)
-@given(directory=st.text(alphabet="ab:/\\. ", min_size=1, max_size=8),
-       flavour=st.sampled_from([posixpath, ntpath]))
-@example(directory="//host/share", flavour=ntpath)
-@example(directory="C:", flavour=ntpath)
-@example(directory="a\\", flavour=ntpath)
-def test_prefix_plus_name_is_the_joined_path(directory, flavour):
-    # Windows paths are checked here with ntpath in place of os.path.
-    name = name_of(3, 16, 113, None)
-    _prefix.cache_clear()
-    try:
-        with mock.patch.object(os, "path", flavour):
-            assert _prefix(directory) + name == flavour.join(directory, name)
-    finally:
-        _prefix.cache_clear()
-
-
-def test_stamp_head_follows_the_digest(monkeypatch):
-    for digest in ("0123456789abcdef", "fedcba9876543210", "0123456789abcdef"):
-        monkeypatch.setattr(cache, "source_digest", lambda: digest)
-        assert _stamp(3, 16, 113, None) == (
-            f"brieskorn {cache.SCHEMA_VERSION} {digest} 3 16 113 None ".encode())
-
-
 def test_entry_for_a_non_free_action_is_never_served(tmp_cache, capsys):
     """An entry planted for Sigma(2,3,7) at p = 7, which divides 42, with
     a stamp this code would write: the input is refused before the
@@ -153,31 +123,19 @@ def test_entry_for_a_non_free_action_is_never_served(tmp_cache, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("hashlib_loaded", [True, False])
-def test_source_digest_is_the_sha256_of_the_sources(monkeypatch,
-                                                    hashlib_loaded):
-    """With hashlib loaded, its sha256 is used; without it, the
-    interpreter's own module is, and hashlib stays unloaded.  Both give
-    hashlib.sha256 of the same bytes."""
+def test_source_digest_is_the_sha256_of_the_sources(monkeypatch):
+    """The interpreter's own sha256 gives hashlib.sha256 of the same
+    bytes, and hashlib stays unloaded."""
     package = os.path.dirname(cache.__file__)
     digest = hashlib.sha256()
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name), "rb") as handle:
             data = handle.read()
         digest.update(f"{name}\0{len(data)}\0".encode() + data)
-    calls = []
-    if hashlib_loaded:
-        def sha256():
-            calls.append("hashlib")
-            return hashlib.sha256()
-        monkeypatch.setitem(sys.modules, "hashlib",
-                            types.SimpleNamespace(sha256=sha256))
-    else:
-        monkeypatch.delitem(sys.modules, "hashlib")
+    monkeypatch.delitem(sys.modules, "hashlib")
     cache.source_digest.cache_clear()
     try:
         assert cache.source_digest() == digest.hexdigest()[:16]
-        assert calls == (["hashlib"] if hashlib_loaded else [])
-        assert ("hashlib" in sys.modules) == hashlib_loaded
+        assert "hashlib" not in sys.modules
     finally:
         cache.source_digest.cache_clear()
