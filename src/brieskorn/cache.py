@@ -11,14 +11,14 @@ name (a test, or the benchmark's tracer) is seen.  `_stamp` reads
 `source_digest` from this module's globals at call time.  A hit checks
 its input on plain ints and builds no `BrieskornTriple`.  `json` is
 imported where a report is rendered, read or written, so a text hit
-loads none of it, and the source is hashed without loading `hashlib`.
+loads none of it.  The source is hashed by the interpreter's own
+BLAKE2b module, `_blake2`, so a hit loads neither `hashlib` nor OpenSSL.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import sys
 
 from .seifert import check_entries, check_free
 
@@ -88,29 +88,41 @@ def cache_dir() -> str:
     return path
 
 
+# The bytes each read of a source file asks for: more than any module's
+# size, so a file is read whole by one call and its end seen by the next.
+_SOURCE_READ = 1 << 16
+
+
 @functools.cache
 def source_digest() -> str:
-    """The first 16 hex digits of the sha256 of this package's *.py files,
-    by sorted name: each name, then the file's bytes.  Computed on first
-    use, once per process, so importing the package reads no file.
+    """A 64-bit BLAKE2b of this package's *.py files, as 16 hex digits, by
+    sorted name: each name, its byte length, then the file's bytes.
+    Computed on first use, once per process, so importing the package
+    reads no file.
 
-    The sha256 is the interpreter's own module (_sha256 before 3.12,
-    _sha2 since), which loads in about 0.3 ms where hashlib loads OpenSSL
-    in about 3 ms; hashlib is loaded only when the interpreter was built
-    without that module.  Both give the same digest."""
+    The hash is the interpreter's own _blake2 module, which needs no
+    OpenSSL; hashlib is loaded only when the interpreter was built without
+    it.  On the 98 KB source it takes about 0.2 ms cold, against 0.5 ms
+    for the builtin sha256 it replaced.  Each file is read by raw os.read
+    calls until one returns no bytes, as _read_entry reads an entry."""
     try:
-        sha256 = __import__("_sha2" if sys.version_info >= (3, 12)
-                            else "_sha256").sha256
+        from _blake2 import blake2b
     except ImportError:
-        from hashlib import sha256
+        from hashlib import blake2b
     package = os.path.dirname(os.path.abspath(__file__))
-    digest = sha256()
+    digest = blake2b(digest_size=8)
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
-        with open(os.path.join(package, name), "rb") as handle:
-            data = handle.read()
+        fd = os.open(os.path.join(package, name), _OPEN_FLAGS)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _SOURCE_READ):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        data = b"".join(chunks)
         digest.update(f"{name}\0{len(data)}\0".encode())
         digest.update(data)
-    return digest.hexdigest()[:16]
+    return digest.hexdigest()
 
 
 def _stamp(a: int, b: int, c: int, p: int | None) -> bytes:

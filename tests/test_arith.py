@@ -11,7 +11,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn.arith import HJExpansion, NODE_MAX, hj_expand, is_prime
+from brieskorn.arith import (MILLER_RABIN_LIMIT, NODE_MAX, HJExpansion,
+                            hj_expand, is_prime)
+from brieskorn.records import InternalInvariantError
+from brieskorn.seifert import P_MAX
 from spectral_oracle import Field
 
 
@@ -46,6 +49,38 @@ def test_integer_hj_expansion_matches_fraction_steps(ab):
     terms = fraction_hj_terms(a, b, max_terms=200)
     assume(terms is not None)      # b near -a gives about a/(a + b) terms
     assert hj_expand(a, b).terms == terms
+
+
+def trial_division(n):
+    """The primality test is_prime replaced: trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_is_trial_division_up_to_the_order_ceiling():
+    """Every n <= P_MAX + 1, and a few below 2, gets the oracle's answer:
+    each small prime, each multiple of one, and each base-2 strong
+    pseudoprime (2047, 3277, ..., 90751) included."""
+    wrong = [n for n in range(-3, P_MAX + 2)
+             if is_prime(n) != trial_division(n)]
+    assert wrong == []
+
+
+def test_is_prime_refuses_outside_its_exact_range():
+    """1373653 = 829 * 1657 is the least strong pseudoprime to both bases,
+    so is_prime answers only below it."""
+    assert P_MAX + 1 < MILLER_RABIN_LIMIT == 829 * 1657
+    for n in range(MILLER_RABIN_LIMIT - 30, MILLER_RABIN_LIMIT):
+        assert is_prime(n) == trial_division(n)
+    for n in (MILLER_RABIN_LIMIT, MILLER_RABIN_LIMIT + 2, 10**40):
+        with pytest.raises(InternalInvariantError, match="exact only below"):
+            is_prime(n)
 
 
 class TestHJExpansion:

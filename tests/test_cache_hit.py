@@ -8,12 +8,15 @@ code they replaced.
 record's sorted entries, and both must refuse the rest with the same
 `InputError` text.  The entry path must be the string
 `os.path.join(directory, name)` gives.  `source_digest` hashes with the
-interpreter's own sha256 module, which must equal `hashlib.sha256` over
-the same bytes.
+interpreter's own BLAKE2b module, which must equal
+`hashlib.blake2b(digest_size=8)` over the same bytes, also for a module
+longer than one of its reads.
 """
 
 import hashlib
 import os
+import shutil
+import subprocess
 import sys
 from unittest import mock
 
@@ -123,19 +126,46 @@ def test_entry_for_a_non_free_action_is_never_served(tmp_cache, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_source_digest_is_the_sha256_of_the_sources(monkeypatch):
-    """The interpreter's own sha256 gives hashlib.sha256 of the same
-    bytes, and hashlib stays unloaded."""
-    package = os.path.dirname(cache.__file__)
-    digest = hashlib.sha256()
+def blake2b_of_sources(package):
+    """The oracle: hashlib's 64-bit BLAKE2b over the package's *.py files
+    by sorted name, each framed as name, NUL, byte length, NUL, bytes."""
+    digest = hashlib.blake2b(digest_size=8)
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name), "rb") as handle:
             data = handle.read()
         digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def test_source_digest_is_the_blake2b_of_the_sources(monkeypatch):
+    """The interpreter's own BLAKE2b gives hashlib.blake2b of the same
+    bytes, and hashlib is not loaded before the call or by it."""
+    expected = blake2b_of_sources(os.path.dirname(cache.__file__))
     monkeypatch.delitem(sys.modules, "hashlib")
     cache.source_digest.cache_clear()
     try:
-        assert cache.source_digest() == digest.hexdigest()[:16]
+        assert "hashlib" not in sys.modules
+        assert cache.source_digest() == expected
         assert "hashlib" not in sys.modules
     finally:
         cache.source_digest.cache_clear()
+
+
+def test_source_digest_reads_a_long_module_whole(tmp_path):
+    """In a copy of the package whose spectral.py is padded to several
+    reads' worth, a fresh interpreter's digest is still the oracle's over
+    the padded bytes: a read that returns less than it asked for ends
+    nothing but the file."""
+    package = tmp_path / "brieskorn"
+    shutil.copytree(os.path.dirname(cache.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "spectral.py", "a") as handle:
+        handle.write("#" * (3 * cache._SOURCE_READ + 1) + "\n")
+    assert os.path.getsize(package / "spectral.py") > 3 * cache._SOURCE_READ
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import brieskorn.cache as c; print(c.source_digest())"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == blake2b_of_sources(package) + "\n"

@@ -6,7 +6,8 @@ cut resolves in its module alone.  The import loads no `argparse`, a hit
 none of `argparse`, `gettext` or `json`, and neither a hit nor an
 uncached run loads `typing` when `site` does not load it first
 (`python -S`).  A hit hashes the source with the interpreter's own
-sha256 module and loads neither `hashlib` nor OpenSSL's `_hashlib`."""
+BLAKE2b module, `_blake2`, and loads neither `hashlib`, OpenSSL's
+`_hashlib` nor the builtin sha256."""
 
 import importlib
 import os
@@ -107,12 +108,12 @@ def test_text_cache_hit_loads_no_argparse_json_or_typing(tmp_cache, flags,
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
 def test_text_cache_hit_loads_no_openssl(tmp_cache, flags):
     text = cached_analysis(3, 16, 113, 5, text=True)
-    sha256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
     code = ("from brieskorn.cli import main\n"
             "assert main(['analyze', '3', '16', '113', '--p', '5']) == 0\n"
-            + loaded_among(["_hashlib", "hashlib", sha256]))
+            + loaded_among(["_blake2", "_hashlib", "hashlib", "_sha256",
+                            "_sha2"]))
     out = run_fresh(code, *flags, BRIESKORN_CACHE_DIR=str(tmp_cache))
-    assert out == text + f"{[sha256]}\n{HIT_MODULES} []\n"
+    assert out == text + f"['_blake2']\n{HIT_MODULES} []\n"
 
 
 def test_an_uncached_analysis_loads_no_typing(tmp_cache):
