@@ -27,6 +27,7 @@ from brieskorn.report import build_analysis
 from brieskorn.seifert import BrieskornTriple
 from brieskorn.spectral import eta_brieskorn, ll_extension_search
 from conftest import REFERENCE_QX
+from process_checks import launch
 
 
 def entry_of(report, text=None, **stamp) -> bytes:
@@ -1042,11 +1043,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 def run_module(args, cache_dir, cwd=None):
     """`python -m brieskorn ARGS` in a fresh interpreter on this checkout."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, BRIESKORN_CACHE_DIR=str(cache_dir))
-    return subprocess.run([sys.executable, "-m", "brieskorn", *args],
-                          capture_output=True, text=True, env=env, timeout=300,
-                          cwd=cwd)
+    return launch(["-m", "brieskorn", *args], cache_dir, cwd)
 
 
 class TestEntryPoint:
@@ -1084,11 +1081,7 @@ class TestEntryPoint:
         code = ("import brieskorn.cli as cli, brieskorn.cache as r\n"
                 "print(cli.build_parser.cache_info().currsize,"
                 " r.source_digest.cache_info().currsize)\n")
-        path = os.pathsep.join(filter(None, [str(SRC),
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=path),
-                              timeout=60)
+        proc = launch(["-c", code], "", timeout=60)
         assert proc.stdout == "0 0\n"
 
     def test_source_digest_follows_the_source_bytes(self, tmp_path):

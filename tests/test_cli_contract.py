@@ -13,7 +13,6 @@ never happens on user input.
 
 import io
 import os
-import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -25,9 +24,8 @@ from hypothesis import example, given, settings, strategies as st
 from brieskorn import build_analysis, render_text
 from brieskorn import cli, report
 from brieskorn.cli import FAMILY_MAX, build_parser, main
+from process_checks import launch
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
 CALL_SECONDS = 10
 
 # Edge values: 0, +-1, primes around the eta and P_MAX ceilings, and
@@ -363,12 +361,8 @@ def test_plain_analyze_argv_skips_argparse(monkeypatch, tmp_path):
 
 
 def test_module_run_prints_no_traceback(tmp_path):
-    env = dict(os.environ, BRIESKORN_CACHE_DIR=str(tmp_path / "cache"),
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "brieskorn", "analyze", "2",
-                           "4", "5"], capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = launch(["-m", "brieskorn", "analyze", "2", "4", "5"],
+                  tmp_path / "cache", timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")

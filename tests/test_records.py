@@ -4,10 +4,6 @@ a package import that loads neither dataclasses nor inspect."""
 
 import functools
 import inspect
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -19,8 +15,8 @@ from brieskorn.plumbing import (canonical_resolution, intersection_matrix,
 from brieskorn.records import record
 from brieskorn.seifert import BrieskornTriple, family, seifert_invariants
 from brieskorn.spectral import eta_brieskorn, ll_extension_search
+from process_checks import launch
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 RECORD_CLASSES = {
     "BrieskornTriple", "HJExpansion", "SeifertData", "PlumbingGraph",
@@ -183,10 +179,6 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "import brieskorn.cli\n"
             "brieskorn.cli.build_parser()\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    path = os.pathsep.join(filter(None, [str(SRC),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          timeout=60)
+    proc = launch(["-c", code], "", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

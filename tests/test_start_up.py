@@ -10,17 +10,14 @@ BLAKE2b module, `_blake2`, and loads neither `hashlib`, OpenSSL's
 `_hashlib` nor the builtin sha256."""
 
 import importlib
-import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
 
 import brieskorn
 from brieskorn.cache import cached_analysis
+from process_checks import launch
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 HIT_MODULES = ["brieskorn", "brieskorn.arith", "brieskorn.cache",
                "brieskorn.cli", "brieskorn.records", "brieskorn.seifert"]
 LOADED = ("import sys\n"
@@ -54,14 +51,10 @@ FORMER_EXPORTS = {name: module for module, names in {
 }.items() for name in names}
 
 
-def run_fresh(code, *flags, **env):
+def run_fresh(code, *flags, cache_dir=""):
     """The stdout of code run in a fresh interpreter with flags, then the
     package modules and the two number modules it loaded."""
-    path = os.pathsep.join(filter(None, [str(SRC),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", code + LOADED],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=path, **env))
+    proc = launch([*flags, "-c", code + LOADED], cache_dir, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -77,7 +70,7 @@ def test_text_cache_hit_loads_only_the_hit_modules(tmp_cache):
     before = entry.read_bytes()
     code = ("from brieskorn.cli import main\n"
             "assert main(['analyze', '3', '16', '113', '--p', '5']) == 0\n")
-    out = run_fresh(code, BRIESKORN_CACHE_DIR=str(tmp_cache))
+    out = run_fresh(code, cache_dir=tmp_cache)
     assert out == text + f"{HIT_MODULES} []\n"
     assert entry.read_bytes() == before         # served, not rewritten
 
@@ -101,7 +94,7 @@ def test_text_cache_hit_loads_no_argparse_json_or_typing(tmp_cache, flags,
     code = ("from brieskorn.cli import main\n"
             "assert main(['analyze', '3', '16', '113', '--p', '5']) == 0\n"
             + loaded_among(unused))
-    out = run_fresh(code, *flags, BRIESKORN_CACHE_DIR=str(tmp_cache))
+    out = run_fresh(code, *flags, cache_dir=tmp_cache)
     assert out == text + f"[]\n{HIT_MODULES} []\n"
 
 
@@ -112,7 +105,7 @@ def test_text_cache_hit_loads_no_openssl(tmp_cache, flags):
             "assert main(['analyze', '3', '16', '113', '--p', '5']) == 0\n"
             + loaded_among(["_blake2", "_hashlib", "hashlib", "_sha256",
                             "_sha2"]))
-    out = run_fresh(code, *flags, BRIESKORN_CACHE_DIR=str(tmp_cache))
+    out = run_fresh(code, *flags, cache_dir=tmp_cache)
     assert out == text + f"['_blake2']\n{HIT_MODULES} []\n"
 
 
@@ -121,7 +114,7 @@ def test_an_uncached_analysis_loads_no_typing(tmp_cache):
     code = ("from brieskorn.cli import main\n"
             "assert main(['analyze', '3', '16', '113', '--p', '5',"
             " '--no-cache']) == 0\n" + loaded_among(["typing"]))
-    out = run_fresh(code, "-S", BRIESKORN_CACHE_DIR=str(tmp_cache))
+    out = run_fresh(code, "-S", cache_dir=tmp_cache)
     assert out.startswith(text + "[]\n")
 
 
