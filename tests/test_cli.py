@@ -6,8 +6,6 @@ import json
 import math
 import os
 import pathlib
-import subprocess
-import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -1076,6 +1074,27 @@ class TestEntryPoint:
         assert list(tmp_path.iterdir()) == [planted]
         assert planted.read_bytes() == planted_bytes
 
+    @pytest.mark.parametrize("args, entries", [
+        (["analyze", "3", "16", "113", "--p", "5"], 1),
+        (["analyze", "3", "16", "113", "--p", "5", "--json", "-"], 1),
+        (["analyze", "3", "3589", "3590", "--p", "7"], 1),
+        (["family", "stern", "--r", "3", "--s-range", "5..6", "--p", "5"], 2),
+    ], ids=["text", "json", "node-max", "family"])
+    def test_module_run_hit_prints_the_miss(self, tmp_cache, args, entries):
+        # A fresh run, a miss and a hit, one interpreter each, print the
+        # same bytes; the miss writes one entry per analysis, which the hit
+        # serves as it is.  --json and family skip an entry's text by its
+        # length; the n = 1200 text outgrows the first read.
+        fresh = run_module([*args, "--no-cache"], tmp_cache)
+        assert not tmp_cache.exists()
+        miss = run_module(args, tmp_cache)
+        written = {entry: entry.read_bytes() for entry in tmp_cache.iterdir()}
+        assert len(written) == entries
+        hit = run_module(args, tmp_cache)
+        assert hit[:3] == miss[:3] == fresh[:3] == (0, fresh.stdout, "")
+        assert {entry: entry.read_bytes()
+                for entry in tmp_cache.iterdir()} == written
+
     def test_import_builds_no_parser_and_reads_no_source(self):
         # setup_s in the benchmark times the import and one parser build.
         code = ("import brieskorn.cli as cli, brieskorn.cache as r\n"
@@ -1085,16 +1104,15 @@ class TestEntryPoint:
         assert proc.stdout == "0 0\n"
 
     def test_source_digest_follows_the_source_bytes(self, tmp_path):
+        # `-c` and `-m` put the working directory on sys.path ahead of
+        # PYTHONPATH, so a run from src is a run of that tree.
         import shutil
 
         def digest(src):
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import brieskorn.cache as r; print(r.source_digest())"],
-                capture_output=True, text=True, timeout=60,
-                env=dict(os.environ, PYTHONPATH=str(src)))
+            proc = launch(["-c", "import brieskorn.cache as r; "
+                           "print(r.source_digest())"], "", src, timeout=60)
             assert proc.returncode == 0, proc.stderr
-            return proc.stdout
+            return proc.stdout.strip()
 
         copy = tmp_path / "src"
         shutil.copytree(SRC / "brieskorn", copy / "brieskorn",
@@ -1103,7 +1121,19 @@ class TestEntryPoint:
         assert digest(copy) == original     # independent of the location
         with open(copy / "brieskorn" / "seifert.py", "a") as handle:
             handle.write("# edited\n")
-        assert digest(copy) != original
+        edited = digest(copy)
+        assert edited != original
+        # The two trees share one entry per input: the edited tree misses
+        # on this tree's entry, prints the fresh text and rewrites the
+        # entry in place, stamped with its own digest.
+        args = ["analyze", "3", "16", "113", "--p", "5"]
+        cache = tmp_path / "cache"
+        text = render_text(build_analysis(3, 16, 113, 5))
+        for tree in SRC, copy:
+            proc = run_module(args, cache, tree)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
+        [entry] = cache.iterdir()
+        assert entry.read_bytes().split(b" ", 3)[2] == edited.encode()
 
     def test_module_run_refuses_p_above_the_ceiling(self, tmp_cache):
         # 100003 is the first prime above the ceiling on p.

@@ -7,7 +7,8 @@ none of `argparse`, `gettext` or `json`, and neither a hit nor an
 uncached run loads `typing` when `site` does not load it first
 (`python -S`).  A hit hashes the source with the interpreter's own
 BLAKE2b module, `_blake2`, and loads neither `hashlib`, OpenSSL's
-`_hashlib` nor the builtin sha256."""
+`_hashlib` nor the builtin sha256.  `python -X importtime -m brieskorn`
+checks the same sets on the module entry point."""
 
 import importlib
 import sys
@@ -27,6 +28,9 @@ LOADED = ("import sys\n"
 
 
 UNUSED_BY_A_HIT = ["argparse", "gettext", "json"]
+# hashlib, OpenSSL's _hashlib and the builtin sha256 (_sha2 since 3.12).
+HASHES = ["_hashlib", "hashlib", "_sha256", "_sha2"]
+ANALYZE = ["analyze", "3", "16", "113", "--p", "5"]
 PIPELINE = ["BrieskornTriple", "InputError", "InternalInvariantError",
             "build_analysis", "cached_analysis", "family", "render_json",
             "render_text"]
@@ -103,10 +107,31 @@ def test_text_cache_hit_loads_no_openssl(tmp_cache, flags):
     text = cached_analysis(3, 16, 113, 5, text=True)
     code = ("from brieskorn.cli import main\n"
             "assert main(['analyze', '3', '16', '113', '--p', '5']) == 0\n"
-            + loaded_among(["_blake2", "_hashlib", "hashlib", "_sha256",
-                            "_sha2"]))
+            + loaded_among(["_blake2", *HASHES]))
     out = run_fresh(code, *flags, cache_dir=tmp_cache)
     assert out == text + f"['_blake2']\n{HIT_MODULES} []\n"
+
+
+@pytest.mark.parametrize("flags, argv, package, unused", [
+    ((), ["--version"], HIT_MODULES, ["dataclasses", "inspect"]),
+    ((), ANALYZE, HIT_MODULES, ["fractions", *UNUSED_BY_A_HIT, *HASHES]),
+    (("-S",), [*ANALYZE, "--no-cache"], None, ["typing"])],
+    ids=["version", "hit", "uncached-no-site"])
+def test_module_run_imports(tmp_cache, flags, argv, package, unused):
+    # What `python -m brieskorn` imports, as `-X importtime` lists it: the
+    # entry point, not only `import brieskorn.cli`.
+    text = cached_analysis(3, 16, 113, 5, text=True)
+    proc = launch([*flags, "-X", "importtime", "-m", "brieskorn", *argv],
+                  tmp_cache, timeout=60)
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("import time:") for line in lines)
+    assert (proc.returncode, proc.stdout) == (
+        0, f"{brieskorn.__version__}\n" if argv == ["--version"] else text)
+    loaded = {line.rpartition("|")[2].strip() for line in lines}
+    assert "brieskorn.cli" in loaded
+    if package is not None:
+        assert sorted(m for m in loaded if m.startswith("brieskorn")) == package
+    assert not loaded & set(unused)
 
 
 def test_an_uncached_analysis_loads_no_typing(tmp_cache):
