@@ -21,8 +21,10 @@ Each stage is imported from the module that defines it, for example
 
 Each name of ``__all__`` is imported from its module on first use (PEP
 562).  ``build_analysis`` stays lazy because ``report`` imports every
-stage: ``import brieskorn.cli`` then loads only the modules a cache hit
-runs, not the whole pipeline.
+stage, and ``BrieskornTriple`` and ``family`` because a cache hit needs
+only the input rules of ``rules``, not ``seifert``: ``import
+brieskorn.cli`` then loads only the modules a cache hit runs (``cli``,
+``cache``, ``rules`` and ``records``), not the whole pipeline.
 """
 
 __version__ = "1.0.0"

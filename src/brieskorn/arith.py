@@ -1,59 +1,17 @@
-"""Exact scalar arithmetic: the primality test for the action's order and
-Hirzebruch-Jung continued fractions."""
+"""Exact scalar arithmetic: Hirzebruch-Jung continued fractions.
+
+The primality test for the action's order, `is_prime`, lives in `rules`
+with the other input checks, so a cache lookup loads it without this
+module; it is still importable from here.
+"""
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 
-from .records import InputError, InternalInvariantError, record
-
-# Strong probable-prime tests to bases 2 and 3 decide primality for every
-# n below this (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980),
-# which covers every order seifert.check_order admits.
-MILLER_RABIN_LIMIT = 1_373_653
-_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-_SMALL_PRODUCT = prod(_SMALL_PRIMES)
-
-
-def is_prime(n: int) -> bool:
-    """Primality of n < MILLER_RABIN_LIMIT, exactly; a larger n raises
-    InternalInvariantError rather than answer.
-
-    A prime up to 37 is found by set lookup and a multiple of one by one
-    gcd, so p = 5 and 7 take about 0.05 us; the least composite that
-    passes that screen is 41^2.  Any other n takes the strong tests to
-    bases 2 and 3: about 2 us at p = 99991, where trial division took
-    15-26 us."""
-    if n in _SMALL_PRIMES:
-        return True
-    if n < 2:
-        return False
-    if n >= MILLER_RABIN_LIMIT:
-        raise InternalInvariantError(
-            f"is_prime is exact only below {MILLER_RABIN_LIMIT}, got {n}")
-    if gcd(n, _SMALL_PRODUCT) != 1:
-        return False
-    if n < 41 * 41:
-        return True
-    m = n - 1
-    s = (m & -m).bit_length() - 1      # n - 1 = d * 2^s with d odd
-    d = m >> s
-    for base in (2, 3):
-        x = pow(base, d, n)
-        if x == 1 or x == m:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == m:
-                break
-        else:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Hirzebruch-Jung continued fractions
-# ---------------------------------------------------------------------------
+from .records import InputError, record
+# Importers of is_prime from this module, its former home, keep working.
+from .rules import is_prime  # noqa: F401
 
 # The largest resolution tree accepted, in nodes.  One expansion term is one
 # node, and a branch of a_i / b_i can have about a_i terms, so without this

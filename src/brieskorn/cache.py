@@ -4,12 +4,13 @@ renderings: everything an `analyze` cache hit runs.
 Numbers are serialized exactly: integers as JSON integers and rationals
 as "num/den" strings.  No floats appear anywhere in a report.
 
-This module imports only `records`, `arith` and `seifert`, so a hit
-loads none of the pipeline.  A miss imports `report` and reads
-`report.build_analysis` at call time, so a caller that replaces that
-name (a test, or the benchmark's tracer) is seen.  `_stamp` reads
-`source_digest` from this module's globals at call time.  A hit checks
-its input on plain ints and builds no `BrieskornTriple`.  `json` is
+This module imports only `rules` (and, through it, `records`), so a hit
+loads none of the pipeline, nor `seifert` or `arith`.  A miss imports
+`report` and reads `report.build_analysis` at call time, so a caller
+that replaces that name (a test, or the benchmark's tracer) is seen.
+`_stamp` reads `source_digest` from this module's globals at call time.
+A hit checks its input on plain ints by the checks of `rules` and builds
+no `BrieskornTriple`.  `json` is
 imported where a report is rendered, read or written, so a text hit
 loads none of it.  The source is hashed by the interpreter's own
 BLAKE2b module, `_blake2`, so a hit loads neither `hashlib` nor OpenSSL.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import os
 
-from .seifert import check_entries, check_free
+from .rules import check_entries, check_free
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "BRIESKORN_CACHE_DIR"

@@ -19,7 +19,8 @@ from __future__ import annotations
 from .arith import NODE_MAX, hj_expand
 from .matrices import eliminate
 from .records import InputError, InternalInvariantError, record
-from .seifert import SeifertData, check_order
+from .rules import check_order
+from .seifert import SeifertData
 
 
 class PropagationError(InternalInvariantError):

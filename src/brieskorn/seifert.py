@@ -14,28 +14,20 @@ and the central plumbing weight is
 always an integer <= -1.  The R-invariant is -2*delta - 3, an odd integer
 >= -1; R == -1 is necessary for the sphere to bound a smooth contractible
 4-manifold.
+
+The input rules (`check_entries`, `check_order`, `check_free`, `P_MAX`
+and `FAMILY_KINDS`) live in `rules`, so a cache lookup checks its input
+without loading this module; `check_order` is still importable from here.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
-from math import gcd
 
-from .arith import is_prime
 from .records import InputError, record
-
-
-def check_entries(a1: int, a2: int, a3: int) -> None:
-    """The rules of a triple's entries: each >= 2, sorted ascending and
-    pairwise coprime.  BrieskornTriple checks itself with this, and a
-    cache hit checks its sorted ints with it, building no record."""
-    entries = (a1, a2, a3)
-    if min(entries) < 2:
-        raise InputError(f"entries must all be >= 2, got {entries}")
-    if not (a1 <= a2 <= a3):
-        raise InputError(f"entries must be sorted ascending, got {entries}")
-    if gcd(a1, a2) != 1 or gcd(a1, a3) != 1 or gcd(a2, a3) != 1:
-        raise InputError(f"entries must be pairwise coprime, got {entries}")
+from .rules import FAMILY_KINDS, _acts_freely, check_entries, check_free
+# Importers of check_order from this module, its former home, keep working.
+from .rules import check_order  # noqa: F401
 
 
 @total_ordering
@@ -114,11 +106,6 @@ def seifert_invariants(triple: BrieskornTriple) -> SeifertData:
     return SeifertData(triple, tuple(b), delta)
 
 
-def _acts_freely(p: int, product: int) -> bool:
-    """The freeness rule of standard_action_valid, on the product."""
-    return gcd(p, product) == 1
-
-
 def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     """Is the restriction of the circle action to Z/p free on the sphere?
 
@@ -129,40 +116,9 @@ def standard_action_valid(triple: BrieskornTriple, p: int) -> bool:
     return _acts_freely(p, triple.product)
 
 
-# The largest group order accepted.  The spectral stage is the only one
-# that grows with p (a few length-p integer vectors and one O(p) pass per
-# eta kernel); the README gives its time and memory at the largest
-# admitted prime, 99991.
-P_MAX = 100_000
-
-
-def check_order(p: int) -> None:
-    """The group order rule: p must be an odd prime, at most P_MAX.
-
-    The ceiling is checked first, so an oversized p is refused before any
-    work (the primality test included) is spent on it.
-    """
-    if p > P_MAX:
-        raise InputError(f"p must be at most {P_MAX}, got {p}")
-    if not is_prime(p) or p < 3:
-        raise InputError(f"p must be an odd prime >= 3, got {p}")
-
-
 def check_action(triple: BrieskornTriple, p: int) -> None:
     """The order rule, then freeness of the standard Z/p action."""
     check_free(p, triple.product)
-
-
-def check_free(p: int, product: int) -> None:
-    """check_action on the product of a triple's entries, for a caller
-    that holds them as ints."""
-    check_order(p)
-    if not _acts_freely(p, product):
-        raise InputError(f"p = {p} divides {product}: the standard "
-                         "action is not free")
-
-
-FAMILY_KINDS = ("casson-harer", "stern")
 
 
 def family(kind: str, r: int, s: int, sign: str = "+") -> BrieskornTriple:

@@ -112,8 +112,8 @@ from math import gcd
 from .plumbing import (EquivariantMarkup, canonical_resolution,
                        centered_residue, graph_signature, propagate_rotations)
 from .records import InputError, InternalInvariantError, record
-from .seifert import (BrieskornTriple, check_action, check_order,
-                      seifert_invariants)
+from .rules import check_order
+from .seifert import BrieskornTriple, check_action, seifert_invariants
 
 
 Vector = tuple[int, ...]   # sum_i v[i] zeta^i / p^2 for p = len(v)

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spectral_oracle as oracle
-from brieskorn.arith import (MILLER_RABIN_LIMIT, NODE_MAX, HJExpansion,
-                            hj_expand, is_prime)
+from brieskorn.arith import NODE_MAX, HJExpansion, hj_expand, is_prime
 from brieskorn.records import InternalInvariantError
-from brieskorn.seifert import P_MAX
+from brieskorn.rules import MILLER_RABIN_LIMIT, P_MAX
 from spectral_oracle import Field
 
 

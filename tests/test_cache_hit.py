@@ -24,7 +24,8 @@ import brieskorn.cache as cache
 from brieskorn.cache import _stamp, cached_analysis
 from brieskorn.cli import main
 from brieskorn.records import InputError
-from brieskorn.seifert import P_MAX, BrieskornTriple, check_action
+from brieskorn.rules import P_MAX
+from brieskorn.seifert import BrieskornTriple, check_action
 
 DIRECTORY = os.path.join("cache", "dir")
 SERVED = "served text\n"

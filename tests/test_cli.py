@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brieskorn
-from brieskorn import cli
+from brieskorn import cli, commands
 from brieskorn.cache import (SCHEMA_VERSION, cached_analysis, render_json,
                              render_text, source_digest)
 from brieskorn.cli import main
@@ -1332,7 +1332,7 @@ def test_planted_fault_exits_2(plant, argv, message, tmp_cache, monkeypatch,
 def test_family_range_ceiling(s_range, admitted, tmp_cache, capsys):
     # Every member of stern --r 1 is a quick skip (r < 2), so a run of
     # FAMILY_MAX members is cheap; one member more is refused before any.
-    assert cli.FAMILY_MAX == 1000
+    assert commands.FAMILY_MAX == 1000
     start = time.perf_counter()
     code = main(["family", "stern", "--r", "1", "--s-range", s_range])
     assert time.perf_counter() - start < 1
@@ -1352,8 +1352,8 @@ def test_family_range_ceiling(s_range, admitted, tmp_cache, capsys):
 def test_eta_refuses_p_above_its_table_ceiling(tmp_cache, capsys):
     # eta prints (p-1)^2 coefficients, so it has a ceiling of its own;
     # 1009 is the first prime above it.  The other commands keep P_MAX.
-    from brieskorn.cli import ETA_TABLE_P_MAX
-    from brieskorn.seifert import is_prime
+    from brieskorn.commands import ETA_TABLE_P_MAX
+    from brieskorn.rules import is_prime
     assert ETA_TABLE_P_MAX == 1000
     assert [q for q in range(1001, 1010) if is_prime(q)] == [1009]
     assert main(["eta", "3", "16", "113", "--p", "1009"]) == 1

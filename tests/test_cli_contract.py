@@ -22,8 +22,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from brieskorn import build_analysis, render_text
-from brieskorn import cli, report
-from brieskorn.cli import FAMILY_MAX, build_parser, main
+from brieskorn import cli, commands, report
+from brieskorn.cli import build_parser, main
+from brieskorn.commands import FAMILY_MAX
 from process_checks import launch
 
 CALL_SECONDS = 10
@@ -319,8 +320,19 @@ def test_plain_path_builds_the_namespace_the_analyze_parser_builds(argv):
         assert plain == (args.a, args.b, args.c, args.p), argv
         assert vars(args) == {"a": args.a, "b": args.b, "c": args.c,
                               "p": args.p, "json": None, "text": False,
-                              "no_cache": False, "func": cli.cmd_analyze,
-                              "command": "analyze"}, argv
+                              "no_cache": False, "command": "analyze"}, argv
+        assert commands.COMMANDS[args.command] is commands.cmd_analyze
+
+
+def test_the_parser_and_the_command_table_name_the_same_commands():
+    """The parser lives in cli and the command bodies in commands: each
+    subcommand build_parser registers has a body in commands.COMMANDS,
+    which main looks up by the subparsers' dest, and each body has a
+    subcommand."""
+    [registered] = [action.choices for action in build_parser()._actions
+                    if action.dest == "command"]
+    assert sorted(registered) == sorted(commands.COMMANDS) == [
+        "analyze", "diagonalize", "eta", "family", "graph", "rho"]
 
 
 @pytest.mark.parametrize("argv, name", BIG_ARGV,

@@ -10,9 +10,10 @@ from hypothesis import given, strategies as st
 import brieskorn
 from brieskorn import (arith, lattice, matrices, obstruction, plumbing,
                        spectral)
-from brieskorn.seifert import (BrieskornTriple, FAMILY_KINDS, P_MAX,
-                               check_action, check_order, family,
-                               seifert_invariants, standard_action_valid)
+from brieskorn.rules import FAMILY_KINDS, P_MAX
+from brieskorn.seifert import (BrieskornTriple, check_action, check_order,
+                               family, seifert_invariants,
+                               standard_action_valid)
 from conftest import random_triples
 
 

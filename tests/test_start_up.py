@@ -1,11 +1,12 @@
 """What start-up loads: `import brieskorn.cli` and an `analyze` text
-cache hit load the six modules a hit runs, and none of the pipeline; the
-package exports the pipeline's eight names, each imported from its
-module on first use (PEP 562), and every name it exported before that
-cut resolves in its module alone.  The import loads no `argparse`, a hit
-none of `argparse`, `gettext` or `json`, and neither a hit nor an
-uncached run loads `typing` when `site` does not load it first
-(`python -S`).  A hit hashes the source with the interpreter's own
+cache hit load the five modules a hit runs, and none of the pipeline,
+`seifert`, `arith` or the command bodies (`commands`, which only a
+parsed argv loads); the package exports the pipeline's eight names, each
+imported from its module on first use (PEP 562), and every name it
+exported before that cut resolves in its module alone.  The import
+loads no `argparse`, a hit none of `argparse`, `gettext` or `json`, and
+neither a hit nor an uncached run loads `typing` when `site` does not
+load it first (`python -S`).  A hit hashes the source with the interpreter's own
 BLAKE2b module, `_blake2`, and loads neither `hashlib`, OpenSSL's
 `_hashlib` nor the builtin sha256.  `python -X importtime -m brieskorn`
 checks the same sets on the module entry point."""
@@ -19,15 +20,18 @@ import brieskorn
 from brieskorn.cache import cached_analysis
 from process_checks import launch
 
-HIT_MODULES = ["brieskorn", "brieskorn.arith", "brieskorn.cache",
-               "brieskorn.cli", "brieskorn.records", "brieskorn.seifert"]
+HIT_MODULES = ["brieskorn", "brieskorn.cache", "brieskorn.cli",
+               "brieskorn.records", "brieskorn.rules"]
 LOADED = ("import sys\n"
           "print(sorted(m for m in sys.modules"
           " if m.partition('.')[0] == 'brieskorn'),"
           " sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
 
 
-UNUSED_BY_A_HIT = ["argparse", "gettext", "json"]
+# Package modules that neither a hit nor `import brieskorn.cli` with
+# build_parser() loads.
+UNUSED_PACKAGE = ["brieskorn.arith", "brieskorn.commands", "brieskorn.seifert"]
+UNUSED_BY_A_HIT = ["argparse", "gettext", "json", *UNUSED_PACKAGE]
 # hashlib, OpenSSL's _hashlib and the builtin sha256 (_sha2 since 3.12).
 HASHES = ["_hashlib", "hashlib", "_sha256", "_sha2"]
 ANALYZE = ["analyze", "3", "16", "113", "--p", "5"]
@@ -36,11 +40,13 @@ PIPELINE = ["BrieskornTriple", "InputError", "InternalInvariantError",
             "render_text"]
 # The names the package root exported before it was cut to the pipeline,
 # by the module that defines each; `plumbing.star`, since deleted, is left
-# out.
+# out.  The two input rules among them moved to `rules` from the modules
+# in MOVED_RULES, which still bind them.
 FORMER_EXPORTS = {name: module for module, names in {
-    "arith": ("HJExpansion", "hj_expand", "is_prime"),
-    "seifert": ("SeifertData", "check_action", "check_order",
-                "seifert_invariants", "standard_action_valid"),
+    "arith": ("HJExpansion", "hj_expand"),
+    "rules": ("check_order", "is_prime"),
+    "seifert": ("SeifertData", "check_action", "seifert_invariants",
+                "standard_action_valid"),
     "plumbing": ("EquivariantMarkup", "PlumbingGraph", "PropagationError",
                  "canonical_pair", "canonical_resolution", "graph_signature",
                  "intersection_matrix", "propagate_rotations", "to_dot",
@@ -53,6 +59,7 @@ FORMER_EXPORTS = {name: module for module, names in {
                  "eta_brieskorn", "eta_from_fixed_data", "ll_extension_search",
                  "nu_defect", "rho_from_eta", "rho_lens_table"),
 }.items() for name in names}
+MOVED_RULES = {"is_prime": "arith", "check_order": "seifert"}
 
 
 def run_fresh(code, *flags, cache_dir=""):
@@ -113,7 +120,8 @@ def test_text_cache_hit_loads_no_openssl(tmp_cache, flags):
 
 
 @pytest.mark.parametrize("flags, argv, package, unused", [
-    ((), ["--version"], HIT_MODULES, ["dataclasses", "inspect"]),
+    ((), ["--version"], HIT_MODULES,
+     ["dataclasses", "inspect", *UNUSED_PACKAGE]),
     ((), ANALYZE, HIT_MODULES, ["fractions", *UNUSED_BY_A_HIT, *HASHES]),
     (("-S",), [*ANALYZE, "--no-cache"], None, ["typing"])],
     ids=["version", "hit", "uncached-no-site"])
@@ -132,6 +140,30 @@ def test_module_run_imports(tmp_cache, flags, argv, package, unused):
     if package is not None:
         assert sorted(m for m in loaded if m.startswith("brieskorn")) == package
     assert not loaded & set(unused)
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["--version"], False), (["-h"], False), (ANALYZE, False),
+    (["graph", "2", "3", "5"], True)], ids=["version", "help", "hit", "graph"])
+def test_only_a_parsed_command_loads_the_command_bodies(tmp_cache, argv,
+                                                        loads):
+    # `main` imports `commands` after the parser returns, and a plain
+    # analyze argv (here a hit) never reaches the parser.
+    cached_analysis(3, 16, 113, 5, text=True)
+    proc = launch(["-X", "importtime", "-m", "brieskorn", *argv], tmp_cache,
+                  timeout=60)
+    assert proc.returncode == 0
+    loaded = {line.rpartition("|")[2].strip()
+              for line in proc.stderr.splitlines()}
+    assert "brieskorn.cli" in loaded
+    assert ("brieskorn.commands" in loaded) == loads
+
+
+def test_moved_rules_stay_bound_in_their_former_modules():
+    rules = importlib.import_module("brieskorn.rules")
+    for name, module in MOVED_RULES.items():
+        former = importlib.import_module(f"brieskorn.{module}")
+        assert getattr(former, name) is getattr(rules, name)
 
 
 def test_an_uncached_analysis_loads_no_typing(tmp_cache):
