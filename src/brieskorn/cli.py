@@ -173,7 +173,3 @@ def main(argv: list[str] | None = None) -> int:
             message = ": ".join(filter(None, (type(exc).__name__, message)))
         sys.stderr.write(f"internal invariant violation: {message}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

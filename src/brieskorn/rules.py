@@ -11,7 +11,7 @@ functions, imported from here.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 
 from .records import InputError, InternalInvariantError
 
@@ -34,18 +34,16 @@ def check_entries(a1: int, a2: int, a3: int) -> None:
 # which covers every order check_order admits.
 MILLER_RABIN_LIMIT = 1_373_653
 _SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
     """Primality of n < MILLER_RABIN_LIMIT, exactly; a larger n raises
     InternalInvariantError rather than answer.
 
-    A prime up to 37 is found by set lookup and a multiple of one by one
-    gcd, so p = 5 and 7 take about 0.05 us; the least composite that
-    passes that screen is 41^2.  Any other n takes the strong tests to
-    bases 2 and 3: about 2 us at p = 99991, where trial division took
-    15-26 us."""
+    A prime up to 37 is found by set lookup, so p = 5 and 7 take about
+    0.06 us.  Any other n takes the strong tests to bases 2 and 3: about
+    1-2 us at p = 101 and 1009, and 2.4 us at p = 99991, where trial
+    division took 15-26 us."""
     if n in _SMALL_PRIMES:
         return True
     if n < 2:
@@ -53,10 +51,6 @@ def is_prime(n: int) -> bool:
     if n >= MILLER_RABIN_LIMIT:
         raise InternalInvariantError(
             f"is_prime is exact only below {MILLER_RABIN_LIMIT}, got {n}")
-    if gcd(n, _SMALL_PRODUCT) != 1:
-        return False
-    if n < 41 * 41:
-        return True
     m = n - 1
     s = (m & -m).bit_length() - 1      # n - 1 = d * 2^s with d odd
     d = m >> s

@@ -57,6 +57,10 @@ ROWS = (
         + member(12, "3,37,260", "none") + member(13, "3,40,281", "none")),
     Row("theorems-even", M + "family stern --r 4 --s-range 11..11 --p 11 "
         "--no-cache", 60, 0, member(11, "4,45,403", "(4,7)")),
+    # 1009 is prime but not in is_prime's set: the strong tests decide it.
+    Row("spectral-1009", M + "analyze 3 16 113 --p 1009 --no-cache", 30, 0,
+        sha256("0716a19193423cad14a6f053495c7795"
+               "7f6461a083e7ed8d678dd6a682a1b332")),
     Row("spectral-10007", M + "analyze 3 16 113 --p 10007 --no-cache", 60),
     Row("spectral-99991", M + "analyze 3 16 113 --p 99991 --no-cache", 30,
         0, sha256("a336f7d58d9d877d2d92aa5f90444921"

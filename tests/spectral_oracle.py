@@ -31,6 +31,12 @@ denominator, each entry checked rational), and the lens search that
 scans every pair (r, s).  The package
 computes eta(zeta) once and reads rho tables and lens matches off it; the
 tests in ``test_spectral_kernels.py`` check that both paths agree exactly.
+
+``eta_orbifold`` is eta(zeta) from the Seifert invariants alone, by the
+orbifold G-signature formula, with no resolution and no markup: its
+exact vector is summed over D = lcm(a1 a2 a3, a1^2, a2^2, a3^2) and must
+divide by it.  Its cone terms read H by the direct sum, a table
+recurrence or floor sums.
 """
 
 import cmath
@@ -42,7 +48,8 @@ from typing import Dict, Sequence, Union
 
 from brieskorn import spectral
 from brieskorn.arith import is_prime
-from brieskorn.seifert import check_order
+from brieskorn.records import InternalInvariantError
+from brieskorn.seifert import check_order, seifert_invariants
 from brieskorn.spectral import LensCandidate, canonical_lens_pair
 
 Scalar = Union[int, Fraction]
@@ -466,6 +473,131 @@ def eta_per_term(markup, signature: int):
     for k, a, b in terms:
         acc = [s + k * n for s, n in zip(acc, spectral.nu_defect(a, b, p))]
     return tuple(acc)
+
+
+# ---------------------------------------------------------------------------
+# eta from the Seifert invariants alone (the orbifold G-signature formula)
+# ---------------------------------------------------------------------------
+#
+# With f(u) = (u + 1)/(u - 1), P = a1 a2 a3, beta_i = |b_i| for the
+# Seifert invariants b_i, w_i = e^(2 pi i / a_i) and
+# L(t) = -4t/(t - 1)^2 = 1 - nu(1, 1; t),
+#
+#     eta(t) = 1 - L(t)/P + sum_i C_i(t),
+#     C_i(t) = (1/a_i) sum_{k=1}^{a_i - 1} f(w_i^k) f(w_i^(beta_i k) t).
+#
+# In the package's vector format (entries scaled by p^2) the term 1 is p^2
+# at entry 0, -L/P is (nu(1, 1) - p^2 e_0)/P, and C_i has entry j equal
+# to (2 p^2 / a_i^2) H_i(pi_i j mod a_i), for pi_i = p^-1 mod a_i,
+# kappa_i = (beta_i p)^-1 mod a_i and
+#
+#     H(s) = sum_{y=1}^{a-1} (a - 2y) ((kappa y - s) mod a).
+#
+# The terms are summed over D = lcm(P, a1^2, a2^2, a3^2), and every
+# entry's difference from entry 0 must divide by D.  The formula replaces
+# each branch's chain of fixed points by one cone-point average
+# (Kawasaki, Topology 17 (1978)), so its cost does not grow with the
+# number of nodes.
+
+
+def h_direct(a: int, kappa: int, residues):
+    """H(s) at each s of residues, summed directly: O(a) per s."""
+    return [sum((a - 2 * y) * ((kappa * y - s) % a) for y in range(1, a))
+            for s in residues]
+
+
+def h_table(a: int, kappa: int, residues):
+    """H(s) at each s of residues, read off the table H(0), ..., H(a - 1)
+    built by H(s + 1) = H(s) + a (a - 2 y*) with y* = kappa^-1 s mod a
+    (the term is 0 when y* = 0): raising s by one lowers every residue
+    (kappa y - s) mod a by one except at y = y*, where it wraps from 0 to
+    a - 1, and the weights a - 2y sum to 0.  O(a)."""
+    inverse_kappa = pow(kappa, -1, a)
+    table = h_direct(a, kappa, [0])
+    for s in range(a - 1):
+        y = inverse_kappa * s % a
+        table.append(table[-1] + (a * (a - 2 * y) if y else 0))
+    return [table[s] for s in residues]
+
+
+def floor_sums(a: int, b: int, c: int, n: int):
+    """(F, G, S): the sums over i = 0..n of q_i, i q_i and q_i^2 for
+    q_i = floor((a i + b)/c), with a, b >= 0 and c > 0, by the Euclid-like
+    recursion behind Dedekind-sum reciprocity: O(log) steps."""
+    if a >= c or b >= c:
+        qa, qb = a // c, b // c
+        f, g, h = floor_sums(a % c, b % c, c, n)
+        s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+        return (f + qa * s1 + qb * (n + 1), g + qa * s2 + qb * s1,
+                h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1
+                + 2 * qb * f + 2 * qa * g)
+    m = (a * n + b) // c
+    if m == 0:
+        return 0, 0, 0
+    f, g, h = floor_sums(c, c - b - 1, a, m - 1)
+    total = n * m - f
+    return (total, (m * n * (n + 1) - h - f) // 2,
+            n * m * (m + 1) - 2 * g - 2 * f - total)
+
+
+def h_floor(a: int, kappa: int, residues):
+    """H(s) at each s of residues by floor sums, O(log a) per s: with
+    B = a - s, (kappa y - s) mod a = kappa y + B - a floor((kappa y + B)/a),
+    and the weights a - 2y sum to 0, so
+    H(s) = kappa (a a(a-1)/2 - (a-1) a (2a-1)/3) - a (a F0 - 2 F1) for
+    F0 and F1 the sums over y = 1..a-1 of floor((kappa y + B)/a) and of y
+    times it."""
+    weights = kappa * (a * a * (a - 1) // 2 - (a - 1) * a * (2 * a - 1) // 3)
+    out = []
+    for s in residues:
+        f, g, _ = floor_sums(kappa, a - s, a, a - 1)
+        f -= (a - s) // a          # the term at y = 0
+        out.append(weights - a * (a * f - 2 * g))
+    return out
+
+
+def orbifold_terms(triple, p: int, h=h_direct, betas=None):
+    """D and the terms of eta(zeta) from the Seifert invariants, each a
+    length-p int vector in the package's format scaled by D: "1", the
+    nu(1, 1)/P and -p^2 e_0/P halves of -L/P, and "cones", the sum of
+    the C_i with each H_i by h.  betas defaults to the |b_i|."""
+    entries, product = triple.entries, triple.product
+    if betas is None:
+        betas = [-b for b in seifert_invariants(triple).b]
+    d = lcm(product, *(a * a for a in entries))
+    e0 = [1] + [0] * (p - 1)
+    cones = [0] * p
+    for a, beta in zip(entries, betas):
+        pi, kappa = pow(p, -1, a), pow(beta * p, -1, a)
+        weight = 2 * p * p * (d // (a * a))
+        values = h(a, kappa, [pi * j % a for j in range(p)])
+        cones = [x + weight * v for x, v in zip(cones, values)]
+    return d, {
+        "1": [d * p * p * x for x in e0],
+        "nu(1,1)/P": [d // product * n for n in spectral.nu_defect(1, 1, p)],
+        "-p^2 e_0/P": [-(d // product) * p * p * x for x in e0],
+        "cones": cones,
+    }
+
+
+def eta_from_terms(d: int, terms):
+    """The sum of the terms over d as an int vector, equal up to an added
+    constant; a difference from entry 0 that d does not divide raises
+    InternalInvariantError."""
+    total = [sum(column) for column in zip(*terms.values())]
+    if any((x - total[0]) % d for x in total):
+        raise InternalInvariantError(
+            f"an entry of eta's terms differs from entry 0 by a non-multiple "
+            f"of D = {d}")
+    return tuple((x - total[0] % d) // d for x in total)
+
+
+def eta_orbifold(triple, p: int, h=h_direct):
+    """eta(zeta) of the quotient data of Sigma(a1, a2, a3) from its
+    Seifert invariants alone, equal to eta_brieskorn up to an added
+    constant."""
+    check_order(p)
+    return eta_from_terms(*orbifold_terms(triple, p, h))
 
 
 def eta_values(markup, signature: int):

@@ -124,6 +124,27 @@ def test_entry_for_a_non_free_action_is_never_served(tmp_cache, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_parsed_text_analyze_reads_no_report(tmp_cache, capsys):
+    """`--p=5` is not the plain argv, so the parser and cmd_analyze serve
+    it.  With no --json that is a text lookup: an entry whose report line
+    no longer decodes is still a hit, printed as stored and not
+    rewritten.  A report read would see a corrupt entry, rebuild it and
+    rewrite it."""
+    argv = ["analyze", "3", "16", "113", "--p=5"]
+    assert main(argv) == 0
+    miss = capsys.readouterr()
+    [entry] = tmp_cache.iterdir()
+    # The report is the entry's last line, one line of compact JSON.
+    head, _, report = entry.read_bytes().rpartition(b"\n")
+    assert report.startswith(b"{")
+    broken = head + b"\n{not json"
+    entry.write_bytes(broken)
+    assert main(argv) == 0
+    assert capsys.readouterr() == miss
+    assert miss.err == ""
+    assert entry.read_bytes() == broken
+
+
 M64 = (1 << 64) - 1
 IV = (0x6a09e667f3bcc908, 0xbb67ae8584caa73b, 0x3c6ef372fe94f82b,
       0xa54ff53a5f1d36f1, 0x510e527fade682d1, 0x9b05688c2b3e6c1f,

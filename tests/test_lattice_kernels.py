@@ -23,8 +23,10 @@ n = 406 the root search is checked against the recursive walk."""
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
+import pathlib
 import tempfile
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import lattice_oracle as oracle
+from brieskorn import matrices
 from brieskorn.cli import main
 from brieskorn.lattice import (Diagonalization, UnimodularForm, diagonalize,
                                enumerate_roots)
@@ -317,6 +320,56 @@ def test_integer_elimination_matches_fraction_oracle(q):
 @given(st.sampled_from(TRIPLES))
 def test_integer_elimination_matches_fraction_oracle_on_trees(triple):
     assert_elimination_matches_fraction_oracle(tree_form(triple).q)
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                     / "golden.json").read_text(encoding="utf-8"))
+GOLDEN_TRIPLES = sorted({tuple(map(int, key.split(",")[:3])) for key in GOLDEN})
+
+
+def assert_star_elimination(triple):
+    """Eliminate the resolution form of triple with a spy on
+    matrices._divide_content: each column has at most one entry (no
+    fill-in), and every row handed over has content 1 (no division).
+    Returns the number of rows the spy saw."""
+    contents = []
+    divide = matrices._divide_content
+
+    def spy(diag, scale, off, i):
+        contents.append(math.gcd(scale[i], diag[i], *off[i].values()))
+        divide(diag, scale, off, i)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_divide_content", spy)
+        e = eliminate(tree_form(triple).q)
+    assert all(len(column) <= 1 for column in e.columns)
+    assert set(contents) <= {1}
+    return len(contents)
+
+
+def test_golden_resolution_forms_eliminate_with_no_fill_in_or_division():
+    # The evidence for a star elimination with no heap, no fill-in and no
+    # content division: consecutive continuants of a chain are coprime,
+    # and the numerators that meet at the centre are the coprime a_i.
+    assert len(GOLDEN_TRIPLES) == 91
+    assert sum(map(assert_star_elimination, GOLDEN_TRIPLES)) > 0
+
+
+@st.composite
+def coprime_triples(draw):
+    """Pairwise-coprime entries up to 40, 500 and 5000."""
+    a = draw(st.integers(min_value=2, max_value=40))
+    b = draw(st.sampled_from([x for x in range(a + 1, 501)
+                              if math.gcd(a, x) == 1]))
+    c = draw(st.sampled_from([x for x in range(b + 1, 5001)
+                              if math.gcd(a * b, x) == 1]))
+    return a, b, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_triples())
+def test_resolution_forms_eliminate_with_no_fill_in_or_division(triple):
+    assert_star_elimination(triple)
 
 
 def test_elimination_returns_to_passed_over_nodes():

@@ -31,7 +31,7 @@ from brieskorn.seifert import (BrieskornTriple, family, seifert_invariants,
 from brieskorn.spectral import (eta_brieskorn, eta_from_fixed_data,
                                 ll_extension_search, nu_defect, rho_from_eta,
                                 rho_lens_table)
-from conftest import random_triples
+from conftest import LARGE_ENTRIES, random_triples
 from spectral_oracle import Field, lift
 
 PRIMES = [p for p in range(3, 38) if is_prime(p)]
@@ -491,3 +491,100 @@ def test_large_p_report_matches_schoolbook_convolution(p, monkeypatch):
     monkeypatch.setattr(spectral, "nu_defect", by_convolution)
     assert build() == recurrence
     assert calls and set(calls) == {p}
+
+
+# eta from the Seifert invariants (spectral_oracle.eta_orbifold): each
+# path of H against the direct sum, the whole formula against the
+# pipeline's eta, and the slips of the formula that each check catches.
+
+H_PATHS = [oracle.h_direct, oracle.h_table, oracle.h_floor]
+
+
+@st.composite
+def h_input(draw):
+    """(a, kappa, s): a <= 70, kappa a unit mod a and 0 <= s < a."""
+    a = draw(st.integers(min_value=2, max_value=70))
+    kappa = draw(st.sampled_from([k for k in range(1, a) if gcd(k, a) == 1]))
+    return a, kappa, draw(st.integers(min_value=0, max_value=a - 1))
+
+
+@pytest.mark.parametrize("h", H_PATHS[1:], ids=lambda h: h.__name__)
+@settings(max_examples=200, deadline=None)
+@given(h_input())
+def test_h_paths_match_the_direct_sum(h, case):
+    a, kappa, s = case
+    assert h(a, kappa, [s]) == oracle.h_direct(a, kappa, [s])
+
+
+def slipped_table(a, kappa, residues):
+    """h_table with y* = kappa^-1 (s + 1) in its recurrence."""
+    inverse_kappa = pow(kappa, -1, a)
+    table = oracle.h_direct(a, kappa, [0])
+    for s in range(a - 1):
+        y = inverse_kappa * (s + 1) % a
+        table.append(table[-1] + (a * (a - 2 * y) if y else 0))
+    return [table[s] for s in residues]
+
+
+def test_table_slip_fails_the_direct_sum():
+    # Wrong on every (a, kappa) with a < 30 but (2, 1), whose one weight
+    # a - 2y is 0.
+    wrong = [(a, kappa) for a in range(2, 30) for kappa in range(1, a)
+             if gcd(kappa, a) == 1 and slipped_table(a, kappa, range(a))
+             != oracle.h_direct(a, kappa, range(a))]
+    assert len(wrong) == 268
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_member(), st.sampled_from(H_PATHS))
+@example((BrieskornTriple(10, 33, 329), 61), oracle.h_table)
+@example((BrieskornTriple(7, 54, 311), 59), oracle.h_floor)
+def test_eta_orbifold_matches_the_pipeline(member, h):
+    # Exactly, up to the added constant; the examples fix spheres inside
+    # their branches.
+    triple, p = member
+    eta = oracle.eta_orbifold(triple, p, h)
+    assert spectral._same_value(eta, eta_brieskorn(triple, p))
+
+
+@pytest.mark.parametrize("entries", [entry[0] for entry in LARGE_ENTRIES],
+                         ids=lambda e: "Sigma(%d,%d,%d)" % e)
+def test_eta_orbifold_matches_the_pipeline_on_large_entries(entries):
+    # Entries up to 2*10^9, so H goes by floor sums, at every free p <= 101.
+    triple = BrieskornTriple(*entries)
+    for p in (q for q in range(3, 102) if is_prime(q)
+              and standard_action_valid(triple, q)):
+        eta = oracle.eta_orbifold(triple, p, oracle.h_floor)
+        assert spectral._same_value(eta, eta_brieskorn(triple, p))
+
+
+def without(terms, name):
+    return {key: value for key, value in terms.items() if key != name}
+
+
+@settings(max_examples=15, deadline=None)
+@given(free_member())
+def test_dropping_half_of_l_over_p_fails_divisibility(member):
+    d, terms = oracle.orbifold_terms(*member)
+    with pytest.raises(InternalInvariantError, match="non-multiple of D"):
+        oracle.eta_from_terms(d, without(terms, "-p^2 e_0/P"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(free_member())
+def test_signed_betas_fail_divisibility(member):
+    # beta_i = b_i negates kappa_i and so each H_i.
+    triple, p = member
+    d, terms = oracle.orbifold_terms(triple, p,
+                                     betas=seifert_invariants(triple).b)
+    with pytest.raises(InternalInvariantError, match="non-multiple of D"):
+        oracle.eta_from_terms(d, terms)
+
+
+@settings(max_examples=15, deadline=None)
+@given(free_member())
+def test_dropping_the_term_one_fails_only_the_comparison(member):
+    # The term is D p^2 at entry 0, which D divides.
+    d, terms = oracle.orbifold_terms(*member)
+    eta = oracle.eta_from_terms(d, without(terms, "1"))
+    assert not spectral._same_value(eta, eta_brieskorn(*member))
