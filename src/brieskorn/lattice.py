@@ -23,10 +23,11 @@ the search turns these into an integer centre numerator over g_j per
 column and integer weights over one common budget S.  It is one flat
 loop with an explicit stack, so no recursion limit bounds n; a path that
 has spent its budget walks its forced tail by one divmod per level, and
-each +- pair is found once.
-The n representatives are the columns of C.  X = -C^t Q is formed once
-from the nonzeros of Q: row k of -Q C is node k's coordinates, column k
-of X, with at most -Q[k][k] nonzeros.  Then X^t X = -Q, summed over the
+each +- pair is found once and returned once, as its member with positive
+leading entry.  These n representatives are the columns of C.
+X = -C^t Q is formed once from the nonzeros of Q: row k of -Q C, started
+from -Q[k][k] times row k of C, is node k's coordinates, column k of X,
+with at most -Q[k][k] nonzeros.  Then X^t X = -Q, summed over the
 nodes that share each basis vector, and |det Q| = 1 check both
 identities: X = -C^t Q = (X C)^t X with X invertible gives X C = I, so
 C^-1 = X and C^t Q C = -X C = -I.  No floating point enters the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 
 from .matrices import Elimination, IntMatrix, eliminate, freeze, transpose
 from .records import InternalInvariantError, record
@@ -68,7 +69,8 @@ class UnimodularForm:
 
 
 def enumerate_roots(form: UnimodularForm) -> tuple[tuple[int, ...], ...]:
-    """All integer vectors v with v^t Q v = -1, for negative definite Q.
+    """One integer vector v with v^t Q v = -1 per +- pair, for negative
+    definite Q.
 
     Complete by construction: -v^t Q v = sum_j |d_j| (v_j + c_j)^2 with c_j
     a combination of coordinates eliminated after j (on a tree, its
@@ -92,10 +94,10 @@ def enumerate_roots(form: UnimodularForm) -> tuple[tuple[int, ...], ...]:
 
     Each +- pair is found once: while every placed coordinate is 0 (the
     budget is still S) every centre is 0, the range is symmetric and the
-    subtree below -m mirrors the one below m, so only m >= 0 is taken and
-    each root v is recorded with -v; this holds for any definite form.
-    The output is closed under negation, duplicate-free, and sorted
-    lexicographically.
+    subtree below -m mirrors the one below m, so only m >= 0 is taken;
+    this holds for any definite form.  Each root is recorded as the member
+    of {v, -v} whose first nonzero entry is positive, so the output has
+    one root per pair, no duplicates, and is sorted lexicographically.
     """
     e = form.elimination
     if e.definiteness != "negative-definite":
@@ -129,7 +131,8 @@ def enumerate_roots(form: UnimodularForm) -> tuple[tuple[int, ...], ...]:
                 else:
                     v[node] = 0
             else:            # then v^t Q v = -1, so v != 0
-                roots.extend((tuple(v), tuple(map(neg, v))))
+                roots.append(tuple(v) if next(filter(None, v)) > 0
+                             else tuple(map(neg, v)))
             m, high = 1, 0
         elif level < n:
             node, g, w, coupling = steps[level]
@@ -178,12 +181,13 @@ class Diagonalization:
             raise InternalInvariantError("C^t Q C != -I")
         gram, rows = {}, []   # Q + X^t X, and the rows of -Q C
         for k, q_row in enumerate(q):
-            acc = None
+            acc = map(mul, repeat(-q_row[k]), c[k])
             for i in compress(range(n), q_row):
                 x = gram[k, i] = q_row[i]
-                term = c[i] if x == 1 else map(mul, repeat(x), c[i])
-                acc = term if acc is None else map(add, acc, term)
-            rows.append(tuple(map(neg, acc)))   # node k's coordinates
+                if i != k:
+                    acc = (map(sub, acc, c[i]) if x == 1 else
+                           map(add, acc, map(mul, repeat(-x), c[i])))
+            rows.append(tuple(acc))             # node k's coordinates
         coordinates = tuple(tuple((j, r[j]) for j in compress(range(n), r))
                             for r in rows)
         sharing = [[] for _ in range(n)]       # the nodes with a nonzero e_j
@@ -226,16 +230,15 @@ def diagonalize(form: UnimodularForm) -> Diagonalization | DiagonalizationFailur
 
     Requires a negative definite unimodular form.  Success needs one
     square -1 vector per +- pair in every coordinate direction, i.e. n
-    pairs; representatives are the pair members with positive leading
-    entry, in lexicographic order, which makes the output canonical.
+    pairs; enumerate_roots gives the pair members with positive leading
+    entry, in lexicographic order, as the columns of C, which makes the
+    output canonical.
     """
     if abs(form.elimination.determinant) != 1:
         raise ValueError("form must have determinant +-1")
-    roots = enumerate_roots(form)
-    # Sorted and sign-closed: the upper half has positive leading entries.
     # Square -1 vectors of a negative definite form from different +-
     # pairs are orthogonal (|v^t Q w| < 1), so C^t Q C = -I.
-    reps = roots[len(roots) // 2:]
+    reps = enumerate_roots(form)
     if len(reps) != form.n:
         return DiagonalizationFailure(form, len(reps))
     return Diagonalization(form, transpose(reps))

@@ -363,7 +363,9 @@ def forced_tail_roots(form: UnimodularForm) -> Tuple[Tuple[int, ...], ...]:
     one recursive call per level on the same integer-scaled factor, and,
     once a path has spent its budget, a separate loop over the forced tail
     v_j = -c_j that dies at the first coordinate that is not an integer
-    and clears the coordinates it wrote.  Each +- pair is found once."""
+    and clears the coordinates it wrote.  Each +- pair is found once and
+    recorded with both signs, so the package's one root per pair is the
+    upper half of this sorted output."""
     if form.elimination.definiteness != "negative-definite":
         raise ValueError("root enumeration requires a negative definite form")
     e = fraction_view(form.elimination)

@@ -75,7 +75,13 @@ ROWS = (
     Row("rho-99991", M + "rho --lens 99991 3 8", 30, 0, sha256(
         "96a25390d7005d86ca9718d7f088f9544897c20e3873af7d2f2c55c533b38efb")),
     *(Row(f"lattice-{s + 6}", M + f"family stern --r 3 --s-range {s}..{s} "
-          "--p 5 --no-cache", 60) for s in (400, 800, 1000)),
+          "--p 5 --no-cache", 60, 0, sha256(digest)) for s, digest in (
+        (400, "5df474954a4f5402de685cfffef3412d"
+              "3986686e8ecf454e91d5c99571498dcb"),
+        (800, "fa5311ebd82f81a0ac79dda4000dad6e"
+              "1b0391a27566615584160f3378156c07"),
+        (1000, "06f8f76cbf2cbcdde89c3edd15e37a87"
+               "811fecaad1f32ff60c9ee7d3726e820c"))),
     Row("report-406", M + "analyze 3 1201 8408 --p 5 --no-cache --json -",
         60, 0, sha256("932ae0b4ad20a3ae77c565e92a74055691d25c8ae51592b0"
                       "6610b8451dea8c01")),

@@ -824,10 +824,10 @@ class TestCLI:
     def test_forged_diagonal_basis_is_internal_error(self, tmp_path,
                                                      monkeypatch, capsys):
         import brieskorn.lattice as lattice
-        # A sign-closed set of two root pairs whose representatives (0,1)
-        # and (1,1) are not orthogonal under -I: C^t Q C != -I.
+        # Two root pair representatives, (0,1) and (1,1), that are not
+        # orthogonal under -I: C^t Q C != -I.
         monkeypatch.setattr(lattice, "enumerate_roots", lambda form: (
-            (-1, -1), (0, -1), (0, 1), (1, 1)))
+            (0, 1), (1, 1)))
         path = tmp_path / "minus_i.txt"
         path.write_text("-1 0\n0 -1\n")
         assert main(["diagonalize", "--matrix", str(path)]) == 2

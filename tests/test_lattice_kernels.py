@@ -75,14 +75,28 @@ def negated_gram(a):
     return tuple(tuple(-x for x in row) for row in mat_mul(transpose(a), a))
 
 
+def upper_half(roots):
+    """The members of a sorted, sign-closed root list with positive
+    leading entry: one per +- pair, sorted."""
+    return roots[len(roots) // 2:]
+
+
+def tree_matrix(g):
+    """The intersection form of an oracle PlumbingGraph."""
+    edges = set(g.edges)
+    return tuple(tuple(w if i == j else int((min(i, j), max(i, j)) in edges)
+                       for j in range(len(g.weights)))
+                 for i, w in enumerate(g.weights))
+
+
 def assert_matches_oracle(form):
     e = form.elimination
     assert e.determinant == oracle.det(form.q)
     assert ((e.definiteness == "negative-definite")
             == oracle.is_negative_definite(form.q))
     roots = enumerate_roots(form)
-    assert roots == oracle.enumerate_roots(form)
-    assert roots == oracle.forced_tail_roots(form)
+    assert roots == upper_half(oracle.enumerate_roots(form))
+    assert roots == upper_half(oracle.forced_tail_roots(form))
     if abs(e.determinant) == 1:
         assert diagonalize(form) == oracle.diagonalize(form)
     else:
@@ -251,10 +265,7 @@ def test_elimination_matches_oracles_on_symmetric_matrices(q):
 @settings(max_examples=200, deadline=None)
 @given(plumbing_trees())
 def test_elimination_matches_oracles_on_random_trees(g):
-    edges = set(g.edges)
-    q = tuple(tuple(w if i == j else int((min(i, j), max(i, j)) in edges)
-                    for j in range(len(g.weights)))
-              for i, w in enumerate(g.weights))
+    q = tree_matrix(g)
     if assert_elimination_matches_oracles(q):
         with pytest.raises(ValueError, match=ZERO_PIVOT):
             eliminate(q)
@@ -262,6 +273,18 @@ def test_elimination_matches_oracles_on_random_trees(g):
     else:
         e = eliminate(q)
         assert (e.signature, e.definiteness) == oracle.graph_signature(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plumbing_trees())
+def test_one_root_per_pair_on_random_definite_trees(g):
+    # Weights -1..-4, so that many trees are definite and have roots.
+    q = tree_matrix(PlumbingGraph(tuple(-1 - abs(w) for w in g.weights),
+                                  g.edges))
+    assume(oracle.is_negative_definite(q))
+    form = UnimodularForm.from_matrix(q)
+    roots = enumerate_roots(form)
+    assert roots == upper_half(oracle.enumerate_roots(form))
 
 
 def assert_elimination_matches_fraction_oracle(q):
@@ -445,8 +468,8 @@ def test_root_search_matches_forced_tail_walk_at_n406():
     form = tree_form((3, 1201, 8408))
     assert form.n == 406
     roots = enumerate_roots(form)
-    assert len(roots) == 2 * 406
-    assert roots == oracle.forced_tail_roots(form)
+    assert len(roots) == 406
+    assert roots == upper_half(oracle.forced_tail_roots(form))
 
 
 def test_stern_n86_matches_recorded_oracle_output():
@@ -515,8 +538,8 @@ def test_e8_plus_minus_i_matches_oracle_through_cli(case):
     q = e8_plus_minus_i(k, moves)
     form = UnimodularForm.from_matrix(q)
     roots = enumerate_roots(form)
-    assert roots == oracle.enumerate_roots(form)
-    assert roots == oracle.forced_tail_roots(form)
+    assert roots == upper_half(oracle.enumerate_roots(form))
+    assert roots == upper_half(oracle.forced_tail_roots(form))
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "q.txt")
